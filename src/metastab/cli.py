@@ -424,8 +424,9 @@ def _run_arrhenius_sweep(cfg: ExperimentConfig):
     system = p.get("system", "sde")
     batches = []
     for i, eps in enumerate(eps_list):
-        # distinct seed block per eps so replicas stay independent
-        seed_eps = cfg.seed + 1000 * i
+        # the eps index joins the seed in the entropy, so no (seed, index)
+        # pair shares another's streams
+        seed_eps = int(np.random.SeedSequence([cfg.seed, i]).generate_state(1)[0])
         if system == "sde":
             pot = _POTENTIALS[p.get("potential", "quartic")]()
             run = SdeRun(potential=pot, epsilon=eps, dt=p.get("dt", 1e-3),

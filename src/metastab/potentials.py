@@ -9,9 +9,6 @@ import numpy as np
 
 from .errors import DegenerateHessian, NoConvergence
 
-#: Balls around metastable states are Euclidean throughout the package.
-BALL_NORM = "euclidean"
-
 
 @dataclass(frozen=True)
 class Potential:
@@ -52,7 +49,7 @@ def quartic_double_well() -> Potential:
         gradient=lambda x: np.array([x[0] ** 3 - x[0]]),
         hessian=lambda x: np.array([[3 * x[0] ** 2 - 1]]),
         name="quartic_double_well",
-        gradient_batch=lambda x: x**3 - x,
+        gradient_batch=lambda x: x * x * x - x,
     )
 
 
@@ -76,7 +73,8 @@ def double_well_2d() -> Potential:
         gradient=lambda p: np.array([p[0] ** 3 - p[0], p[1]]),
         hessian=lambda p: np.array([[3 * p[0] ** 2 - 1, 0.0], [0.0, 1.0]]),
         name="double_well_2d",
-        gradient_batch=lambda x: np.stack([x[:, 0] ** 3 - x[:, 0], x[:, 1]], axis=1),
+        gradient_batch=lambda x: np.stack([x[:, 0] * x[:, 0] * x[:, 0] - x[:, 0], x[:, 1]],
+                                           axis=1),
     )
 
 

@@ -173,43 +173,93 @@ def ou_fokker_planck_residual(x0: float, eps: float, t: float,
 # ---------------------------------------------------------------------------
 
 
-def _chunk_noise(seed: int, offset: int, count: int, n_draws: int, dim: int) -> np.ndarray:
-    """Stack per-replica standard-normal blocks, one stream per replica."""
-    out = np.empty((count, n_draws * dim))
-    for i in range(count):
-        out[i] = replica_rng(seed, offset + i).standard_normal(n_draws * dim)
-    return out.reshape(count, n_draws, dim)
+def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
+                   max_steps: int, block: int, draw, step, distance=None,
+                   delta: float = 0.0, check=None):
+    """The one first-passage loop: n replicas from x0 for up to max_steps.
+
+    draw(rngs, steps) gives the live replicas' noise for one block, step-major
+    as (steps, live, ...) with any per-block transform applied; replica i
+    draws from replica_rng(seed, offset + i).  step(states, noise) returns
+    (new states, aux); a replica stops at the first step with
+    distance(states, aux) < delta.  check(states) runs once per block.
+    Steps advance the live array with no mask; states, replica ids and the
+    live-row-to-noise-row map are compacted only on steps with a hit.
+    Returns (hitting times, nan if censored; final states of the survivors).
+    """
+    rngs = [replica_rng(seed, offset + i) for i in range(n)]
+    times = np.full(n, np.nan)
+    x = np.repeat(x0[None], n, axis=0)
+    ids = np.arange(n)
+    done = 0
+    while ids.size and done < max_steps:
+        steps = min(block, max_steps - done)
+        noise = draw([rngs[i] for i in ids], steps)
+        rows = None  # set once a hit has compacted the live array
+        for j in range(steps):
+            x, aux = step(x, noise[j] if rows is None else noise[j, rows])
+            if distance is None:
+                continue
+            newly = distance(x, aux) < delta
+            if newly.any():
+                times[ids[newly]] = (done + j + 1) * dt
+                keep = ~newly
+                x, ids = x[keep], ids[keep]
+                rows = np.flatnonzero(keep) if rows is None else rows[keep]
+                if not ids.size:
+                    break
+        if check is not None:
+            check(x)
+        done += steps
+    return times, x
+
+
+def _sde_callbacks(run: SdeRun):
+    """(draw, step, check) of the Euler-Maruyama ensemble for _first_passage."""
+    dim = run.x0.size
+    amp = np.sqrt(2 * run.epsilon * run.dt)
+    gradient = run.potential.gradient_batch
+    if gradient is None:
+        def gradient(x):
+            return np.apply_along_axis(run.potential.gradient, 1, x)
+
+    def draw(rngs, steps):
+        g = np.empty((steps, len(rngs), dim))
+        for col, rng in enumerate(rngs):
+            g[:, col] = rng.standard_normal(steps * dim).reshape(steps, dim)
+        g *= amp  # in place, so a block holds one buffer
+        return g
+
+    def step(x, noise):
+        return x - gradient(x) * run.dt + noise, None
+
+    warned = False
+
+    def check(x):
+        nonlocal warned
+        if not np.all(np.isfinite(x)):
+            raise NonFinite("ensemble overflowed; reduce dt")
+        if not warned and not _stability_check(run, x[:4]):
+            warnings.warn("dt exceeds 1/max Hessian eigenvalue along trajectory",
+                          RuntimeWarning)
+            warned = True
+
+    return draw, step, check
 
 
 def sample_endpoints(run: SdeRun, t: float, n: int, replica_offset: int = 0,
                      chunk: int = 2000) -> np.ndarray:
-    """States of n independent replicas at time t, shape (n, dim)."""
-    dim = run.x0.size
+    """States of n independent replicas at time t, shape (n, dim); replicas
+    run chunk at a time, so memory does not grow with n."""
     n_steps = int(round(t / run.dt))
-    amp = np.sqrt(2 * run.epsilon * run.dt)
-    out = np.empty((n, dim))
+    draw, step, check = _sde_callbacks(run)
+    out = np.empty((n, run.x0.size))
     for start in range(0, n, chunk):
         count = min(chunk, n - start)
-        x = np.tile(run.x0, (count, 1))
-        done = 0
-        while done < n_steps:
-            block = min(_NOISE_BLOCK, n_steps - done)
-            g = _chunk_noise(run.seed, replica_offset + start, count, block, dim)
-            for j in range(block):
-                grad = _batch_gradient(run.potential, x)
-                x = x - grad * run.dt + amp * g[:, j, :]
-            done += block
-        if not np.all(np.isfinite(x)):
-            raise NonFinite("ensemble overflowed; reduce dt")
-        out[start:start + count] = x
+        _, out[start:start + count] = _first_passage(
+            run.x0, run.seed, replica_offset + start, count, run.dt, n_steps,
+            _NOISE_BLOCK, draw, step, check=check)
     return out
-
-
-def _batch_gradient(p: Potential, x: np.ndarray) -> np.ndarray:
-    """Gradient rows for a batch of states."""
-    if p.gradient_batch is not None:
-        return p.gradient_batch(x)
-    return np.apply_along_axis(p.gradient, 1, x)
 
 
 def _stability_check(run: SdeRun, x: np.ndarray) -> bool:
@@ -232,51 +282,17 @@ def hitting_times_raw(run: SdeRun, target_center: np.ndarray, delta: float,
     if n < 1:
         raise ValueError("n must be >= 1")
     center = np.atleast_1d(np.asarray(target_center, dtype=float))
-    dim = run.x0.size
     if np.linalg.norm(run.x0 - center) < delta:
         return np.zeros(n)
 
-    max_steps = int(round(run.horizon / run.dt))
-    amp = np.sqrt(2 * run.epsilon * run.dt)
-    result = np.full(n, np.nan)
-    warned = False
+    def distance(x, _):
+        diff = x - center
+        return np.sqrt(np.add.reduce(diff * diff, axis=1))  # as np.linalg.norm
 
-    x = np.tile(run.x0, (n, 1))
-    active = np.arange(n)
-    gens = [replica_rng(run.seed, replica_offset + i) for i in range(n)]
-    step = 0
-    while active.size and step < max_steps:
-        block = min(_NOISE_BLOCK, max_steps - step)
-        g = np.empty((active.size, block, dim))
-        for row, idx in enumerate(active):
-            g[row] = gens[idx].standard_normal(block * dim).reshape(block, dim)
-        hit_step = np.full(active.size, -1, dtype=int)
-        alive = np.ones(active.size, dtype=bool)
-        for j in range(block):
-            x[alive] = (x[alive]
-                        - _batch_gradient(run.potential, x[alive]) * run.dt
-                        + amp * g[alive, j, :])
-            d = np.linalg.norm(x[alive] - center, axis=1)
-            newly = d < delta
-            if np.any(newly):
-                rows = np.flatnonzero(alive)[newly]
-                hit_step[rows] = step + j + 1
-                alive[rows] = False
-                if not alive.any():
-                    break
-        if not np.all(np.isfinite(x[alive])):
-            raise NonFinite("hitting-time ensemble overflowed; reduce dt")
-        if not warned and not _stability_check(run, x[: min(4, len(x))]):
-            warnings.warn("dt exceeds 1/max Hessian eigenvalue along trajectory",
-                          RuntimeWarning)
-            warned = True
-        hits = hit_step >= 0
-        result[active[hits]] = hit_step[hits] * run.dt
-        keep = ~hits
-        x = x[keep]
-        active = active[keep]
-        step += block
-    return result
+    draw, step, check = _sde_callbacks(run)
+    return _first_passage(run.x0, run.seed, replica_offset, n, run.dt,
+                          int(round(run.horizon / run.dt)), _NOISE_BLOCK,
+                          draw, step, distance, delta, check)[0]
 
 
 def sample_hitting_times(run: SdeRun, target_center, delta: float, n: int,

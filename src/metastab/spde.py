@@ -26,7 +26,7 @@ from . import fields
 from .determinants import counterterm_trace
 from .errors import DomainError, NonFinite
 from .fields import SpectralField
-from .sde import HittingTimeBatch, replica_rng
+from .sde import HittingTimeBatch, _first_passage, replica_rng
 
 _NOISE_BLOCK = 256
 
@@ -326,40 +326,19 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
     if d0 < delta:
         return np.zeros(n)
 
-    max_steps = int(round(run.t_max / run.dt))
-    result = np.full(n, np.nan)
-    coeffs = np.tile(c0, (n,) + (1,) * d)
-    active = np.arange(n)
-    gens = [replica_rng(run.seed, replica_offset + i) for i in range(n)]
-    step = 0
-    while active.size and step < max_steps:
-        block = min(_NOISE_BLOCK, max_steps - step)
-        eta_blocks = [gens[idx].standard_normal((block,) + (st.n_modes,) * d)
-                      for idx in active]
-        raw = np.stack(eta_blocks)  # (n_active, block, modes...)
-        axes = tuple(range(-d, 0))
-        eta = np.fft.fftn(raw, axes=axes) / st.noise_norm
-        hit_step = np.full(active.size, -1, dtype=int)
-        alive = np.ones(active.size, dtype=bool)
-        for j in range(block):
-            rows = np.flatnonzero(alive)
-            new, grids = st.step(coeffs[rows], eta[rows, j], return_grid=True)
-            coeffs[rows] = new
-            dist = distances(new, grids)
-            newly = dist < delta
-            if np.any(newly):
-                hit_rows = rows[newly]
-                hit_step[hit_rows] = step + j + 1
-                alive[hit_rows] = False
-                if not alive.any():
-                    break
-        hits = hit_step >= 0
-        result[active[hits]] = hit_step[hits] * run.dt
-        keep = ~hits
-        coeffs = coeffs[keep]
-        active = active[keep]
-        step += block
-    return result
+    shape = (st.n_modes,) * d
+    axes = tuple(range(-d, 0))
+
+    def draw(rngs, steps):
+        raw = np.stack([r.standard_normal((steps,) + shape) for r in rngs], axis=1)
+        return np.fft.fftn(raw, axes=axes) / st.noise_norm
+
+    def step(coeffs, eta):
+        return st.step(coeffs, eta, return_grid=True)
+
+    return _first_passage(c0, run.seed, replica_offset, n, run.dt,
+                          int(round(run.t_max / run.dt)), _NOISE_BLOCK,
+                          draw, step, distances, delta)[0]
 
 
 def sample_spde_hitting_times(run: SpdeRun, target: float, delta: float,

@@ -11,8 +11,15 @@ from metastab import (
     sample_endpoints,
     sample_hitting_times,
 )
+from metastab import potentials
 from metastab.errors import AllCensored, NonFinite
-from metastab.sde import integrate_path, ou_mean_var, replica_rng
+from metastab.sde import (
+    _NOISE_BLOCK,
+    hitting_times_raw,
+    integrate_path,
+    ou_mean_var,
+    replica_rng,
+)
 
 
 class TestEmStep:
@@ -98,10 +105,13 @@ class TestFokkerPlanck:
 
 
 class TestEndpointMoments:
-    def test_ou_mean_and_variance_at_t1(self):
+    # t = 2.0 runs past the first 1024-step noise block, so each replica's
+    # stream must continue across blocks rather than replay its first block
+    @pytest.mark.parametrize("t", [1.0, 2.0])
+    def test_ou_mean_and_variance_at_t1(self, t):
         run = SdeRun(quadratic_well(), epsilon=0.1, dt=1e-3, x0=[1.0], seed=99)
-        xs = sample_endpoints(run, 1.0, 30000)[:, 0]
-        mean_th, var_th = ou_mean_var(1.0, 1.0, 0.1)
+        xs = sample_endpoints(run, t, 30000)[:, 0]
+        mean_th, var_th = ou_mean_var(1.0, t, 0.1)
         se_mean = xs.std(ddof=1) / np.sqrt(xs.size)
         assert abs(xs.mean() - mean_th) < 3 * se_mean
         se_var = xs.var(ddof=1) * np.sqrt(2.0 / (xs.size - 1))
@@ -168,6 +178,52 @@ class TestHittingTimes:
             hitting_times_raw(run, [1.0], 0.2, 8, replica_offset=16),
         ])
         assert np.array_equal(whole, parts, equal_nan=True)
+
+
+def _reference_hitting_times(run, center, delta, n):
+    """One replica at a time, drawing its stream in the engine's block sizes."""
+    dim = run.x0.size
+    amp = np.sqrt(2 * run.epsilon * run.dt)
+    max_steps = int(round(run.horizon / run.dt))
+    out = np.full(n, np.nan)
+    for i in range(n):
+        rng = replica_rng(run.seed, i)
+        x = run.x0[None].copy()
+        done = 0
+        while done < max_steps and np.isnan(out[i]):
+            block = min(_NOISE_BLOCK, max_steps - done)
+            g = amp * rng.standard_normal(block * dim).reshape(block, dim)
+            for j in range(block):
+                x = x - run.potential.gradient_batch(x) * run.dt + g[j]
+                diff = x[0] - np.asarray(center)
+                if np.sqrt(np.sum(diff * diff)) < delta:
+                    out[i] = (done + j + 1) * run.dt
+                    break
+            done += block
+    return out
+
+
+class TestFirstPassageEngine:
+    # Near-deterministic descent onto the ball around +1 whose hit steps
+    # straddle the end of the first 1024-step block; the horizon is 1040 steps.
+    # The seeds give hits inside the block, one hit on its last step, hits in
+    # the second block and censored replicas.
+    @pytest.mark.parametrize("pot_name, x0, center, dt, t_max, seed", [
+        ("quartic_double_well", [0.5], [1.0], 8.17e-4, 0.85, 21),
+        ("double_well_2d", [0.5, 0.3], [1.0, 0.0], 9.46e-4, 0.984, 23),
+    ])
+    def test_bit_exact_against_one_replica_loop(self, pot_name, x0, center, dt,
+                                                t_max, seed):
+        pot = getattr(potentials, pot_name)()
+        run = SdeRun(pot, epsilon=1e-4, dt=dt, x0=x0, seed=seed, t_max=t_max)
+        raw = hitting_times_raw(run, center, 0.2, 16)
+        ref = _reference_hitting_times(run, center, 0.2, 16)
+        steps = np.rint(raw / dt)
+        assert np.sum(steps < 1024) >= 2  # hits in the middle of the block
+        assert np.any(steps == 1024)  # a hit on the block's last step
+        assert np.any(steps > 1024)  # hits in the next block
+        assert np.sum(np.isnan(raw)) >= 2  # censored at the horizon
+        assert np.array_equal(raw, ref, equal_nan=True)
 
 
 @pytest.mark.slow
