@@ -57,7 +57,8 @@ class AllenCahnEnergy:
         M = fields.dealiased_grid_size(phi.N, self.grid_factor)
         u = fields.grid_values(phi, M)
         cell = (phi.L / M) ** phi.d
-        return quad + 0.25 * float(np.sum(u**4)) * cell
+        u2 = u * u
+        return quad + 0.25 * float(np.sum(u2 * u2)) * cell
 
     def gradient_coeffs(self, phi: SpectralField) -> np.ndarray:
         """Spectral coefficients of -Laplacian(phi) - phi + P_N(phi^3)."""
@@ -65,7 +66,7 @@ class AllenCahnEnergy:
         ksq = fields.squared_wavenumber_grid(phi.d, phi.L, phi.N)
         M = fields.dealiased_grid_size(phi.N, self.grid_factor)
         u = fields.grid_values(phi, M)
-        cubic = fields.field_from_grid(phi.d, phi.L, phi.N, u**3)
+        cubic = fields.field_from_grid(phi.d, phi.L, phi.N, u * u * u)
         return (ksq - 1.0) * phi.coeffs + cubic.coeffs
 
     def gateaux_derivative(self, phi: SpectralField, psi: SpectralField) -> float:

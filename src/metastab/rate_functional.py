@@ -119,7 +119,7 @@ def rate_functional_ac_1d(path: FieldPath, L: float) -> float:
         lin = dphi + (ksq - 1.0) * mid
         lin_grid = fields.grid_values(SpectralField(1, L, N, lin), M)
         u = fields.grid_values(SpectralField(1, L, N, mid), M)
-        resid = lin_grid + u**3
+        resid = lin_grid + u * u * u
         total += float(np.sum(resid**2)) * (L / M) * dt
     return 0.5 * total
 

@@ -180,24 +180,26 @@ def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
 
     draw(rngs, steps) gives the live replicas' noise for one block, step-major
     as (steps, live, ...) with any per-block transform applied; replica i
-    draws from replica_rng(seed, offset + i).  step(states, noise) returns
-    (new states, aux); a replica stops at the first step with
+    draws from replica_rng(seed, offset + i).  step(states, noise, aux)
+    returns (new states, new aux), and is passed the aux of the step before
+    (None on the first step); a replica stops at the first step with
     distance(states, aux) < delta.  check(states) runs once per block.
-    Steps advance the live array with no mask; states, replica ids and the
-    live-row-to-noise-row map are compacted only on steps with a hit.
+    Steps advance the live array with no mask; states, aux, replica ids and
+    the live-row-to-noise-row map are compacted only on steps with a hit.
     Returns (hitting times, nan if censored; final states of the survivors).
     """
     rngs = [replica_rng(seed, offset + i) for i in range(n)]
     times = np.full(n, np.nan)
     x = np.repeat(x0[None], n, axis=0)
     ids = np.arange(n)
+    aux = None
     done = 0
     while ids.size and done < max_steps:
         steps = min(block, max_steps - done)
         noise = draw([rngs[i] for i in ids], steps)
         rows = None  # set once a hit has compacted the live array
         for j in range(steps):
-            x, aux = step(x, noise[j] if rows is None else noise[j, rows])
+            x, aux = step(x, noise[j] if rows is None else noise[j, rows], aux)
             if distance is None:
                 continue
             newly = distance(x, aux) < delta
@@ -205,6 +207,8 @@ def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
                 times[ids[newly]] = (done + j + 1) * dt
                 keep = ~newly
                 x, ids = x[keep], ids[keep]
+                if aux is not None:
+                    aux = aux[keep]
                 rows = np.flatnonzero(keep) if rows is None else rows[keep]
                 if not ids.size:
                     break
@@ -230,7 +234,7 @@ def _sde_callbacks(run: SdeRun):
         g *= amp  # in place, so a block holds one buffer
         return g
 
-    def step(x, noise):
+    def step(x, noise, _aux):
         return x - gradient(x) * run.dt + noise, None
 
     warned = False

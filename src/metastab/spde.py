@@ -9,9 +9,13 @@ Mode update per step (FFT ordering, mu_k = 1 - (2 pi |k| / L)^2):
 
 The stiff linear part is implicit, so high modes are unconditionally stable;
 the cubic term is evaluated by dealiased collocation, making its projection
-exact.  The noise eta is the DFT of iid real standard normals divided by
-(2N+1)^{d/2}: exactly conjugate-symmetric with unit variance per mode, so
-each real Fourier degree of freedom receives an independent Brownian motion.
+exact.  Collocation runs on real FFTs: the grid values are the inverse real
+FFT of the k_last >= 0 half of the band, and the cubic drift is read off the
+forward real FFT of phi^3, its k_last < 0 half as the conjugate of the mirror
+image, so the drift is exactly Hermitian.  The noise eta is the DFT of iid
+real standard normals divided by (2N+1)^{d/2}: exactly conjugate-symmetric
+with unit variance per mode, so each real Fourier degree of freedom receives
+an independent Brownian motion.
 """
 
 from __future__ import annotations
@@ -80,33 +84,51 @@ class _Stepper:
             self.counter = 3.0 * run.epsilon * counterterm_trace(self.L, self.N)
         self.noise_amp = np.sqrt(2.0 * run.epsilon * run.dt)
         self.noise_norm = self.n_modes ** (self.d / 2.0)
-        # index map for embedding the band into the M-grid
-        self.idx = fields.mode_wavenumbers(self.N) % self.M
-        self.cell = (self.L / self.M) ** self.d
+        # rows of the M-grid holding band wavenumbers k and their mirrors -k
+        k = fields.mode_wavenumbers(self.N)
+        self.idx = k % self.M
+        self.neg = (-k) % self.M
+        self.half_shape = (self.M,) * (self.d - 1) + (self.M // 2 + 1,)
         self.grid_scale = (self.M**self.d) * self.L ** (-self.d / 2.0)
         self.proj_scale = self.L ** (self.d / 2.0) / (self.M**self.d)
 
     def grid(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real collocation values; batched over leading axes."""
-        batch = coeffs.shape[:-self.d]
-        big = np.zeros(batch + (self.M,) * self.d, dtype=complex)
+        """Real collocation values; batched over leading axes.
+
+        Only the k_last >= 0 half of the band enters the inverse real FFT.
+        """
+        N = self.N
+        half = np.zeros(coeffs.shape[:-self.d] + self.half_shape, dtype=complex)
         if self.d == 1:
-            big[..., self.idx] = coeffs
-            vals = np.fft.ifft(big, axis=-1)
+            half[..., :N + 1] = coeffs[..., :N + 1]
+            vals = np.fft.irfft(half, n=self.M, axis=-1)
         else:
-            big[..., self.idx[:, None], self.idx[None, :]] = coeffs
-            vals = np.fft.ifft2(big, axes=(-2, -1))
-        return vals.real * self.grid_scale
+            half[..., self.idx, :N + 1] = coeffs[..., :N + 1]
+            vals = np.fft.irfft2(half, s=(self.M, self.M), axes=(-2, -1))
+        return vals * self.grid_scale
 
     def project(self, values: np.ndarray) -> np.ndarray:
-        """Band coefficients of real grid values; batched."""
+        """Band coefficients of real grid values; batched, exactly Hermitian.
+
+        The k_last < 0 half is the conjugate of the mirrored half spectrum,
+        spec[(-k) % M, m].  In d=2 so is the k_last = 0 column at k_first < 0,
+        which the complex FFT along the first axis leaves Hermitian only to
+        rounding.
+        """
+        N = self.N
+        band = np.empty(values.shape[:-self.d] + (self.n_modes,) * self.d,
+                        dtype=complex)
         if self.d == 1:
-            spec = np.fft.fft(values, axis=-1)
-            band = spec[..., self.idx]
+            spec = np.fft.rfft(values, axis=-1)
+            band[..., :N + 1] = spec[..., :N + 1]
+            band[..., N + 1:] = spec[..., N:0:-1].conj()
         else:
-            spec = np.fft.fft2(values, axes=(-2, -1))
-            band = spec[..., self.idx[:, None], self.idx[None, :]]
-        return band * self.proj_scale
+            spec = np.fft.rfft2(values, axes=(-2, -1))
+            band[..., :N + 1] = spec[..., self.idx, :N + 1]
+            band[..., N + 1:] = spec[..., self.neg, N:0:-1].conj()
+            band[..., N + 1:, 0] = band[..., N:0:-1, 0].conj()
+        band *= self.proj_scale
+        return band
 
     def draw_eta(self, rng: np.random.Generator, batch: int = 0) -> np.ndarray:
         """Conjugate-symmetric unit-variance mode noise (DFT of real normals)."""
@@ -116,13 +138,17 @@ class _Stepper:
         return np.fft.fftn(g, axes=axes) / self.noise_norm
 
     def step(self, coeffs: np.ndarray, eta: np.ndarray,
-             return_grid: bool = False):
-        """One semi-implicit update; coeffs may carry leading batch axes."""
+             return_grid: bool = False, u: Optional[np.ndarray] = None):
+        """One semi-implicit update; coeffs may carry leading batch axes.
+
+        u, when given, is grid(coeffs), e.g. the grid a previous step returned.
+        """
         if self.run.drop_cubic:
             drift = np.zeros_like(coeffs)
         else:
-            u = self.grid(coeffs)
-            drift = -self.project(u**3)
+            if u is None:
+                u = self.grid(coeffs)
+            drift = -self.project(u * u * u)
         if self.counter:
             drift = drift + self.counter * coeffs
         new = (coeffs + self.run.dt * drift + self.noise_amp * eta) / self.denom
@@ -322,7 +348,8 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
         return np.sqrt(np.sum(flat, axis=1))
 
     c0 = run.field0.coeffs
-    d0 = distances(c0[None], st.grid(c0)[None])[0]
+    g0 = st.grid(c0)
+    d0 = distances(c0[None], g0[None])[0]
     if d0 < delta:
         return np.zeros(n)
 
@@ -333,8 +360,9 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
         raw = np.stack([r.standard_normal((steps,) + shape) for r in rngs], axis=1)
         return np.fft.fftn(raw, axes=axes) / st.noise_norm
 
-    def step(coeffs, eta):
-        return st.step(coeffs, eta, return_grid=True)
+    def step(coeffs, eta, u):
+        # u is the grid the previous step returned; c0's grid before the first
+        return st.step(coeffs, eta, return_grid=True, u=g0 if u is None else u)
 
     return _first_passage(c0, run.seed, replica_offset, n, run.dt,
                           int(round(run.t_max / run.dt)), _NOISE_BLOCK,

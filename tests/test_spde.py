@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from metastab import (
     spde_step,
 )
 from metastab.errors import AllCensored, DomainError
-from metastab.fields import SpectralField, _embed, grid_values
+from metastab.fields import (SpectralField, _embed, field_from_grid, grid_values,
+                             mode_wavenumbers)
 from metastab.sde import replica_rng
 from metastab.spde import (
     _Stepper,
@@ -94,6 +97,72 @@ class TestStep:
         sym = draws[:, 1:][:, ::-1] - np.conj(draws[:, 1:])
         assert np.max(np.abs(sym)) < 1e-14
         assert np.max(np.abs(draws[:, 0].imag)) < 1e-14
+
+
+def _mirror(a, d):
+    """a[..., (-k) % n] along each of the last d axes (FFT ordering)."""
+    for ax in range(-d, 0):
+        a = np.roll(np.flip(a, axis=ax), 1, axis=ax)
+    return a
+
+
+def _reference_step(st, c, eta):
+    """One d=2 step by complex FFTs of the full band, cubed by pow."""
+    M, L = st.M, st.L
+    rows = np.ix_(*(mode_wavenumbers(st.N) % M,) * 2)
+    big = np.zeros((M, M), dtype=complex)
+    big[rows] = c
+    u = np.fft.ifft2(big).real * (M**2 / L)
+    drift = -np.fft.fft2(u**3)[rows] * (L / M**2)
+    if st.counter:
+        drift = drift + st.counter * c
+    return (c + st.run.dt * drift + st.noise_amp * eta) / st.denom
+
+
+class TestRealTransforms:
+    @pytest.mark.parametrize("factor", (2, 3))
+    @pytest.mark.parametrize("N", (1, 4, 16))
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_grid_and_project_match_fields_oracle(self, d, N, factor, rng):
+        # factor 3 makes M odd: the half spectrum then has no Nyquist column
+        st = _Stepper(make_run(d=d, L=1.5, N=N, grid_factor=factor))
+        fs = [random_field(d, st.L, N, rng) for _ in range(3)]
+        coeffs = np.array([f.coeffs for f in fs])
+        grids = np.array([grid_values(f, st.M) for f in fs])
+        vals = rng.standard_normal((3,) + (st.M,) * d)
+        bands = np.array([field_from_grid(d, st.L, N, v).coeffs for v in vals])
+        for got, want in ((st.grid(coeffs), grids), (st.grid(coeffs[0]), grids[0]),
+                          (st.project(vals), bands), (st.project(vals[0]), bands[0])):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for band in (st.project(vals), st.project(vals[0])):
+            assert np.array_equal(_mirror(band, d), band.conj())
+
+    @pytest.mark.parametrize("renormalize", (True, False))
+    def test_seeded_trajectory_matches_complex_reference(self, renormalize):
+        # a wrong band mapping moves the trajectory far more than 1e-12, yet
+        # could stay inside criterion 16's statistical bands
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = make_run(d=2, N=8, eps=0.1, dt=2e-3, seed=1616,
+                           renormalize=renormalize)
+        st = _Stepper(run)
+        n_steps = 500
+        scale = run.field0.L ** (-1.0)
+        rng = replica_rng(run.seed, 0)
+        c = run.field0.coeffs.copy()
+        ref = [c[0, 0].real * scale]
+        for _ in range(n_steps):
+            c = _reference_step(st, c, st.draw_eta(rng))
+            ref.append(c[0, 0].real * scale)
+        _, means = spatial_mean_trajectory(run, n_steps * run.dt)
+        assert means.shape == (n_steps + 1,)
+        assert np.max(np.abs(means - np.array(ref))) <= 1e-12
+        rng = replica_rng(run.seed, 0)
+        got = run.field0.coeffs.copy()
+        for _ in range(n_steps):
+            got = st.step(got, st.draw_eta(rng))
+        assert np.max(np.abs(got - c)) <= 1e-12
 
 
 class TestLinearizedModes:
@@ -203,6 +272,39 @@ class TestHitting:
                                           s=-0.5, n=4)
         assert batch.samples.size > 0
         assert np.all(np.isfinite(batch.samples))
+
+
+    def test_hitting_path_grids_each_state_once(self, monkeypatch):
+        # the grid a step returns for the distance feeds the next drift
+        calls = []
+        grid = _Stepper.grid
+
+        def counting(self, coeffs):
+            calls.append(coeffs.shape)
+            return grid(self, coeffs)
+
+        monkeypatch.setattr(_Stepper, "grid", counting)
+        run = make_run(N=16, eps=0.2, dt=1e-3, t_max=0.256, seed=3)
+        raw = spde_hitting_times_raw(run, 100.0, 0.3, n=10)
+        assert np.all(np.isnan(raw))
+        assert len(calls) == 257  # c0 once, then each of the 256 new states
+
+    @pytest.mark.parametrize("norm,delta", (("linf", 0.4), ("hs", 0.5)))
+    def test_grid_reuse_is_bit_exact(self, norm, delta, monkeypatch):
+        run = make_run(N=4, eps=0.5, dt=2e-3, t_max=0.9, seed=21, start=0.2)
+        reused = spde_hitting_times_raw(run, 1.0, delta, norm=norm, n=16)
+        steps = np.round(reused / run.dt)
+        # hits inside the first 256-step noise block and after it, plus censoring
+        assert np.any(steps < 256) and np.any(steps > 256)
+        assert np.any(np.isnan(reused))
+        step = _Stepper.step
+
+        def fresh_step(self, coeffs, eta, return_grid=False, u=None):
+            return step(self, coeffs, eta, return_grid)
+
+        monkeypatch.setattr(_Stepper, "step", fresh_step)
+        fresh = spde_hitting_times_raw(run, 1.0, delta, norm=norm, n=16)
+        assert np.array_equal(reused, fresh, equal_nan=True)
 
 
 class TestRenormalizationFlags:
