@@ -3,8 +3,9 @@
 Every experiment writes ``results.csv`` (LF line endings, '.' decimals, one
 '#' comment line carrying the config hash) plus ``manifest.json`` recording
 the full configuration, seed, package version and wall time.  The hash covers
-only reproducibility-relevant fields (experiment, parameters, seed), so
-outputs are byte-identical across worker-thread counts.
+only reproducibility-relevant fields (experiment, parameters, seed).
+``--threads k`` runs the replicas of a hitting-time experiment as k
+contiguous ranges on k threads; outputs are byte-identical across its values.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 all replicas
 censored.  Errors are also emitted as one JSON object on stderr.
@@ -118,23 +119,18 @@ def arrhenius_fit(batches) -> ArrheniusFit:
 
 
 def _parallel_raw(worker, n: int, threads: int) -> np.ndarray:
-    """Run worker(offset, count) chunks over a pool; merge by replica index.
-
-    Each replica draws from its own (seed, index) stream, so the result is
-    independent of the partition and of the thread count.
-    """
-    if threads <= 1:
+    """worker(offset, count) on `threads` contiguous replica ranges, one thread
+    each, in replica order; each replica's (seed, index) stream makes results
+    independent of threads.  Threads pay where numpy's FFTs, which release the
+    interpreter lock, dominate a step (d=2 fields): SDE and d=1 field loops
+    are bound by Python under that lock and run slower on threads."""
+    k = max(1, min(n, threads))
+    if k == 1:
         return worker(0, n)
-    n_chunks = min(n, threads * 4)
-    bounds = np.linspace(0, n, n_chunks + 1).astype(int)
-    jobs = [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    out = np.empty(n)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(off, pool.submit(worker, off, cnt)) for off, cnt in jobs]
-        for off, fut in futures:
-            part = fut.result()
-            out[off:off + part.size] = part
-    return out
+    bounds = np.linspace(0, n, k + 1).astype(int)
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        return np.concatenate(list(pool.map(
+            lambda a, b: worker(int(a), int(b - a)), bounds[:-1], bounds[1:])))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Coefficients are taken with respect to the orthonormal basis
 ``e_k(x) = L^{-d/2} exp(2*pi*i k.x / L)`` and kept for all integer modes with
 ``max_i |k_i| <= N`` (square cutoff, shared by every module that touches
 truncated fields).  Arrays are stored in FFT ordering ``[0, 1, .., N, -N, .., -1]``
-along each axis so that embedding into a larger collocation grid is a pure
-index operation.
+along each axis.  :class:`BandGrid`, the one band<->grid map (real FFTs of
+the half spectrum), serves grid_values, field_from_grid, the field stepper
+and its noise; grid_values checks c[-k] = conj(c[k]) on the band itself.
 """
 
 from __future__ import annotations
@@ -76,45 +77,80 @@ class SpectralField:
             )
 
 
-def _embed(coeffs: np.ndarray, N: int, M: int, d: int) -> np.ndarray:
-    """Place (2N+1)^d FFT-ordered modes into an M^d FFT-ordered array."""
-    out = np.zeros((M,) * d, dtype=complex)
-    idx = mode_wavenumbers(N) % M
-    if d == 1:
-        out[idx] = coeffs
-    else:
-        out[np.ix_(idx, idx)] = coeffs
-    return out
+class BandGrid:
+    """The band<->grid transform of real fields for one (d, L, N, M), M >= 2N+1.
 
+    grid() evaluates coefficients on the uniform M^d grid and project() takes
+    real grid values back to the band; both are batched over leading axes.
+    They run on real FFTs: grid() feeds only the k_last >= 0 half of the band
+    to the inverse real FFT, and project() reads the k_last < 0 half off the
+    forward real FFT as the conjugate of the mirrored half spectrum, so its
+    output is exactly conjugate-symmetric.
+    """
 
-def _extract(spec: np.ndarray, N: int, d: int) -> np.ndarray:
-    """Inverse of :func:`_embed`: pull the retained band out of an M^d DFT."""
-    M = spec.shape[0]
-    idx = mode_wavenumbers(N) % M
-    if d == 1:
-        return spec[idx]
-    return spec[np.ix_(idx, idx)]
+    def __init__(self, d: int, L: float, N: int, M: int):
+        if M < 2 * N + 1:
+            raise ShapeMismatch(
+                f"grid too coarse for the requested cutoff: M={M} < 2N+1={2 * N + 1}")
+        self.d, self.N, self.M = d, N, M
+        # rows of the M-grid holding band wavenumbers k and their mirrors -k
+        k = mode_wavenumbers(N)
+        self.idx = k % M
+        self.neg = (-k) % M
+        self.half_shape = (M,) * (d - 1) + (M // 2 + 1,)
+        self.grid_scale = (M**d) * L ** (-d / 2.0)
+        self.proj_scale = L ** (d / 2.0) / (M**d)
+
+    def grid(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real grid values of (..., 2N+1[, 2N+1]) band coefficients."""
+        N = self.N
+        half = np.zeros(coeffs.shape[:-self.d] + self.half_shape, dtype=complex)
+        if self.d == 1:
+            half[..., :N + 1] = coeffs[..., :N + 1]
+            vals = np.fft.irfft(half, n=self.M, axis=-1)
+        else:
+            half[..., self.idx, :N + 1] = coeffs[..., :N + 1]
+            vals = np.fft.irfft2(half, s=(self.M, self.M), axes=(-2, -1))
+        return vals * self.grid_scale
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """Band coefficients of (..., M[, M]) real grid values.  In d=2 the
+        k_last = 0 column at k_first < 0 is mirrored too: the complex FFT along
+        the first axis leaves it Hermitian only to rounding."""
+        N = self.N
+        band = np.empty(values.shape[:-self.d] + (2 * N + 1,) * self.d,
+                        dtype=complex)
+        if self.d == 1:
+            spec = np.fft.rfft(values, axis=-1)
+            band[..., :N + 1] = spec[..., :N + 1]
+            band[..., N + 1:] = spec[..., N:0:-1].conj()
+        else:
+            spec = np.fft.rfft2(values, axes=(-2, -1))
+            band[..., :N + 1] = spec[..., self.idx, :N + 1]
+            band[..., N + 1:] = spec[..., self.neg, N:0:-1].conj()
+            band[..., N + 1:, 0] = band[..., N:0:-1, 0].conj()
+        band *= self.proj_scale
+        return band
 
 
 def grid_values(field: SpectralField, M: int | None = None) -> np.ndarray:
-    """Evaluate the field on the uniform M^d collocation grid (real array)."""
+    """Evaluate the field on the uniform M^d collocation grid (real array);
+    ShapeMismatch if M < 2N+1 or if the band is not conjugate-symmetric within
+    REALNESS_TOL relative to its largest coefficient."""
     if M is None:
         M = dealiased_grid_size(field.N)
-    big = _embed(field.coeffs, field.N, M, field.d)
-    vals = np.fft.ifftn(big) * (M**field.d) * field.L ** (-field.d / 2)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.max(np.abs(vals.imag)) > REALNESS_TOL * scale:
+    c = field.coeffs
+    neg = -np.arange(c.shape[0]) % c.shape[0]  # index of -k in FFT order
+    mirror = c[neg] if field.d == 1 else c[np.ix_(neg, neg)]
+    scale = max(1.0, float(np.max(np.abs(c))))
+    if np.max(np.abs(c - mirror.conj())) > REALNESS_TOL * scale:
         raise ShapeMismatch("field coefficients violate conjugate symmetry")
-    return vals.real
+    return BandGrid(field.d, field.L, field.N, M).grid(c)
 
 
 def field_from_grid(d: int, L: float, N: int, values: np.ndarray) -> SpectralField:
     """Project real grid values (shape M^d, M >= 2N+1) onto the retained band."""
-    M = values.shape[0]
-    if M < 2 * N + 1:
-        raise ShapeMismatch("grid too coarse for the requested cutoff")
-    spec = np.fft.fftn(values) / (M**d) * L ** (d / 2)
-    return SpectralField(d, L, N, _extract(spec, N, d))
+    return SpectralField(d, L, N, BandGrid(d, L, N, values.shape[0]).project(values))
 
 
 def grid_points(d: int, L: float, M: int) -> np.ndarray:

@@ -9,13 +9,12 @@ Mode update per step (FFT ordering, mu_k = 1 - (2 pi |k| / L)^2):
 
 The stiff linear part is implicit, so high modes are unconditionally stable;
 the cubic term is evaluated by dealiased collocation, making its projection
-exact.  Collocation runs on real FFTs: the grid values are the inverse real
-FFT of the k_last >= 0 half of the band, and the cubic drift is read off the
-forward real FFT of phi^3, its k_last < 0 half as the conjugate of the mirror
-image, so the drift is exactly Hermitian.  The noise eta is the DFT of iid
-real standard normals divided by (2N+1)^{d/2}: exactly conjugate-symmetric
-with unit variance per mode, so each real Fourier degree of freedom receives
-an independent Brownian motion.
+exact.  Collocation goes through the real-FFT pair fields.BandGrid, whose
+project() returns an exactly Hermitian drift.  The noise eta is the DFT of iid
+real standard normals divided by (2N+1)^{d/2}, computed by the same project()
+on the (2N+1)^d grid: exactly conjugate-symmetric with unit variance per mode,
+so each real Fourier degree of freedom receives an independent Brownian
+motion.
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ from .fields import SpectralField
 from .sde import HittingTimeBatch, _first_passage, replica_rng
 
 _NOISE_BLOCK = 256
+_NOISE_BYTES = 1 << 24  # cap on a hitting-path block's complex mode noise
+_TRAJECTORY_BLOCK = 8  # steps of noise one trajectory draws at once
 
 
 @dataclass(frozen=True)
@@ -83,59 +84,23 @@ class _Stepper:
         if run.renormalize_resolved:
             self.counter = 3.0 * run.epsilon * counterterm_trace(self.L, self.N)
         self.noise_amp = np.sqrt(2.0 * run.epsilon * run.dt)
-        self.noise_norm = self.n_modes ** (self.d / 2.0)
-        # rows of the M-grid holding band wavenumbers k and their mirrors -k
-        k = fields.mode_wavenumbers(self.N)
-        self.idx = k % self.M
-        self.neg = (-k) % self.M
-        self.half_shape = (self.M,) * (self.d - 1) + (self.M // 2 + 1,)
-        self.grid_scale = (self.M**self.d) * self.L ** (-self.d / 2.0)
-        self.proj_scale = self.L ** (self.d / 2.0) / (self.M**self.d)
+        self.colloc = fields.BandGrid(self.d, self.L, self.N, self.M)
+        # The noise is project() of iid standard normals on the (2N+1)^d grid
+        # of a torus of side 2N+1: its unit cells give the DFT the scale
+        # (2N+1)^{-d/2}, i.e. unit variance per mode.
+        self.noise = fields.BandGrid(self.d, self.n_modes, self.N, self.n_modes)
 
-    def grid(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real collocation values; batched over leading axes.
+    def draw_eta(self, rngs: Sequence[np.random.Generator], steps: int) -> np.ndarray:
+        """Conjugate-symmetric unit-variance mode noise for `steps` steps of
+        each replica, shape (steps, len(rngs)) + mode shape.
 
-        Only the k_last >= 0 half of the band enters the inverse real FFT.
+        Replica r's normals come from rngs[r] in step order, so one block of
+        steps draws the same stream as that many single steps.
         """
-        N = self.N
-        half = np.zeros(coeffs.shape[:-self.d] + self.half_shape, dtype=complex)
-        if self.d == 1:
-            half[..., :N + 1] = coeffs[..., :N + 1]
-            vals = np.fft.irfft(half, n=self.M, axis=-1)
-        else:
-            half[..., self.idx, :N + 1] = coeffs[..., :N + 1]
-            vals = np.fft.irfft2(half, s=(self.M, self.M), axes=(-2, -1))
-        return vals * self.grid_scale
-
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """Band coefficients of real grid values; batched, exactly Hermitian.
-
-        The k_last < 0 half is the conjugate of the mirrored half spectrum,
-        spec[(-k) % M, m].  In d=2 so is the k_last = 0 column at k_first < 0,
-        which the complex FFT along the first axis leaves Hermitian only to
-        rounding.
-        """
-        N = self.N
-        band = np.empty(values.shape[:-self.d] + (self.n_modes,) * self.d,
-                        dtype=complex)
-        if self.d == 1:
-            spec = np.fft.rfft(values, axis=-1)
-            band[..., :N + 1] = spec[..., :N + 1]
-            band[..., N + 1:] = spec[..., N:0:-1].conj()
-        else:
-            spec = np.fft.rfft2(values, axes=(-2, -1))
-            band[..., :N + 1] = spec[..., self.idx, :N + 1]
-            band[..., N + 1:] = spec[..., self.neg, N:0:-1].conj()
-            band[..., N + 1:, 0] = band[..., N:0:-1, 0].conj()
-        band *= self.proj_scale
-        return band
-
-    def draw_eta(self, rng: np.random.Generator, batch: int = 0) -> np.ndarray:
-        """Conjugate-symmetric unit-variance mode noise (DFT of real normals)."""
-        shape = ((batch,) if batch else ()) + (self.n_modes,) * self.d
-        g = rng.standard_normal(shape)
-        axes = tuple(range(-self.d, 0))
-        return np.fft.fftn(g, axes=axes) / self.noise_norm
+        g = np.empty((len(rngs), steps) + (self.n_modes,) * self.d)
+        for r, out in zip(rngs, g):
+            r.standard_normal(out=out)
+        return self.noise.project(g.swapaxes(0, 1))
 
     def step(self, coeffs: np.ndarray, eta: np.ndarray,
              return_grid: bool = False, u: Optional[np.ndarray] = None):
@@ -147,15 +112,15 @@ class _Stepper:
             drift = np.zeros_like(coeffs)
         else:
             if u is None:
-                u = self.grid(coeffs)
-            drift = -self.project(u * u * u)
+                u = self.colloc.grid(coeffs)
+            drift = -self.colloc.project(u * u * u)
         if self.counter:
             drift = drift + self.counter * coeffs
         new = (coeffs + self.run.dt * drift + self.noise_amp * eta) / self.denom
         if not np.all(np.isfinite(new)):
             raise NonFinite("field step overflowed; reduce dt")
         if return_grid:
-            return new, self.grid(new)
+            return new, self.colloc.grid(new)
         return new
 
 
@@ -163,7 +128,7 @@ def spde_step(run: SpdeRun, phi: SpectralField, gaussians: np.ndarray) -> Spectr
     """Advance one field by one step with the supplied mode noise.
 
     gaussians must be a conjugate-symmetric complex array with unit variance
-    per mode (see _Stepper.draw_eta); pass zeros for the deterministic flow.
+    per mode (see draw_mode_noise); pass zeros for the deterministic flow.
     """
     run.field0.require_compatible(phi)
     st = _Stepper(run)
@@ -172,7 +137,7 @@ def spde_step(run: SpdeRun, phi: SpectralField, gaussians: np.ndarray) -> Spectr
 
 def draw_mode_noise(run: SpdeRun, rng: np.random.Generator) -> np.ndarray:
     """A single conjugate-symmetric noise array with the law the stepper uses."""
-    return _Stepper(run).draw_eta(rng)
+    return _Stepper(run).draw_eta([rng], 1)[0, 0]
 
 
 def integrate_deterministic(run: SpdeRun, t_final: float,
@@ -206,7 +171,9 @@ def spatial_mean_trajectory(run: SpdeRun, t_final: float) -> tuple[np.ndarray, n
     out = np.empty(n_steps + 1)
     out[0] = c[mean_coeff_idx].real * run.field0.L ** (-run.field0.d / 2.0)
     for k in range(n_steps):
-        c = st.step(c, st.draw_eta(rng))
+        if k % _TRAJECTORY_BLOCK == 0:  # same stream as one draw per step
+            eta = st.draw_eta([rng], min(_TRAJECTORY_BLOCK, n_steps - k))[:, 0]
+        c = st.step(c, eta[k % _TRAJECTORY_BLOCK])
         out[k + 1] = c[mean_coeff_idx].real * run.field0.L ** (-run.field0.d / 2.0)
     return np.arange(n_steps + 1) * run.dt, out
 
@@ -262,6 +229,8 @@ def noise_coefficient_check(run: SpdeRun, sets: Sequence = None,
     discrete noise with 1_{[0,T] x A}; its variance must equal T times the
     squared L^2 norm of the truncated indicator (continuum limit: T * |A|).
     """
+    if n < 2:
+        raise ValueError("n must be >= 2 for a sample variance")
     st = _Stepper(run)
     d, L, N = st.d, st.L, st.N
     if sets is None:
@@ -280,8 +249,7 @@ def noise_coefficient_check(run: SpdeRun, sets: Sequence = None,
         for n_steps in sorted(set(n_steps_per_T)):
             while done < n_steps:
                 block = min(_NOISE_BLOCK, n_steps - done)
-                eta = st.draw_eta(rng, batch=block)
-                flat = eta.reshape(block, -1)
+                flat = st.draw_eta([rng], block).reshape(block, -1)
                 acc += np.sqrt(run.dt) * np.real(flat @ coeff_rows.T).sum(axis=0)
                 done += block
             for ti, ns in enumerate(n_steps_per_T):
@@ -328,6 +296,8 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if norm not in ("linf", "hs"):
         raise ValueError("norm must be 'linf' or 'hs'")
     if norm == "hs" and s >= 0:
@@ -348,25 +318,20 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
         return np.sqrt(np.sum(flat, axis=1))
 
     c0 = run.field0.coeffs
-    g0 = st.grid(c0)
+    g0 = st.colloc.grid(c0)
     d0 = distances(c0[None], g0[None])[0]
     if d0 < delta:
         return np.zeros(n)
-
-    shape = (st.n_modes,) * d
-    axes = tuple(range(-d, 0))
-
-    def draw(rngs, steps):
-        raw = np.stack([r.standard_normal((steps,) + shape) for r in rngs], axis=1)
-        return np.fft.fftn(raw, axes=axes) / st.noise_norm
 
     def step(coeffs, eta, u):
         # u is the grid the previous step returned; c0's grid before the first
         return st.step(coeffs, eta, return_grid=True, u=g0 if u is None else u)
 
+    # every replica draws the same stream whatever the block length
+    block = min(_NOISE_BLOCK, max(1, _NOISE_BYTES // (16 * n * st.n_modes ** d)))
     return _first_passage(c0, run.seed, replica_offset, n, run.dt,
-                          int(round(run.t_max / run.dt)), _NOISE_BLOCK,
-                          draw, step, distances, delta)[0]
+                          int(round(run.t_max / run.dt)), block,
+                          st.draw_eta, step, distances, delta)[0]
 
 
 def sample_spde_hitting_times(run: SpdeRun, target: float, delta: float,
@@ -423,7 +388,7 @@ def record_snapshots(run: SpdeRun, snapshot_times, out_dir,
     for i, t in enumerate(times):
         n_steps = max(0, int(round((t - t_now) / run.dt)))
         for _ in range(n_steps):
-            c = st.step(c, st.draw_eta(rng))
+            c = st.step(c, st.draw_eta([rng], 1)[0, 0])
         t_now += n_steps * run.dt
         emit(i, t_now, c)
     jsonl = os.path.join(out_dir, "trajectory.jsonl")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from metastab import cli
 from metastab.cli import arrhenius_fit, main, parse_config
 from metastab.errors import InsufficientData
 from metastab.sde import HittingTimeBatch
@@ -70,6 +71,19 @@ class TestCliRuns:
                      "--x0", "-1", "--target", "1", "--delta", "0.05",
                      "--n", "4", "--t_max", "0.05", "--out", str(tmp_path)])
         assert code == 3
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    @pytest.mark.parametrize("experiment,args", (
+        ("sde-hitting", ["--epsilon", "0.3", "--dt", "0.002", "--x0", "-1",
+                         "--target", "1", "--delta", "0.2"]),
+        ("spde-hitting", ["--d", "1", "--L", "2.0", "--N", "4", "--epsilon", "0.5",
+                          "--dt", "0.005", "--delta", "0.5", "--t_max", "1"]),
+    ))
+    def test_zero_replicas_exit_2_at_any_thread_count(self, experiment, args,
+                                                      threads, tmp_path):
+        code = main([experiment, *args, "--n", "0", "--threads", str(threads),
+                     "--out", str(tmp_path)])
+        assert code == 2
 
     def test_validation_rejects_bad_L(self, tmp_path):
         code = main(["determinant", "--d", "1", "--L", "7.0", "--N", "16",
@@ -173,6 +187,35 @@ class TestReproducibility:
             assert code == 0
             outs[threads] = (d / "results.csv").read_bytes()
         assert outs[1] == outs[4] == outs[8]
+
+    def test_field_hitting_byte_identical_across_thread_counts(self, tmp_path):
+        outs = {}
+        for threads in (1, 3):
+            d = tmp_path / f"t{threads}"
+            code = main(["spde-hitting", "--d", "2", "--L", "6.0", "--N", "4",
+                         "--start", "0", "--epsilon", "0.1", "--dt", "0.01",
+                         "--delta", "2", "--norm", "hs", "--t_max", "4",
+                         "--n", "7", "--seed", "7", "--threads", str(threads),
+                         "--out", str(d)])
+            assert code == 0
+            outs[threads] = (d / "results.csv").read_bytes()
+        assert outs[1] == outs[3]
+
+    @pytest.mark.parametrize("n,threads,ranges", (
+        (10, 1, [(0, 10)]),
+        (10, 3, [(0, 3), (3, 3), (6, 4)]),
+        (2, 8, [(0, 1), (1, 1)]),
+    ))
+    def test_threads_split_replicas_into_contiguous_ranges(self, n, threads, ranges):
+        calls = []
+
+        def worker(offset, count):
+            calls.append((offset, count))
+            return np.arange(offset, offset + count, dtype=float)
+
+        out = cli._parallel_raw(worker, n, threads)
+        assert sorted(calls) == ranges
+        assert np.array_equal(out, np.arange(n, dtype=float))
 
     def test_manifests_agree_up_to_wall_time(self, tmp_path):
         mans = []

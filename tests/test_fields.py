@@ -38,14 +38,40 @@ def test_grid_projection_round_trip(rng):
     assert np.allclose(g.coeffs, f.coeffs, atol=1e-12)
 
 
-def test_realness_of_random_fields(rng):
+def test_realness_of_random_fields(rng, complex_reference):
     # conjugate symmetry must make the imaginary part vanish on the grid
-    from metastab.fields import _embed
-
     f = random_field(1, 2.0, 16, rng)
-    M = dealiased_grid_size(16)
-    raw = np.fft.ifft(_embed(f.coeffs, 16, M, 1)) * M / np.sqrt(2.0)
+    raw = complex_reference.grid(f.coeffs, 1, 2.0, 16, dealiased_grid_size(16))
     assert np.max(np.abs(raw.imag)) < 1e-12 * max(1.0, np.max(np.abs(raw)))
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_realness_check_on_the_band(d, rng):
+    # c[k] - conj(c[-k]) is checked against REALNESS_TOL = 1e-12
+    f = random_field(d, 2.0, 4, rng)
+    k = (1,) * d
+    for defect, ok in ((1e-14, True), (1e-6, False)):
+        coeffs = f.coeffs.copy()
+        coeffs[k] += defect
+        g = SpectralField(d, 2.0, 4, coeffs)
+        if ok:
+            assert np.allclose(grid_values(g), grid_values(f), atol=1e-12)
+        else:
+            with pytest.raises(ShapeMismatch, match="conjugate symmetry"):
+                grid_values(g)
+
+
+def test_grid_too_coarse_for_the_band():
+    # the wavenumbers +-4 of an N = 4 band collide on 8 points, where
+    # cos(4 * 2 pi x / L) would read +-0.5 instead of +-1
+    L = 2.0
+    f = field_from_function(1, L, 4, lambda x: np.cos(8 * np.pi * x / L))
+    assert np.allclose(grid_values(f, 9)[:2], [1.0, np.cos(8 * np.pi / 9)])
+    for M in (5, 8):
+        with pytest.raises(ShapeMismatch, match="too coarse"):
+            grid_values(f, M)
+        with pytest.raises(ShapeMismatch, match="too coarse"):
+            linf_distance_to_constant(f, 0.0, M)
 
 
 def test_conjugate_symmetry_enforced(rng):

@@ -11,11 +11,11 @@ from metastab import (
     noise_coefficient_check,
     random_field,
     sample_spde_hitting_times,
+    spde,
     spde_step,
 )
 from metastab.errors import AllCensored, DomainError
-from metastab.fields import (SpectralField, _embed, field_from_grid, grid_values,
-                             mode_wavenumbers)
+from metastab.fields import BandGrid, SpectralField, grid_values, mode_wavenumbers
 from metastab.sde import replica_rng
 from metastab.spde import (
     _Stepper,
@@ -76,15 +76,14 @@ class TestStep:
         e2 = np.max(np.abs(ends[1e-3] - ends[5e-4]))
         assert e2 < e1  # first-order convergence toward the reference
 
-    def test_realness_preserved_over_many_noisy_steps(self):
+    def test_realness_preserved_over_many_noisy_steps(self, complex_reference):
         run = make_run(N=8, eps=0.3, dt=1e-3, seed=12)
         st = _Stepper(run)
         rng = replica_rng(run.seed, 0)
         c = run.field0.coeffs.copy()
         for _ in range(10_000):
-            c = st.step(c, st.draw_eta(rng))
-        M = 34
-        vals = np.fft.ifft(_embed(c, 8, M, 1)) * M / np.sqrt(2.0)
+            c = st.step(c, st.draw_eta([rng], 1)[0, 0])
+        vals = complex_reference.grid(c, 1, 2.0, 8, 34)
         assert np.max(np.abs(vals.imag)) < 1e-10
 
     def test_mode_noise_law(self):
@@ -123,20 +122,49 @@ class TestRealTransforms:
     @pytest.mark.parametrize("factor", (2, 3))
     @pytest.mark.parametrize("N", (1, 4, 16))
     @pytest.mark.parametrize("d", (1, 2))
-    def test_grid_and_project_match_fields_oracle(self, d, N, factor, rng):
+    def test_grid_and_project_match_fields_oracle(self, d, N, factor, rng,
+                                                  complex_reference):
         # factor 3 makes M odd: the half spectrum then has no Nyquist column
-        st = _Stepper(make_run(d=d, L=1.5, N=N, grid_factor=factor))
-        fs = [random_field(d, st.L, N, rng) for _ in range(3)]
-        coeffs = np.array([f.coeffs for f in fs])
-        grids = np.array([grid_values(f, st.M) for f in fs])
-        vals = rng.standard_normal((3,) + (st.M,) * d)
-        bands = np.array([field_from_grid(d, st.L, N, v).coeffs for v in vals])
-        for got, want in ((st.grid(coeffs), grids), (st.grid(coeffs[0]), grids[0]),
-                          (st.project(vals), bands), (st.project(vals[0]), bands[0])):
+        L, M = 1.5, factor * (2 * N + 1)
+        bg = BandGrid(d, L, N, M)
+        coeffs = np.array([random_field(d, L, N, rng).coeffs for _ in range(3)])
+        grids = complex_reference.grid(coeffs, d, L, N, M).real
+        vals = rng.standard_normal((3,) + (M,) * d)
+        bands = complex_reference.project(vals, d, L, N)
+        for got, want in ((bg.grid(coeffs), grids), (bg.grid(coeffs[0]), grids[0]),
+                          (bg.project(vals), bands), (bg.project(vals[0]), bands[0])):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        for band in (st.project(vals), st.project(vals[0])):
+        for band in (bg.project(vals), bg.project(vals[0])):
             assert np.array_equal(_mirror(band, d), band.conj())
+
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_noise_is_scaled_dft_of_the_same_normals(self, d):
+        st = _Stepper(make_run(d=d, L=1.5, N=5))
+        n = st.n_modes
+        axes = tuple(range(-d, 0))
+        eta = st.draw_eta([replica_rng(4, i) for i in range(3)], 7)
+        g = np.stack([replica_rng(4, i).standard_normal((7,) + (n,) * d)
+                      for i in range(3)], axis=1)
+        one = draw_mode_noise(st.run, replica_rng(4, 0))
+        for got, normals in ((eta, g), (one, g[0, 0])):
+            want = np.fft.fftn(normals, axes=axes) / n ** (d / 2)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.array_equal(_mirror(got, d), got.conj())
+
+    def test_trajectory_noise_blocks_match_single_draws(self):
+        # 37 steps: four full noise blocks and a partial one
+        run = make_run(d=2, L=1.5, N=4, eps=0.3, dt=2e-3, seed=5)
+        st = _Stepper(run)
+        rng = replica_rng(run.seed, 0)
+        c = run.field0.coeffs.copy()
+        ref = [c[0, 0].real]
+        for _ in range(37):
+            c = st.step(c, st.draw_eta([rng], 1)[0, 0])
+            ref.append(c[0, 0].real)
+        _, means = spatial_mean_trajectory(run, 37 * run.dt)
+        assert np.array_equal(means, np.array(ref) * run.field0.L ** (-1.0))
 
     @pytest.mark.parametrize("renormalize", (True, False))
     def test_seeded_trajectory_matches_complex_reference(self, renormalize):
@@ -153,7 +181,7 @@ class TestRealTransforms:
         c = run.field0.coeffs.copy()
         ref = [c[0, 0].real * scale]
         for _ in range(n_steps):
-            c = _reference_step(st, c, st.draw_eta(rng))
+            c = _reference_step(st, c, st.draw_eta([rng], 1)[0, 0])
             ref.append(c[0, 0].real * scale)
         _, means = spatial_mean_trajectory(run, n_steps * run.dt)
         assert means.shape == (n_steps + 1,)
@@ -161,7 +189,7 @@ class TestRealTransforms:
         rng = replica_rng(run.seed, 0)
         got = run.field0.coeffs.copy()
         for _ in range(n_steps):
-            got = st.step(got, st.draw_eta(rng))
+            got = st.step(got, st.draw_eta([rng], 1)[0, 0])
         assert np.max(np.abs(got - c)) <= 1e-12
 
 
@@ -179,7 +207,7 @@ class TestLinearizedModes:
         acc = np.zeros(2 * N + 1)
         count = 0
         for j in range(n_total):
-            c = st.step(c, st.draw_eta(rng))
+            c = st.step(c, st.draw_eta([rng], 1)[0, 0])
             if j >= n_burn:
                 acc += np.abs(c) ** 2
                 count += 1
@@ -223,6 +251,10 @@ class TestNoiseCovariance:
         slope = np.polyfit(T, v, 1)[0]
         assert slope / 2.0 == pytest.approx(1.0, abs=0.05)  # L^d = 2
 
+    def test_needs_two_replicas(self):
+        with pytest.raises(ValueError):
+            noise_coefficient_check(make_run(), n=1)
+
     def test_2d_full_torus(self):
         run = make_run(d=2, L=1.5, N=4, eps=0.2, dt=0.02, start=0.0, seed=11)
         rep = noise_coefficient_check(run, T_values=(1.0,), n=1500)
@@ -236,6 +268,10 @@ class TestHitting:
         run = make_run(start=1.0, eps=0.2)
         batch = sample_spde_hitting_times(run, target=1.0, delta=0.3, n=8)
         assert np.all(batch.samples == 0.0)
+
+    def test_needs_a_replica(self):
+        with pytest.raises(ValueError):
+            spde_hitting_times_raw(make_run(), 1.0, 0.3, n=0)
 
     def test_sobolev_norm_requires_negative_s(self):
         run = make_run()
@@ -277,13 +313,13 @@ class TestHitting:
     def test_hitting_path_grids_each_state_once(self, monkeypatch):
         # the grid a step returns for the distance feeds the next drift
         calls = []
-        grid = _Stepper.grid
+        grid = BandGrid.grid
 
         def counting(self, coeffs):
             calls.append(coeffs.shape)
             return grid(self, coeffs)
 
-        monkeypatch.setattr(_Stepper, "grid", counting)
+        monkeypatch.setattr(BandGrid, "grid", counting)
         run = make_run(N=16, eps=0.2, dt=1e-3, t_max=0.256, seed=3)
         raw = spde_hitting_times_raw(run, 100.0, 0.3, n=10)
         assert np.all(np.isnan(raw))
@@ -305,6 +341,24 @@ class TestHitting:
         monkeypatch.setattr(_Stepper, "step", fresh_step)
         fresh = spde_hitting_times_raw(run, 1.0, delta, norm=norm, n=16)
         assert np.array_equal(reused, fresh, equal_nan=True)
+
+    @pytest.mark.parametrize("budget_steps", (1, 7))
+    def test_noise_byte_budget_keeps_hitting_times(self, budget_steps, monkeypatch):
+        # d=1, N=4: 16 replicas x 9 modes x 16 bytes of complex noise per step
+        run = make_run(N=4, eps=0.5, dt=2e-3, t_max=0.9, seed=21, start=0.2)
+        whole = spde_hitting_times_raw(run, 1.0, 0.4, n=16)
+        blocks = []
+        draw = _Stepper.draw_eta
+
+        def recording(self, rngs, steps):
+            blocks.append(steps)
+            return draw(self, rngs, steps)
+
+        monkeypatch.setattr(_Stepper, "draw_eta", recording)
+        monkeypatch.setattr(spde, "_NOISE_BYTES", budget_steps * 16 * 9 * 16)
+        budgeted = spde_hitting_times_raw(run, 1.0, 0.4, n=16)
+        assert max(blocks) == budget_steps
+        assert np.array_equal(whole, budgeted, equal_nan=True)
 
 
 class TestRenormalizationFlags:
