@@ -5,8 +5,9 @@ Coefficients are taken with respect to the orthonormal basis
 ``max_i |k_i| <= N`` (square cutoff, shared by every module that touches
 truncated fields).  Arrays are stored in FFT ordering ``[0, 1, .., N, -N, .., -1]``
 along each axis.  :class:`BandGrid`, the one band<->grid map (real FFTs of
-the half spectrum), serves grid_values, field_from_grid, the field stepper
-and its noise; grid_values checks c[-k] = conj(c[k]) on the band itself.
+the k_last >= 0 half band), serves grid_values, field_from_grid and the
+field stepper, which carries that half band; full_band() mirrors it back.
+grid_values checks c[-k] = conj(c[k]) on the band itself.
 """
 
 from __future__ import annotations
@@ -80,12 +81,12 @@ class SpectralField:
 class BandGrid:
     """The band<->grid transform of real fields for one (d, L, N, M), M >= 2N+1.
 
-    grid() evaluates coefficients on the uniform M^d grid and project() takes
-    real grid values back to the band; both are batched over leading axes.
-    They run on real FFTs: grid() feeds only the k_last >= 0 half of the band
-    to the inverse real FFT, and project() reads the k_last < 0 half off the
-    forward real FFT as the conjugate of the mirrored half spectrum, so its
-    output is exactly conjugate-symmetric.
+    Both directions work on the k_last >= 0 half of the band, shape
+    (2N+1, N+1) in d=2 and (N+1,) in d=1, batched over leading axes: the half
+    that real FFTs consume and produce (full_band() rebuilds the rest).
+    grid() evaluates it on the uniform M^d grid; given a full band it reads
+    only that half.  project() takes real grid values back to the half band.
+    In d=2 both run the first-axis FFT on the N+1 columns that can be nonzero.
     """
 
     def __init__(self, d: int, L: float, N: int, M: int):
@@ -93,44 +94,48 @@ class BandGrid:
             raise ShapeMismatch(
                 f"grid too coarse for the requested cutoff: M={M} < 2N+1={2 * N + 1}")
         self.d, self.N, self.M = d, N, M
-        # rows of the M-grid holding band wavenumbers k and their mirrors -k
-        k = mode_wavenumbers(N)
-        self.idx = k % M
-        self.neg = (-k) % M
-        self.half_shape = (M,) * (d - 1) + (M // 2 + 1,)
         self.grid_scale = (M**d) * L ** (-d / 2.0)
         self.proj_scale = L ** (d / 2.0) / (M**d)
 
     def grid(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real grid values of (..., 2N+1[, 2N+1]) band coefficients."""
-        N = self.N
-        half = np.zeros(coeffs.shape[:-self.d] + self.half_shape, dtype=complex)
-        if self.d == 1:
-            half[..., :N + 1] = coeffs[..., :N + 1]
-            vals = np.fft.irfft(half, n=self.M, axis=-1)
-        else:
-            half[..., self.idx, :N + 1] = coeffs[..., :N + 1]
-            vals = np.fft.irfft2(half, s=(self.M, self.M), axes=(-2, -1))
-        return vals * self.grid_scale
+        """Real grid values of (..., 2N+1, N+1) or (..., N+1) half bands."""
+        N, M = self.N, self.M
+        half = coeffs[..., :N + 1]
+        if self.d == 2:  # rows k >= 0 go to 0..N, rows k < 0 to M-N..M-1
+            cols = np.zeros(half.shape[:-2] + (M, N + 1), dtype=complex)
+            cols[..., :N + 1, :] = half[..., :N + 1, :]
+            cols[..., M - N:, :] = half[..., N + 1:, :]
+            half = np.fft.ifft(cols, axis=-2)
+        vals = np.fft.irfft(half, n=M, axis=-1)  # zero-pads to M//2+1 columns
+        vals *= self.grid_scale
+        return vals
 
     def project(self, values: np.ndarray) -> np.ndarray:
-        """Band coefficients of (..., M[, M]) real grid values.  In d=2 the
-        k_last = 0 column at k_first < 0 is mirrored too: the complex FFT along
-        the first axis leaves it Hermitian only to rounding."""
-        N = self.N
-        band = np.empty(values.shape[:-self.d] + (2 * N + 1,) * self.d,
-                        dtype=complex)
-        if self.d == 1:
-            spec = np.fft.rfft(values, axis=-1)
-            band[..., :N + 1] = spec[..., :N + 1]
-            band[..., N + 1:] = spec[..., N:0:-1].conj()
-        else:
-            spec = np.fft.rfft2(values, axes=(-2, -1))
-            band[..., :N + 1] = spec[..., self.idx, :N + 1]
-            band[..., N + 1:] = spec[..., self.neg, N:0:-1].conj()
-            band[..., N + 1:, 0] = band[..., N:0:-1, 0].conj()
-        band *= self.proj_scale
-        return band
+        """Half band of (..., M[, M]) real grid values.  In d=2 the k_last = 0
+        column at k_first < 0 is the mirror of k_first > 0: the complex FFT
+        along the first axis leaves it Hermitian only to rounding, and the
+        grid cannot see its anti-Hermitian part, so nothing would damp it."""
+        N, M = self.N, self.M
+        half = np.fft.rfft(values, axis=-1)[..., :N + 1]
+        if self.d == 2:
+            cols = np.fft.fft(half, axis=-2)
+            half = np.concatenate((cols[..., :N + 1, :], cols[..., M - N:, :]),
+                                  axis=-2)
+            half[..., N + 1:, 0] = half[..., N:0:-1, 0].conj()
+        return half * self.proj_scale
+
+
+def full_band(half: np.ndarray, d: int) -> np.ndarray:
+    """The (..., 2N+1[, 2N+1]) band whose k_last >= 0 half is `half`: the
+    k_last < 0 columns are mirrors, c[-k] = conj(c[k])."""
+    N = half.shape[-1] - 1
+    band = np.empty(half.shape[:-1] + (2 * N + 1,), dtype=complex)
+    band[..., :N + 1] = half
+    mirror = half[..., N:0:-1]
+    if d == 2:  # row of -k_first in FFT order
+        mirror = mirror[..., -np.arange(2 * N + 1) % (2 * N + 1), :]
+    band[..., N + 1:] = mirror.conj()
+    return band
 
 
 def grid_values(field: SpectralField, M: int | None = None) -> np.ndarray:
@@ -150,7 +155,8 @@ def grid_values(field: SpectralField, M: int | None = None) -> np.ndarray:
 
 def field_from_grid(d: int, L: float, N: int, values: np.ndarray) -> SpectralField:
     """Project real grid values (shape M^d, M >= 2N+1) onto the retained band."""
-    return SpectralField(d, L, N, BandGrid(d, L, N, values.shape[0]).project(values))
+    half = BandGrid(d, L, N, values.shape[0]).project(values)
+    return SpectralField(d, L, N, full_band(half, d))
 
 
 def grid_points(d: int, L: float, M: int) -> np.ndarray:

@@ -4,17 +4,20 @@ optional Wick counterterm in d=2.
 
 Mode update per step (FFT ordering, mu_k = 1 - (2 pi |k| / L)^2):
 
-    phi_k <- [phi_k + dt (-(phi^3)_k + 3 eps C_N phi_k) + sqrt(2 eps dt) eta_k]
-             / (1 - dt mu_k)
+    phi_k <- [phi_k + dt 3 eps C_N phi_k + P_k(-dt u^3 + b h)] / (1 - dt mu_k)
 
-The stiff linear part is implicit, so high modes are unconditionally stable;
-the cubic term is evaluated by dealiased collocation, making its projection
-exact.  Collocation goes through the real-FFT pair fields.BandGrid, whose
-project() returns an exactly Hermitian drift.  The noise eta is the DFT of iid
-real standard normals divided by (2N+1)^{d/2}, computed by the same project()
-on the (2N+1)^d grid: exactly conjugate-symmetric with unit variance per mode,
-so each real Fourier degree of freedom receives an independent Brownian
-motion.
+The stiff linear part is implicit, so high modes are unconditionally stable.
+The state is the k_last >= 0 half of the band, which is what the real-FFT
+pair fields.BandGrid reads and returns: u is its grid on the dealiased M-grid
+(M = grid_factor (2N+1)) and P its projection, so the cubic's projection is
+exact.  h holds (2N+1)^d iid real standard normals on the sublattice of every
+grid_factor-th point, where their M-point DFT equals their (2N+1)-point DFT on
+the band, and b = sqrt(2 eps dt) (2N+1)^{-d/2} M^d L^{-d/2}.  So one
+forward real FFT gives dt times the drift plus sqrt(2 eps dt) eta_k, eta the
+DFT of the normals over (2N+1)^{d/2}: exactly conjugate-symmetric with unit
+variance per mode, so each real Fourier degree of freedom receives an
+independent Brownian motion.  Each step runs one inverse and one forward real
+FFT; full_band() mirrors the state only where a full band is handed out.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .fields import SpectralField
 from .sde import HittingTimeBatch, _first_passage, replica_rng
 
 _NOISE_BLOCK = 256
-_NOISE_BYTES = 1 << 24  # cap on a hitting-path block's complex mode noise
+_NOISE_BYTES = 1 << 24  # cap on a block's real normals (hitting, noise check)
 _TRAJECTORY_BLOCK = 8  # steps of noise one trajectory draws at once
 
 
@@ -69,7 +72,8 @@ class SpdeRun:
 
 
 class _Stepper:
-    """Precomputed arrays for repeated steps of one run."""
+    """Precomputed arrays for repeated steps of one run.  States are half
+    bands, the k_last >= 0 columns that fields.BandGrid reads and returns."""
 
     def __init__(self, run: SpdeRun):
         f0 = run.field0
@@ -77,7 +81,7 @@ class _Stepper:
         self.d, self.L, self.N = f0.d, f0.L, f0.N
         self.M = fields.dealiased_grid_size(self.N, run.grid_factor)
         self.n_modes = 2 * self.N + 1
-        ksq = fields.squared_wavenumber_grid(self.d, self.L, self.N)
+        ksq = fields.squared_wavenumber_grid(self.d, self.L, self.N)[..., :self.N + 1]
         mu = 1.0 - ksq
         self.denom = 1.0 - run.dt * mu
         self.counter = 0.0
@@ -85,14 +89,15 @@ class _Stepper:
             self.counter = 3.0 * run.epsilon * counterterm_trace(self.L, self.N)
         self.noise_amp = np.sqrt(2.0 * run.epsilon * run.dt)
         self.colloc = fields.BandGrid(self.d, self.L, self.N, self.M)
-        # The noise is project() of iid standard normals on the (2N+1)^d grid
-        # of a torus of side 2N+1: its unit cells give the DFT the scale
-        # (2N+1)^{-d/2}, i.e. unit variance per mode.
-        self.noise = fields.BandGrid(self.d, self.n_modes, self.N, self.n_modes)
+        # The normals sit on every grid_factor-th grid point, where their
+        # M-point DFT is their (2N+1)-point DFT on the band; noise_scale makes
+        # project() of them that DFT over (2N+1)^{d/2}: unit variance per mode.
+        self.sublattice = (Ellipsis,) + (slice(None, None, run.grid_factor),) * self.d
+        self.noise_scale = self.n_modes ** (-self.d / 2.0) / self.colloc.proj_scale
 
     def draw_eta(self, rngs: Sequence[np.random.Generator], steps: int) -> np.ndarray:
-        """Conjugate-symmetric unit-variance mode noise for `steps` steps of
-        each replica, shape (steps, len(rngs)) + mode shape.
+        """Real standard normals for `steps` steps of each replica, shape
+        (steps, len(rngs)) + (2N+1,)*d: the noise step() takes.
 
         Replica r's normals come from rngs[r] in step order, so one block of
         steps draws the same stream as that many single steps.
@@ -100,23 +105,39 @@ class _Stepper:
         g = np.empty((len(rngs), steps) + (self.n_modes,) * self.d)
         for r, out in zip(rngs, g):
             r.standard_normal(out=out)
-        return self.noise.project(g.swapaxes(0, 1))
+        return g.swapaxes(0, 1)
 
-    def step(self, coeffs: np.ndarray, eta: np.ndarray,
+    def mode_noise(self, eta: np.ndarray) -> np.ndarray:
+        """The conjugate-symmetric unit-variance half-band noise that step()
+        adds, over sqrt(2 eps dt), for the normals eta."""
+        grid = np.zeros(eta.shape[:-self.d] + (self.M,) * self.d)
+        grid[self.sublattice] = self.noise_scale * eta
+        return self.colloc.project(grid)
+
+    def step(self, coeffs: np.ndarray, eta: Optional[np.ndarray],
              return_grid: bool = False, u: Optional[np.ndarray] = None):
-        """One semi-implicit update; coeffs may carry leading batch axes.
+        """One semi-implicit update of half bands that may carry leading batch
+        axes; eta holds their normals (see draw_eta), None for no noise.
 
-        u, when given, is grid(coeffs), e.g. the grid a previous step returned.
+        One forward real FFT of -dt u^3 plus the scaled normals on the
+        sublattice gives dt times the cubic drift plus the noise.  u, when
+        given, is grid(coeffs), e.g. the grid a previous step returned.
         """
+        dt = self.run.dt
         if self.run.drop_cubic:
-            drift = np.zeros_like(coeffs)
+            w = np.zeros(coeffs.shape[:-self.d] + (self.M,) * self.d)
         else:
             if u is None:
                 u = self.colloc.grid(coeffs)
-            drift = -self.colloc.project(u * u * u)
+            w = u * u * u
+            w *= -dt
+        if eta is not None:
+            w[self.sublattice] += (self.noise_amp * self.noise_scale) * eta
+        new = self.colloc.project(w)
         if self.counter:
-            drift = drift + self.counter * coeffs
-        new = (coeffs + self.run.dt * drift + self.noise_amp * eta) / self.denom
+            new += (dt * self.counter) * coeffs
+        new += coeffs
+        new /= self.denom
         if not np.all(np.isfinite(new)):
             raise NonFinite("field step overflowed; reduce dt")
         if return_grid:
@@ -132,12 +153,15 @@ def spde_step(run: SpdeRun, phi: SpectralField, gaussians: np.ndarray) -> Spectr
     """
     run.field0.require_compatible(phi)
     st = _Stepper(run)
-    return SpectralField(phi.d, phi.L, phi.N, st.step(phi.coeffs, gaussians))
+    half = st.step(phi.coeffs[..., :phi.N + 1], None)
+    half += st.noise_amp * gaussians[..., :phi.N + 1] / st.denom
+    return SpectralField(phi.d, phi.L, phi.N, fields.full_band(half, phi.d))
 
 
 def draw_mode_noise(run: SpdeRun, rng: np.random.Generator) -> np.ndarray:
     """A single conjugate-symmetric noise array with the law the stepper uses."""
-    return _Stepper(run).draw_eta([rng], 1)[0, 0]
+    st = _Stepper(run)
+    return fields.full_band(st.mode_noise(st.draw_eta([rng], 1)[0, 0]), st.d)
 
 
 def integrate_deterministic(run: SpdeRun, t_final: float,
@@ -149,33 +173,38 @@ def integrate_deterministic(run: SpdeRun, t_final: float,
     """
     st = _Stepper(run)
     n_steps = int(round(t_final / run.dt))
-    c = run.field0.coeffs.copy()
-    zero = np.zeros_like(c)
+    c = run.field0.coeffs[..., :st.N + 1]
     times = [0.0]
-    snaps = [c.copy()]
+    snaps = [c]
     for k in range(n_steps):
-        c = st.step(c, zero)
+        c = st.step(c, None)
         if (k + 1) % record_every == 0 or k + 1 == n_steps:
             times.append((k + 1) * run.dt)
-            snaps.append(c.copy())
-    return np.array(times), np.array(snaps)
+            snaps.append(c)
+    return np.array(times), fields.full_band(np.array(snaps), st.d)
+
+
+def _trajectory(st: _Stepper, rng: np.random.Generator, c: np.ndarray,
+                n_steps: int):
+    """Yield c, then the state after each of n_steps noisy steps; the noise
+    comes _TRAJECTORY_BLOCK steps at a time, the same stream as one draw per
+    step."""
+    yield c
+    for done in range(0, n_steps, _TRAJECTORY_BLOCK):
+        for eta in st.draw_eta([rng], min(_TRAJECTORY_BLOCK, n_steps - done))[:, 0]:
+            c = st.step(c, eta)
+            yield c
 
 
 def spatial_mean_trajectory(run: SpdeRun, t_final: float) -> tuple[np.ndarray, np.ndarray]:
     """Times and spatially-averaged field of one noisy trajectory."""
     st = _Stepper(run)
-    rng = replica_rng(run.seed, 0)
     n_steps = int(round(t_final / run.dt))
-    c = run.field0.coeffs.copy()
-    mean_coeff_idx = (0,) * run.field0.d
-    out = np.empty(n_steps + 1)
-    out[0] = c[mean_coeff_idx].real * run.field0.L ** (-run.field0.d / 2.0)
-    for k in range(n_steps):
-        if k % _TRAJECTORY_BLOCK == 0:  # same stream as one draw per step
-            eta = st.draw_eta([rng], min(_TRAJECTORY_BLOCK, n_steps - k))[:, 0]
-        c = st.step(c, eta[k % _TRAJECTORY_BLOCK])
-        out[k + 1] = c[mean_coeff_idx].real * run.field0.L ** (-run.field0.d / 2.0)
-    return np.arange(n_steps + 1) * run.dt, out
+    mean_idx = (0,) * st.d
+    means = np.array([c[mean_idx].real for c in
+                      _trajectory(st, replica_rng(run.seed, 0),
+                                  run.field0.coeffs[..., :st.N + 1], n_steps)])
+    return np.arange(n_steps + 1) * run.dt, means * st.L ** (-st.d / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,32 +265,37 @@ def noise_coefficient_check(run: SpdeRun, sets: Sequence = None,
     if sets is None:
         # last two sets are disjoint, for the independence check
         sets = [((0.0, L),) * d, ((0.0, L / 2),) * d, ((L / 2, L),) * d]
-    coeff_rows = np.array([_indicator_coeffs(d, L, N, s).ravel().conj() for s in sets])
+    coeffs = np.array([_indicator_coeffs(d, L, N, s) for s in sets])
+    # Re sum_k eta_k conj(a_k) over the band, read off the half band: the
+    # k_last > 0 columns stand for their mirrors too
+    pair_rows = coeffs[..., :N + 1].conj()
+    pair_rows[..., 1:] *= 2
+    pair_rows = pair_rows.reshape(len(sets), -1)
     T_values = tuple(float(T) for T in T_values)
     n_steps_per_T = [int(round(T / run.dt)) for T in T_values]
-    max_steps = max(n_steps_per_T)
 
+    rngs = [replica_rng(run.seed, i) for i in range(n)]
+    block = min(_NOISE_BLOCK, max(1, _NOISE_BYTES // (8 * n * st.n_modes ** d)))
     pair_sums = np.zeros((len(sets), len(T_values), n))
-    for i in range(n):
-        rng = replica_rng(run.seed, i)
-        acc = np.zeros(len(sets))
-        done = 0
-        for n_steps in sorted(set(n_steps_per_T)):
-            while done < n_steps:
-                block = min(_NOISE_BLOCK, n_steps - done)
-                flat = st.draw_eta([rng], block).reshape(block, -1)
-                acc += np.sqrt(run.dt) * np.real(flat @ coeff_rows.T).sum(axis=0)
-                done += block
-            for ti, ns in enumerate(n_steps_per_T):
-                if ns == n_steps:
-                    pair_sums[:, ti, i] = acc
+    acc = np.zeros((len(sets), n))
+    done = 0
+    for n_steps in sorted(set(n_steps_per_T)):
+        while done < n_steps:
+            steps = min(block, n_steps - done)
+            for eta in st.draw_eta(rngs, steps):
+                flat = st.mode_noise(eta).reshape(n, -1)
+                acc += np.sqrt(run.dt) * np.real(pair_rows @ flat.T)
+            done += steps
+        for ti, ns in enumerate(n_steps_per_T):
+            if ns == n_steps:
+                pair_sums[:, ti] = acc
 
     emp = pair_sums.var(axis=2, ddof=1)
     stderr = emp * np.sqrt(2.0 / (n - 1))
     pred = np.empty((len(sets), len(T_values)))
     cont = np.empty_like(pred)
     for si, s in enumerate(sets):
-        norm_sq = float(np.sum(np.abs(coeff_rows[si]) ** 2))
+        norm_sq = float(np.sum(np.abs(coeffs[si]) ** 2))
         vol = np.prod([hi - lo for (lo, hi) in s])
         for ti, T in enumerate(T_values):
             pred[si, ti] = T * norm_sq
@@ -304,10 +338,12 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
         raise DomainError("the Sobolev hitting norm requires s < 0")
     st = _Stepper(run)
     d, L, N = st.d, st.L, st.N
-    target_c = np.zeros((2 * N + 1,) * d, dtype=complex)
+    c0 = run.field0.coeffs[..., :N + 1]
+    target_c = np.zeros_like(c0)
     target_c[(0,) * d] = target * L ** (d / 2.0)
-    if norm == "hs":
-        weights = (1.0 + fields.squared_wavenumber_grid(d, L, N)) ** s
+    if norm == "hs":  # on the half band, k_last > 0 columns count twice
+        weights = (1.0 + fields.squared_wavenumber_grid(d, L, N)[..., :N + 1]) ** s
+        weights[..., 1:] *= 2
 
     def distances(coeffs, grids):
         if norm == "linf":
@@ -317,7 +353,6 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
         flat = (weights * np.abs(diff) ** 2).reshape(coeffs.shape[0], -1)
         return np.sqrt(np.sum(flat, axis=1))
 
-    c0 = run.field0.coeffs
     g0 = st.colloc.grid(c0)
     d0 = distances(c0[None], g0[None])[0]
     if d0 < delta:
@@ -325,10 +360,12 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
 
     def step(coeffs, eta, u):
         # u is the grid the previous step returned; c0's grid before the first
-        return st.step(coeffs, eta, return_grid=True, u=g0 if u is None else u)
+        if u is None:
+            u = np.broadcast_to(g0, (len(coeffs),) + g0.shape)
+        return st.step(coeffs, eta, return_grid=True, u=u)
 
     # every replica draws the same stream whatever the block length
-    block = min(_NOISE_BLOCK, max(1, _NOISE_BYTES // (16 * n * st.n_modes ** d)))
+    block = min(_NOISE_BLOCK, max(1, _NOISE_BYTES // (8 * n * st.n_modes ** d)))
     return _first_passage(c0, run.seed, replica_offset, n, run.dt,
                           int(round(run.t_max / run.dt)), block,
                           st.draw_eta, step, distances, delta)[0]
@@ -373,11 +410,9 @@ def record_snapshots(run: SpdeRun, snapshot_times, out_dir,
     os.makedirs(out_dir, exist_ok=True)
     written = []
     summaries = []
-    c = run.field0.coeffs.copy()
-    t_now = 0.0
 
-    def emit(i, t, coeffs):
-        f = SpectralField(st.d, st.L, st.N, coeffs)
+    def emit(i, t, half):
+        f = SpectralField(st.d, st.L, st.N, fields.full_band(half, st.d))
         path = os.path.join(out_dir, f"snap_{i:04d}.csv")
         export_snapshot_csv(f, t, path)
         vals = fields.grid_values(f)
@@ -385,12 +420,18 @@ def record_snapshots(run: SpdeRun, snapshot_times, out_dir,
                           "min": float(vals.min()), "max": float(vals.max())})
         written.append(path)
 
-    for i, t in enumerate(times):
+    marks = []  # (step, time) of each snapshot, in time order
+    k, t_now = 0, 0.0
+    for t in times:
         n_steps = max(0, int(round((t - t_now) / run.dt)))
-        for _ in range(n_steps):
-            c = st.step(c, st.draw_eta([rng], 1)[0, 0])
+        k += n_steps
         t_now += n_steps * run.dt
-        emit(i, t_now, c)
+        marks.append((k, t_now))
+    i = 0
+    for k, c in enumerate(_trajectory(st, rng, run.field0.coeffs[..., :st.N + 1], k)):
+        while i < len(marks) and marks[i][0] == k:
+            emit(i, marks[i][1], c)
+            i += 1
     jsonl = os.path.join(out_dir, "trajectory.jsonl")
     with open(jsonl, "w") as f:
         for row in summaries:

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -15,13 +16,21 @@ from metastab import (
     spde_step,
 )
 from metastab.errors import AllCensored, DomainError
-from metastab.fields import BandGrid, SpectralField, grid_values, mode_wavenumbers
+from metastab.fields import (
+    BandGrid,
+    SpectralField,
+    full_band,
+    grid_values,
+    mode_wavenumbers,
+    squared_wavenumber_grid,
+)
 from metastab.sde import replica_rng
 from metastab.spde import (
     _Stepper,
     draw_mode_noise,
     export_snapshot_csv,
     integrate_deterministic,
+    record_snapshots,
     spatial_mean_trajectory,
     spde_hitting_times_raw,
 )
@@ -80,11 +89,26 @@ class TestStep:
         run = make_run(N=8, eps=0.3, dt=1e-3, seed=12)
         st = _Stepper(run)
         rng = replica_rng(run.seed, 0)
-        c = run.field0.coeffs.copy()
+        c = run.field0.coeffs[..., :9]
         for _ in range(10_000):
             c = st.step(c, st.draw_eta([rng], 1)[0, 0])
-        vals = complex_reference.grid(c, 1, 2.0, 8, 34)
+        vals = complex_reference.grid(full_band(c, 1), 1, 2.0, 8, 34)
         assert np.max(np.abs(vals.imag)) < 1e-10
+
+    def test_band_stays_hermitian_beyond_two_pi(self):
+        # at L = 8 > 2 pi, mu_1 = 1 - (2 pi / 8)^2 > 0: an anti-Hermitian part
+        # of the k_last = 0 column, which the grid cannot see, would grow
+        # like exp(mu_1 t) unless every step keeps that column exact
+        run = make_run(d=2, L=8.0, N=4, eps=0.01, dt=5e-3, seed=17)
+        st = _Stepper(run)
+        rng = replica_rng(run.seed, 0)
+        c = run.field0.coeffs[..., :5]
+        for _ in range(0, 20_000, 250):
+            for eta in st.draw_eta([rng], 250)[:, 0]:
+                c = st.step(c, eta)
+        band = full_band(c, 2)
+        assert np.all(np.isfinite(band))
+        assert np.array_equal(_mirror(band, 2), band.conj())
 
     def test_mode_noise_law(self):
         # unit variance per mode, exact conjugate symmetry
@@ -105,9 +129,10 @@ def _mirror(a, d):
     return a
 
 
-def _reference_step(st, c, eta):
-    """One d=2 step by complex FFTs of the full band, cubed by pow."""
-    M, L = st.M, st.L
+def _reference_step(st, c, normals):
+    """One d=2 step by complex FFTs of the full band, cubed by pow, with the
+    mode noise fftn(normals) / (2N+1)."""
+    M, L, dt = st.M, st.L, st.run.dt
     rows = np.ix_(*(mode_wavenumbers(st.N) % M,) * 2)
     big = np.zeros((M, M), dtype=complex)
     big[rows] = c
@@ -115,7 +140,9 @@ def _reference_step(st, c, eta):
     drift = -np.fft.fft2(u**3)[rows] * (L / M**2)
     if st.counter:
         drift = drift + st.counter * c
-    return (c + st.run.dt * drift + st.noise_amp * eta) / st.denom
+    eta = np.fft.fftn(normals) / st.n_modes
+    denom = 1.0 - dt * (1.0 - squared_wavenumber_grid(2, L, st.N))
+    return (c + dt * drift + st.noise_amp * eta) / denom
 
 
 class TestRealTransforms:
@@ -131,11 +158,13 @@ class TestRealTransforms:
         grids = complex_reference.grid(coeffs, d, L, N, M).real
         vals = rng.standard_normal((3,) + (M,) * d)
         bands = complex_reference.project(vals, d, L, N)
+        projected = full_band(bg.project(vals), d)
         for got, want in ((bg.grid(coeffs), grids), (bg.grid(coeffs[0]), grids[0]),
-                          (bg.project(vals), bands), (bg.project(vals[0]), bands[0])):
+                          (bg.grid(coeffs[..., :N + 1]), grids),
+                          (projected, bands), (full_band(bg.project(vals[0]), d), bands[0])):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        for band in (bg.project(vals), bg.project(vals[0])):
+        for band in (projected, full_band(bg.project(vals[0]), d)):
             assert np.array_equal(_mirror(band, d), band.conj())
 
     @pytest.mark.parametrize("d", (1, 2))
@@ -143,9 +172,11 @@ class TestRealTransforms:
         st = _Stepper(make_run(d=d, L=1.5, N=5))
         n = st.n_modes
         axes = tuple(range(-d, 0))
-        eta = st.draw_eta([replica_rng(4, i) for i in range(3)], 7)
+        drawn = st.draw_eta([replica_rng(4, i) for i in range(3)], 7)
         g = np.stack([replica_rng(4, i).standard_normal((7,) + (n,) * d)
                       for i in range(3)], axis=1)
+        assert np.array_equal(drawn, g)  # each replica's own stream
+        eta = full_band(st.mode_noise(drawn), d)
         one = draw_mode_noise(st.run, replica_rng(4, 0))
         for got, normals in ((eta, g), (one, g[0, 0])):
             want = np.fft.fftn(normals, axes=axes) / n ** (d / 2)
@@ -153,12 +184,34 @@ class TestRealTransforms:
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
             assert np.array_equal(_mirror(got, d), got.conj())
 
+    @pytest.mark.parametrize("batched", (False, True))
+    @pytest.mark.parametrize("factor", (2, 3))
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_step_adds_the_scaled_dft_of_its_normals(self, d, factor, batched):
+        # the normals ride on every factor-th point of the cubic's forward
+        # FFT; factor 3 makes M odd
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = make_run(d=d, L=1.5, N=5, eps=0.3, dt=2e-3, start=0.0,
+                           drop_cubic=True, renormalize=False, grid_factor=factor)
+        st = _Stepper(run)
+        normals = st.draw_eta([replica_rng(6, i) for i in range(3)], 1)[0]
+        zero = np.zeros((3,) + st.denom.shape, dtype=complex)
+        if not batched:
+            normals, zero = normals[0], zero[0]
+        want = st.noise_amp * np.fft.fftn(normals, axes=tuple(range(-d, 0))) \
+            / st.n_modes ** (d / 2)
+        want = want[..., :st.N + 1] / st.denom
+        got = st.step(zero, normals)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_trajectory_noise_blocks_match_single_draws(self):
         # 37 steps: four full noise blocks and a partial one
         run = make_run(d=2, L=1.5, N=4, eps=0.3, dt=2e-3, seed=5)
         st = _Stepper(run)
         rng = replica_rng(run.seed, 0)
-        c = run.field0.coeffs.copy()
+        c = run.field0.coeffs[..., :5]
         ref = [c[0, 0].real]
         for _ in range(37):
             c = st.step(c, st.draw_eta([rng], 1)[0, 0])
@@ -187,10 +240,10 @@ class TestRealTransforms:
         assert means.shape == (n_steps + 1,)
         assert np.max(np.abs(means - np.array(ref))) <= 1e-12
         rng = replica_rng(run.seed, 0)
-        got = run.field0.coeffs.copy()
+        got = run.field0.coeffs[..., :9]
         for _ in range(n_steps):
             got = st.step(got, st.draw_eta([rng], 1)[0, 0])
-        assert np.max(np.abs(got - c)) <= 1e-12
+        assert np.max(np.abs(full_band(got, 2) - c)) <= 1e-12
 
 
 class TestLinearizedModes:
@@ -201,10 +254,10 @@ class TestLinearizedModes:
         run = make_run(N=N, eps=eps, dt=dt, start=0.0, drop_cubic=True)
         st = _Stepper(run)
         rng = replica_rng(77, 0)
-        c = run.field0.coeffs.copy()
+        c = run.field0.coeffs[..., :N + 1]
         burn, total = 2.0, 15.0
         n_burn, n_total = int(burn / dt), int(total / dt)
-        acc = np.zeros(2 * N + 1)
+        acc = np.zeros(N + 1)
         count = 0
         for j in range(n_total):
             c = st.step(c, st.draw_eta([rng], 1)[0, 0])
@@ -344,7 +397,7 @@ class TestHitting:
 
     @pytest.mark.parametrize("budget_steps", (1, 7))
     def test_noise_byte_budget_keeps_hitting_times(self, budget_steps, monkeypatch):
-        # d=1, N=4: 16 replicas x 9 modes x 16 bytes of complex noise per step
+        # d=1, N=4: 16 replicas x 9 modes x 8 bytes of real normals per step
         run = make_run(N=4, eps=0.5, dt=2e-3, t_max=0.9, seed=21, start=0.2)
         whole = spde_hitting_times_raw(run, 1.0, 0.4, n=16)
         blocks = []
@@ -355,7 +408,7 @@ class TestHitting:
             return draw(self, rngs, steps)
 
         monkeypatch.setattr(_Stepper, "draw_eta", recording)
-        monkeypatch.setattr(spde, "_NOISE_BYTES", budget_steps * 16 * 9 * 16)
+        monkeypatch.setattr(spde, "_NOISE_BYTES", budget_steps * 16 * 9 * 8)
         budgeted = spde_hitting_times_raw(run, 1.0, 0.4, n=16)
         assert max(blocks) == budget_steps
         assert np.array_equal(whole, budgeted, equal_nan=True)
@@ -430,3 +483,27 @@ def test_snapshot_export_header(tmp_path):
     assert first.startswith("#")
     for token in ("d=1", "L=2.0", "N=4", "t=1.5"):
         assert token in first
+
+
+def test_record_snapshots_match_a_stepper_loop(tmp_path):
+    # unsorted times, one at t = 0; 25 steps span several noise blocks
+    run = make_run(d=2, L=1.5, N=4, eps=0.3, dt=2e-3, seed=31)
+    paths = record_snapshots(run, [0.05, 0.0, 0.014], str(tmp_path),
+                             replica_index=2)
+    st = _Stepper(run)
+    rng = replica_rng(run.seed, 2)
+    c = run.field0.coeffs[..., :5]
+    states = [full_band(c, 2)]
+    for _ in range(25):
+        c = st.step(c, st.draw_eta([rng], 1)[0, 0])
+        states.append(full_band(c, 2))
+    rows = [json.loads(line) for line in
+            (tmp_path / "trajectory.jsonl").read_text().splitlines()]
+    assert len(paths) == 4 and len(rows) == 3
+    for i, (k, row) in enumerate(zip((0, 7, 25), rows)):
+        got = np.loadtxt(tmp_path / f"snap_{i:04d}.csv", delimiter=",")
+        want = grid_values(SpectralField(2, 1.5, 4, states[k]))
+        assert np.array_equal(got, want)
+        assert row["t"] == pytest.approx(k * run.dt, abs=1e-12)
+        assert (row["mean"], row["min"], row["max"]) == \
+            (want.mean(), want.min(), want.max())
