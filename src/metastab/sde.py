@@ -2,7 +2,9 @@
 
 Every Monte Carlo replica owns a counter-based RNG stream derived from
 (seed_base, replica_index), so ensembles are reproducible under any parallel
-schedule; aggregation is ordered by replica index.
+schedule; aggregation is ordered by replica index.  _first_passage is the one
+loop, here and in spde, that advances states over time; callers record and
+stop replicas through its observe(k, states, aux) callback.
 """
 
 from __future__ import annotations
@@ -93,27 +95,21 @@ def em_step(run: SdeRun, x: np.ndarray, gaussian: np.ndarray) -> np.ndarray:
 
 
 def integrate_path(run: SdeRun, t_final: float, record: bool = False):
-    """Single-trajectory integration up to t_final using the run's stream.
+    """Single-trajectory integration up to t_final on replica 0's stream.
 
     Returns the final state, or (times, states) when record is set.
     """
-    rng = replica_rng(run.seed, 0)
     n_steps = int(round(t_final / run.dt))
-    x = run.x0.copy()
-    states = [x.copy()] if record else None
-    amp = np.sqrt(2 * run.epsilon * run.dt)
-    for _ in range(n_steps):
-        x = x - run.potential.gradient(x) * run.dt
-        if run.epsilon > 0:
-            x = x + amp * rng.standard_normal(x.size)
-        if not np.all(np.isfinite(x)):
-            raise NonFinite("trajectory overflowed; reduce dt")
-        if record:
-            states.append(x.copy())
-    if record:
-        times = np.arange(n_steps + 1) * run.dt
-        return times, np.asarray(states)
-    return x
+    path = np.empty((n_steps + 1, run.x0.size))
+    path[0] = run.x0
+
+    def observe(k, x, _aux):
+        path[k] = x[0]
+
+    draw, step, check = _sde_callbacks(run)
+    _first_passage(run.x0, run.seed, 0, 1, run.dt, n_steps, _NOISE_BLOCK,
+                   draw, step, observe, check)
+    return (np.arange(n_steps + 1) * run.dt, path) if record else path[-1]
 
 
 def ou_density(x: float, y: float, t: float, eps: float) -> float:
@@ -174,16 +170,17 @@ def ou_fokker_planck_residual(x0: float, eps: float, t: float,
 
 
 def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
-                   max_steps: int, block: int, draw, step, distance=None,
-                   delta: float = 0.0, check=None):
-    """The one first-passage loop: n replicas from x0 for up to max_steps.
+                   max_steps: int, block: int, draw, step, observe=None,
+                   check=None):
+    """The one time loop: n replicas from x0 for up to max_steps steps.
 
     draw(rngs, steps) gives the live replicas' noise for one block, step-major
     as (steps, live, ...) with any per-block transform applied; replica i
     draws from replica_rng(seed, offset + i).  step(states, noise, aux)
     returns (new states, new aux), and is passed the aux of the step before
-    (None on the first step); a replica stops at the first step with
-    distance(states, aux) < delta.  check(states) runs once per block.
+    (None on the first step).  After step k = 1 .. max_steps, counted across
+    blocks, observe(k, states, aux) sees the live replicas and returns the
+    mask of those that hit, which stop, or None.  check(states) runs per block.
     Steps advance the live array with no mask; states, aux, replica ids and
     the live-row-to-noise-row map are compacted only on steps with a hit.
     Returns (hitting times, nan if censored; final states of the survivors).
@@ -200,10 +197,8 @@ def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
         rows = None  # set once a hit has compacted the live array
         for j in range(steps):
             x, aux = step(x, noise[j] if rows is None else noise[j, rows], aux)
-            if distance is None:
-                continue
-            newly = distance(x, aux) < delta
-            if newly.any():
+            newly = None if observe is None else observe(done + j + 1, x, aux)
+            if newly is not None and newly.any():
                 times[ids[newly]] = (done + j + 1) * dt
                 keep = ~newly
                 x, ids = x[keep], ids[keep]
@@ -243,7 +238,7 @@ def _sde_callbacks(run: SdeRun):
         nonlocal warned
         if not np.all(np.isfinite(x)):
             raise NonFinite("ensemble overflowed; reduce dt")
-        if not warned and not _stability_check(run, x[:4]):
+        if not warned and not _stability_check(run, x):
             warnings.warn("dt exceeds 1/max Hessian eigenvalue along trajectory",
                           RuntimeWarning)
             warned = True
@@ -289,14 +284,14 @@ def hitting_times_raw(run: SdeRun, target_center: np.ndarray, delta: float,
     if np.linalg.norm(run.x0 - center) < delta:
         return np.zeros(n)
 
-    def distance(x, _):
+    def observe(_k, x, _aux):
         diff = x - center
-        return np.sqrt(np.add.reduce(diff * diff, axis=1))  # as np.linalg.norm
+        return np.sqrt(np.add.reduce(diff * diff, axis=1)) < delta  # as np.linalg.norm
 
     draw, step, check = _sde_callbacks(run)
     return _first_passage(run.x0, run.seed, replica_offset, n, run.dt,
                           int(round(run.horizon / run.dt)), _NOISE_BLOCK,
-                          draw, step, distance, delta, check)[0]
+                          draw, step, observe, check)[0]
 
 
 def sample_hitting_times(run: SdeRun, target_center, delta: float, n: int,

@@ -18,10 +18,16 @@ DFT of the normals over (2N+1)^{d/2}: exactly conjugate-symmetric with unit
 variance per mode, so each real Fourier degree of freedom receives an
 independent Brownian motion.  Each step runs one inverse and one forward real
 FFT; full_band() mirrors the state only where a full band is handed out.
+
+Every time loop runs on sde._first_passage: trajectories, snapshots and the
+deterministic flow are one replica with a recording observer, and the noise
+check is an ensemble whose states are accumulated noise pairings.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -32,7 +38,7 @@ from . import fields
 from .determinants import counterterm_trace
 from .errors import DomainError, NonFinite
 from .fields import SpectralField
-from .sde import HittingTimeBatch, _first_passage, replica_rng
+from .sde import HittingTimeBatch, _first_passage
 
 _NOISE_BLOCK = 256
 _NOISE_BYTES = 1 << 24  # cap on a block's real normals (hitting, noise check)
@@ -94,6 +100,10 @@ class _Stepper:
         # project() of them that DFT over (2N+1)^{d/2}: unit variance per mode.
         self.sublattice = (Ellipsis,) + (slice(None, None, run.grid_factor),) * self.d
         self.noise_scale = self.n_modes ** (-self.d / 2.0) / self.colloc.proj_scale
+
+    def noise_block(self, n: int) -> int:
+        """Steps of noise n replicas draw at once, capped by _NOISE_BYTES."""
+        return min(_NOISE_BLOCK, max(1, _NOISE_BYTES // (8 * n * self.n_modes ** self.d)))
 
     def draw_eta(self, rngs: Sequence[np.random.Generator], steps: int) -> np.ndarray:
         """Real standard normals for `steps` steps of each replica, shape
@@ -164,6 +174,18 @@ def draw_mode_noise(run: SpdeRun, rng: np.random.Generator) -> np.ndarray:
     return fields.full_band(st.mode_noise(st.draw_eta([rng], 1)[0, 0]), st.d)
 
 
+def _one_replica(st: _Stepper, n_steps: int, replica_index: int, draw,
+                 observe) -> None:
+    """Step one replica of st.run n_steps on the engine with noise from draw;
+    observe(k, half band) sees its state after k = 0 .. n_steps steps."""
+    c0 = st.run.field0.coeffs[..., :st.N + 1]
+    observe(0, c0)
+    _first_passage(c0, st.run.seed, replica_index, 1, st.run.dt, n_steps,
+                   _TRAJECTORY_BLOCK, draw,
+                   lambda c, eta, _aux: (st.step(c, eta), None),
+                   lambda k, c, _aux: observe(k, c[0]))
+
+
 def integrate_deterministic(run: SpdeRun, t_final: float,
                             record_every: int = 1):
     """Zero-noise integration; returns (times, coeff snapshots) arrays.
@@ -173,37 +195,27 @@ def integrate_deterministic(run: SpdeRun, t_final: float,
     """
     st = _Stepper(run)
     n_steps = int(round(t_final / run.dt))
-    c = run.field0.coeffs[..., :st.N + 1]
-    times = [0.0]
-    snaps = [c]
-    for k in range(n_steps):
-        c = st.step(c, None)
-        if (k + 1) % record_every == 0 or k + 1 == n_steps:
-            times.append((k + 1) * run.dt)
+    times, snaps = [], []
+
+    def observe(k, c):
+        if k % record_every == 0 or k == n_steps:
+            times.append(k * run.dt)
             snaps.append(c)
+
+    _one_replica(st, n_steps, 0, lambda _rngs, steps: [None] * steps, observe)
     return np.array(times), fields.full_band(np.array(snaps), st.d)
-
-
-def _trajectory(st: _Stepper, rng: np.random.Generator, c: np.ndarray,
-                n_steps: int):
-    """Yield c, then the state after each of n_steps noisy steps; the noise
-    comes _TRAJECTORY_BLOCK steps at a time, the same stream as one draw per
-    step."""
-    yield c
-    for done in range(0, n_steps, _TRAJECTORY_BLOCK):
-        for eta in st.draw_eta([rng], min(_TRAJECTORY_BLOCK, n_steps - done))[:, 0]:
-            c = st.step(c, eta)
-            yield c
 
 
 def spatial_mean_trajectory(run: SpdeRun, t_final: float) -> tuple[np.ndarray, np.ndarray]:
     """Times and spatially-averaged field of one noisy trajectory."""
     st = _Stepper(run)
     n_steps = int(round(t_final / run.dt))
-    mean_idx = (0,) * st.d
-    means = np.array([c[mean_idx].real for c in
-                      _trajectory(st, replica_rng(run.seed, 0),
-                                  run.field0.coeffs[..., :st.N + 1], n_steps)])
+    means = np.empty(n_steps + 1)
+
+    def observe(k, c):
+        means[k] = c[(0,) * st.d].real
+
+    _one_replica(st, n_steps, 0, st.draw_eta, observe)
     return np.arange(n_steps + 1) * run.dt, means * st.L ** (-st.d / 2.0)
 
 
@@ -274,21 +286,20 @@ def noise_coefficient_check(run: SpdeRun, sets: Sequence = None,
     T_values = tuple(float(T) for T in T_values)
     n_steps_per_T = [int(round(T / run.dt)) for T in T_values]
 
-    rngs = [replica_rng(run.seed, i) for i in range(n)]
-    block = min(_NOISE_BLOCK, max(1, _NOISE_BYTES // (8 * n * st.n_modes ** d)))
     pair_sums = np.zeros((len(sets), len(T_values), n))
-    acc = np.zeros((len(sets), n))
-    done = 0
-    for n_steps in sorted(set(n_steps_per_T)):
-        while done < n_steps:
-            steps = min(block, n_steps - done)
-            for eta in st.draw_eta(rngs, steps):
-                flat = st.mode_noise(eta).reshape(n, -1)
-                acc += np.sqrt(run.dt) * np.real(pair_rows @ flat.T)
-            done += steps
+
+    def step(acc, eta, _aux):  # a replica's state: its pairing with each set
+        flat = st.mode_noise(eta).reshape(n, -1)
+        return acc + (np.sqrt(run.dt) * np.real(pair_rows @ flat.T)).T, None
+
+    def observe(k, acc, _aux):
         for ti, ns in enumerate(n_steps_per_T):
-            if ns == n_steps:
-                pair_sums[:, ti] = acc
+            if ns == k:
+                pair_sums[:, ti] = acc.T
+
+    _first_passage(np.zeros(len(sets)), run.seed, 0, n, run.dt,
+                   max(n_steps_per_T), st.noise_block(n), st.draw_eta, step,
+                   observe)
 
     emp = pair_sums.var(axis=2, ddof=1)
     stderr = emp * np.sqrt(2.0 / (n - 1))
@@ -365,10 +376,10 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
         return st.step(coeffs, eta, return_grid=True, u=u)
 
     # every replica draws the same stream whatever the block length
-    block = min(_NOISE_BLOCK, max(1, _NOISE_BYTES // (8 * n * st.n_modes ** d)))
     return _first_passage(c0, run.seed, replica_offset, n, run.dt,
-                          int(round(run.t_max / run.dt)), block,
-                          st.draw_eta, step, distances, delta)[0]
+                          int(round(run.t_max / run.dt)), st.noise_block(n),
+                          st.draw_eta, step,
+                          lambda _k, coeffs, grids: distances(coeffs, grids) < delta)[0]
 
 
 def sample_spde_hitting_times(run: SpdeRun, target: float, delta: float,
@@ -386,11 +397,13 @@ def sample_spde_hitting_times(run: SpdeRun, target: float, delta: float,
 
 
 def export_snapshot_csv(field: SpectralField, t: float, filename: str,
-                        M: int | None = None) -> None:
-    """Grid values as CSV, row-major, with a header naming (d, L, N, t)."""
+                        M: int | None = None) -> np.ndarray:
+    """Grid values as CSV, row-major, with a header naming (d, L, N, t);
+    returns the grid values written."""
     vals = fields.grid_values(field, M)
     header = f"d={field.d},L={field.L!r},N={field.N},t={t!r}"
     np.savetxt(filename, np.atleast_2d(vals), delimiter=",", header=header)
+    return vals
 
 
 def record_snapshots(run: SpdeRun, snapshot_times, out_dir,
@@ -401,40 +414,29 @@ def record_snapshots(run: SpdeRun, snapshot_times, out_dir,
     trajectory.jsonl with one summary line (t, spatial mean, min, max) per
     snapshot; returns the written paths.
     """
-    import json
-    import os
-
     st = _Stepper(run)
-    rng = replica_rng(run.seed, replica_index)
-    times = sorted(float(t) for t in snapshot_times)
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    summaries = []
-
-    def emit(i, t, half):
-        f = SpectralField(st.d, st.L, st.N, fields.full_band(half, st.d))
-        path = os.path.join(out_dir, f"snap_{i:04d}.csv")
-        export_snapshot_csv(f, t, path)
-        vals = fields.grid_values(f)
-        summaries.append({"t": t, "mean": float(vals.mean()),
-                          "min": float(vals.min()), "max": float(vals.max())})
-        written.append(path)
-
     marks = []  # (step, time) of each snapshot, in time order
-    k, t_now = 0, 0.0
-    for t in times:
+    last, t_now = 0, 0.0
+    for t in sorted(float(t) for t in snapshot_times):
         n_steps = max(0, int(round((t - t_now) / run.dt)))
-        k += n_steps
+        last += n_steps
         t_now += n_steps * run.dt
-        marks.append((k, t_now))
-    i = 0
-    for k, c in enumerate(_trajectory(st, rng, run.field0.coeffs[..., :st.N + 1], k)):
-        while i < len(marks) and marks[i][0] == k:
-            emit(i, marks[i][1], c)
-            i += 1
+        marks.append((last, t_now))
+    written = []
     jsonl = os.path.join(out_dir, "trajectory.jsonl")
-    with open(jsonl, "w") as f:
-        for row in summaries:
-            f.write(json.dumps(row) + "\n")
-    written.append(jsonl)
-    return written
+
+    def observe(k, c):
+        while len(written) < len(marks) and marks[len(written)][0] == k:
+            t = marks[len(written)][1]
+            path = os.path.join(out_dir, f"snap_{len(written):04d}.csv")
+            vals = export_snapshot_csv(
+                SpectralField(st.d, st.L, st.N, fields.full_band(c, st.d)), t, path)
+            summary.write(json.dumps({"t": t, "mean": float(vals.mean()),
+                                      "min": float(vals.min()),
+                                      "max": float(vals.max())}) + "\n")
+            written.append(path)
+
+    with open(jsonl, "w") as summary:
+        _one_replica(st, last, replica_index, st.draw_eta, observe)
+    return written + [jsonl]

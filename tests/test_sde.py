@@ -15,6 +15,8 @@ from metastab import potentials
 from metastab.errors import AllCensored, NonFinite
 from metastab.sde import (
     _NOISE_BLOCK,
+    _first_passage,
+    _sde_callbacks,
     hitting_times_raw,
     integrate_path,
     ou_mean_var,
@@ -43,6 +45,27 @@ class TestEmStep:
         run = SdeRun(quartic, epsilon=0.0, dt=1e-3, x0=[0.5], seed=0)
         x = integrate_path(run, 20.0)
         assert abs(x[0] - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("pot_name, x0", [
+        ("quartic_double_well", [-1.0]),
+        ("double_well_2d", [-1.0, 0.2]),
+    ])
+    def test_noisy_path_matches_a_per_step_loop(self, pot_name, x0):
+        # 2100 steps run past two 1024-step noise blocks
+        pot = getattr(potentials, pot_name)()
+        run = SdeRun(pot, epsilon=0.3, dt=1e-3, x0=x0, seed=5)
+        times, states = integrate_path(run, 2.1, record=True)
+        rng = replica_rng(run.seed, 0)
+        amp = np.sqrt(2 * run.epsilon * run.dt)
+        x = run.x0[None]
+        ref = [x[0]]
+        for _ in range(2100):
+            x = x - pot.gradient_batch(x) * run.dt \
+                + amp * rng.standard_normal((1, run.x0.size))
+            ref.append(x[0])
+        assert np.array_equal(times, np.arange(2101) * run.dt)
+        assert np.array_equal(states, np.array(ref))
+        assert np.array_equal(integrate_path(run, 2.1), ref[-1])
 
 
 class TestOuDensity:
@@ -166,6 +189,15 @@ class TestHittingTimes:
         with pytest.warns(RuntimeWarning):
             hitting_times_raw(run, [-5.0], 0.1, 4)
 
+    def test_stability_check_samples_across_the_live_replicas(self, quartic):
+        # only row 6 sits where V'' = 3 x^2 - 1 = 26 exceeds 1/dt
+        run = SdeRun(quartic, epsilon=0.01, dt=0.1, x0=[0.0], seed=4)
+        check = _sde_callbacks(run)[2]
+        x = np.zeros((8, 1))
+        x[6] = 3.0
+        with pytest.warns(RuntimeWarning):
+            check(x)
+
     def test_partition_invariance(self, quartic):
         # the same replica indices give the same times regardless of batching
         from metastab.sde import hitting_times_raw
@@ -224,6 +256,28 @@ class TestFirstPassageEngine:
         assert np.any(steps > 1024)  # hits in the next block
         assert np.sum(np.isnan(raw)) >= 2  # censored at the horizon
         assert np.array_equal(raw, ref, equal_nan=True)
+
+    def test_observe_sees_every_step_and_only_live_rows(self):
+        # blocks of 4 steps; replica 1 hits at step 3, replica 2 at step 6,
+        # the first step of the second block
+        seen = []
+
+        def step(x, noise, aux):
+            return x + 1.0 + noise, np.arange(4) if aux is None else aux
+
+        def observe(k, x, aux):
+            seen.append((k, aux.tolist()))
+            assert np.all(x[:, 0] == k)
+            return None if k not in (3, 6) else aux == k // 3
+
+        times, final = _first_passage(
+            np.zeros(1), 0, 0, 4, 0.5, 9, 4,
+            lambda rngs, steps: np.zeros((steps, len(rngs), 1)), step, observe)
+        assert [k for k, _ in seen] == list(range(1, 10))
+        assert [live for _, live in seen] == \
+            [[0, 1, 2, 3]] * 3 + [[0, 2, 3]] * 3 + [[0, 3]] * 3
+        assert np.array_equal(times, [np.nan, 1.5, 3.0, np.nan], equal_nan=True)
+        assert np.array_equal(final, [[9.0], [9.0]])
 
 
 @pytest.mark.slow

@@ -6,12 +6,16 @@ import pytest
 
 from metastab import (
     AllenCahnEnergy,
+    Grid1D,
+    Potential,
     SpdeRun,
     constant_field,
+    counterterm_trace,
     field_from_function,
     noise_coefficient_check,
     random_field,
     sample_spde_hitting_times,
+    solve_poisson,
     spde,
     spde_step,
 )
@@ -84,6 +88,23 @@ class TestStep:
         e1 = np.max(np.abs(ends[2e-3] - ends[5e-4]))
         e2 = np.max(np.abs(ends[1e-3] - ends[5e-4]))
         assert e2 < e1  # first-order convergence toward the reference
+
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_deterministic_flow_matches_a_stepper_loop(self, d):
+        # 20 steps recorded every 3rd: the last snapshot is off that grid
+        f0 = random_field(d, 1.5, 4, np.random.default_rng(3), 0.5)
+        run = SpdeRun(field0=f0, epsilon=0.3, dt=2e-3, t_max=1.0, seed=0)
+        st = _Stepper(run)
+        c = f0.coeffs[..., :5]
+        want_t, want = [0.0], [c]
+        for k in range(1, 21):
+            c = st.step(c, None)
+            if k % 3 == 0 or k == 20:
+                want_t.append(k * run.dt)
+                want.append(c)
+        times, snaps = integrate_deterministic(run, 20 * run.dt, record_every=3)
+        assert np.array_equal(times, want_t)
+        assert np.array_equal(snaps, full_band(np.array(want), d))
 
     def test_realness_preserved_over_many_noisy_steps(self, complex_reference):
         run = make_run(N=8, eps=0.3, dt=1e-3, seed=12)
@@ -414,6 +435,35 @@ class TestHitting:
         assert np.array_equal(whole, budgeted, equal_nan=True)
 
 
+def _mean_field_potential(a):
+    """V(x) = x^4/4 - a x^2/2, for the poisson solver."""
+    return Potential(dim=1, value=lambda x: float(x[0] ** 4 / 4 - a * x[0] ** 2 / 2),
+                     gradient=lambda x: np.array([x[0] ** 3 - a * x[0]]),
+                     hessian=lambda x: np.array([[3 * x[0] ** 2 - a]]))
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_mean_field_hitting_time_matches_the_poisson_solve(d):
+    # At N = 0 the field is its mean x = c_0 L^{-d/2}: the stepper is the
+    # quartic SDE with noise eps / L^d and, in d = 2, the linear drift
+    # 1 + 3 eps C_0 = 1 - 3 eps / L^2.  This gates the noise scale and the
+    # counterterm, not the O(sqrt(dt)) monitoring bias, so the parameters
+    # stay fixed.
+    L, eps, delta = 2.0, 0.4, 0.3
+    run = SpdeRun(field0=constant_field(d, L, 0, -1.0), epsilon=eps, dt=4e-3,
+                  t_max=2000.0, seed=5)
+    batch = sample_spde_hitting_times(run, 1.0, delta, n=1000)
+    a = 1.0 + (3 * eps * counterterm_trace(L, 0) if d == 2 else 0.0)
+    grid = Grid1D(-2.5, 2.5, 1999)
+    w = solve_poisson(grid, _mean_field_potential(a), eps / L**d,
+                      (1.0 - delta, 1.0 + delta))
+    exact = float(np.interp(-1.0, grid.nodes, w))
+    z = (batch.mean - exact) / batch.stderr
+    print(f"d={d}: MC {batch.mean:.3f} +- {batch.stderr:.3f}, exact {exact:.3f}, z={z:.2f}")
+    assert batch.n_censored == 0
+    assert abs(z) < 3
+
+
 class TestRenormalizationFlags:
     def test_d1_counterterm_rejected(self):
         with pytest.raises(DomainError):
@@ -483,6 +533,22 @@ def test_snapshot_export_header(tmp_path):
     assert first.startswith("#")
     for token in ("d=1", "L=2.0", "N=4", "t=1.5"):
         assert token in first
+
+
+def test_record_snapshots_grid_each_snapshot_once(tmp_path, monkeypatch):
+    calls = []
+    grid = BandGrid.grid
+
+    def counting(self, coeffs):
+        calls.append(coeffs.shape)
+        return grid(self, coeffs)
+
+    monkeypatch.setattr(BandGrid, "grid", counting)
+    run = make_run(d=2, L=1.5, N=4, eps=0.3, dt=2e-3, seed=31)
+    record_snapshots(run, [0.05, 0.0, 0.014], str(tmp_path))
+    # the snapshots grid full bands, the 25 steps each grid their half band
+    assert calls.count((9, 9)) == 3
+    assert len(calls) == 25 + 3
 
 
 def test_record_snapshots_match_a_stepper_loop(tmp_path):
