@@ -199,48 +199,55 @@ def _check_L(params: dict):
         raise ValueError("L must lie in (0, 2*pi)")
 
 
-def _run_sde_hitting(cfg: ExperimentConfig):
-    p = cfg.parameters
-    _require(p, "epsilon", "dt", "x0", "target", "delta", "n")
+def _sde_ensemble(p: dict, seed: int):
+    """(run, worker(offset, count)) of the SDE hitting ensemble of p."""
+    _require(p, "epsilon", "dt", "x0", "target", "delta")
     _positive(p, "epsilon", "dt", "delta")
     pot = _POTENTIALS[p.get("potential", "quartic")]()
     run = SdeRun(potential=pot, epsilon=p["epsilon"], dt=p["dt"],
-                 x0=np.atleast_1d(p["x0"]), seed=cfg.seed,
-                 t_max=p.get("t_max"))
+                 x0=np.atleast_1d(p["x0"]), seed=seed, t_max=p.get("t_max"))
     target = np.atleast_1d(p["target"])
+    return run, lambda offset, count: hitting_times_raw(
+        run, target, p["delta"], count, replica_offset=offset)
 
-    def worker(offset, count):
-        return hitting_times_raw(run, target, p["delta"], count, replica_offset=offset)
 
-    raw = _parallel_raw(worker, int(p["n"]), cfg.threads)
-    batch = HittingTimeBatch.from_raw(raw, cfg.seed)
-    header = ["replica", "tau", "censored"]
+def _spde_ensemble(p: dict, seed: int):
+    """(run, worker(offset, count)) of the field hitting ensemble of p."""
+    _require(p, "d", "L", "N", "epsilon", "dt", "delta", "t_max")
+    _positive(p, "L", "epsilon", "dt", "delta", "t_max")
+    _check_L(p)
+    f0 = constant_field(int(p["d"]), p["L"], int(p["N"]), p.get("start", -1.0))
+    run = SpdeRun(field0=f0, epsilon=p["epsilon"], dt=p["dt"], t_max=p["t_max"],
+                  seed=seed, renormalize=p.get("renormalize"))
+    return run, lambda offset, count: spde_hitting_times_raw(
+        run, p.get("target", 1.0), p["delta"], norm=p.get("norm", "linf"),
+        s=p.get("s", -0.5), n=count, replica_offset=offset)
+
+
+def _hitting_results(raw: np.ndarray, seed: int):
+    """Header, rows and summary of one ensemble's hitting times."""
+    batch = HittingTimeBatch.from_raw(raw, seed)
     rows = [(i, 0.0 if np.isnan(t) else t, bool(np.isnan(t)))
             for i, t in enumerate(raw)]
     summary = {"mean": batch.mean, "stderr": batch.stderr,
                "n_attempted": batch.n_attempted, "n_censored": batch.n_censored}
-    return header, rows, summary
+    return ["replica", "tau", "censored"], rows, summary
+
+
+def _run_sde_hitting(cfg: ExperimentConfig):
+    p = cfg.parameters
+    _require(p, "n")
+    _, worker = _sde_ensemble(p, cfg.seed)
+    raw = _parallel_raw(worker, int(p["n"]), cfg.threads)
+    return _hitting_results(raw, cfg.seed)
 
 
 def _run_spde_hitting(cfg: ExperimentConfig):
     p = cfg.parameters
-    _require(p, "d", "L", "N", "epsilon", "dt", "delta", "n", "t_max")
-    _positive(p, "L", "epsilon", "dt", "delta", "t_max")
-    _check_L(p)
-    f0 = constant_field(int(p["d"]), p["L"], int(p["N"]), p.get("start", -1.0))
-    run = SpdeRun(field0=f0, epsilon=p["epsilon"], dt=p["dt"],
-                  t_max=p["t_max"], seed=cfg.seed,
-                  renormalize=p.get("renormalize"))
-    norm = p.get("norm", "linf")
-    s = p.get("s", -0.5)
-
-    def worker(offset, count):
-        return spde_hitting_times_raw(run, p.get("target", 1.0), p["delta"],
-                                      norm=norm, s=s, n=count,
-                                      replica_offset=offset)
-
+    _require(p, "n")
+    run, worker = _spde_ensemble(p, cfg.seed)
     raw = _parallel_raw(worker, int(p["n"]), cfg.threads)
-    batch = HittingTimeBatch.from_raw(raw, cfg.seed)
+    results = _hitting_results(raw, cfg.seed)
     if p.get("snapshots"):
         from .spde import record_snapshots
 
@@ -249,12 +256,7 @@ def _run_spde_hitting(cfg: ExperimentConfig):
         times = np.linspace(0.0, horizon, int(p["snapshots"]))
         record_snapshots(run, times, str(Path(cfg.out) / "snapshots"),
                          replica_index=int(p["n"]))
-    header = ["replica", "tau", "censored"]
-    rows = [(i, 0.0 if np.isnan(t) else t, bool(np.isnan(t)))
-            for i, t in enumerate(raw)]
-    summary = {"mean": batch.mean, "stderr": batch.stderr,
-               "n_attempted": batch.n_attempted, "n_censored": batch.n_censored}
-    return header, rows, summary
+    return results
 
 
 def _run_ou_check(cfg: ExperimentConfig):
@@ -413,43 +415,33 @@ def _run_randomwalk(cfg: ExperimentConfig):
     return header, rows, {"ks_pvalue": float(ks.pvalue)}
 
 
+# system -> (ensemble builder, defaults under the user's parameters): each eps
+# runs, and is validated as, the matching single-run experiment
+_SWEEP_SYSTEMS = {
+    "sde": (_sde_ensemble,
+            {"dt": 1e-3, "x0": -1.0, "target": 1.0, "delta": 0.2}),
+    "ac1d": (lambda p, seed: _spde_ensemble({**p, "d": 1}, seed),
+             {"dt": 2e-3, "t_max": 4000.0, "delta": 0.3}),
+}
+
+
 def _run_arrhenius_sweep(cfg: ExperimentConfig):
     p = cfg.parameters
     _require(p, "epsilon_list", "n")
-    eps_list = list(p["epsilon_list"])
     system = p.get("system", "sde")
-    batches = []
-    for i, eps in enumerate(eps_list):
-        # the eps index joins the seed in the entropy, so no (seed, index)
-        # pair shares another's streams
-        seed_eps = int(np.random.SeedSequence([cfg.seed, i]).generate_state(1)[0])
-        if system == "sde":
-            pot = _POTENTIALS[p.get("potential", "quartic")]()
-            run = SdeRun(potential=pot, epsilon=eps, dt=p.get("dt", 1e-3),
-                         x0=np.atleast_1d(p.get("x0", -1.0)), seed=seed_eps,
-                         t_max=p.get("t_max"))
-            target = np.atleast_1d(p.get("target", 1.0))
-
-            def worker(offset, count, _run=run, _t=target):
-                return hitting_times_raw(_run, _t, p.get("delta", 0.2), count,
-                                         replica_offset=offset)
-        elif system == "ac1d":
-            _require(p, "L", "N")
-            _check_L(p)
-            f0 = constant_field(1, p["L"], int(p["N"]), p.get("start", -1.0))
-            run = SpdeRun(field0=f0, epsilon=eps, dt=p.get("dt", 2e-3),
-                          t_max=p.get("t_max", 4000.0), seed=seed_eps)
-
-            def worker(offset, count, _run=run):
-                return spde_hitting_times_raw(_run, p.get("target", 1.0),
-                                              p.get("delta", 0.3),
-                                              norm=p.get("norm", "linf"),
-                                              s=p.get("s", -0.5), n=count,
-                                              replica_offset=offset)
-        else:
-            raise ValueError(f"unknown system {system!r}")
-        raw = _parallel_raw(worker, int(p["n"]), cfg.threads)
-        batches.append((eps, HittingTimeBatch.from_raw(raw, seed_eps)))
+    if system not in _SWEEP_SYSTEMS:
+        raise ValueError(f"unknown system {system!r}")
+    ensemble, defaults = _SWEEP_SYSTEMS[system]
+    eps_list, n = p["epsilon_list"], int(p["n"])
+    # the eps index joins the seed in the entropy, so no (seed, index) pair
+    # shares another's streams
+    seeds = [int(np.random.SeedSequence([cfg.seed, i]).generate_state(1)[0])
+             for i in range(len(eps_list))]
+    workers = [ensemble({**defaults, **p, "epsilon": eps}, seed)[1]
+               for eps, seed in zip(eps_list, seeds)]  # validates every eps first
+    batches = [(eps, HittingTimeBatch.from_raw(
+        _parallel_raw(worker, n, cfg.threads), seed))
+        for eps, seed, worker in zip(eps_list, seeds, workers)]
     fit = arrhenius_fit(batches)
     header = ["epsilon", "mean_tau", "stderr", "n_censored"]
     rows = [(eps, b.mean, b.stderr, b.n_censored) for eps, b in batches]

@@ -99,29 +99,29 @@ def rate_functional_ac_1d(path: FieldPath, L: float) -> float:
     Integrand: (d_t gamma - d_xx gamma - gamma + gamma^3)^2, quadrature
     midpoint in time; the spatial integral of the squared residual is exact
     for band-limited snapshots because the residual (modes up to 3N) is
-    evaluated on a grid with more than 6N points.
+    evaluated on a grid with more than 6N points.  ShapeMismatch if the path
+    is not d=1 on a torus of side L, or if a snapshot violates conjugate
+    symmetry by more than REALNESS_TOL relative to the largest coefficient.
     """
     if path.d != 1:
         raise ShapeMismatch("this functional is defined for d=1 field paths")
     if path.L != L:
         raise ShapeMismatch(f"path torus length {path.L} != requested {L}")
-    N = path.N
-    M = 6 * N + 7
+    N, c, dt = path.N, path.coeffs, np.diff(path.times)
+    neg = -np.arange(c.shape[-1]) % c.shape[-1]  # index of -k in FFT order
+    scale = max(1.0, float(np.max(np.abs(c))))
+    if np.max(np.abs(c - c[:, neg].conj())) > fields.REALNESS_TOL * scale:
+        raise ShapeMismatch("field coefficients violate conjugate symmetry")
     ksq = fields.squared_wavenumber_grid(1, L, N)
-    t = path.times
-    c = path.coeffs
-    total = 0.0
-    for i in range(t.size - 1):
-        dt = t[i + 1] - t[i]
-        dphi = (c[i + 1] - c[i]) / dt
-        mid = 0.5 * (c[i] + c[i + 1])
-        # linear part of the residual in coefficients: d_t + (k^2 - 1) phi
-        lin = dphi + (ksq - 1.0) * mid
-        lin_grid = fields.grid_values(SpectralField(1, L, N, lin), M)
-        u = fields.grid_values(SpectralField(1, L, N, mid), M)
-        resid = lin_grid + u * u * u
-        total += float(np.sum(resid**2)) * (L / M) * dt
-    return 0.5 * total
+    mid = 0.5 * (c[:-1] + c[1:])
+    # linear part of the residual in coefficients: d_t + (k^2 - 1) phi
+    lin = np.diff(c, axis=0) / dt[:, None] + (ksq - 1.0) * mid
+    M = 6 * N + 7
+    grid = fields.BandGrid(1, L, N, M)
+    resid = grid.grid(mid)
+    resid *= resid * resid
+    resid += grid.grid(lin)
+    return 0.5 * float(np.sum(np.sum(resid * resid, axis=1) * (L / M) * dt))
 
 
 # ---------------------------------------------------------------------------

@@ -225,12 +225,6 @@ def test_criterion_11_theorem1_desk_scale():
     L, N = 2.0, 16
     pred = m.ek_allen_cahn_1d(L)
     f0 = m.constant_field(1, L, N, -1.0)
-    run = m.SpdeRun(field0=f0, epsilon=0.4, dt=2e-3, t_max=4000.0, seed=1111)
-    batch = m.sample_spde_hitting_times(run, target=1.0, delta=0.3,
-                                        norm="linf", n=400)
-    ratio = batch.mean / pred.predict(0.4)
-    ok_factor2 = 0.5 <= ratio <= 2.0
-
     eps_list = [0.3, 0.4, 0.5]
     batches = []
     for eps in eps_list:
@@ -239,6 +233,10 @@ def test_criterion_11_theorem1_desk_scale():
         batches.append((eps, m.sample_spde_hitting_times(
             run_e, target=1.0, delta=0.3, norm="linf", n=400)))
     fit = arrhenius_fit(batches)
+    # the factor-2 check reads the sweep's eps = 0.4 batch
+    batch = dict(batches)[0.4]
+    ratio = batch.mean / pred.predict(0.4)
+    ok_factor2 = 0.5 <= ratio <= 2.0
     ok_slope = abs(fit.slope - L / 4) / (L / 4) <= 0.20
     elapsed = time.perf_counter() - t0
     ok_time = elapsed <= 7200.0

@@ -175,6 +175,52 @@ class TestCliRuns:
         assert summary["slope"] > 0.0
 
 
+class TestSweepRunsTheSingleExperiments:
+    # each sweep eps is the single-run experiment with the sweep's defaults
+    # (sde: dt 1e-3, x0 -1, target 1, delta 0.2; ac1d: d 1, dt 2e-3,
+    # t_max 4000, delta 0.3) at seed SeedSequence([seed, i])
+    @pytest.mark.parametrize("system,sweep_args,single", (
+        ("sde", ["--epsilon-list", "0.4,0.5,0.6"],
+         ["sde-hitting", "--dt", "0.001", "--x0", "-1", "--target", "1",
+          "--delta", "0.2"]),
+        ("ac1d", ["--epsilon-list", "0.5,0.6,0.7", "--L", "2.0", "--N", "4"],
+         ["spde-hitting", "--d", "1", "--L", "2.0", "--N", "4", "--dt", "0.002",
+          "--t_max", "4000", "--delta", "0.3"]),
+    ))
+    def test_sweep_rows_match_single_runs(self, system, sweep_args, single,
+                                          tmp_path):
+        seed, n = 12, 12
+        code = main(["arrhenius-sweep", "--system", system, *sweep_args,
+                     "--n", str(n), "--seed", str(seed),
+                     "--out", str(tmp_path / "sweep")])
+        assert code == 0
+        lines = (tmp_path / "sweep" / "results.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[2:-1]]
+        assert len(rows) == 3
+        for i, (eps, mean, stderr, n_censored) in enumerate(rows):
+            seed_i = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
+            out = tmp_path / f"single{i}"
+            code = main([*single, "--epsilon", eps, "--n", str(n),
+                         "--seed", str(seed_i), "--out", str(out)])
+            assert code == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert (float(mean), float(stderr), int(n_censored)) == (
+                summary["mean"], summary["stderr"], summary["n_censored"])
+
+    @pytest.mark.parametrize("args", (
+        ["--epsilon-list", "0,0.3,0.4", "--t_max", "1"],
+        ["--system", "ac1d", "--L", "2.0", "--N", "4",
+         "--epsilon-list", "0.5,0.6,0.7", "--t_max", "0"],
+        ["--system", "ac1d", "--L", "2.0", "--N", "4",
+         "--epsilon-list", "0.5,0.6,0.7", "--renormalize", "on"],
+    ))
+    def test_sweep_rejects_what_the_single_runs_reject(self, args, tmp_path):
+        code = main(["arrhenius-sweep", *args, "--n", "8",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "results.csv").exists()
+
+
 class TestReproducibility:
     def test_byte_identical_across_thread_counts(self, tmp_path):
         outs = {}

@@ -12,6 +12,7 @@ from metastab import (
     rate_functional_sde,
 )
 from metastab.errors import DegeneratePath, ShapeMismatch
+from metastab.fields import SpectralField
 from metastab.rate_functional import (
     load_field_path_jsonl,
     load_path_csv,
@@ -129,6 +130,37 @@ class TestFieldCost:
         path = self._field_path([c, c], 0.1)
         with pytest.raises(ShapeMismatch):
             rate_functional_ac_1d(path, 3.0)
+
+    def test_matches_a_per_cell_loop(self, rng):
+        from metastab import fields, random_field
+
+        # reference: one grid_values pair per time cell; the batched sum
+        # adds the cells in another order, so agreement is to rounding
+        n = 40
+        times = np.cumsum(rng.uniform(1e-3, 5e-3, size=n))
+        coeffs = np.array([random_field(1, self.L, self.N, rng).coeffs
+                           for _ in range(n)])
+        path = FieldPath(times=times, d=1, L=self.L, N=self.N, coeffs=coeffs)
+        M = 6 * self.N + 7
+        ksq = fields.squared_wavenumber_grid(1, self.L, self.N)
+        total = 0.0
+        for i in range(n - 1):
+            dt = times[i + 1] - times[i]
+            mid = 0.5 * (coeffs[i] + coeffs[i + 1])
+            lin = (coeffs[i + 1] - coeffs[i]) / dt + (ksq - 1.0) * mid
+            u = fields.grid_values(SpectralField(1, self.L, self.N, mid), M)
+            lin_grid = fields.grid_values(SpectralField(1, self.L, self.N, lin), M)
+            total += float(np.sum((lin_grid + u**3) ** 2)) * (self.L / M) * dt
+        assert rate_functional_ac_1d(path, self.L) == pytest.approx(
+            0.5 * total, rel=1e-12)
+
+    def test_asymmetric_snapshot_rejected(self):
+        c = constant_field(1, self.L, self.N, 0.0).coeffs
+        bad = c.copy()
+        bad[1] = 0.1  # c[-1] stays 0, so c[-1] != conj(c[1])
+        path = self._field_path([c, c, bad, c], 0.1)
+        with pytest.raises(ShapeMismatch):
+            rate_functional_ac_1d(path, self.L)
 
 
 class TestPathIO:
