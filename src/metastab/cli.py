@@ -531,7 +531,8 @@ def run(cfg: ExperimentConfig) -> int:
         json.dump({"error": "AllCensored", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 3
-    except (ValueError, KeyError, MetastabError) as exc:
+    except (ValueError, TypeError, KeyError, MetastabError) as exc:
+        # TypeError: a config-file value of the wrong JSON type
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
@@ -542,7 +543,7 @@ def run(cfg: ExperimentConfig) -> int:
 def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         json.dump({"error": "ConfigError", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2

@@ -7,7 +7,7 @@ truncated fields).  Arrays are stored in FFT ordering ``[0, 1, .., N, -N, .., -1
 along each axis.  :class:`BandGrid`, the one band<->grid map (real FFTs of
 the k_last >= 0 half band), serves grid_values, field_from_grid and the
 field stepper, which carries that half band; full_band() mirrors it back.
-grid_values checks c[-k] = conj(c[k]) on the band itself.
+require_conjugate_symmetric checks c[-k] = conj(c[k]) on bands themselves.
 """
 
 from __future__ import annotations
@@ -144,13 +144,19 @@ def grid_values(field: SpectralField, M: int | None = None) -> np.ndarray:
     REALNESS_TOL relative to its largest coefficient."""
     if M is None:
         M = dealiased_grid_size(field.N)
-    c = field.coeffs
-    neg = -np.arange(c.shape[0]) % c.shape[0]  # index of -k in FFT order
-    mirror = c[neg] if field.d == 1 else c[np.ix_(neg, neg)]
-    scale = max(1.0, float(np.max(np.abs(c))))
-    if np.max(np.abs(c - mirror.conj())) > REALNESS_TOL * scale:
+    require_conjugate_symmetric(field.coeffs, field.d)
+    return BandGrid(field.d, field.L, field.N, M).grid(field.coeffs)
+
+
+def require_conjugate_symmetric(coeffs: np.ndarray, d: int) -> None:
+    """ShapeMismatch unless bands (..., 2N+1[, 2N+1]) satisfy c[-k] = conj(c[k])
+    over their last d axes within REALNESS_TOL times max(1, max |c|)."""
+    n = coeffs.shape[-1]
+    neg = -np.arange(n) % n  # index of -k in FFT order
+    mirror = coeffs[..., neg] if d == 1 else coeffs[..., neg[:, None], neg]
+    scale = max(1.0, float(np.max(np.abs(coeffs))))
+    if np.max(np.abs(coeffs - mirror.conj())) > REALNESS_TOL * scale:
         raise ShapeMismatch("field coefficients violate conjugate symmetry")
-    return BandGrid(field.d, field.L, field.N, M).grid(c)
 
 
 def field_from_grid(d: int, L: float, N: int, values: np.ndarray) -> SpectralField:

@@ -108,10 +108,7 @@ def rate_functional_ac_1d(path: FieldPath, L: float) -> float:
     if path.L != L:
         raise ShapeMismatch(f"path torus length {path.L} != requested {L}")
     N, c, dt = path.N, path.coeffs, np.diff(path.times)
-    neg = -np.arange(c.shape[-1]) % c.shape[-1]  # index of -k in FFT order
-    scale = max(1.0, float(np.max(np.abs(c))))
-    if np.max(np.abs(c - c[:, neg].conj())) > fields.REALNESS_TOL * scale:
-        raise ShapeMismatch("field coefficients violate conjugate symmetry")
+    fields.require_conjugate_symmetric(c, 1)
     ksq = fields.squared_wavenumber_grid(1, L, N)
     mid = 0.5 * (c[:-1] + c[1:])
     # linear part of the residual in coefficients: d_t + (k^2 - 1) phi

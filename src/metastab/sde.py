@@ -3,7 +3,8 @@
 Every Monte Carlo replica owns a counter-based RNG stream derived from
 (seed_base, replica_index), so ensembles are reproducible under any parallel
 schedule; aggregation is ordered by replica index.  _first_passage is the one
-loop, here and in spde, that advances states over time; callers record and
+loop, here and in spde, that advances states over time and draws their noise
+in blocks set by one rule (_block_steps); callers pass a step, and record and
 stop replicas through its observe(k, states, aux) callback.
 """
 
@@ -18,7 +19,10 @@ import numpy as np
 from .errors import AllCensored, NonFinite
 from .potentials import Potential
 
-_NOISE_BLOCK = 1024
+# The block rule, in normals of 8 bytes: a replica draws at least 8 KiB a call
+# (below that its RNG call outweighs a cheap SDE step) and at most 256 KiB; a
+# block of at most 1024 steps holds at most 16 MiB unless that floor needs more.
+_MAX_STEPS, _MIN_DRAW, _MAX_DRAW, _BLOCK_NORMALS = 1024, 1 << 10, 1 << 15, 1 << 21
 
 
 @dataclass(frozen=True)
@@ -106,9 +110,8 @@ def integrate_path(run: SdeRun, t_final: float, record: bool = False):
     def observe(k, x, _aux):
         path[k] = x[0]
 
-    draw, step, check = _sde_callbacks(run)
-    _first_passage(run.x0, run.seed, 0, 1, run.dt, n_steps, _NOISE_BLOCK,
-                   draw, step, observe, check)
+    _first_passage(run.x0, run.seed, 0, 1, run.dt, n_steps, observe=observe,
+                   **_sde_callbacks(run))
     return (np.arange(n_steps + 1) * run.dt, path) if record else path[-1]
 
 
@@ -169,34 +172,60 @@ def ou_fokker_planck_residual(x0: float, eps: float, t: float,
 # ---------------------------------------------------------------------------
 
 
+def _block_steps(width: int, live: int, left: int) -> int:
+    """Steps in the next noise block of `live` replicas that each draw `width`
+    normals a step, with `left` steps to go."""
+    return min(_MAX_STEPS, left,
+               max(max(1, _MIN_DRAW // width),
+                   min(_MAX_DRAW // width, _BLOCK_NORMALS // (width * live))))
+
+
+def _draw_noise(rngs, steps: int, shape: tuple, scale=None) -> np.ndarray:
+    """(steps, len(rngs)) + shape standard normals, times scale if given;
+    column r is rngs[r]'s stream in step order, the same however the steps of
+    a replica are split into blocks."""
+    g = np.empty((len(rngs), steps) + shape)
+    for rng, out in zip(rngs, g):
+        rng.standard_normal(out=out)
+    if scale is not None:
+        g *= scale  # in place, so a block holds one buffer
+    return g.swapaxes(0, 1)
+
+
 def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
-                   max_steps: int, block: int, draw, step, observe=None,
-                   check=None):
+                   max_steps: int, shape, step, observe=None, check=None,
+                   scale=None, aux0=None):
     """The one time loop: n replicas from x0 for up to max_steps steps.
 
-    draw(rngs, steps) gives the live replicas' noise for one block, step-major
-    as (steps, live, ...) with any per-block transform applied; replica i
-    draws from replica_rng(seed, offset + i).  step(states, noise, aux)
-    returns (new states, new aux), and is passed the aux of the step before
-    (None on the first step).  After step k = 1 .. max_steps, counted across
-    blocks, observe(k, states, aux) sees the live replicas and returns the
-    mask of those that hit, which stop, or None.  check(states) runs per block.
+    Replica i draws `shape` normals a step (times scale) from
+    replica_rng(seed, offset + i), _block_steps at a time; shape None draws
+    nothing.  step(states, noise, aux) returns (new states, new aux) and is
+    passed the live rows' noise (or None) and the aux of the step before,
+    starting from a copy of aux0 per replica.  After step k = 1 .. max_steps
+    (counted across blocks), observe(k, states, aux) sees the live replicas
+    and returns the mask of those that hit, which stop, or None.
+    check(states) runs per block.
     Steps advance the live array with no mask; states, aux, replica ids and
     the live-row-to-noise-row map are compacted only on steps with a hit.
     Returns (hitting times, nan if censored; final states of the survivors).
     """
     rngs = [replica_rng(seed, offset + i) for i in range(n)]
+    width = 1 if shape is None else int(np.prod(shape))
     times = np.full(n, np.nan)
     x = np.repeat(x0[None], n, axis=0)
+    aux = None if aux0 is None else np.repeat(aux0[None], n, axis=0)
     ids = np.arange(n)
-    aux = None
     done = 0
     while ids.size and done < max_steps:
-        steps = min(block, max_steps - done)
-        noise = draw([rngs[i] for i in ids], steps)
+        steps = _block_steps(width, ids.size, max_steps - done)
+        noise = eta = None  # release the last block before drawing the next
+        if shape is not None:
+            noise = _draw_noise([rngs[i] for i in ids], steps, shape, scale)
         rows = None  # set once a hit has compacted the live array
         for j in range(steps):
-            x, aux = step(x, noise[j] if rows is None else noise[j, rows], aux)
+            if noise is not None:
+                eta = noise[j] if rows is None else noise[j, rows]
+            x, aux = step(x, eta, aux)
             newly = None if observe is None else observe(done + j + 1, x, aux)
             if newly is not None and newly.any():
                 times[ids[newly]] = (done + j + 1) * dt
@@ -213,21 +242,13 @@ def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
     return times, x
 
 
-def _sde_callbacks(run: SdeRun):
-    """(draw, step, check) of the Euler-Maruyama ensemble for _first_passage."""
-    dim = run.x0.size
-    amp = np.sqrt(2 * run.epsilon * run.dt)
+def _sde_callbacks(run: SdeRun) -> dict:
+    """The Euler-Maruyama ensemble's shape, scale, step and check keywords
+    for _first_passage."""
     gradient = run.potential.gradient_batch
     if gradient is None:
         def gradient(x):
             return np.apply_along_axis(run.potential.gradient, 1, x)
-
-    def draw(rngs, steps):
-        g = np.empty((steps, len(rngs), dim))
-        for col, rng in enumerate(rngs):
-            g[:, col] = rng.standard_normal(steps * dim).reshape(steps, dim)
-        g *= amp  # in place, so a block holds one buffer
-        return g
 
     def step(x, noise, _aux):
         return x - gradient(x) * run.dt + noise, None
@@ -243,21 +264,23 @@ def _sde_callbacks(run: SdeRun):
                           RuntimeWarning)
             warned = True
 
-    return draw, step, check
+    return dict(shape=(run.x0.size,), scale=np.sqrt(2 * run.epsilon * run.dt),
+                step=step, check=check)
 
 
-def sample_endpoints(run: SdeRun, t: float, n: int, replica_offset: int = 0,
-                     chunk: int = 2000) -> np.ndarray:
+def sample_endpoints(run: SdeRun, t: float, n: int,
+                     replica_offset: int = 0) -> np.ndarray:
     """States of n independent replicas at time t, shape (n, dim); replicas
-    run chunk at a time, so memory does not grow with n."""
-    n_steps = int(round(t / run.dt))
-    draw, step, check = _sde_callbacks(run)
+    run in ranges whose noise blocks stay within the engine's budget, so
+    memory does not grow with n."""
+    n_steps, chunk = int(round(t / run.dt)), _BLOCK_NORMALS // _MIN_DRAW
+    callbacks = _sde_callbacks(run)
     out = np.empty((n, run.x0.size))
     for start in range(0, n, chunk):
         count = min(chunk, n - start)
         _, out[start:start + count] = _first_passage(
             run.x0, run.seed, replica_offset + start, count, run.dt, n_steps,
-            _NOISE_BLOCK, draw, step, check=check)
+            **callbacks)
     return out
 
 
@@ -288,10 +311,9 @@ def hitting_times_raw(run: SdeRun, target_center: np.ndarray, delta: float,
         diff = x - center
         return np.sqrt(np.add.reduce(diff * diff, axis=1)) < delta  # as np.linalg.norm
 
-    draw, step, check = _sde_callbacks(run)
     return _first_passage(run.x0, run.seed, replica_offset, n, run.dt,
-                          int(round(run.horizon / run.dt)), _NOISE_BLOCK,
-                          draw, step, observe, check)[0]
+                          int(round(run.horizon / run.dt)), observe=observe,
+                          **_sde_callbacks(run))[0]
 
 
 def sample_hitting_times(run: SdeRun, target_center, delta: float, n: int,

@@ -19,9 +19,10 @@ variance per mode, so each real Fourier degree of freedom receives an
 independent Brownian motion.  Each step runs one inverse and one forward real
 FFT; full_band() mirrors the state only where a full band is handed out.
 
-Every time loop runs on sde._first_passage: trajectories, snapshots and the
-deterministic flow are one replica with a recording observer, and the noise
-check is an ensemble whose states are accumulated noise pairings.
+Every time loop runs on sde._first_passage, which draws each step's normals
+and carries each state's grid as the aux step() takes and returns: trajectories,
+snapshots and the noiseless flow are one replica with a recording observer,
+and the noise check is an ensemble whose states are accumulated pairings.
 """
 
 from __future__ import annotations
@@ -38,11 +39,7 @@ from . import fields
 from .determinants import counterterm_trace
 from .errors import DomainError, NonFinite
 from .fields import SpectralField
-from .sde import HittingTimeBatch, _first_passage
-
-_NOISE_BLOCK = 256
-_NOISE_BYTES = 1 << 24  # cap on a block's real normals (hitting, noise check)
-_TRAJECTORY_BLOCK = 8  # steps of noise one trajectory draws at once
+from .sde import HittingTimeBatch, _draw_noise, _first_passage
 
 
 @dataclass(frozen=True)
@@ -87,6 +84,7 @@ class _Stepper:
         self.d, self.L, self.N = f0.d, f0.L, f0.N
         self.M = fields.dealiased_grid_size(self.N, run.grid_factor)
         self.n_modes = 2 * self.N + 1
+        self.noise_shape = (self.n_modes,) * self.d  # normals per step
         ksq = fields.squared_wavenumber_grid(self.d, self.L, self.N)[..., :self.N + 1]
         mu = 1.0 - ksq
         self.denom = 1.0 - run.dt * mu
@@ -101,22 +99,6 @@ class _Stepper:
         self.sublattice = (Ellipsis,) + (slice(None, None, run.grid_factor),) * self.d
         self.noise_scale = self.n_modes ** (-self.d / 2.0) / self.colloc.proj_scale
 
-    def noise_block(self, n: int) -> int:
-        """Steps of noise n replicas draw at once, capped by _NOISE_BYTES."""
-        return min(_NOISE_BLOCK, max(1, _NOISE_BYTES // (8 * n * self.n_modes ** self.d)))
-
-    def draw_eta(self, rngs: Sequence[np.random.Generator], steps: int) -> np.ndarray:
-        """Real standard normals for `steps` steps of each replica, shape
-        (steps, len(rngs)) + (2N+1,)*d: the noise step() takes.
-
-        Replica r's normals come from rngs[r] in step order, so one block of
-        steps draws the same stream as that many single steps.
-        """
-        g = np.empty((len(rngs), steps) + (self.n_modes,) * self.d)
-        for r, out in zip(rngs, g):
-            r.standard_normal(out=out)
-        return g.swapaxes(0, 1)
-
     def mode_noise(self, eta: np.ndarray) -> np.ndarray:
         """The conjugate-symmetric unit-variance half-band noise that step()
         adds, over sqrt(2 eps dt), for the normals eta."""
@@ -124,21 +106,20 @@ class _Stepper:
         grid[self.sublattice] = self.noise_scale * eta
         return self.colloc.project(grid)
 
-    def step(self, coeffs: np.ndarray, eta: Optional[np.ndarray],
-             return_grid: bool = False, u: Optional[np.ndarray] = None):
+    def step(self, coeffs: np.ndarray, eta: Optional[np.ndarray], u: np.ndarray):
         """One semi-implicit update of half bands that may carry leading batch
-        axes; eta holds their normals (see draw_eta), None for no noise.
+        axes, with u = grid(coeffs); eta holds their noise_shape normals, None
+        for no noise.  Returns (new half bands, grid(new)).
 
         One forward real FFT of -dt u^3 plus the scaled normals on the
-        sublattice gives dt times the cubic drift plus the noise.  u, when
-        given, is grid(coeffs), e.g. the grid a previous step returned.
+        sublattice gives dt times the cubic drift plus the noise; the inverse
+        FFT of the new state gives the grid the next step and the distance
+        read.
         """
         dt = self.run.dt
         if self.run.drop_cubic:
             w = np.zeros(coeffs.shape[:-self.d] + (self.M,) * self.d)
         else:
-            if u is None:
-                u = self.colloc.grid(coeffs)
             w = u * u * u
             w *= -dt
         if eta is not None:
@@ -150,9 +131,7 @@ class _Stepper:
         new /= self.denom
         if not np.all(np.isfinite(new)):
             raise NonFinite("field step overflowed; reduce dt")
-        if return_grid:
-            return new, self.colloc.grid(new)
-        return new
+        return new, self.colloc.grid(new)
 
 
 def spde_step(run: SpdeRun, phi: SpectralField, gaussians: np.ndarray) -> SpectralField:
@@ -163,7 +142,8 @@ def spde_step(run: SpdeRun, phi: SpectralField, gaussians: np.ndarray) -> Spectr
     """
     run.field0.require_compatible(phi)
     st = _Stepper(run)
-    half = st.step(phi.coeffs[..., :phi.N + 1], None)
+    c = phi.coeffs[..., :phi.N + 1]
+    half, _ = st.step(c, None, st.colloc.grid(c))
     half += st.noise_amp * gaussians[..., :phi.N + 1] / st.denom
     return SpectralField(phi.d, phi.L, phi.N, fields.full_band(half, phi.d))
 
@@ -171,19 +151,19 @@ def spde_step(run: SpdeRun, phi: SpectralField, gaussians: np.ndarray) -> Spectr
 def draw_mode_noise(run: SpdeRun, rng: np.random.Generator) -> np.ndarray:
     """A single conjugate-symmetric noise array with the law the stepper uses."""
     st = _Stepper(run)
-    return fields.full_band(st.mode_noise(st.draw_eta([rng], 1)[0, 0]), st.d)
+    eta = _draw_noise([rng], 1, st.noise_shape)[0, 0]
+    return fields.full_band(st.mode_noise(eta), st.d)
 
 
-def _one_replica(st: _Stepper, n_steps: int, replica_index: int, draw,
-                 observe) -> None:
-    """Step one replica of st.run n_steps on the engine with noise from draw;
-    observe(k, half band) sees its state after k = 0 .. n_steps steps."""
+def _one_replica(st: _Stepper, n_steps: int, replica_index: int, observe,
+                 noisy: bool = True) -> None:
+    """Step one replica of st.run n_steps on the engine, noiseless unless
+    noisy; observe(k, half band) sees its state after k = 0 .. n_steps steps."""
     c0 = st.run.field0.coeffs[..., :st.N + 1]
     observe(0, c0)
     _first_passage(c0, st.run.seed, replica_index, 1, st.run.dt, n_steps,
-                   _TRAJECTORY_BLOCK, draw,
-                   lambda c, eta, _aux: (st.step(c, eta), None),
-                   lambda k, c, _aux: observe(k, c[0]))
+                   st.noise_shape if noisy else None, st.step,
+                   lambda k, c, _aux: observe(k, c[0]), aux0=st.colloc.grid(c0))
 
 
 def integrate_deterministic(run: SpdeRun, t_final: float,
@@ -202,7 +182,7 @@ def integrate_deterministic(run: SpdeRun, t_final: float,
             times.append(k * run.dt)
             snaps.append(c)
 
-    _one_replica(st, n_steps, 0, lambda _rngs, steps: [None] * steps, observe)
+    _one_replica(st, n_steps, 0, observe, noisy=False)
     return np.array(times), fields.full_band(np.array(snaps), st.d)
 
 
@@ -215,7 +195,7 @@ def spatial_mean_trajectory(run: SpdeRun, t_final: float) -> tuple[np.ndarray, n
     def observe(k, c):
         means[k] = c[(0,) * st.d].real
 
-    _one_replica(st, n_steps, 0, st.draw_eta, observe)
+    _one_replica(st, n_steps, 0, observe)
     return np.arange(n_steps + 1) * run.dt, means * st.L ** (-st.d / 2.0)
 
 
@@ -298,8 +278,7 @@ def noise_coefficient_check(run: SpdeRun, sets: Sequence = None,
                 pair_sums[:, ti] = acc.T
 
     _first_passage(np.zeros(len(sets)), run.seed, 0, n, run.dt,
-                   max(n_steps_per_T), st.noise_block(n), st.draw_eta, step,
-                   observe)
+                   max(n_steps_per_T), st.noise_shape, step, observe)
 
     emp = pair_sums.var(axis=2, ddof=1)
     stderr = emp * np.sqrt(2.0 / (n - 1))
@@ -369,17 +348,10 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
     if d0 < delta:
         return np.zeros(n)
 
-    def step(coeffs, eta, u):
-        # u is the grid the previous step returned; c0's grid before the first
-        if u is None:
-            u = np.broadcast_to(g0, (len(coeffs),) + g0.shape)
-        return st.step(coeffs, eta, return_grid=True, u=u)
-
-    # every replica draws the same stream whatever the block length
     return _first_passage(c0, run.seed, replica_offset, n, run.dt,
-                          int(round(run.t_max / run.dt)), st.noise_block(n),
-                          st.draw_eta, step,
-                          lambda _k, coeffs, grids: distances(coeffs, grids) < delta)[0]
+                          int(round(run.t_max / run.dt)), st.noise_shape, st.step,
+                          lambda _k, coeffs, grids: distances(coeffs, grids) < delta,
+                          aux0=g0)[0]
 
 
 def sample_spde_hitting_times(run: SpdeRun, target: float, delta: float,
@@ -438,5 +410,5 @@ def record_snapshots(run: SpdeRun, snapshot_times, out_dir,
             written.append(path)
 
     with open(jsonl, "w") as summary:
-        _one_replica(st, last, replica_index, st.draw_eta, observe)
+        _one_replica(st, last, replica_index, observe)
     return written + [jsonl]

@@ -66,6 +66,26 @@ class TestCliRuns:
         payload = json.loads(err.strip().splitlines()[-1])
         assert "missing required parameter" in payload["message"]
 
+    @pytest.mark.parametrize("experiment,cfg", (
+        ("arrhenius-sweep", {"parameters": {"epsilon_list": 0.3, "n": 4}}),
+        ("sde-hitting", {"parameters": {
+            "epsilon": "0.3", "dt": 0.002, "x0": -1, "target": 1,
+            "delta": 0.2, "n": 4}}),
+        ("determinant", {"parameters": {"d": 1, "L": 2.0, "N": 64},
+                         "threads": "2"}),
+    ))
+    def test_wrong_type_config_value_exits_2_without_output(
+            self, experiment, cfg, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = main([experiment, "--config", str(cfg_file), "--out", str(out)])
+        assert code == 2
+        assert not (out / "results.csv").exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "message" in json.loads(err[0])
+
     def test_all_censored_exit_code(self, tmp_path):
         code = main(["sde-hitting", "--epsilon", "0.0001", "--dt", "0.001",
                      "--x0", "-1", "--target", "1", "--delta", "0.05",

@@ -11,10 +11,10 @@ from metastab import (
     sample_endpoints,
     sample_hitting_times,
 )
-from metastab import potentials
+from metastab import potentials, sde
 from metastab.errors import AllCensored, NonFinite
 from metastab.sde import (
-    _NOISE_BLOCK,
+    _block_steps,
     _first_passage,
     _sde_callbacks,
     hitting_times_raw,
@@ -192,7 +192,7 @@ class TestHittingTimes:
     def test_stability_check_samples_across_the_live_replicas(self, quartic):
         # only row 6 sits where V'' = 3 x^2 - 1 = 26 exceeds 1/dt
         run = SdeRun(quartic, epsilon=0.01, dt=0.1, x0=[0.0], seed=4)
-        check = _sde_callbacks(run)[2]
+        check = _sde_callbacks(run)["check"]
         x = np.zeros((8, 1))
         x[6] = 3.0
         with pytest.warns(RuntimeWarning):
@@ -223,7 +223,7 @@ def _reference_hitting_times(run, center, delta, n):
         x = run.x0[None].copy()
         done = 0
         while done < max_steps and np.isnan(out[i]):
-            block = min(_NOISE_BLOCK, max_steps - done)
+            block = min(sde._MAX_STEPS, max_steps - done)
             g = amp * rng.standard_normal(block * dim).reshape(block, dim)
             for j in range(block):
                 x = x - run.potential.gradient_batch(x) * run.dt + g[j]
@@ -257,9 +257,10 @@ class TestFirstPassageEngine:
         assert np.sum(np.isnan(raw)) >= 2  # censored at the horizon
         assert np.array_equal(raw, ref, equal_nan=True)
 
-    def test_observe_sees_every_step_and_only_live_rows(self):
+    def test_observe_sees_every_step_and_only_live_rows(self, monkeypatch):
         # blocks of 4 steps; replica 1 hits at step 3, replica 2 at step 6,
         # the first step of the second block
+        monkeypatch.setattr(sde, "_MAX_STEPS", 4)
         seen = []
 
         def step(x, noise, aux):
@@ -270,14 +271,53 @@ class TestFirstPassageEngine:
             assert np.all(x[:, 0] == k)
             return None if k not in (3, 6) else aux == k // 3
 
-        times, final = _first_passage(
-            np.zeros(1), 0, 0, 4, 0.5, 9, 4,
-            lambda rngs, steps: np.zeros((steps, len(rngs), 1)), step, observe)
+        times, final = _first_passage(np.zeros(1), 0, 0, 4, 0.5, 9, (1,), step,
+                                      observe, scale=0.0)
         assert [k for k, _ in seen] == list(range(1, 10))
         assert [live for _, live in seen] == \
             [[0, 1, 2, 3]] * 3 + [[0, 2, 3]] * 3 + [[0, 3]] * 3
         assert np.array_equal(times, [np.nan, 1.5, 3.0, np.nan], equal_nan=True)
         assert np.array_equal(final, [[9.0], [9.0]])
+
+
+class TestBlockRule:
+    @pytest.mark.parametrize("width, live, steps", [
+        (1, 2000, 1024),  # sde_kramers, criteria 4 and 5
+        (1, 60_000, 1024),  # the SDE at any n: the 8 KiB floor
+        (2, 1, 1024),
+        (65**2, 64, 7),  # d=2, N=32, n=64 field hitting
+        (33, 400, 158),  # criterion 11: d=1, N=16, n=400
+        (17**2, 1, 113),  # field_2d trajectories at N=8, 16, 32
+        (33**2, 1, 30),
+        (65**2, 1, 7),
+        (33, 100, 635),  # field_1d: d=1, N=16, n=100
+        (9, 16, 1024),  # d=1, N=4, n=16: one block
+        (129**2, 4096, 1),  # at least one step
+    ])
+    def test_block_lengths(self, width, live, steps):
+        assert _block_steps(width, live, 10**6) == steps
+        assert _block_steps(width, live, 5) == min(steps, 5)
+
+    @pytest.mark.parametrize("budget", (8, 24))
+    def test_tiny_budget_keeps_hitting_times(self, budget, quartic, monkeypatch):
+        # 8 live replicas: blocks of budget // 8 steps that lengthen as
+        # replicas hit
+        run = SdeRun(quartic, epsilon=0.35, dt=1e-3, x0=[-1.0], seed=11,
+                     t_max=40.0)
+        whole = hitting_times_raw(run, [1.0], 0.2, 8)
+        blocks = []
+        draw = sde._draw_noise
+
+        def recording(rngs, steps, shape, scale=None):
+            blocks.append(steps)
+            return draw(rngs, steps, shape, scale)
+
+        monkeypatch.setattr(sde, "_draw_noise", recording)
+        monkeypatch.setattr(sde, "_MIN_DRAW", 1)
+        monkeypatch.setattr(sde, "_BLOCK_NORMALS", budget)
+        budgeted = hitting_times_raw(run, [1.0], 0.2, 8)
+        assert blocks[0] == budget // 8 and len(set(blocks)) > 1
+        assert np.array_equal(whole, budgeted, equal_nan=True)
 
 
 @pytest.mark.slow

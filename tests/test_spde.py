@@ -28,7 +28,8 @@ from metastab.fields import (
     mode_wavenumbers,
     squared_wavenumber_grid,
 )
-from metastab.sde import replica_rng
+from metastab import sde
+from metastab.sde import _draw_noise, replica_rng
 from metastab.spde import (
     _Stepper,
     draw_mode_noise,
@@ -96,9 +97,10 @@ class TestStep:
         run = SpdeRun(field0=f0, epsilon=0.3, dt=2e-3, t_max=1.0, seed=0)
         st = _Stepper(run)
         c = f0.coeffs[..., :5]
+        u = st.colloc.grid(c)
         want_t, want = [0.0], [c]
         for k in range(1, 21):
-            c = st.step(c, None)
+            c, u = st.step(c, None, u)
             if k % 3 == 0 or k == 20:
                 want_t.append(k * run.dt)
                 want.append(c)
@@ -111,8 +113,9 @@ class TestStep:
         st = _Stepper(run)
         rng = replica_rng(run.seed, 0)
         c = run.field0.coeffs[..., :9]
+        u = st.colloc.grid(c)
         for _ in range(10_000):
-            c = st.step(c, st.draw_eta([rng], 1)[0, 0])
+            c, u = st.step(c, _draw_noise([rng], 1, st.noise_shape)[0, 0], u)
         vals = complex_reference.grid(full_band(c, 1), 1, 2.0, 8, 34)
         assert np.max(np.abs(vals.imag)) < 1e-10
 
@@ -124,9 +127,10 @@ class TestStep:
         st = _Stepper(run)
         rng = replica_rng(run.seed, 0)
         c = run.field0.coeffs[..., :5]
+        u = st.colloc.grid(c)
         for _ in range(0, 20_000, 250):
-            for eta in st.draw_eta([rng], 250)[:, 0]:
-                c = st.step(c, eta)
+            for eta in _draw_noise([rng], 250, st.noise_shape)[:, 0]:
+                c, u = st.step(c, eta, u)
         band = full_band(c, 2)
         assert np.all(np.isfinite(band))
         assert np.array_equal(_mirror(band, 2), band.conj())
@@ -193,7 +197,7 @@ class TestRealTransforms:
         st = _Stepper(make_run(d=d, L=1.5, N=5))
         n = st.n_modes
         axes = tuple(range(-d, 0))
-        drawn = st.draw_eta([replica_rng(4, i) for i in range(3)], 7)
+        drawn = _draw_noise([replica_rng(4, i) for i in range(3)], 7, st.noise_shape)
         g = np.stack([replica_rng(4, i).standard_normal((7,) + (n,) * d)
                       for i in range(3)], axis=1)
         assert np.array_equal(drawn, g)  # each replica's own stream
@@ -216,26 +220,29 @@ class TestRealTransforms:
             run = make_run(d=d, L=1.5, N=5, eps=0.3, dt=2e-3, start=0.0,
                            drop_cubic=True, renormalize=False, grid_factor=factor)
         st = _Stepper(run)
-        normals = st.draw_eta([replica_rng(6, i) for i in range(3)], 1)[0]
+        normals = _draw_noise([replica_rng(6, i) for i in range(3)], 1,
+                              st.noise_shape)[0]
         zero = np.zeros((3,) + st.denom.shape, dtype=complex)
         if not batched:
             normals, zero = normals[0], zero[0]
         want = st.noise_amp * np.fft.fftn(normals, axes=tuple(range(-d, 0))) \
             / st.n_modes ** (d / 2)
         want = want[..., :st.N + 1] / st.denom
-        got = st.step(zero, normals)
+        got, _ = st.step(zero, normals, st.colloc.grid(zero))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_trajectory_noise_blocks_match_single_draws(self):
+    def test_trajectory_noise_blocks_match_single_draws(self, monkeypatch):
         # 37 steps: four full noise blocks and a partial one
+        monkeypatch.setattr(sde, "_MAX_STEPS", 8)
         run = make_run(d=2, L=1.5, N=4, eps=0.3, dt=2e-3, seed=5)
         st = _Stepper(run)
         rng = replica_rng(run.seed, 0)
         c = run.field0.coeffs[..., :5]
+        u = st.colloc.grid(c)
         ref = [c[0, 0].real]
         for _ in range(37):
-            c = st.step(c, st.draw_eta([rng], 1)[0, 0])
+            c, u = st.step(c, _draw_noise([rng], 1, st.noise_shape)[0, 0], u)
             ref.append(c[0, 0].real)
         _, means = spatial_mean_trajectory(run, 37 * run.dt)
         assert np.array_equal(means, np.array(ref) * run.field0.L ** (-1.0))
@@ -255,15 +262,16 @@ class TestRealTransforms:
         c = run.field0.coeffs.copy()
         ref = [c[0, 0].real * scale]
         for _ in range(n_steps):
-            c = _reference_step(st, c, st.draw_eta([rng], 1)[0, 0])
+            c = _reference_step(st, c, _draw_noise([rng], 1, st.noise_shape)[0, 0])
             ref.append(c[0, 0].real * scale)
         _, means = spatial_mean_trajectory(run, n_steps * run.dt)
         assert means.shape == (n_steps + 1,)
         assert np.max(np.abs(means - np.array(ref))) <= 1e-12
         rng = replica_rng(run.seed, 0)
         got = run.field0.coeffs[..., :9]
+        u = st.colloc.grid(got)
         for _ in range(n_steps):
-            got = st.step(got, st.draw_eta([rng], 1)[0, 0])
+            got, u = st.step(got, _draw_noise([rng], 1, st.noise_shape)[0, 0], u)
         assert np.max(np.abs(full_band(got, 2) - c)) <= 1e-12
 
 
@@ -276,12 +284,13 @@ class TestLinearizedModes:
         st = _Stepper(run)
         rng = replica_rng(77, 0)
         c = run.field0.coeffs[..., :N + 1]
+        u = st.colloc.grid(c)
         burn, total = 2.0, 15.0
         n_burn, n_total = int(burn / dt), int(total / dt)
         acc = np.zeros(N + 1)
         count = 0
         for j in range(n_total):
-            c = st.step(c, st.draw_eta([rng], 1)[0, 0])
+            c, u = st.step(c, _draw_noise([rng], 1, st.noise_shape)[0, 0], u)
             if j >= n_burn:
                 acc += np.abs(c) ** 2
                 count += 1
@@ -401,6 +410,7 @@ class TestHitting:
 
     @pytest.mark.parametrize("norm,delta", (("linf", 0.4), ("hs", 0.5)))
     def test_grid_reuse_is_bit_exact(self, norm, delta, monkeypatch):
+        monkeypatch.setattr(sde, "_MAX_STEPS", 256)
         run = make_run(N=4, eps=0.5, dt=2e-3, t_max=0.9, seed=21, start=0.2)
         reused = spde_hitting_times_raw(run, 1.0, delta, norm=norm, n=16)
         steps = np.round(reused / run.dt)
@@ -409,8 +419,8 @@ class TestHitting:
         assert np.any(np.isnan(reused))
         step = _Stepper.step
 
-        def fresh_step(self, coeffs, eta, return_grid=False, u=None):
-            return step(self, coeffs, eta, return_grid)
+        def fresh_step(self, coeffs, eta, u):
+            return step(self, coeffs, eta, self.colloc.grid(coeffs))
 
         monkeypatch.setattr(_Stepper, "step", fresh_step)
         fresh = spde_hitting_times_raw(run, 1.0, delta, norm=norm, n=16)
@@ -418,20 +428,32 @@ class TestHitting:
 
     @pytest.mark.parametrize("budget_steps", (1, 7))
     def test_noise_byte_budget_keeps_hitting_times(self, budget_steps, monkeypatch):
-        # d=1, N=4: 16 replicas x 9 modes x 8 bytes of real normals per step
+        # d=1, N=4: each replica draws 9 real normals per step; with no floor
+        # and a cap of budget_steps steps per replica and call
         run = make_run(N=4, eps=0.5, dt=2e-3, t_max=0.9, seed=21, start=0.2)
         whole = spde_hitting_times_raw(run, 1.0, 0.4, n=16)
         blocks = []
-        draw = _Stepper.draw_eta
+        draw = sde._draw_noise
 
-        def recording(self, rngs, steps):
+        def recording(rngs, steps, shape, scale=None):
             blocks.append(steps)
-            return draw(self, rngs, steps)
+            return draw(rngs, steps, shape, scale)
 
-        monkeypatch.setattr(_Stepper, "draw_eta", recording)
-        monkeypatch.setattr(spde, "_NOISE_BYTES", budget_steps * 16 * 9 * 8)
+        monkeypatch.setattr(sde, "_draw_noise", recording)
+        monkeypatch.setattr(sde, "_MIN_DRAW", 1)
+        monkeypatch.setattr(sde, "_MAX_DRAW", budget_steps * 9)
         budgeted = spde_hitting_times_raw(run, 1.0, 0.4, n=16)
         assert max(blocks) == budget_steps
+        assert np.array_equal(whole, budgeted, equal_nan=True)
+
+    def test_tiny_block_budget_keeps_hitting_times(self, monkeypatch):
+        # 9 normals per replica-step in blocks of at most 288: two steps while
+        # all 16 replicas live, longer blocks as they hit
+        run = make_run(N=4, eps=0.5, dt=2e-3, t_max=0.9, seed=21, start=0.2)
+        whole = spde_hitting_times_raw(run, 1.0, 0.4, n=16)
+        monkeypatch.setattr(sde, "_MIN_DRAW", 1)
+        monkeypatch.setattr(sde, "_BLOCK_NORMALS", 2 * 16 * 9)
+        budgeted = spde_hitting_times_raw(run, 1.0, 0.4, n=16)
         assert np.array_equal(whole, budgeted, equal_nan=True)
 
 
@@ -546,22 +568,25 @@ def test_record_snapshots_grid_each_snapshot_once(tmp_path, monkeypatch):
     monkeypatch.setattr(BandGrid, "grid", counting)
     run = make_run(d=2, L=1.5, N=4, eps=0.3, dt=2e-3, seed=31)
     record_snapshots(run, [0.05, 0.0, 0.014], str(tmp_path))
-    # the snapshots grid full bands, the 25 steps each grid their half band
+    # the snapshots grid full bands; the half band is gridded for c0 once,
+    # then for each of the 25 new states
     assert calls.count((9, 9)) == 3
-    assert len(calls) == 25 + 3
+    assert len(calls) == 1 + 25 + 3
 
 
-def test_record_snapshots_match_a_stepper_loop(tmp_path):
+def test_record_snapshots_match_a_stepper_loop(tmp_path, monkeypatch):
     # unsorted times, one at t = 0; 25 steps span several noise blocks
+    monkeypatch.setattr(sde, "_MAX_STEPS", 8)
     run = make_run(d=2, L=1.5, N=4, eps=0.3, dt=2e-3, seed=31)
     paths = record_snapshots(run, [0.05, 0.0, 0.014], str(tmp_path),
                              replica_index=2)
     st = _Stepper(run)
     rng = replica_rng(run.seed, 2)
     c = run.field0.coeffs[..., :5]
+    u = st.colloc.grid(c)
     states = [full_band(c, 2)]
     for _ in range(25):
-        c = st.step(c, st.draw_eta([rng], 1)[0, 0])
+        c, u = st.step(c, _draw_noise([rng], 1, st.noise_shape)[0, 0], u)
         states.append(full_band(c, 2))
     rows = [json.loads(line) for line in
             (tmp_path / "trajectory.jsonl").read_text().splitlines()]
