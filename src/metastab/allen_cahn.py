@@ -31,7 +31,6 @@ class AllenCahnEnergy:
     L: float
     cutoff_N: int
     wick_epsilon: Optional[float] = None
-    grid_factor: int = 2
 
     def __post_init__(self):
         if self.dimension_d not in (1, 2):
@@ -54,7 +53,7 @@ class AllenCahnEnergy:
         ksq = fields.squared_wavenumber_grid(phi.d, phi.L, phi.N)
         power = np.abs(phi.coeffs) ** 2
         quad = 0.5 * float(np.sum(ksq * power)) - 0.5 * float(np.sum(power))
-        M = fields.dealiased_grid_size(phi.N, self.grid_factor)
+        M = fields.dealiased_grid_size(phi.N)
         u = fields.grid_values(phi, M)
         cell = (phi.L / M) ** phi.d
         u2 = u * u
@@ -64,8 +63,7 @@ class AllenCahnEnergy:
         """Spectral coefficients of -Laplacian(phi) - phi + P_N(phi^3)."""
         self._check(phi)
         ksq = fields.squared_wavenumber_grid(phi.d, phi.L, phi.N)
-        M = fields.dealiased_grid_size(phi.N, self.grid_factor)
-        u = fields.grid_values(phi, M)
+        u = fields.grid_values(phi)
         cubic = fields.field_from_grid(phi.d, phi.L, phi.N, u * u * u)
         return (ksq - 1.0) * phi.coeffs + cubic.coeffs
 
@@ -102,67 +100,47 @@ class AllenCahnEnergy:
 # ---------------------------------------------------------------------------
 
 
-def _coords_to_field(x: np.ndarray, L: float, N: int) -> SpectralField:
-    coeffs = np.zeros(2 * N + 1, dtype=complex)
-    coeffs[0] = x[0]
-    for k in range(1, N + 1):
-        c = x[2 * k - 1] + 1j * x[2 * k]
-        coeffs[k] = c
-        coeffs[-k] = np.conj(c)
-    return SpectralField(1, L, N, coeffs)
+def _coords_to_half(x: np.ndarray, N: int) -> np.ndarray:
+    """Half bands (..., N+1) of real coordinates (..., 2N+1)."""
+    half = np.zeros(x.shape[:-1] + (N + 1,), dtype=complex)
+    half[..., 0] = x[..., 0]
+    half[..., 1:] = x[..., 1::2] + 1j * x[..., 2::2]
+    return half
 
 
-def _spectral_to_real_grad(g: np.ndarray, N: int) -> np.ndarray:
-    out = np.zeros(2 * N + 1)
-    out[0] = g[0].real
-    for k in range(1, N + 1):
-        out[2 * k - 1] = 2 * g[k].real
-        out[2 * k] = 2 * g[k].imag
-    return out
-
-
-def galerkin_potential_1d(L: float, N: int, grid_factor: int = 2) -> Potential:
+def galerkin_potential_1d(L: float, N: int) -> Potential:
     """The truncated d=1 energy as a (2N+1)-dimensional Potential.
 
     Gradient is spectral and exact; the Hessian assembles the multiplication
     operator 3 phi^2 on the dealiased grid, exact for band-limited fields.
     """
-    energy = AllenCahnEnergy(1, L, N, grid_factor=grid_factor)
-    M = fields.dealiased_grid_size(N, grid_factor)
-    nu = fields.squared_wavenumber_grid(1, L, N) - 1.0  # FFT order
-
-    quad_diag = np.zeros(2 * N + 1)
+    energy = AllenCahnEnergy(1, L, N)
+    colloc = fields.BandGrid(1, L, N, fields.dealiased_grid_size(N))
+    nu = fields.squared_wavenumber_grid(1, L, N)[:N + 1] - 1.0
+    quad_diag = np.empty(2 * N + 1)
     quad_diag[0] = nu[0]
-    for k in range(1, N + 1):
-        quad_diag[2 * k - 1] = 2 * nu[k]
-        quad_diag[2 * k] = 2 * nu[k]
+    quad_diag[1::2] = quad_diag[2::2] = 2 * nu[1:]
 
-    # grid values of the real basis directions (a dense (2N+1, M) matrix),
-    # built on first Hessian call only: large cutoffs never need it
-    basis_cache: list = []
-
-    def _basis() -> np.ndarray:
-        if not basis_cache:
-            x_grid = np.arange(M) * (L / M)
-            b = np.zeros((2 * N + 1, M))
-            b[0] = L ** (-0.5)
-            for k in range(1, N + 1):
-                b[2 * k - 1] = 2 * L ** (-0.5) * np.cos(2 * np.pi * k * x_grid / L)
-                b[2 * k] = -2 * L ** (-0.5) * np.sin(2 * np.pi * k * x_grid / L)
-            basis_cache.append(b)
-        return basis_cache[0]
+    def field(x) -> SpectralField:
+        half = _coords_to_half(np.asarray(x, float), N)
+        return SpectralField(1, L, N, fields.full_band(half, 1))
 
     def value(x: np.ndarray) -> float:
-        return energy.energy(_coords_to_field(np.asarray(x, float), L, N))
+        return energy.energy(field(x))
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        g = energy.gradient_coeffs(_coords_to_field(np.asarray(x, float), L, N))
-        return _spectral_to_real_grad(g, N)
+        g = energy.gradient_coeffs(field(x))
+        out = np.empty(2 * N + 1)
+        out[0] = g[0].real
+        out[1::2] = 2 * g[1:N + 1].real
+        out[2::2] = 2 * g[1:N + 1].imag
+        return out
 
     def hessian(x: np.ndarray) -> np.ndarray:
-        u = fields.grid_values(_coords_to_field(np.asarray(x, float), L, N), M)
-        w = 3.0 * u**2 * (L / M)
-        basis = _basis()
+        u = colloc.grid(_coords_to_half(np.asarray(x, float), N))
+        w = 3.0 * u**2 * (L / colloc.M)
+        # grid values of the coordinate directions, (2N+1, M)
+        basis = colloc.grid(_coords_to_half(np.eye(2 * N + 1), N))
         return np.diag(quad_diag) + (basis * w) @ basis.T
 
     return Potential(dim=2 * N + 1, value=value, gradient=gradient,

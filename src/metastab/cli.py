@@ -194,6 +194,12 @@ def _positive(params: dict, *keys):
             raise ValueError(f"parameter {k} must be positive")
 
 
+def _at_least(params: dict, low: int, *keys):
+    for k in keys:
+        if k in params and not params[k] >= low:
+            raise ValueError(f"parameter {k} must be >= {low}")
+
+
 def _check_L(params: dict):
     if "L" in params and not 0 < params["L"] < 2 * np.pi:
         raise ValueError("L must lie in (0, 2*pi)")
@@ -263,6 +269,7 @@ def _run_ou_check(cfg: ExperimentConfig):
     p = cfg.parameters
     _require(p, "epsilon", "t", "dt", "n")
     _positive(p, "epsilon", "t", "dt")
+    _at_least(p, 2, "n")  # a sample variance
     eps, t = p["epsilon"], p["t"]
     run = SdeRun(potential=quadratic_well(), epsilon=eps, dt=p["dt"],
                  x0=[p.get("x0", 1.0)], seed=cfg.seed)
@@ -397,6 +404,8 @@ def _run_rate_functional(cfg: ExperimentConfig):
 def _run_randomwalk(cfg: ExperimentConfig):
     p = cfg.parameters
     _require(p, "n_walks", "n_steps")
+    _at_least(p, 2, "n_walks")  # a sample variance
+    _at_least(p, 1, "n_steps")
     n_walks, n_steps = int(p["n_walks"]), int(p["n_steps"])
     s, t = p.get("s", 0.25), p.get("t", 1.0)
     with_s = ensemble_rescaled(n_walks, n_steps, [s, t], cfg.seed)

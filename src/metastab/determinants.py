@@ -127,12 +127,10 @@ def resolvent_trace(d: int, L: float, N: int) -> float:
     return float(np.sum(1.0 / torus_spectrum(d, L, N).eigenvalues))
 
 
-def counterterm_trace(L: float, N: int, d: int = 2) -> float:
+def counterterm_trace(L: float, N: int) -> float:
     """Wick counterterm C_N = Tr(P_N (-Lap - 1)^{-1}) / L^2 on the 2D torus.
 
     Diverges like log(N)/(2 pi); independent of the noise intensity, which
     multiplies it externally.
     """
-    if d != 2:
-        raise DomainError("the counterterm trace is defined on the d=2 torus")
     return resolvent_trace(2, L, N) / L**2

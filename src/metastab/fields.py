@@ -5,8 +5,9 @@ Coefficients are taken with respect to the orthonormal basis
 ``max_i |k_i| <= N`` (square cutoff, shared by every module that touches
 truncated fields).  Arrays are stored in FFT ordering ``[0, 1, .., N, -N, .., -1]``
 along each axis.  :class:`BandGrid`, the one band<->grid map (real FFTs of
-the k_last >= 0 half band), serves grid_values, field_from_grid and the
-field stepper, which carries that half band; full_band() mirrors it back.
+the k_last >= 0 half band), serves grid_values, field_from_grid, the d=1
+Galerkin Hessian and the field stepper, which carries that half band;
+full_band() mirrors it back.
 require_conjugate_symmetric checks c[-k] = conj(c[k]) on bands themselves.
 """
 
@@ -27,15 +28,13 @@ def mode_wavenumbers(N: int) -> np.ndarray:
     return np.fft.fftfreq(n, d=1.0 / n).round().astype(int)
 
 
-def dealiased_grid_size(N: int, factor: int = 2) -> int:
+def dealiased_grid_size(N: int) -> int:
     """Collocation points per axis making cubic products of P_N fields exact.
 
-    ``factor * (2N+1)`` with factor >= 2 exceeds 4N, so no mode of a cubed
-    field aliases back onto the retained band.
+    ``2 (2N+1)`` exceeds 4N, so no mode of a cubed field aliases back onto
+    the retained band.
     """
-    if factor < 2:
-        raise ValueError("dealiasing factor must be >= 2 for cubic terms")
-    return factor * (2 * N + 1)
+    return 2 * (2 * N + 1)
 
 
 @dataclass(frozen=True)
@@ -61,10 +60,6 @@ class SpectralField:
             raise ShapeMismatch(
                 f"coefficient array has shape {self.coeffs.shape}, expected {expected}"
             )
-
-    @property
-    def mode_shape(self) -> tuple:
-        return (2 * self.N + 1,) * self.d
 
     def compatible_with(self, other: "SpectralField") -> bool:
         return self.d == other.d and self.L == other.L and self.N == other.N

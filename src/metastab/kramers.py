@@ -14,11 +14,12 @@ from typing import Optional
 
 import numpy as np
 
+from .allen_cahn import AllenCahnEnergy
 from .determinants import (
     carleman_det_2d,
-    counterterm_trace,
     fredholm_closed_form,
     fredholm_det_1d,
+    torus_spectrum,
 )
 from .errors import DegenerateHessian, ShapeMismatch, WrongKind
 from .potentials import CriticalPoint, Potential
@@ -140,11 +141,9 @@ def compensation_residual(L: float, N: int, eps: float) -> float:
     The counterterm and the exponential regularization cancel exactly, so the
     two log mean times agree up to floating-point regrouping.
     """
-    from .determinants import torus_spectrum  # local import: small helper
-
     spec = torus_spectrum(2, L, N)
     log_plain = float(np.sum(np.log(np.abs(1.0 + 3.0 / spec.eigenvalues))))
-    gap = L**2 / 4.0 + 1.5 * L**2 * eps * counterterm_trace(L, N)
+    gap = AllenCahnEnergy(2, L, N, wick_epsilon=eps).renormalized_energy_gap()
     log_route_a = np.log(2 * np.pi) - 0.5 * log_plain + gap / eps
 
     det2 = carleman_det_2d(L, N)

@@ -26,11 +26,12 @@ class WalkPath:
 
 
 def walk(n: int, seed: int) -> WalkPath:
-    """n iid +-1 steps, each sign with probability 1/2, seeded."""
+    """n iid +-1 steps, each sign with probability 1/2, seeded; the same
+    steps as walk 0 of ensemble_rescaled at this seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = replica_rng(seed, 0)
-    steps = 2 * rng.integers(0, 2, size=n).astype(np.int64) - 1
+    steps = (2 * rng.integers(0, 2, size=n, dtype=np.int8) - 1).astype(np.int64)
     positions = np.concatenate(([0], np.cumsum(steps)))
     return WalkPath(steps=steps, positions=positions, seed=seed)
 

@@ -9,15 +9,15 @@ Mode update per step (FFT ordering, mu_k = 1 - (2 pi |k| / L)^2):
 The stiff linear part is implicit, so high modes are unconditionally stable.
 The state is the k_last >= 0 half of the band, which is what the real-FFT
 pair fields.BandGrid reads and returns: u is its grid on the dealiased M-grid
-(M = grid_factor (2N+1)) and P its projection, so the cubic's projection is
-exact.  h holds (2N+1)^d iid real standard normals on the sublattice of every
-grid_factor-th point, where their M-point DFT equals their (2N+1)-point DFT on
-the band, and b = sqrt(2 eps dt) (2N+1)^{-d/2} M^d L^{-d/2}.  So one
-forward real FFT gives dt times the drift plus sqrt(2 eps dt) eta_k, eta the
-DFT of the normals over (2N+1)^{d/2}: exactly conjugate-symmetric with unit
-variance per mode, so each real Fourier degree of freedom receives an
-independent Brownian motion.  Each step runs one inverse and one forward real
-FFT; full_band() mirrors the state only where a full band is handed out.
+(M = 2(2N+1)) and P its projection, so the cubic's projection is exact.
+h holds (2N+1)^d iid real standard normals on the sublattice of every second
+point, where their M-point DFT equals their (2N+1)-point DFT on the band, and
+b = sqrt(2 eps dt) (2N+1)^{-d/2} M^d L^{-d/2}.  So one forward real FFT gives
+dt times the drift plus sqrt(2 eps dt) eta_k, eta the DFT of the normals over
+(2N+1)^{d/2}: exactly conjugate-symmetric with unit variance per mode, so
+each real Fourier degree of freedom receives an independent Brownian motion.
+Each step runs one inverse and one forward real FFT; full_band() mirrors the
+state only where a full band is handed out.
 
 Every time loop runs on sde._first_passage, which draws each step's normals
 and carries each state's grid as the aux step() takes and returns: trajectories,
@@ -52,7 +52,6 @@ class SpdeRun:
     t_max: float
     seed: int
     renormalize: Optional[bool] = None  # default: on for d=2, off for d=1
-    grid_factor: int = 2
     drop_cubic: bool = False  # diagnostic: exact per-mode OU dynamics
 
     def __post_init__(self):
@@ -82,7 +81,7 @@ class _Stepper:
         f0 = run.field0
         self.run = run
         self.d, self.L, self.N = f0.d, f0.L, f0.N
-        self.M = fields.dealiased_grid_size(self.N, run.grid_factor)
+        self.M = fields.dealiased_grid_size(self.N)
         self.n_modes = 2 * self.N + 1
         self.noise_shape = (self.n_modes,) * self.d  # normals per step
         ksq = fields.squared_wavenumber_grid(self.d, self.L, self.N)[..., :self.N + 1]
@@ -93,10 +92,10 @@ class _Stepper:
             self.counter = 3.0 * run.epsilon * counterterm_trace(self.L, self.N)
         self.noise_amp = np.sqrt(2.0 * run.epsilon * run.dt)
         self.colloc = fields.BandGrid(self.d, self.L, self.N, self.M)
-        # The normals sit on every grid_factor-th grid point, where their
-        # M-point DFT is their (2N+1)-point DFT on the band; noise_scale makes
-        # project() of them that DFT over (2N+1)^{d/2}: unit variance per mode.
-        self.sublattice = (Ellipsis,) + (slice(None, None, run.grid_factor),) * self.d
+        # The normals sit on every second grid point, where their M-point DFT
+        # is their (2N+1)-point DFT on the band; noise_scale makes project()
+        # of them that DFT over (2N+1)^{d/2}: unit variance per mode.
+        self.sublattice = (Ellipsis,) + (slice(None, None, 2),) * self.d
         self.noise_scale = self.n_modes ** (-self.d / 2.0) / self.colloc.proj_scale
 
     def mode_noise(self, eta: np.ndarray) -> np.ndarray:

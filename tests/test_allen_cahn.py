@@ -177,6 +177,30 @@ class TestGalerkin1D:
             eigs = np.linalg.eigvalsh(pot.hessian(cp.location))
             assert np.allclose(np.sort(eigs), cp.hessian_eigenvalues, rtol=1e-10)
 
+    @pytest.mark.parametrize("N", (1, 8))
+    def test_hessian_matches_dense_cos_sin_basis(self, N, rng):
+        # reference: grid values of the coordinate directions built from
+        # cos/sin rows, a_0 -> L^{-1/2}, u_k -> 2 L^{-1/2} cos and
+        # v_k -> -2 L^{-1/2} sin; at non-constant x a sign error in the sin
+        # rows no longer cancels
+        L = 2.0
+        M = dealiased_grid_size(N)
+        x_grid = np.arange(M) * (L / M)
+        basis = np.zeros((2 * N + 1, M))
+        basis[0] = L ** (-0.5)
+        for k in range(1, N + 1):
+            basis[2 * k - 1] = 2 * L ** (-0.5) * np.cos(2 * np.pi * k * x_grid / L)
+            basis[2 * k] = -2 * L ** (-0.5) * np.sin(2 * np.pi * k * x_grid / L)
+        nu = (2 * np.pi * np.arange(N + 1) / L) ** 2 - 1.0
+        quad = np.diag(np.concatenate(([nu[0]], np.repeat(2 * nu[1:], 2))))
+        pot = galerkin_potential_1d(L, N)
+        for _ in range(3):
+            x = rng.standard_normal(2 * N + 1) * 0.5
+            u = x @ basis
+            want = quad + (basis * (3.0 * u**2 * (L / M))) @ basis.T
+            got = pot.hessian(x)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_assembled_hessian_matches_finite_differences(self, rng):
         L, N = 2.0, 2
         pot = galerkin_potential_1d(L, N)

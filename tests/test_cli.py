@@ -105,6 +105,25 @@ class TestCliRuns:
                      "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("experiment,args", (
+        ("ou-check", ["--n", "0"]),
+        ("ou-check", ["--n", "1"]),
+        ("randomwalk", ["--n_walks", "0", "--n_steps", "10"]),
+        ("randomwalk", ["--n_walks", "1", "--n_steps", "10"]),
+        ("randomwalk", ["--n_walks", "10", "--n_steps", "0"]),
+    ))
+    def test_too_few_replicas_or_steps_exit_2_without_output(
+            self, experiment, args, tmp_path, capsys):
+        ou = ["--epsilon", "0.1", "--t", "0.1", "--dt", "0.01"]
+        out = tmp_path / "out"
+        code = main([experiment, *(ou if experiment == "ou-check" else []),
+                     *args, "--out", str(out)])
+        assert code == 2
+        assert not (out / "results.csv").exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "must be >=" in json.loads(err[0])["message"]
+
     def test_validation_rejects_bad_L(self, tmp_path):
         code = main(["determinant", "--d", "1", "--L", "7.0", "--N", "16",
                      "--out", str(tmp_path)])

@@ -172,7 +172,3 @@ class TestCounterterm:
         c1 = counterterm_trace(1.0, 32)
         c2 = counterterm_trace(2.0, 32)
         assert c1 != pytest.approx(c2)
-
-    def test_rejects_other_dimensions(self):
-        with pytest.raises(DomainError):
-            counterterm_trace(2.0, 8, d=1)

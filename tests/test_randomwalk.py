@@ -21,6 +21,12 @@ class TestWalk:
         assert np.array_equal(walk(64, seed=9).steps, walk(64, seed=9).steps)
         assert not np.array_equal(walk(64, seed=9).steps, walk(64, seed=10).steps)
 
+    @pytest.mark.parametrize("n", (20, 100))
+    def test_is_walk_zero_of_the_ensemble(self, n):
+        # scale 1 at integer times reads S_k itself, with no time rounding
+        assert np.array_equal(walk(n, seed=7).positions,
+                              ensemble_rescaled(1, 1, np.arange(n + 1), seed=7)[0])
+
     def test_mean_near_zero(self):
         # empirical mean of S_n over 1e5 walks within 3 sigma of 0
         n, n_walks = 400, 100_000

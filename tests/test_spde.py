@@ -210,15 +210,13 @@ class TestRealTransforms:
             assert np.array_equal(_mirror(got, d), got.conj())
 
     @pytest.mark.parametrize("batched", (False, True))
-    @pytest.mark.parametrize("factor", (2, 3))
     @pytest.mark.parametrize("d", (1, 2))
-    def test_step_adds_the_scaled_dft_of_its_normals(self, d, factor, batched):
-        # the normals ride on every factor-th point of the cubic's forward
-        # FFT; factor 3 makes M odd
+    def test_step_adds_the_scaled_dft_of_its_normals(self, d, batched):
+        # the normals ride on every second point of the cubic's forward FFT
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             run = make_run(d=d, L=1.5, N=5, eps=0.3, dt=2e-3, start=0.0,
-                           drop_cubic=True, renormalize=False, grid_factor=factor)
+                           drop_cubic=True, renormalize=False)
         st = _Stepper(run)
         normals = _draw_noise([replica_rng(6, i) for i in range(3)], 1,
                               st.noise_shape)[0]
