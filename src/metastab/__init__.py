@@ -64,7 +64,6 @@ from .sde import (
     HittingTimeBatch,
     SdeRun,
     detailed_balance_residual,
-    em_step,
     ou_density,
     ou_fokker_planck_residual,
     sample_endpoints,
@@ -75,7 +74,6 @@ from .spde import (
     SpdeRun,
     noise_coefficient_check,
     sample_spde_hitting_times,
-    spde_step,
 )
 
 __version__ = "0.1.0"

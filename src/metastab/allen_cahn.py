@@ -8,7 +8,6 @@ and the projected cubic gradient exact for fields in the retained band.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,16 +20,11 @@ from .potentials import CriticalPoint, Potential
 
 @dataclass(frozen=True)
 class AllenCahnEnergy:
-    """Energy density integral of (|grad phi|^2/2 - phi^2/2 + phi^4/4).
-
-    wick_epsilon, when set, is the noise intensity entering the d=2
-    renormalized energy gap.
-    """
+    """Energy density integral of (|grad phi|^2/2 - phi^2/2 + phi^4/4)."""
 
     dimension_d: int
     L: float
     cutoff_N: int
-    wick_epsilon: Optional[float] = None
 
     def __post_init__(self):
         if self.dimension_d not in (1, 2):
@@ -74,19 +68,17 @@ class AllenCahnEnergy:
         g = self.gradient_coeffs(phi)
         return float(np.real(np.sum(np.conj(g) * psi.coeffs)))
 
-    def renormalized_energy_gap(self) -> float:
-        """Renormalized barrier between the zero field and the -1 well in d=2.
+    def renormalized_energy_gap(self, eps: float) -> float:
+        """Renormalized barrier between the zero field and the -1 well in d=2
+        at noise intensity eps.
 
         Equals L^2/4 + (3/2) L^2 eps C_N, with C_N the Wick counterterm trace
         at this energy's cutoff.
         """
         if self.dimension_d != 2:
             raise DomainError("the renormalized energy gap is defined for d=2")
-        eps = 0.0 if self.wick_epsilon is None else self.wick_epsilon
-        gap = self.L**2 / 4.0
-        if eps != 0.0:
-            gap += 1.5 * self.L**2 * eps * counterterm_trace(self.L, self.cutoff_N)
-        return gap
+        return self.L**2 / 4.0 + \
+            1.5 * self.L**2 * eps * counterterm_trace(self.L, self.cutoff_N)
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,9 @@ _FLAG_TYPES = {
     "n_walks": int, "n_steps": int, "potential": str, "system": str,
     "norm": str, "path_csv": str, "field_jsonl": str, "snapshots": int,
 }
+# the keys a config file may hold, at its top level and under "parameters"
+_CONFIG_KEYS = {"experiment", "parameters", "seed", "threads"}
+_PARAMETER_KEYS = set(_FLAG_TYPES) | {"epsilon_list", "renormalize", "A", "B"}
 
 
 def parse_config(argv) -> ExperimentConfig:
@@ -508,6 +511,13 @@ def parse_config(argv) -> ExperimentConfig:
     if ns.config:
         with open(ns.config) as f:
             file_cfg = json.load(f)
+        if not (isinstance(file_cfg, dict)
+                and isinstance(file_cfg.get("parameters", {}), dict)):
+            raise ValueError("a config file is a JSON object, its parameters an object")
+        unknown = sorted(set(file_cfg) - _CONFIG_KEYS) + sorted(
+            set(file_cfg.get("parameters", {})) - _PARAMETER_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         params.update(file_cfg.get("parameters", {}))
         seed = file_cfg.get("seed", seed)
         threads = file_cfg.get("threads", threads)

@@ -143,7 +143,7 @@ def compensation_residual(L: float, N: int, eps: float) -> float:
     """
     spec = torus_spectrum(2, L, N)
     log_plain = float(np.sum(np.log(np.abs(1.0 + 3.0 / spec.eigenvalues))))
-    gap = AllenCahnEnergy(2, L, N, wick_epsilon=eps).renormalized_energy_gap()
+    gap = AllenCahnEnergy(2, L, N).renormalized_energy_gap(eps)
     log_route_a = np.log(2 * np.pi) - 0.5 * log_plain + gap / eps
 
     det2 = carleman_det_2d(L, N)

@@ -15,6 +15,16 @@ import numpy as np
 from .errors import OutOfRange
 from .sde import replica_rng
 
+_CHUNK = 500  # walks whose steps are held at once
+
+
+def _step_index(n: int, t: np.ndarray) -> np.ndarray:
+    """floor(n t), with n t rounded to the nearest integer within 4 ulps of it."""
+    nt = n * t
+    k = np.rint(nt)
+    return np.where(np.abs(nt - k) <= 4 * np.spacing(np.abs(k)), k,
+                    np.floor(nt)).astype(int)
+
 
 @dataclass(frozen=True)
 class WalkPath:
@@ -37,12 +47,14 @@ def walk(n: int, seed: int) -> WalkPath:
 
 
 def diffusive_rescale(path: WalkPath, n: int, t_grid: np.ndarray) -> np.ndarray:
-    """W_t = S_{floor(n t)} / sqrt(n) at the requested times.
+    """W_t = S_{floor(n t)} / sqrt(n) at the requested times; n t within a
+    few ulps of an integer k counts as k, so t = k / n reads S_k however
+    k / n rounds.
 
     Times must satisfy 0 <= t <= len(steps)/n.
     """
     t = np.asarray(t_grid, dtype=float)
-    idx = np.floor(n * t).astype(int)
+    idx = _step_index(n, t)
     if np.any(t < 0) or np.any(idx > path.steps.size):
         raise OutOfRange(
             f"requested times outside [0, {path.steps.size / n}]"
@@ -50,21 +62,21 @@ def diffusive_rescale(path: WalkPath, n: int, t_grid: np.ndarray) -> np.ndarray:
     return path.positions[idx] / np.sqrt(n)
 
 
-def ensemble_rescaled(n_walks: int, n: int, t_grid: np.ndarray, seed: int,
-                      chunk: int = 500) -> np.ndarray:
+def ensemble_rescaled(n_walks: int, n: int, t_grid: np.ndarray,
+                      seed: int) -> np.ndarray:
     """Rescaled positions for an ensemble, shape (n_walks, len(t_grid)).
 
     Each walk draws from its own (seed, walk_index) stream, so the ensemble
     is reproducible under any execution order.
     """
     t = np.asarray(t_grid, dtype=float)
-    idx = np.floor(n * t).astype(int)
+    idx = _step_index(n, t)
     n_steps = int(np.max(idx))
     if np.any(t < 0):
         raise OutOfRange("negative times requested")
     out = np.empty((n_walks, t.size))
-    for start in range(0, n_walks, chunk):
-        count = min(chunk, n_walks - start)
+    for start in range(0, n_walks, _CHUNK):
+        count = min(_CHUNK, n_walks - start)
         block = np.empty((count, n_steps), dtype=np.int8)
         for i in range(count):
             rng = replica_rng(seed, start + i)

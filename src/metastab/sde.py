@@ -5,7 +5,9 @@ Every Monte Carlo replica owns a counter-based RNG stream derived from
 schedule; aggregation is ordered by replica index.  _first_passage is the one
 loop, here and in spde, that advances states over time and draws their noise
 in blocks set by one rule (_block_steps); callers pass a step, and record and
-stop replicas through its observe(k, states, aux) callback.
+stop replicas through its observe(k, states, aux) callback, which also sees
+the initial states (k = 0), so a replica that starts in the target hits at
+time 0.
 """
 
 from __future__ import annotations
@@ -88,16 +90,6 @@ def replica_rng(seed_base: int, replica_index: int) -> np.random.Generator:
     )
 
 
-def em_step(run: SdeRun, x: np.ndarray, gaussian: np.ndarray) -> np.ndarray:
-    """One Euler-Maruyama update x - grad V(x) dt + sqrt(2 eps dt) * gaussian."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = np.atleast_1d(run.potential.gradient(x))
-    out = x - g * run.dt + np.sqrt(2 * run.epsilon * run.dt) * np.asarray(gaussian)
-    if not np.all(np.isfinite(out)):
-        raise NonFinite("Euler-Maruyama step overflowed; reduce dt")
-    return out
-
-
 def integrate_path(run: SdeRun, t_final: float, record: bool = False):
     """Single-trajectory integration up to t_final on replica 0's stream.
 
@@ -105,7 +97,6 @@ def integrate_path(run: SdeRun, t_final: float, record: bool = False):
     """
     n_steps = int(round(t_final / run.dt))
     path = np.empty((n_steps + 1, run.x0.size))
-    path[0] = run.x0
 
     def observe(k, x, _aux):
         path[k] = x[0]
@@ -201,10 +192,11 @@ def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
     replica_rng(seed, offset + i), _block_steps at a time; shape None draws
     nothing.  step(states, noise, aux) returns (new states, new aux) and is
     passed the live rows' noise (or None) and the aux of the step before,
-    starting from a copy of aux0 per replica.  After step k = 1 .. max_steps
-    (counted across blocks), observe(k, states, aux) sees the live replicas
-    and returns the mask of those that hit, which stop, or None.
-    check(states) runs per block.
+    starting from a copy of aux0 per replica.  observe(k, states, aux) sees
+    the live replicas at k = 0 .. max_steps, the initial states and then the
+    states after each step (counted across blocks), and returns the mask of
+    those that hit, which stop, or None; a replica that hits at k = 0 gets
+    time 0.0 and draws no noise.  check(states) runs per block.
     Steps advance the live array with no mask; states, aux, replica ids and
     the live-row-to-noise-row map are compacted only on steps with a hit.
     Returns (hitting times, nan if censored; final states of the survivors).
@@ -215,6 +207,13 @@ def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
     x = np.repeat(x0[None], n, axis=0)
     aux = None if aux0 is None else np.repeat(aux0[None], n, axis=0)
     ids = np.arange(n)
+    newly = None if observe is None else observe(0, x, aux)
+    if newly is not None and newly.any():
+        times[newly] = 0.0
+        keep = ~newly
+        x, ids = x[keep], ids[keep]
+        if aux is not None:
+            aux = aux[keep]
     done = 0
     while ids.size and done < max_steps:
         steps = _block_steps(width, ids.size, max_steps - done)
@@ -304,8 +303,6 @@ def hitting_times_raw(run: SdeRun, target_center: np.ndarray, delta: float,
     if n < 1:
         raise ValueError("n must be >= 1")
     center = np.atleast_1d(np.asarray(target_center, dtype=float))
-    if np.linalg.norm(run.x0 - center) < delta:
-        return np.zeros(n)
 
     def observe(_k, x, _aux):
         diff = x - center

@@ -133,20 +133,6 @@ class _Stepper:
         return new, self.colloc.grid(new)
 
 
-def spde_step(run: SpdeRun, phi: SpectralField, gaussians: np.ndarray) -> SpectralField:
-    """Advance one field by one step with the supplied mode noise.
-
-    gaussians must be a conjugate-symmetric complex array with unit variance
-    per mode (see draw_mode_noise); pass zeros for the deterministic flow.
-    """
-    run.field0.require_compatible(phi)
-    st = _Stepper(run)
-    c = phi.coeffs[..., :phi.N + 1]
-    half, _ = st.step(c, None, st.colloc.grid(c))
-    half += st.noise_amp * gaussians[..., :phi.N + 1] / st.denom
-    return SpectralField(phi.d, phi.L, phi.N, fields.full_band(half, phi.d))
-
-
 def draw_mode_noise(run: SpdeRun, rng: np.random.Generator) -> np.ndarray:
     """A single conjugate-symmetric noise array with the law the stepper uses."""
     st = _Stepper(run)
@@ -159,7 +145,6 @@ def _one_replica(st: _Stepper, n_steps: int, replica_index: int, observe,
     """Step one replica of st.run n_steps on the engine, noiseless unless
     noisy; observe(k, half band) sees its state after k = 0 .. n_steps steps."""
     c0 = st.run.field0.coeffs[..., :st.N + 1]
-    observe(0, c0)
     _first_passage(c0, st.run.seed, replica_index, 1, st.run.dt, n_steps,
                    st.noise_shape if noisy else None, st.step,
                    lambda k, c, _aux: observe(k, c[0]), aux0=st.colloc.grid(c0))
@@ -342,15 +327,10 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
         flat = (weights * np.abs(diff) ** 2).reshape(coeffs.shape[0], -1)
         return np.sqrt(np.sum(flat, axis=1))
 
-    g0 = st.colloc.grid(c0)
-    d0 = distances(c0[None], g0[None])[0]
-    if d0 < delta:
-        return np.zeros(n)
-
     return _first_passage(c0, run.seed, replica_offset, n, run.dt,
                           int(round(run.t_max / run.dt)), st.noise_shape, st.step,
                           lambda _k, coeffs, grids: distances(coeffs, grids) < delta,
-                          aux0=g0)[0]
+                          aux0=st.colloc.grid(c0))[0]
 
 
 def sample_spde_hitting_times(run: SpdeRun, target: float, delta: float,

@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
 
-from metastab import quartic_double_well
+from metastab import quartic_double_well, sde
 from metastab.fields import mode_wavenumbers
 
 
 @pytest.fixture
 def quartic():
     return quartic_double_well()
+
+
+@pytest.fixture
+def no_noise(monkeypatch):
+    """Makes any draw of the engine's noise fail the test."""
+    def draw(*args, **kwargs):
+        raise AssertionError("the engine drew noise")
+
+    monkeypatch.setattr(sde, "_draw_noise", draw)
 
 
 @pytest.fixture

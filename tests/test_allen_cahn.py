@@ -137,18 +137,18 @@ class TestGateaux:
 
 class TestRenormalizedGap:
     def test_counterterm_off(self):
-        e = AllenCahnEnergy(2, 2.0, 7, wick_epsilon=0.0)
-        assert e.renormalized_energy_gap() == pytest.approx(1.0)
+        e = AllenCahnEnergy(2, 2.0, 7)
+        assert e.renormalized_energy_gap(0.0) == pytest.approx(1.0)
 
     def test_single_mode_gap(self):
         # C_0 = -1/L^2, so the gap drops by (3/2) eps
-        e = AllenCahnEnergy(2, 2.0, 0, wick_epsilon=1.0)
-        assert e.renormalized_energy_gap() == pytest.approx(1.0 - 1.5)
+        e = AllenCahnEnergy(2, 2.0, 0)
+        assert e.renormalized_energy_gap(1.0) == pytest.approx(1.0 - 1.5)
 
     def test_log_divergence_slope(self):
         # gap(N) grows like (3/2) L^2 eps * log(N) / (2 pi) at large N
         L, eps = 2.0, 0.7
-        gaps = {N: AllenCahnEnergy(2, L, N, wick_epsilon=eps).renormalized_energy_gap()
+        gaps = {N: AllenCahnEnergy(2, L, N).renormalized_energy_gap(eps)
                 for N in (128, 256, 512, 1024)}
         increments = [gaps[2 * N] - gaps[N] for N in (128, 256, 512)]
         expected = 1.5 * L**2 * eps * np.log(2) / (2 * np.pi)
@@ -156,7 +156,7 @@ class TestRenormalizedGap:
 
     def test_requires_d2(self):
         with pytest.raises(DomainError):
-            AllenCahnEnergy(1, 2.0, 4, wick_epsilon=0.1).renormalized_energy_gap()
+            AllenCahnEnergy(1, 2.0, 4).renormalized_energy_gap(0.1)
 
 
 class TestGalerkin1D:

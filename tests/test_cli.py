@@ -86,6 +86,32 @@ class TestCliRuns:
         assert len(err) == 1
         assert "message" in json.loads(err[0])
 
+    @pytest.mark.parametrize("experiment,cfg,key", (
+        ("sde-hitting", {"parameters": {
+            "epsilon": 0.3, "dt": 0.002, "x0": -1, "target": 1, "delta": 0.2,
+            "n": 4, "tmax": 1.0}}, "tmax"),
+        ("arrhenius-sweep", {"parameters": {"epsilon-list": [0.3, 0.4, 0.5],
+                                            "n": 4}}, "epsilon-list"),
+        ("determinant", {"parameters": {"d": 1, "L": 2.0, "N": 8},
+                         "sede": 3}, "sede"),
+        ("determinant", [{"parameters": {"d": 1, "L": 2.0, "N": 8}}], "object"),
+        ("determinant", {"parameters": [["d", 1], ["L", 2.0], ["N", 8]]},
+         "object"),
+    ))
+    def test_unknown_config_key_exits_2_without_output(
+            self, experiment, cfg, key, tmp_path, capsys):
+        # a misspelt key would otherwise run on the default it meant to
+        # change, and a config that is not an object would crash
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = main([experiment, "--config", str(cfg_file), "--out", str(out)])
+        assert code == 2
+        assert not (out / "results.csv").exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert key in json.loads(err[0])["message"]
+
     def test_all_censored_exit_code(self, tmp_path):
         code = main(["sde-hitting", "--epsilon", "0.0001", "--dt", "0.001",
                      "--x0", "-1", "--target", "1", "--delta", "0.05",

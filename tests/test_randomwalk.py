@@ -60,6 +60,15 @@ class TestDiffusiveRescale:
         w = diffusive_rescale(p, 100, np.array([1.0]))
         assert w[0] == pytest.approx(p.positions[100] / 10.0)
 
+    @pytest.mark.parametrize("n", (49, 100))
+    def test_grid_times_read_their_own_step(self, n):
+        # n * (k / n) falls just below k for some k (n = 100: k = 29, 57, 58)
+        path = walk(n, seed=3)
+        t = np.arange(n + 1) / n
+        want = path.positions / np.sqrt(n)
+        assert np.array_equal(diffusive_rescale(path, n, t), want)
+        assert np.array_equal(ensemble_rescaled(1, n, t, seed=3)[0], want)
+
     def test_out_of_range(self):
         p = walk(100, seed=9)
         with pytest.raises(OutOfRange):

@@ -4,7 +4,6 @@ import pytest
 from metastab import (
     SdeRun,
     detailed_balance_residual,
-    em_step,
     ou_density,
     ou_fokker_planck_residual,
     quadratic_well,
@@ -25,21 +24,24 @@ from metastab.sde import (
 
 
 class TestEmStep:
+    """Euler-Maruyama steps, run on the engine through integrate_path."""
+
     def test_deterministic_quadratic(self):
+        # one step of x - x dt
         run = SdeRun(quadratic_well(), epsilon=0.0, dt=0.01, x0=[1.0], seed=0)
-        assert em_step(run, [1.0], [0.0])[0] == pytest.approx(0.99)
+        assert integrate_path(run, 0.01)[0] == pytest.approx(0.99)
 
     def test_noise_scaling(self):
+        # one step from the minimum moves by sqrt(2 eps dt) times replica 0's
+        # first normal
         run = SdeRun(quadratic_well(), epsilon=0.5, dt=0.04, x0=[0.0], seed=0)
-        out = em_step(run, [0.0], [1.0])
-        assert out[0] == pytest.approx(np.sqrt(2 * 0.5 * 0.04))
+        g = replica_rng(0, 0).standard_normal()
+        assert integrate_path(run, 0.04)[0] == np.sqrt(2 * 0.5 * 0.04) * g
 
     def test_nonfinite_raises(self, quartic):
         run = SdeRun(quartic, epsilon=0.0, dt=1e200, x0=[2.0], seed=0)
-        with np.errstate(over="ignore"), pytest.raises(NonFinite):
-            x = np.array([2.0])
-            for _ in range(10):
-                x = em_step(run, x, np.zeros(1))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
+            integrate_path(run, 10 * run.dt)
 
     def test_gradient_flow_reaches_well(self, quartic):
         run = SdeRun(quartic, epsilon=0.0, dt=1e-3, x0=[0.5], seed=0)
@@ -151,10 +153,11 @@ class TestEndpointMoments:
 
 
 class TestHittingTimes:
-    def test_start_inside_ball_gives_zero(self, quartic):
+    def test_start_inside_ball_gives_zero(self, quartic, no_noise):
+        # the engine sees the start state and stops before drawing noise
         run = SdeRun(quartic, epsilon=0.2, dt=1e-3, x0=[1.05], seed=1)
         batch = sample_hitting_times(run, [1.0], 0.2, 16)
-        assert np.all(batch.samples == 0.0)
+        assert np.array_equal(batch.raw, np.zeros(16))
         assert batch.n_censored == 0
 
     def test_deterministic_descent_hits_predictably(self, quartic):
@@ -258,26 +261,30 @@ class TestFirstPassageEngine:
         assert np.array_equal(raw, ref, equal_nan=True)
 
     def test_observe_sees_every_step_and_only_live_rows(self, monkeypatch):
-        # blocks of 4 steps; replica 1 hits at step 3, replica 2 at step 6,
-        # the first step of the second block
+        # blocks of 4 steps; replica 0 starts in the target (k = 0), replica 1
+        # hits at step 3, replica 2 at step 6, the first step of the second
+        # block.  aux holds the replica ids once the first step has set them.
         monkeypatch.setattr(sde, "_MAX_STEPS", 4)
         seen = []
+        ids = np.arange(4)
 
         def step(x, noise, aux):
-            return x + 1.0 + noise, np.arange(4) if aux is None else aux
+            return x + 1.0 + noise, ids[1:] if aux is None else aux
 
         def observe(k, x, aux):
-            seen.append((k, aux.tolist()))
+            seen.append((k, (ids if aux is None else aux).tolist()))
             assert np.all(x[:, 0] == k)
+            if k == 0:
+                return ids == 0
             return None if k not in (3, 6) else aux == k // 3
 
         times, final = _first_passage(np.zeros(1), 0, 0, 4, 0.5, 9, (1,), step,
                                       observe, scale=0.0)
-        assert [k for k, _ in seen] == list(range(1, 10))
+        assert [k for k, _ in seen] == list(range(10))
         assert [live for _, live in seen] == \
-            [[0, 1, 2, 3]] * 3 + [[0, 2, 3]] * 3 + [[0, 3]] * 3
-        assert np.array_equal(times, [np.nan, 1.5, 3.0, np.nan], equal_nan=True)
-        assert np.array_equal(final, [[9.0], [9.0]])
+            [[0, 1, 2, 3]] + [[1, 2, 3]] * 3 + [[2, 3]] * 3 + [[3]] * 3
+        assert np.array_equal(times, [0.0, 1.5, 3.0, np.nan], equal_nan=True)
+        assert np.array_equal(final, [[9.0]])
 
 
 class TestBlockRule:

@@ -17,7 +17,6 @@ from metastab import (
     sample_spde_hitting_times,
     solve_poisson,
     spde,
-    spde_step,
 )
 from metastab.errors import AllCensored, DomainError
 from metastab.fields import (
@@ -50,12 +49,10 @@ def make_run(d=1, L=2.0, N=8, eps=0.2, dt=1e-3, t_max=10.0, seed=0, start=-1.0,
 class TestStep:
     def test_well_is_fixed_point_without_noise(self):
         run = make_run(eps=0.0)
-        phi = run.field0
-        zero = np.zeros_like(phi.coeffs)
-        for _ in range(5):
-            new = spde_step(run, phi, zero)
-            assert np.max(np.abs(new.coeffs - phi.coeffs)) < 1e-14
-            phi = new
+        _, snaps = integrate_deterministic(run, 5 * run.dt)
+        assert len(snaps) == 6
+        for prev, new in zip(snaps, snaps[1:]):
+            assert np.max(np.abs(new - prev)) < 1e-14
 
     def test_deterministic_flow_converges_to_plus_well(self):
         L, N = 2.0, 8
@@ -345,10 +342,13 @@ class TestNoiseCovariance:
 
 
 class TestHitting:
-    def test_start_at_target_is_zero(self):
-        run = make_run(start=1.0, eps=0.2)
-        batch = sample_spde_hitting_times(run, target=1.0, delta=0.3, n=8)
-        assert np.all(batch.samples == 0.0)
+    def test_start_at_target_is_zero(self, no_noise):
+        # the engine sees the start state and stops before drawing noise
+        for d, norm in ((1, "linf"), (2, "hs")):
+            run = make_run(d=d, start=1.0, eps=0.2)
+            batch = sample_spde_hitting_times(run, target=1.0, delta=0.3,
+                                              norm=norm, n=8)
+            assert np.array_equal(batch.raw, np.zeros(8))
 
     def test_needs_a_replica(self):
         with pytest.raises(ValueError):
