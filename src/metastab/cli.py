@@ -7,8 +7,14 @@ only reproducibility-relevant fields (experiment, parameters, seed).
 ``--threads k`` runs the replicas of a hitting-time experiment as k
 contiguous ranges on k threads; outputs are byte-identical across its values.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 all replicas
-censored.  Errors are also emitted as one JSON object on stderr.
+An experiment takes only the parameters it reads (``_EXPERIMENTS``; per
+``--system`` for two of them), as full-name flags, which its ``--help``
+lists, or as config-file parameters; any other flag or key exits 2 before
+anything runs.  ``--config``, ``--out``, ``--seed`` and ``--threads`` are global.
+
+Exit codes: 0 success, 2 configuration/validation error (usage errors
+included), 3 all replicas censored.  Errors are also emitted as one JSON
+object on stderr.
 """
 
 from __future__ import annotations
@@ -50,19 +56,7 @@ from .sde import (
     ou_mean_var,
     sample_endpoints,
 )
-from .spde import SpdeRun, spde_hitting_times_raw
-
-EXPERIMENTS = (
-    "sde-hitting",
-    "spde-hitting",
-    "ou-check",
-    "potential-theory",
-    "determinant",
-    "kramers-predict",
-    "rate-functional",
-    "randomwalk",
-    "arrhenius-sweep",
-)
+from .spde import SpdeRun, record_snapshots, spde_hitting_times_raw
 
 
 @dataclass
@@ -74,6 +68,17 @@ class ExperimentConfig:
     seed: int = 0
     threads: int = 1
     out: str = "."
+
+    def __post_init__(self):
+        keys, what = _EXPERIMENTS[self.experiment][1], self.experiment
+        if isinstance(keys, dict):
+            system = self.parameters.get("system", next(iter(keys)))
+            if system not in keys:
+                raise ValueError(f"unknown system {system!r}")
+            keys, what = keys[system] | {"system"}, f"{what} --system {system}"
+        unread = sorted(set(self.parameters) - keys)
+        if unread:
+            raise ValueError(f"{what} does not read {', '.join(unread)}")
 
     def hash(self) -> str:
         """Hash of the reproducibility-relevant fields only."""
@@ -200,9 +205,8 @@ def _at_least(params: dict, low: int, *keys):
             raise ValueError(f"parameter {k} must be >= {low}")
 
 
-def _check_L(params: dict):
-    if "L" in params and not 0 < params["L"] < 2 * np.pi:
-        raise ValueError("L must lie in (0, 2*pi)")
+# the parameters of an SDE hitting ensemble
+_SDE_KEYS = {"epsilon", "dt", "x0", "target", "delta", "t_max", "potential"}
 
 
 def _sde_ensemble(p: dict, seed: int):
@@ -217,11 +221,17 @@ def _sde_ensemble(p: dict, seed: int):
         run, target, p["delta"], count, replica_offset=offset)
 
 
+# the parameters of a field hitting ensemble
+_SPDE_KEYS = {"d", "L", "N", "epsilon", "dt", "delta", "t_max", "start",
+              "renormalize", "target", "norm", "s"}
+
+
 def _spde_ensemble(p: dict, seed: int):
     """(run, worker(offset, count)) of the field hitting ensemble of p."""
     _require(p, "d", "L", "N", "epsilon", "dt", "delta", "t_max")
-    _positive(p, "L", "epsilon", "dt", "delta", "t_max")
-    _check_L(p)
+    _positive(p, "epsilon", "dt", "delta", "t_max")
+    if not 0 < p["L"] < 2 * np.pi:
+        raise ValueError("L must lie in (0, 2*pi)")
     f0 = constant_field(int(p["d"]), p["L"], int(p["N"]), p.get("start", -1.0))
     run = SpdeRun(field0=f0, epsilon=p["epsilon"], dt=p["dt"], t_max=p["t_max"],
                   seed=seed, renormalize=p.get("renormalize"))
@@ -241,11 +251,10 @@ def _hitting_results(raw: np.ndarray, seed: int):
 
 
 def _run_sde_hitting(cfg: ExperimentConfig):
-    p = cfg.parameters
-    _require(p, "n")
-    _, worker = _sde_ensemble(p, cfg.seed)
-    raw = _parallel_raw(worker, int(p["n"]), cfg.threads)
-    return _hitting_results(raw, cfg.seed)
+    _require(cfg.parameters, "n")
+    _, worker = _sde_ensemble(cfg.parameters, cfg.seed)
+    return _hitting_results(
+        _parallel_raw(worker, int(cfg.parameters["n"]), cfg.threads), cfg.seed)
 
 
 def _run_spde_hitting(cfg: ExperimentConfig):
@@ -255,8 +264,6 @@ def _run_spde_hitting(cfg: ExperimentConfig):
     raw = _parallel_raw(worker, int(p["n"]), cfg.threads)
     results = _hitting_results(raw, cfg.seed)
     if p.get("snapshots"):
-        from .spde import record_snapshots
-
         horizon = min(p["t_max"], float(np.nanmax(raw)) if np.isfinite(raw).any()
                       else p["t_max"])
         times = np.linspace(0.0, horizon, int(p["snapshots"]))
@@ -279,8 +286,7 @@ def _run_ou_check(cfg: ExperimentConfig):
     se_mean = float(xs.std(ddof=1) / np.sqrt(xs.size))
     se_var = var_emp * np.sqrt(2.0 / (xs.size - 1))
 
-    grid = np.linspace(-2, 2, 41)
-    db = detailed_balance_residual(0.7, eps, grid)
+    db = detailed_balance_residual(0.7, eps, np.linspace(-2, 2, 41))
     y = np.linspace(-1.5, 1.5, 31)
     r1 = ou_fokker_planck_residual(p.get("x0", 1.0), eps, max(t, 0.5), y, 1e-2)
     r2 = ou_fokker_planck_residual(p.get("x0", 1.0), eps, max(t, 0.5), y, 5e-3)
@@ -307,26 +313,21 @@ def _run_potential_theory(cfg: ExperimentConfig):
     B = tuple(p.get("B", (0.8, 1.2)))
     w = solve_poisson(grid, pot, eps, B)
     comm = solve_committor(grid, pot, eps, A, B)
-    cap = capacity_dirichlet(grid, pot, eps, comm)
     i_star = int(np.argmin([pot.value(np.array([x])) for x in grid.nodes]))
-    residual = magic_identity_residual(grid, pot, eps, A, B)
-    integ = committor_weighted_integral(grid, pot, eps, comm)
-    header = ["quantity", "value"]
     rows = [
         ("mean_hitting_time_at_minimum", w[i_star]),
-        ("capacity", cap),
-        ("magic_identity_residual", residual),
-        ("committor_weighted_integral", integ),
+        ("capacity", capacity_dirichlet(grid, pot, eps, comm)),
+        ("magic_identity_residual", magic_identity_residual(grid, pot, eps, A, B)),
+        ("committor_weighted_integral",
+         committor_weighted_integral(grid, pot, eps, comm)),
     ]
-    return header, rows, {k: v for k, v in rows}
+    return ["quantity", "value"], rows, dict(rows)
 
 
 def _run_determinant(cfg: ExperimentConfig):
     p = cfg.parameters
     _require(p, "d", "L", "N")
-    _check_L(p)
     d, L, N = int(p["d"]), p["L"], int(p["N"])
-    header = ["quantity", "value"]
     if d == 1:
         res = fredholm_det_1d(L, N)
         closed = fredholm_closed_form(L)
@@ -341,7 +342,7 @@ def _run_determinant(cfg: ExperimentConfig):
                 ("tail_estimate", res.tail_estimate)]
     else:
         raise ValueError("d must be 1 or 2")
-    return header, rows, {k: v for k, v in rows}
+    return ["quantity", "value"], rows, dict(rows)
 
 
 def _run_kramers_predict(cfg: ExperimentConfig):
@@ -352,33 +353,26 @@ def _run_kramers_predict(cfg: ExperimentConfig):
         eps_list = [eps_list]
     if system == "quartic":
         pot = quartic_double_well()
-        mn = find_critical_point(pot, [-0.9])
-        sd = find_critical_point(pot, [0.1])
-        pred = ek_finite(mn, sd, pot)
+        pred = ek_finite(find_critical_point(pot, [-0.9]),
+                         find_critical_point(pot, [0.1]), pot)
     elif system == "ac1d":
         _require(p, "L")
-        _check_L(p)
         pred = ek_allen_cahn_1d(p["L"], p.get("N"))
     elif system == "ac2d":
         _require(p, "L", "N")
-        _check_L(p)
         pred = ek_allen_cahn_2d(p["L"], int(p["N"]))
-    elif system == "ac1d-galerkin":
+    else:  # ac1d-galerkin
         _require(p, "L", "N")
-        _check_L(p)
         gp = galerkin_potential_1d(p["L"], int(p["N"]))
         mn, sd = galerkin_critical_points_1d(p["L"], int(p["N"]))
         pred = ek_finite(mn, sd, gp)
-    else:
-        raise ValueError(f"unknown system {system!r}")
-    header = ["quantity", "value"]
     rows = [("barrier", pred.barrier),
             ("prefactor", pred.prefactor),
             ("lambda_minus", pred.lambda_minus),
             ("determinant_factor", pred.determinant_factor)]
     rows += [(f"predicted_mean_time_eps={eps}", pred.predict(eps))
              for eps in eps_list]
-    return header, rows, {k: v for k, v in rows}
+    return ["quantity", "value"], rows, dict(rows)
 
 
 def _run_rate_functional(cfg: ExperimentConfig):
@@ -395,10 +389,9 @@ def _run_rate_functional(cfg: ExperimentConfig):
         pot = _POTENTIALS[p.get("potential", "quartic")]()
         value = rate_functional_sde(path, pot)
         rev = rate_functional_sde(path.reversed(), pot)
-    header = ["quantity", "value"]
     rows = [("cost", value), ("cost_reversed", rev),
             ("n_nodes", path.times.size)]
-    return header, rows, {k: v for k, v in rows}
+    return ["quantity", "value"], rows, dict(rows)
 
 
 def _run_randomwalk(cfg: ExperimentConfig):
@@ -424,23 +417,21 @@ def _run_randomwalk(cfg: ExperimentConfig):
     return header, rows, {"ks_pvalue": float(ks.pvalue)}
 
 
-# system -> (ensemble builder, defaults under the user's parameters): each eps
-# runs, and is validated as, the matching single-run experiment
+# system -> (ensemble builder, its parameters, defaults under the user's
+# parameters): each eps runs, and is validated as, the matching single-run
+# experiment.  The sweep sets epsilon from its list and reads no d (ac1d: 1).
 _SWEEP_SYSTEMS = {
-    "sde": (_sde_ensemble,
+    "sde": (_sde_ensemble, _SDE_KEYS,
             {"dt": 1e-3, "x0": -1.0, "target": 1.0, "delta": 0.2}),
-    "ac1d": (lambda p, seed: _spde_ensemble({**p, "d": 1}, seed),
-             {"dt": 2e-3, "t_max": 4000.0, "delta": 0.3}),
+    "ac1d": (_spde_ensemble, _SPDE_KEYS,
+             {"d": 1, "dt": 2e-3, "t_max": 4000.0, "delta": 0.3}),
 }
 
 
 def _run_arrhenius_sweep(cfg: ExperimentConfig):
     p = cfg.parameters
     _require(p, "epsilon_list", "n")
-    system = p.get("system", "sde")
-    if system not in _SWEEP_SYSTEMS:
-        raise ValueError(f"unknown system {system!r}")
-    ensemble, defaults = _SWEEP_SYSTEMS[system]
+    ensemble, _, defaults = _SWEEP_SYSTEMS[p.get("system", "sde")]
     eps_list, n = p["epsilon_list"], int(p["n"])
     # the eps index joins the seed in the entropy, so no (seed, index) pair
     # shares another's streams
@@ -460,62 +451,90 @@ def _run_arrhenius_sweep(cfg: ExperimentConfig):
     return header, rows, summary
 
 
-_RUNNERS = {
-    "sde-hitting": _run_sde_hitting,
-    "spde-hitting": _run_spde_hitting,
-    "ou-check": _run_ou_check,
-    "potential-theory": _run_potential_theory,
-    "determinant": _run_determinant,
-    "kramers-predict": _run_kramers_predict,
-    "rate-functional": _run_rate_functional,
-    "randomwalk": _run_randomwalk,
-    "arrhenius-sweep": _run_arrhenius_sweep,
+# experiment -> (runner, the parameters it reads).  Where the set depends on
+# --system it is a map from each system to its set, the default system first.
+_EXPERIMENTS = {
+    "sde-hitting": (_run_sde_hitting, _SDE_KEYS | {"n"}),
+    "spde-hitting": (_run_spde_hitting, _SPDE_KEYS | {"n", "snapshots"}),
+    "ou-check": (_run_ou_check, {"epsilon", "t", "dt", "n", "x0"}),
+    "potential-theory": (_run_potential_theory,
+                         {"epsilon", "potential", "a", "b", "m", "A", "B"}),
+    "determinant": (_run_determinant, {"d", "L", "N"}),
+    "kramers-predict": (_run_kramers_predict, {
+        "quartic": {"epsilon"}, "ac1d": {"L", "N", "epsilon"},
+        "ac2d": {"L", "N", "epsilon"}, "ac1d-galerkin": {"L", "N", "epsilon"}}),
+    "rate-functional": (_run_rate_functional,
+                        {"path_csv", "field_jsonl", "L", "potential"}),
+    "randomwalk": (_run_randomwalk, {"n_walks", "n_steps", "s", "t"}),
+    "arrhenius-sweep": (_run_arrhenius_sweep, {
+        system: keys - {"epsilon", "d"} | {"epsilon_list", "n"}
+        for system, (_, keys, _) in _SWEEP_SYSTEMS.items()}),
 }
 
-# flag name -> (json type, parser)
+
+def _comma_floats(text: str) -> list:
+    return [float(x) for x in text.split(",")]
+
+
+def _on_off(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise argparse.ArgumentTypeError("expected on or off")
+    return text == "on"
+
+
+# parameter -> type of its flag; A and B come only from a config file
 _FLAG_TYPES = {
     "epsilon": float, "dt": float, "t": float, "t_max": float, "x0": float,
     "target": float, "delta": float, "n": int, "d": int, "L": float, "N": int,
     "m": int, "a": float, "b": float, "s": float, "start": float,
     "n_walks": int, "n_steps": int, "potential": str, "system": str,
     "norm": str, "path_csv": str, "field_jsonl": str, "snapshots": int,
+    "epsilon_list": _comma_floats, "renormalize": _on_off,
 }
-# the keys a config file may hold, at its top level and under "parameters"
-_CONFIG_KEYS = {"experiment", "parameters", "seed", "threads"}
-_PARAMETER_KEYS = set(_FLAG_TYPES) | {"epsilon_list", "renormalize", "A", "B"}
+
+
+def _report(error: str, message: str) -> None:
+    """Write the one JSON line of a failed run to stderr."""
+    json.dump({"error": error, "message": message}, sys.stderr)
+    sys.stderr.write("\n")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the one JSON line of every other error."""
+
+    def error(self, message):
+        _report("ConfigError", message)
+        self.exit(2)
 
 
 def parse_config(argv) -> ExperimentConfig:
-    parser = argparse.ArgumentParser(
-        prog="metastab",
+    parser = _Parser(
+        prog="metastab", allow_abbrev=False,
         description="Metastable-dynamics experiments with seeded, "
                     "reproducible Monte Carlo and PDE/determinant oracles.")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", type=str, default=None,
-                        help="JSON file with a parameters map")
-        sp.add_argument("--out", type=str, default=".")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
-        for flag, typ in _FLAG_TYPES.items():
-            sp.add_argument(f"--{flag}", type=typ, default=None)
-        sp.add_argument("--epsilon-list", type=str, default=None,
-                        help="comma-separated eps values")
-        sp.add_argument("--renormalize", type=str, choices=["on", "off"],
-                        default=None)
+    for name, (_, keys) in _EXPERIMENTS.items():
+        if isinstance(keys, dict):
+            keys = {"system"}.union(*keys.values())
+        sp = sub.add_parser(name, allow_abbrev=False)
+        sp.add_argument("--config", help="JSON file with a parameters map")
+        sp.add_argument("--out", default=".")
+        sp.add_argument("--seed", type=int)
+        sp.add_argument("--threads", type=int)
+        for key in (k for k in _FLAG_TYPES if k in keys):
+            sp.add_argument("--epsilon-list" if key == "epsilon_list" else f"--{key}",
+                            dest=key, type=_FLAG_TYPES[key])
 
     ns = parser.parse_args(argv)
-    params: dict = {}
-    seed, threads = 0, 1
+    params, seed, threads = {}, 0, 1
     if ns.config:
         with open(ns.config) as f:
             file_cfg = json.load(f)
         if not (isinstance(file_cfg, dict)
                 and isinstance(file_cfg.get("parameters", {}), dict)):
             raise ValueError("a config file is a JSON object, its parameters an object")
-        unknown = sorted(set(file_cfg) - _CONFIG_KEYS) + sorted(
-            set(file_cfg.get("parameters", {})) - _PARAMETER_KEYS)
+        unknown = sorted(set(file_cfg) - {"experiment", "parameters", "seed",
+                                          "threads"})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         params.update(file_cfg.get("parameters", {}))
@@ -523,14 +542,8 @@ def parse_config(argv) -> ExperimentConfig:
         threads = file_cfg.get("threads", threads)
         if file_cfg.get("experiment", ns.experiment) != ns.experiment:
             raise ValueError("config file experiment differs from subcommand")
-    for flag in _FLAG_TYPES:
-        val = getattr(ns, flag.replace("-", "_"), None)
-        if val is not None:
-            params[flag] = val
-    if ns.epsilon_list is not None:
-        params["epsilon_list"] = [float(x) for x in ns.epsilon_list.split(",")]
-    if ns.renormalize is not None:
-        params["renormalize"] = ns.renormalize == "on"
+    params.update((k, v) for k, v in vars(ns).items()
+                  if k in _FLAG_TYPES and v is not None)
     if ns.seed is not None:
         seed = ns.seed
     if ns.threads is not None:
@@ -545,15 +558,13 @@ def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit code."""
     t0 = time.perf_counter()
     try:
-        header, rows, summary = _RUNNERS[cfg.experiment](cfg)
+        header, rows, summary = _EXPERIMENTS[cfg.experiment][0](cfg)
     except AllCensored as exc:
-        json.dump({"error": "AllCensored", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
+        _report("AllCensored", str(exc))
         return 3
     except (ValueError, TypeError, KeyError, MetastabError) as exc:
         # TypeError: a config-file value of the wrong JSON type
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
+        _report(type(exc).__name__, str(exc))
         return 2
     write_results(cfg, header, rows, summary, wall_time=time.perf_counter() - t0)
     return 0
@@ -562,11 +573,10 @@ def run(cfg: ExperimentConfig) -> int:
 def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
-    except (ValueError, TypeError) as exc:
-        json.dump({"error": "ConfigError", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
+    except (OSError, ValueError, TypeError) as exc:  # OSError: --config
+        _report("ConfigError", str(exc))
         return 2
-    except SystemExit as exc:  # argparse validation
+    except SystemExit as exc:  # --help, or a usage error _Parser reported
         return 2 if exc.code not in (0, None) else 0
     return run(cfg)
 

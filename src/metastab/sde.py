@@ -43,6 +43,8 @@ class SdeRun:
             raise ValueError("epsilon must be nonnegative")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.t_max is not None and not self.t_max > 0:
+            raise ValueError("t_max must be positive")
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
 
     @property

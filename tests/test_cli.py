@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,11 @@ from metastab import cli
 from metastab.cli import arrhenius_fit, main, parse_config
 from metastab.errors import InsufficientData
 from metastab.sde import HittingTimeBatch
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+SDE_ARGS = ["--epsilon", "0.3", "--dt", "0.002", "--x0", "-1", "--target", "1",
+            "--delta", "0.2", "--n", "4"]
+SWEEP_ARGS = ["--epsilon-list", "0.4,0.5,0.6", "--n", "4"]
 
 
 def batch_with_mean(mean):
@@ -97,6 +105,12 @@ class TestCliRuns:
         ("determinant", [{"parameters": {"d": 1, "L": 2.0, "N": 8}}], "object"),
         ("determinant", {"parameters": [["d", 1], ["L", 2.0], ["N", 8]]},
          "object"),
+        ("determinant", {"parameters": {"d": 1, "L": 2.0, "N": 8,
+                                        "n_walks": 3}}, "n_walks"),
+        ("kramers-predict", {"parameters": {"system": "quartic", "L": 2.0}},
+         "L"),
+        ("arrhenius-sweep", {"parameters": {"epsilon_list": [0.4, 0.5, 0.6],
+                                            "n": 4, "d": 2}}, "d"),
     ))
     def test_unknown_config_key_exits_2_without_output(
             self, experiment, cfg, key, tmp_path, capsys):
@@ -154,6 +168,23 @@ class TestCliRuns:
         code = main(["determinant", "--d", "1", "--L", "7.0", "--N", "16",
                      "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("system", ("ac1d", "ac2d", "ac1d-galerkin"))
+    def test_kramers_predict_rejects_bad_L(self, system, tmp_path):
+        # the library's DomainError (Galerkin route: WrongKind) exits 2
+        code = main(["kramers-predict", "--system", system, "--L", "7",
+                     "--N", "16", "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("t_max", ("0", "-5"))
+    def test_sde_nonpositive_horizon_exits_2_without_output(self, t_max, tmp_path,
+                                                            capsys):
+        code = main(["sde-hitting", *SDE_ARGS, "--t_max", t_max,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "results.csv").exists()
+        assert "t_max" in json.loads(capsys.readouterr().err)["message"]
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = {"experiment": "determinant",
@@ -278,6 +309,8 @@ class TestSweepRunsTheSingleExperiments:
          "--epsilon-list", "0.5,0.6,0.7", "--t_max", "0"],
         ["--system", "ac1d", "--L", "2.0", "--N", "4",
          "--epsilon-list", "0.5,0.6,0.7", "--renormalize", "on"],
+        ["--epsilon-list", "0.3,0.4,0.5", "--t_max", "0"],
+        ["--epsilon-list", "0.3,0.4,0.5", "--t_max", "-5"],
     ))
     def test_sweep_rejects_what_the_single_runs_reject(self, args, tmp_path):
         code = main(["arrhenius-sweep", *args, "--n", "8",
@@ -370,3 +403,96 @@ def test_parse_config_requires_subcommand():
 def test_unknown_system_rejected(tmp_path):
     code = main(["kramers-predict", "--system", "nope", "--out", str(tmp_path)])
     assert code == 2
+
+
+class TestParametersRead:
+    # the flags of each experiment's --help besides --config, --out, --seed
+    # and --threads: the parameters it reads, 62 in all
+    FLAGS = {
+        "sde-hitting": "epsilon dt x0 target delta t_max potential n",
+        "spde-hitting": "d L N epsilon dt delta t_max start renormalize target "
+                        "norm s n snapshots",
+        "ou-check": "epsilon t dt n x0",
+        "potential-theory": "epsilon potential a b m",
+        "determinant": "d L N",
+        "kramers-predict": "system L N epsilon",
+        "rate-functional": "path_csv field_jsonl L potential",
+        "randomwalk": "n_walks n_steps s t",
+        "arrhenius-sweep": "system epsilon-list n dt x0 target delta t_max "
+                           "potential L N start renormalize norm s",
+    }
+
+    @pytest.mark.parametrize("experiment", FLAGS)
+    def test_help_lists_only_the_parameters_read(self, experiment, capsys):
+        assert main([experiment, "--help"]) == 0
+        listed = set(re.findall(r"--([\w-]+)", capsys.readouterr().out))
+        assert listed - {"help", "config", "out", "seed", "threads"} == set(
+            self.FLAGS[experiment].split())
+
+    @pytest.mark.parametrize("argv,named", (
+        (["determinant", "--d", "1", "--L", "2", "--N", "8", "--delta", "0.3"],
+         "--delta"),
+        (["sde-hitting", *SDE_ARGS, "--t", "100"], "--t"),
+        (["sde-hitting", *SDE_ARGS, "--t_m", "100"], "--t_m"),  # no prefixes
+        (["kramers-predict", "--system", "ac2d", "--L", "2", "--N", "16",
+          "--epsilon-list", "0.1,0.2"], "--epsilon-list"),
+        (["kramers-predict", "--system", "quartic", "--L", "2"], "L"),
+        (["arrhenius-sweep", "--system", "sde", "--L", "2", "--N", "4",
+          *SWEEP_ARGS], "L, N"),
+        (["arrhenius-sweep", *SWEEP_ARGS, "--d", "2"], "--d"),  # d is 1
+        (["arrhenius-sweep", *SWEEP_ARGS, "--epsilon", "0.3"], "--epsilon"),
+    ))
+    def test_unread_flag_exits_2_without_output(self, argv, named, tmp_path,
+                                                capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not (out / "results.csv").exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "ConfigError"
+        assert named in payload["message"]
+
+    @pytest.mark.parametrize("argv,phrase", (
+        ([], "required"),
+        (["determinant", "--bogus", "1"], "unrecognized arguments"),
+        (["sde-hitting", "--n", "abc"], "invalid int value"),
+        (["spde-hitting", "--renormalize", "maybe"], "on or off"),
+        (["determinant", "--config", "no/such/cfg.json"], "cfg.json"),
+    ))
+    def test_usage_error_is_one_json_line(self, argv, phrase, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "ConfigError"
+        assert phrase in payload["message"]
+
+
+def readme_cli_commands():
+    """The argv of every ``metastab`` command in README's CLI code block."""
+    block = re.search(r"## CLI\n.*?```\n(.*?)```", README.read_text(),
+                      re.S).group(1)
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("metastab ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv", readme_cli_commands(),
+                             ids=lambda argv: argv[0])
+    def test_cli_example_parses(self, argv):
+        assert parse_config(argv).experiment == argv[0]
+
+    def test_cli_examples_cover_every_experiment(self):
+        assert {argv[0] for argv in readme_cli_commands()} == set(
+            cli._EXPERIMENTS)
+
+    def test_config_example_parses(self, tmp_path):
+        example = re.search(r"## CLI\n.*?```json\n(.*?)```", README.read_text(),
+                            re.S).group(1)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(example)
+        experiment = json.loads(example)["experiment"]
+        cfg = parse_config([experiment, "--config", str(cfg_file)])
+        assert cfg.parameters == json.loads(example)["parameters"]

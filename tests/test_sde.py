@@ -176,6 +176,12 @@ class TestHittingTimes:
         assert batch.n_attempted == 64
         assert batch.n_censored == int(np.sum(np.isnan(batch.raw)))
 
+    @pytest.mark.parametrize("t_max", (0.0, -5.0, float("nan")))
+    def test_nonpositive_horizon_rejected(self, quartic, t_max):
+        # a zero-step run would report every replica censored
+        with pytest.raises(ValueError, match="t_max"):
+            SdeRun(quartic, epsilon=0.3, dt=1e-3, x0=[-1.0], seed=0, t_max=t_max)
+
     def test_all_censored_raises(self, quartic):
         run = SdeRun(quartic, epsilon=1e-4, dt=1e-3, x0=[-1.0], seed=3,
                      t_max=0.05)

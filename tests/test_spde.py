@@ -296,6 +296,36 @@ class TestLinearizedModes:
             band = 3 * np.sqrt(2.0 / n_eff)
             assert abs(emp[k] - eps / nu) / (eps / nu) < band
 
+    def test_d2_stationary_variance_is_the_schemes_law(self):
+        # a semi-implicit step gives mode k the stationary variance
+        # eps / (nu_k (1 + dt nu_k / 2)), nu_k = |2 pi k / L|^2 - 1.  The
+        # continuum law eps / nu_k sums to 0.0441 here, about 8 standard
+        # errors off: the d=2 noise falls short of what the Wick counterterm
+        # C_N adds back (ROADMAP, open item 2).
+        d, N, L, eps, dt = 2, 8, 2.0, 0.1, 5e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = make_run(d=d, L=L, N=N, eps=eps, dt=dt, start=0.0, seed=3,
+                           drop_cubic=True, renormalize=False)
+        nu = squared_wavenumber_grid(d, L, N) - 1.0
+        nu_1 = (2 * np.pi / L) ** 2 - 1.0
+        gap = int(np.ceil(5.0 / (nu_1 * dt)))  # states e^-10 correlated
+        samples = []
+
+        def observe(k, c):
+            if k and k % gap == 0:
+                full = full_band(c, d)
+                full[0, 0] = 0.0  # the mean mode, unstable without the cubic
+                samples.append(np.sum(np.abs(full) ** 2) / L**d)
+
+        spde._one_replica(_Stepper(run), 100 * gap, 0, observe)
+        var = np.array(samples)
+        se = var.std(ddof=1) / np.sqrt(var.size)
+        nu = nu[nu != -1.0]
+        law = eps / L**d * np.sum(1.0 / (nu * (1.0 + dt * nu / 2.0)))
+        assert abs(var.mean() - law) < 3 * se
+        assert abs(var.mean() - eps / L**d * np.sum(1.0 / nu)) > 3 * se
+
 
 class TestNoiseCovariance:
     def test_full_torus_variance(self):
