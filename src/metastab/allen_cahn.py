@@ -103,40 +103,41 @@ def _coords_to_half(x: np.ndarray, N: int) -> np.ndarray:
 def galerkin_potential_1d(L: float, N: int) -> Potential:
     """The truncated d=1 energy as a (2N+1)-dimensional Potential.
 
-    Gradient is spectral and exact; the Hessian assembles the multiplication
-    operator 3 phi^2 on the dealiased grid, exact for band-limited fields.
+    Quadratic terms are diagonal in the real coordinates; the quartic term,
+    the projected cubic gradient and the Hessian's multiplication operator
+    3 phi^2 are collocated on the dealiased grid, exact for band-limited
+    fields.
     """
-    energy = AllenCahnEnergy(1, L, N)
+    AllenCahnEnergy(1, L, N)  # rejects L <= 0 and N < 0
     colloc = fields.BandGrid(1, L, N, fields.dealiased_grid_size(N))
+    cell = L / colloc.M
     nu = fields.squared_wavenumber_grid(1, L, N)[:N + 1] - 1.0
     quad_diag = np.empty(2 * N + 1)
     quad_diag[0] = nu[0]
     quad_diag[1::2] = quad_diag[2::2] = 2 * nu[1:]
+    # grid values of the coordinate directions, (2N+1, M)
+    basis = colloc.grid(_coords_to_half(np.eye(2 * N + 1), N))
 
-    def field(x) -> SpectralField:
+    def value(x):
+        x = np.asarray(x, float)
+        u2 = np.square(colloc.grid(_coords_to_half(x, N)))
+        return 0.5 * np.sum(quad_diag * x * x, axis=-1) + \
+            0.25 * np.sum(u2 * u2, axis=-1) * cell
+
+    def gradient_batch(x):
         half = _coords_to_half(np.asarray(x, float), N)
-        return SpectralField(1, L, N, fields.full_band(half, 1))
-
-    def value(x: np.ndarray) -> float:
-        return energy.energy(field(x))
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        g = energy.gradient_coeffs(field(x))
-        out = np.empty(2 * N + 1)
-        out[0] = g[0].real
-        out[1::2] = 2 * g[1:N + 1].real
-        out[2::2] = 2 * g[1:N + 1].imag
-        return out
+        u = colloc.grid(half)
+        g = nu * half + colloc.project(u * u * u)
+        # (u_k, v_k) is c_k's real view, and carries c_{-k} too: twice g_k
+        return np.concatenate((g[..., :1].real, 2 * g[..., 1:].view(float)),
+                              axis=-1)
 
     def hessian(x: np.ndarray) -> np.ndarray:
         u = colloc.grid(_coords_to_half(np.asarray(x, float), N))
-        w = 3.0 * u**2 * (L / colloc.M)
-        # grid values of the coordinate directions, (2N+1, M)
-        basis = colloc.grid(_coords_to_half(np.eye(2 * N + 1), N))
-        return np.diag(quad_diag) + (basis * w) @ basis.T
+        return np.diag(quad_diag) + (basis * (3.0 * u**2 * cell)) @ basis.T
 
-    return Potential(dim=2 * N + 1, value=value, gradient=gradient,
-                     hessian=hessian, name=f"allen_cahn_galerkin_1d(L={L}, N={N})")
+    return Potential(value=value, gradient_batch=gradient_batch, hessian=hessian,
+                     name=f"allen_cahn_galerkin_1d(L={L}, N={N})")
 
 
 def galerkin_critical_points_1d(L: float, N: int) -> tuple[CriticalPoint, CriticalPoint]:

@@ -8,9 +8,10 @@ only reproducibility-relevant fields (experiment, parameters, seed).
 contiguous ranges on k threads; outputs are byte-identical across its values.
 
 An experiment takes only the parameters it reads (``_EXPERIMENTS``; per
-``--system`` for two of them), as full-name flags, which its ``--help``
-lists, or as config-file parameters; any other flag or key exits 2 before
-anything runs.  ``--config``, ``--out``, ``--seed`` and ``--threads`` are global.
+``--system`` for two of them, per input file for rate-functional), as
+full-name flags, which its ``--help`` lists, or as config-file values of the
+flag's JSON type; any other flag, key or value exits 2 before anything runs.
+``--config``, ``--out``, ``--seed`` and ``--threads`` are global.
 
 Exit codes: 0 success, 2 configuration/validation error (usage errors
 included), 3 all replicas censored.  Errors are also emitted as one JSON
@@ -71,7 +72,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         keys, what = _EXPERIMENTS[self.experiment][1], self.experiment
-        if isinstance(keys, dict):
+        if self.experiment == "rate-functional":  # one input, one mode
+            given = sorted(_RATE_FUNCTIONAL_MODES.keys() & self.parameters.keys())
+            if len(given) != 1:
+                raise ValueError("rate-functional reads exactly one of "
+                                 "path_csv and field_jsonl")
+            keys, what = _RATE_FUNCTIONAL_MODES[given[0]], f"{what} --{given[0]}"
+        elif isinstance(keys, dict):
             system = self.parameters.get("system", next(iter(keys)))
             if system not in keys:
                 raise ValueError(f"unknown system {system!r}")
@@ -79,6 +86,12 @@ class ExperimentConfig:
         unread = sorted(set(self.parameters) - keys)
         if unread:
             raise ValueError(f"{what} does not read {', '.join(unread)}")
+        for key, v in self.parameters.items():
+            if key in _FLAG_TYPES and not (_fits(_FLAG_TYPES[key], v) or (
+                    # kramers-predict also takes a list of eps
+                    self.experiment == "kramers-predict" and key == "epsilon"
+                    and _fits(_comma_floats, v))):
+                raise ValueError(f"parameter {key} has the wrong type: {v!r}")
 
     def hash(self) -> str:
         """Hash of the reproducibility-relevant fields only."""
@@ -232,7 +245,7 @@ def _spde_ensemble(p: dict, seed: int):
     _positive(p, "epsilon", "dt", "delta", "t_max")
     if not 0 < p["L"] < 2 * np.pi:
         raise ValueError("L must lie in (0, 2*pi)")
-    f0 = constant_field(int(p["d"]), p["L"], int(p["N"]), p.get("start", -1.0))
+    f0 = constant_field(p["d"], p["L"], p["N"], p.get("start", -1.0))
     run = SpdeRun(field0=f0, epsilon=p["epsilon"], dt=p["dt"], t_max=p["t_max"],
                   seed=seed, renormalize=p.get("renormalize"))
     return run, lambda offset, count: spde_hitting_times_raw(
@@ -254,21 +267,21 @@ def _run_sde_hitting(cfg: ExperimentConfig):
     _require(cfg.parameters, "n")
     _, worker = _sde_ensemble(cfg.parameters, cfg.seed)
     return _hitting_results(
-        _parallel_raw(worker, int(cfg.parameters["n"]), cfg.threads), cfg.seed)
+        _parallel_raw(worker, cfg.parameters["n"], cfg.threads), cfg.seed)
 
 
 def _run_spde_hitting(cfg: ExperimentConfig):
     p = cfg.parameters
     _require(p, "n")
     run, worker = _spde_ensemble(p, cfg.seed)
-    raw = _parallel_raw(worker, int(p["n"]), cfg.threads)
+    raw = _parallel_raw(worker, p["n"], cfg.threads)
     results = _hitting_results(raw, cfg.seed)
     if p.get("snapshots"):
         horizon = min(p["t_max"], float(np.nanmax(raw)) if np.isfinite(raw).any()
                       else p["t_max"])
-        times = np.linspace(0.0, horizon, int(p["snapshots"]))
+        times = np.linspace(0.0, horizon, p["snapshots"])
         record_snapshots(run, times, str(Path(cfg.out) / "snapshots"),
-                         replica_index=int(p["n"]))
+                         replica_index=p["n"])
     return results
 
 
@@ -280,7 +293,7 @@ def _run_ou_check(cfg: ExperimentConfig):
     eps, t = p["epsilon"], p["t"]
     run = SdeRun(potential=quadratic_well(), epsilon=eps, dt=p["dt"],
                  x0=[p.get("x0", 1.0)], seed=cfg.seed)
-    xs = sample_endpoints(run, t, int(p["n"]))[:, 0]
+    xs = sample_endpoints(run, t, p["n"])[:, 0]
     mean_th, var_th = ou_mean_var(p.get("x0", 1.0), t, eps)
     mean_emp, var_emp = float(xs.mean()), float(xs.var(ddof=1))
     se_mean = float(xs.std(ddof=1) / np.sqrt(xs.size))
@@ -308,12 +321,12 @@ def _run_potential_theory(cfg: ExperimentConfig):
     _positive(p, "epsilon")
     eps = p["epsilon"]
     pot = _POTENTIALS[p.get("potential", "quartic")]()
-    grid = Grid1D(p.get("a", -2.5), p.get("b", 2.5), int(p.get("m", 1999)))
+    grid = Grid1D(p.get("a", -2.5), p.get("b", 2.5), p.get("m", 1999))
     A = tuple(p.get("A", (-1.2, -0.8)))
     B = tuple(p.get("B", (0.8, 1.2)))
     w = solve_poisson(grid, pot, eps, B)
     comm = solve_committor(grid, pot, eps, A, B)
-    i_star = int(np.argmin([pot.value(np.array([x])) for x in grid.nodes]))
+    i_star = int(np.argmin(pot.value(grid.nodes[:, None])))
     rows = [
         ("mean_hitting_time_at_minimum", w[i_star]),
         ("capacity", capacity_dirichlet(grid, pot, eps, comm)),
@@ -327,7 +340,7 @@ def _run_potential_theory(cfg: ExperimentConfig):
 def _run_determinant(cfg: ExperimentConfig):
     p = cfg.parameters
     _require(p, "d", "L", "N")
-    d, L, N = int(p["d"]), p["L"], int(p["N"])
+    d, L, N = p["d"], p["L"], p["N"]
     if d == 1:
         res = fredholm_det_1d(L, N)
         closed = fredholm_closed_form(L)
@@ -360,11 +373,11 @@ def _run_kramers_predict(cfg: ExperimentConfig):
         pred = ek_allen_cahn_1d(p["L"], p.get("N"))
     elif system == "ac2d":
         _require(p, "L", "N")
-        pred = ek_allen_cahn_2d(p["L"], int(p["N"]))
+        pred = ek_allen_cahn_2d(p["L"], p["N"])
     else:  # ac1d-galerkin
         _require(p, "L", "N")
-        gp = galerkin_potential_1d(p["L"], int(p["N"]))
-        mn, sd = galerkin_critical_points_1d(p["L"], int(p["N"]))
+        gp = galerkin_potential_1d(p["L"], p["N"])
+        mn, sd = galerkin_critical_points_1d(p["L"], p["N"])
         pred = ek_finite(mn, sd, gp)
     rows = [("barrier", pred.barrier),
             ("prefactor", pred.prefactor),
@@ -384,7 +397,6 @@ def _run_rate_functional(cfg: ExperimentConfig):
         value = rate_functional_ac_1d(path, p.get("L", path.L))
         rev = rate_functional_ac_1d(path.reversed(), p.get("L", path.L))
     else:
-        _require(p, "path_csv")
         path = load_path_csv(p["path_csv"])
         pot = _POTENTIALS[p.get("potential", "quartic")]()
         value = rate_functional_sde(path, pot)
@@ -399,7 +411,7 @@ def _run_randomwalk(cfg: ExperimentConfig):
     _require(p, "n_walks", "n_steps")
     _at_least(p, 2, "n_walks")  # a sample variance
     _at_least(p, 1, "n_steps")
-    n_walks, n_steps = int(p["n_walks"]), int(p["n_steps"])
+    n_walks, n_steps = p["n_walks"], p["n_steps"]
     s, t = p.get("s", 0.25), p.get("t", 1.0)
     with_s = ensemble_rescaled(n_walks, n_steps, [s, t], cfg.seed)
     incr = with_s[:, 1] - with_s[:, 0]
@@ -432,7 +444,7 @@ def _run_arrhenius_sweep(cfg: ExperimentConfig):
     p = cfg.parameters
     _require(p, "epsilon_list", "n")
     ensemble, _, defaults = _SWEEP_SYSTEMS[p.get("system", "sde")]
-    eps_list, n = p["epsilon_list"], int(p["n"])
+    eps_list, n = p["epsilon_list"], p["n"]
     # the eps index joins the seed in the entropy, so no (seed, index) pair
     # shares another's streams
     seeds = [int(np.random.SeedSequence([cfg.seed, i]).generate_state(1)[0])
@@ -451,6 +463,10 @@ def _run_arrhenius_sweep(cfg: ExperimentConfig):
     return header, rows, summary
 
 
+# rate-functional's input -> the parameters it reads with that input
+_RATE_FUNCTIONAL_MODES = {"path_csv": {"path_csv", "potential"},
+                          "field_jsonl": {"field_jsonl", "L"}}
+
 # experiment -> (runner, the parameters it reads).  Where the set depends on
 # --system it is a map from each system to its set, the default system first.
 _EXPERIMENTS = {
@@ -464,7 +480,7 @@ _EXPERIMENTS = {
         "quartic": {"epsilon"}, "ac1d": {"L", "N", "epsilon"},
         "ac2d": {"L", "N", "epsilon"}, "ac1d-galerkin": {"L", "N", "epsilon"}}),
     "rate-functional": (_run_rate_functional,
-                        {"path_csv", "field_jsonl", "L", "potential"}),
+                        set().union(*_RATE_FUNCTIONAL_MODES.values())),
     "randomwalk": (_run_randomwalk, {"n_walks", "n_steps", "s", "t"}),
     "arrhenius-sweep": (_run_arrhenius_sweep, {
         system: keys - {"epsilon", "d"} | {"epsilon_list", "n"}
@@ -491,6 +507,17 @@ _FLAG_TYPES = {
     "norm": str, "path_csv": str, "field_jsonl": str, "snapshots": int,
     "epsilon_list": _comma_floats, "renormalize": _on_off,
 }
+
+
+def _fits(kind, v) -> bool:
+    """Whether config-file value v has the JSON type of a flag of type kind:
+    a bool is neither an integer nor a number, and renormalize takes one."""
+    if kind is _comma_floats:
+        return isinstance(v, list) and all(_fits(float, x) for x in v)
+    if kind is _on_off:
+        return isinstance(v, bool)
+    allowed = (int, float) if kind is float else kind
+    return isinstance(v, allowed) and not isinstance(v, bool)
 
 
 def _report(error: str, message: str) -> None:

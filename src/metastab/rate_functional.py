@@ -85,11 +85,7 @@ def rate_functional_sde(path: DiscretePath, p: Potential) -> float:
     dt = np.diff(t)[:, None]
     vel = np.diff(x, axis=0) / dt
     mid = 0.5 * (x[:-1] + x[1:])
-    if p.gradient_batch is not None:
-        grad = p.gradient_batch(mid)
-    else:
-        grad = np.apply_along_axis(p.gradient, 1, mid)
-    integrand = np.sum((vel + grad) ** 2, axis=1)
+    integrand = np.sum((vel + p.gradient_batch(mid)) ** 2, axis=1)
     return float(0.5 * np.sum(integrand * dt[:, 0]))
 
 

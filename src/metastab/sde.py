@@ -247,9 +247,6 @@ def _sde_callbacks(run: SdeRun) -> dict:
     """The Euler-Maruyama ensemble's shape, scale, step and check keywords
     for _first_passage."""
     gradient = run.potential.gradient_batch
-    if gradient is None:
-        def gradient(x):
-            return np.apply_along_axis(run.potential.gradient, 1, x)
 
     def step(x, noise, _aux):
         return x - gradient(x) * run.dt + noise, None

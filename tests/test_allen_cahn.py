@@ -3,15 +3,18 @@ import pytest
 
 from metastab import (
     AllenCahnEnergy,
+    SdeRun,
     SpectralField,
     constant_field,
     field_from_function,
     galerkin_critical_points_1d,
     galerkin_potential_1d,
     random_field,
+    sample_hitting_times,
 )
 from metastab.errors import DomainError, ShapeMismatch
 from metastab.fields import dealiased_grid_size, grid_values, translated
+from metastab.potential_theory import Grid1D, solve_poisson
 from metastab.potentials import numerical_hessian
 
 
@@ -166,8 +169,8 @@ class TestGalerkin1D:
         mn, sd = galerkin_critical_points_1d(L, N)
         assert pot.value(mn.location) == pytest.approx(-L / 4)
         assert pot.value(sd.location) == 0.0
-        assert np.max(np.abs(pot.gradient(mn.location))) < 1e-12
-        assert np.max(np.abs(pot.gradient(sd.location))) < 1e-12
+        assert np.max(np.abs(pot.gradient_batch(mn.location))) < 1e-12
+        assert np.max(np.abs(pot.gradient_batch(sd.location))) < 1e-12
 
     def test_analytic_eigenvalues_match_assembled_hessian(self):
         L, N = 2.0, 3
@@ -214,7 +217,7 @@ class TestGalerkin1D:
         L, N = 2.0, 3
         pot = galerkin_potential_1d(L, N)
         x = rng.standard_normal(2 * N + 1) * 0.3
-        assert np.allclose(pot.gradient(x), numerical_gradient(pot, x),
+        assert np.allclose(pot.gradient_batch(x), numerical_gradient(pot, x),
                            rtol=1e-5, atol=1e-7)
 
     def test_newton_refines_constant_well(self):
@@ -228,3 +231,41 @@ class TestGalerkin1D:
         cp = find_critical_point(pot, guess)
         assert cp.kind == "minimum"
         assert cp.location[0] == pytest.approx(-np.sqrt(L), abs=1e-9)
+
+    @pytest.mark.parametrize("N", (0, 3))
+    def test_value_and_gradient_match_the_field_energy(self, N, rng):
+        # the coordinates' own formulas against AllenCahnEnergy on the field
+        # they name: c_0 = a_0, c_k = u_k + i v_k, c_{-k} = conj(c_k)
+        L = 2.0
+        pot, energy = galerkin_potential_1d(L, N), AllenCahnEnergy(1, L, N)
+        x = rng.standard_normal(2 * N + 1) * 0.5
+        c = np.zeros(2 * N + 1, dtype=complex)
+        c[0] = x[0]
+        c[1:N + 1] = x[1::2] + 1j * x[2::2]
+        c[N + 1:] = c[N:0:-1].conj()
+        phi = SpectralField(1, L, N, c)
+        g = energy.gradient_coeffs(phi)
+        want = np.empty(2 * N + 1)
+        want[0] = g[0].real
+        want[1::2], want[2::2] = 2 * g[1:N + 1].real, 2 * g[1:N + 1].imag
+        assert pot.value(x) == pytest.approx(energy.energy(phi), rel=1e-13)
+        assert np.allclose(pot.gradient_batch(x), want, rtol=1e-13, atol=1e-13)
+
+    def test_engine_hitting_time_at_N0_matches_the_poisson_solve(self):
+        # At N = 0 the one coordinate is the mean mode c_0 = sqrt(L) u, and
+        # Euler-Maruyama on it is the field's N = 0 law: the exact mean
+        # time from solve_poisson on the same potential gates the engine run.
+        # Not for N >= 1: with identity mobility the transverse coordinates
+        # relax at 2 nu_k, the field's c_k at nu_k.
+        L, eps = 2.0, 0.4
+        r = np.sqrt(L)
+        pot = galerkin_potential_1d(L, 0)
+        run = SdeRun(pot, epsilon=eps, dt=4e-3, x0=[-r], seed=5)
+        batch = sample_hitting_times(run, [r], 0.3 * r, 1000)
+        grid = Grid1D(-2.5 * r, 2.5 * r, 1999)
+        w = solve_poisson(grid, pot, eps, (0.7 * r, 1.3 * r))
+        exact = float(np.interp(-r, grid.nodes, w))
+        z = (batch.mean - exact) / batch.stderr
+        print(f"MC {batch.mean:.3f} +- {batch.stderr:.3f}, exact {exact:.3f}, z={z:.2f}")
+        assert batch.n_censored == 0
+        assert abs(z) < 3

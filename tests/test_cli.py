@@ -81,6 +81,15 @@ class TestCliRuns:
             "delta": 0.2, "n": 4}}),
         ("determinant", {"parameters": {"d": 1, "L": 2.0, "N": 64},
                          "threads": "2"}),
+        # values are checked, not converted: 8.7 would run as N = 8, "8" as
+        # n = 8, and "off" would run renormalized (it is truthy)
+        ("determinant", {"parameters": {"d": 1, "L": 2.0, "N": 8.7}}),
+        ("sde-hitting", {"parameters": {
+            "epsilon": 0.3, "dt": 0.002, "x0": -1, "target": 1,
+            "delta": 0.2, "n": "8"}}),
+        ("spde-hitting", {"parameters": {
+            "d": 2, "L": 2.0, "N": 4, "epsilon": 0.5, "dt": 0.005,
+            "delta": 0.5, "t_max": 1.0, "n": 2, "renormalize": "off"}}),
     ))
     def test_wrong_type_config_value_exits_2_without_output(
             self, experiment, cfg, tmp_path, capsys):
@@ -93,6 +102,39 @@ class TestCliRuns:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert "message" in json.loads(err[0])
+
+    @pytest.mark.parametrize("key,value", (
+        ("N", 8.7), ("N", True), ("L", "2.0"), ("L", False), ("n", "8"),
+        ("renormalize", "off"), ("renormalize", 1), ("norm", 1),
+        ("epsilon_list", [0.3, "0.4"]), ("epsilon", [0.3])))
+    def test_wrong_type_config_value_is_named(self, key, value, tmp_path,
+                                              capsys):
+        # an int key takes a JSON integer, a float key a number (bools are
+        # neither), a str key a string, epsilon_list a list of numbers and
+        # renormalize a boolean
+        experiment = "arrhenius-sweep" if key == "epsilon_list" else "spde-hitting"
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"parameters": {key: value}}))
+        assert main([experiment, "--config", str(cfg_file),
+                     "--out", str(tmp_path / "out")]) == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert f"parameter {key} has the wrong type" in message
+
+    @pytest.mark.filterwarnings("ignore:running the d=2 field without")
+    def test_config_values_of_the_flag_type_run_as_the_flags(self, tmp_path):
+        flags = ["--d", "2", "--L", "1.5", "--N", "4", "--epsilon", "0.6",
+                 "--dt", "2e-3", "--t_max", "1", "--start", "0", "--delta", "1.3",
+                 "--norm", "hs", "--n", "4", "--renormalize", "off"]
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"parameters": {
+            "d": 2, "L": 1.5, "N": 4, "epsilon": 0.6, "dt": 2e-3, "t_max": 1,
+            "start": 0, "delta": 1.3, "norm": "hs", "n": 4, "renormalize": False}}))
+        assert main(["spde-hitting", *flags, "--out", str(tmp_path / "a")]) == 0
+        assert main(["spde-hitting", "--config", str(cfg_file),
+                     "--out", str(tmp_path / "b")]) == 0
+        a, b = ((tmp_path / o / "results.csv").read_text().splitlines()
+                for o in "ab")
+        assert a[1:] == b[1:]
 
     @pytest.mark.parametrize("experiment,cfg,key", (
         ("sde-hitting", {"parameters": {
@@ -441,6 +483,13 @@ class TestParametersRead:
           *SWEEP_ARGS], "L, N"),
         (["arrhenius-sweep", *SWEEP_ARGS, "--d", "2"], "--d"),  # d is 1
         (["arrhenius-sweep", *SWEEP_ARGS, "--epsilon", "0.3"], "--epsilon"),
+        # rate-functional reads one input and that input's parameters
+        (["rate-functional", "--path_csv", "p.csv", "--L", "2"], "L"),
+        (["rate-functional", "--field_jsonl", "f.jsonl", "--potential",
+          "quartic"], "potential"),
+        (["rate-functional", "--path_csv", "p.csv", "--field_jsonl",
+          "f.jsonl"], "exactly one"),
+        (["rate-functional"], "exactly one"),
     ))
     def test_unread_flag_exits_2_without_output(self, argv, named, tmp_path,
                                                 capsys):

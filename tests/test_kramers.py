@@ -16,8 +16,8 @@ from metastab.errors import DegenerateHessian, DomainError, WrongKind
 
 
 def _flat_potential(dim):
-    return Potential(dim=dim, value=lambda x: 0.0,
-                     gradient=lambda x: np.zeros(dim),
+    return Potential(value=lambda x: np.zeros(np.shape(x)[:-1]),
+                     gradient_batch=lambda x: np.zeros(np.shape(x)),
                      hessian=lambda x: np.eye(dim))
 
 

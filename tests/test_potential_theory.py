@@ -14,8 +14,8 @@ from metastab.potentials import Potential
 
 
 def free_potential():
-    return Potential(dim=1, value=lambda x: 0.0,
-                     gradient=lambda x: np.zeros(1),
+    return Potential(value=lambda x: np.zeros(np.shape(x)[:-1]),
+                     gradient_batch=lambda x: np.zeros(np.shape(x)),
                      hessian=lambda x: np.zeros((1, 1)),
                      name="free")
 
@@ -133,9 +133,8 @@ class TestCapacity:
         sol = solve_committor(well_grid, quartic, eps, (-1.2, -0.8), (0.8, 1.2))
         base = capacity_dirichlet(well_grid, quartic, eps, sol, v_ref=0.0)
         shifted_pot = Potential(
-            dim=1,
             value=lambda x: quartic.value(x) + 5.0,
-            gradient=quartic.gradient,
+            gradient_batch=quartic.gradient_batch,
             hessian=quartic.hessian,
         )
         shifted = capacity_dirichlet(well_grid, shifted_pot, eps, sol, v_ref=5.0)

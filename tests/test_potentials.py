@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,13 @@ from hypothesis import strategies as st
 from metastab import (
     double_well_2d,
     find_critical_point,
+    galerkin_potential_1d,
     quadratic_well,
     quartic_double_well,
 )
 from metastab.errors import DegenerateHessian, NoConvergence
 from metastab.potentials import (
+    Potential,
     classify_hessian,
     numerical_gradient,
     numerical_hessian,
@@ -20,7 +24,7 @@ from metastab.potentials import (
 def test_quartic_values(quartic):
     assert quartic.value(np.array([0.0])) == 0.0
     assert quartic.value(np.array([-1.0])) == pytest.approx(-0.25)
-    assert quartic.gradient(np.array([-1.0]))[0] == pytest.approx(0.0)
+    assert quartic.gradient_batch(np.array([-1.0]))[0] == pytest.approx(0.0)
     assert quartic.hessian(np.array([-1.0]))[0, 0] == pytest.approx(2.0)
 
 
@@ -35,7 +39,7 @@ def test_quartic_gradient_matches_finite_differences(x):
     p = quartic_double_well()
     pt = np.array([x])
     fd = numerical_gradient(p, pt, h=1e-5)
-    exact = p.gradient(pt)
+    exact = p.gradient_batch(pt)
     assert np.allclose(fd, exact, rtol=1e-5, atol=1e-7)
 
 
@@ -53,17 +57,27 @@ def test_quartic_hessian_matches_finite_differences(x):
 def test_2d_well_derivatives_match_finite_differences(x, y):
     p = double_well_2d()
     pt = np.array([x, y])
-    assert np.allclose(numerical_gradient(p, pt), p.gradient(pt),
+    assert np.allclose(numerical_gradient(p, pt), p.gradient_batch(pt),
                        rtol=1e-5, atol=1e-6)
     assert np.allclose(numerical_hessian(p, pt), p.hessian(pt),
                        rtol=1e-5, atol=1e-6)
 
 
-def test_batch_gradient_agrees_with_rowwise(quartic, rng):
-    xs = rng.uniform(-2, 2, size=(50, 1))
-    batch = quartic.gradient_batch(xs)
-    rows = np.array([quartic.gradient(x) for x in xs])
-    assert np.allclose(batch, rows)
+def test_potential_contract_has_no_optional_field():
+    fields = dataclasses.fields(Potential)
+    assert [f.name for f in fields] == ["value", "gradient_batch", "hessian", "name"]
+    assert all(f.default is not None for f in fields)
+
+
+def test_batch_gradient_agrees_with_rowwise(rng):
+    # one formula: a batch row is the single-point call, to the last bit
+    for p, dim in ((quartic_double_well(), 1), (quadratic_well(dim=2), 2),
+                   (double_well_2d(), 2), (galerkin_potential_1d(2.0, 2), 5),
+                   (galerkin_potential_1d(2.0, 16), 33)):
+        xs = rng.standard_normal((64, dim))
+        assert np.array_equal(p.gradient_batch(xs),
+                              np.array([p.gradient_batch(x) for x in xs]))
+        assert np.array_equal(p.value(xs), np.array([p.value(x) for x in xs]))
 
 
 class TestFindCriticalPoint:
@@ -72,7 +86,7 @@ class TestFindCriticalPoint:
         assert cp.kind == "minimum"
         assert cp.location[0] == pytest.approx(-1.0, abs=1e-9)
         assert cp.lambda_minus is None
-        assert np.linalg.norm(quartic.gradient(cp.location)) < 1e-10
+        assert np.linalg.norm(quartic.gradient_batch(cp.location)) < 1e-10
 
     def test_finds_saddle(self, quartic):
         cp = find_critical_point(quartic, [0.1])
@@ -96,26 +110,20 @@ class TestFindCriticalPoint:
         assert np.all(np.diff(cp.hessian_eigenvalues) >= 0)
 
     def test_degenerate_hessian_raises(self):
-        from metastab.potentials import Potential
-
         # pure quartic: Hessian vanishes at the critical point
         flat = Potential(
-            dim=1,
-            value=lambda x: float(x[0] ** 4),
-            gradient=lambda x: np.array([4 * x[0] ** 3]),
+            value=lambda x: np.asarray(x)[..., 0] ** 4,
+            gradient_batch=lambda x: 4 * np.asarray(x) ** 3,
             hessian=lambda x: np.array([[12 * x[0] ** 2]]),
         )
         with pytest.raises(DegenerateHessian):
             find_critical_point(flat, [0.5], degenerate_tol=1e-4)
 
     def test_no_convergence_raises(self):
-        from metastab.potentials import Potential
-
         # gradient never vanishes, Newton has no target
         tilted = Potential(
-            dim=1,
-            value=lambda x: float(x[0] + 0.5 * x[0] ** 2) if abs(x[0]) < 1 else float(x[0]),
-            gradient=lambda x: np.array([1.0]),
+            value=lambda x: np.asarray(x)[..., 0],
+            gradient_batch=lambda x: np.ones_like(x, dtype=float),
             hessian=lambda x: np.array([[1.0]]),
         )
         with pytest.raises(NoConvergence):

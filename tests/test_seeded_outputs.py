@@ -14,7 +14,8 @@ import warnings
 import numpy as np
 import pytest
 
-from metastab import SdeRun, constant_field, double_well_2d, quartic_double_well, random_field
+from metastab import (SdeRun, constant_field, double_well_2d, galerkin_potential_1d,
+                      quartic_double_well, random_field)
 from metastab.cli import main
 from metastab.sde import hitting_times_raw, integrate_path, sample_endpoints
 from metastab.spde import (
@@ -102,6 +103,11 @@ FIELD_ENTRIES = {
                f0=random_field(2, 1.5, 4, np.random.default_rng(4), 0.5)),
         0.1, record_every=5),
     "noise_check": _noise_check,
+    # the Galerkin field as a 5-dimensional SDE (N = 2, L = 2), from -1 to +1
+    "hitting_galerkin_N2": lambda: hitting_times_raw(
+        SdeRun(galerkin_potential_1d(2.0, 2), epsilon=0.4, dt=2e-3,
+               x0=[-np.sqrt(2), 0, 0, 0, 0], seed=7, t_max=3.0),
+        [np.sqrt(2), 0, 0, 0, 0], 0.3 * np.sqrt(2), 50),
 }
 
 SNAPSHOT_FILES = ("snap_0000.csv", "snap_0001.csv", "snap_0002.csv",
@@ -150,6 +156,8 @@ RECORDED = {
         "246ee239e293a96326f41d3788c59ef1aefbb714efbea1a139e43195f6c2a66b",
     "noise_check":
         "3b219173f776835fd0f182bc09535764809481050c7217d9f5aea616c329de76",
+    "hitting_galerkin_N2":
+        "91af261320e80cc7dd1b7914deaea217469c12c475092417848d2a0d6da0766f",
     "snap_0000.csv":
         "ee8a7b021ea6bdfbb5693af907dbb3f3e26b1c120f781acf9068ea4babb50079",
     "snap_0001.csv":

@@ -487,8 +487,8 @@ class TestHitting:
 
 def _mean_field_potential(a):
     """V(x) = x^4/4 - a x^2/2, for the poisson solver."""
-    return Potential(dim=1, value=lambda x: float(x[0] ** 4 / 4 - a * x[0] ** 2 / 2),
-                     gradient=lambda x: np.array([x[0] ** 3 - a * x[0]]),
+    return Potential(value=lambda x: x[..., 0] ** 4 / 4 - a * x[..., 0] ** 2 / 2,
+                     gradient_batch=lambda x: x * x * x - a * x,
                      hessian=lambda x: np.array([[3 * x[0] ** 2 - a]]))
 
 
