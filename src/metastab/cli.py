@@ -564,6 +564,9 @@ def parse_config(argv) -> ExperimentConfig:
                                           "threads"})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        for key in ("seed", "threads"):  # checked like an int parameter
+            if key in file_cfg and not _fits(int, file_cfg[key]):
+                raise ValueError(f"{key} has the wrong type: {file_cfg[key]!r}")
         params.update(file_cfg.get("parameters", {}))
         seed = file_cfg.get("seed", seed)
         threads = file_cfg.get("threads", threads)
@@ -578,7 +581,7 @@ def parse_config(argv) -> ExperimentConfig:
     if threads < 1:
         raise ValueError("threads must be >= 1")
     return ExperimentConfig(experiment=ns.experiment, parameters=params,
-                            seed=int(seed), threads=int(threads), out=ns.out)
+                            seed=seed, threads=threads, out=ns.out)
 
 
 def run(cfg: ExperimentConfig) -> int:

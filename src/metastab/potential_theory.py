@@ -6,13 +6,15 @@ Provides the mean hitting time (source problem), the committor (harmonic
 interpolation between the sets), the capacity via the Dirichlet form of the
 solved committor, and a numerical check of the identity linking the mean
 hitting time to the committor-weighted Gibbs integral over the capacity.
+
+scipy.linalg is imported at the first banded solve, not with the module: it
+takes most of the package's import time, and only these solves use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import OverlappingSets, SingularSystem
 from .potentials import Potential
@@ -111,9 +113,11 @@ def _assemble(grid: Grid1D, V: Potential, eps: float,
 
 
 def _solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    from scipy.linalg import solve_banded
+
     try:
         sol = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises rarely
+    except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("banded solve produced non-finite values")

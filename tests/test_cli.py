@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,8 @@ from metastab.cli import arrhenius_fit, main, parse_config
 from metastab.errors import InsufficientData
 from metastab.sde import HittingTimeBatch
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 SDE_ARGS = ["--epsilon", "0.3", "--dt", "0.002", "--x0", "-1", "--target", "1",
             "--delta", "0.2", "--n", "4"]
 SWEEP_ARGS = ["--epsilon-list", "0.4,0.5,0.6", "--n", "4"]
@@ -90,6 +94,12 @@ class TestCliRuns:
         ("spde-hitting", {"parameters": {
             "d": 2, "L": 2.0, "N": 4, "epsilon": 0.5, "dt": 0.005,
             "delta": 0.5, "t_max": 1.0, "n": 2, "renormalize": "off"}}),
+        # seed and threads too: 7.9 and "7" would run as seed 7, true as 1
+        ("determinant", {"parameters": {"d": 1, "L": 2.0, "N": 8}, "seed": 7.9}),
+        ("determinant", {"parameters": {"d": 1, "L": 2.0, "N": 8}, "seed": "7"}),
+        ("determinant", {"parameters": {"d": 1, "L": 2.0, "N": 8}, "seed": True}),
+        ("determinant", {"parameters": {"d": 1, "L": 2.0, "N": 8},
+                         "threads": 2.5}),
     ))
     def test_wrong_type_config_value_exits_2_without_output(
             self, experiment, cfg, tmp_path, capsys):
@@ -106,19 +116,36 @@ class TestCliRuns:
     @pytest.mark.parametrize("key,value", (
         ("N", 8.7), ("N", True), ("L", "2.0"), ("L", False), ("n", "8"),
         ("renormalize", "off"), ("renormalize", 1), ("norm", 1),
-        ("epsilon_list", [0.3, "0.4"]), ("epsilon", [0.3])))
+        ("epsilon_list", [0.3, "0.4"]), ("epsilon", [0.3]),
+        ("seed", 7.9), ("seed", "7"), ("seed", True), ("threads", 2.5)))
     def test_wrong_type_config_value_is_named(self, key, value, tmp_path,
                                               capsys):
         # an int key takes a JSON integer, a float key a number (bools are
         # neither), a str key a string, epsilon_list a list of numbers and
-        # renormalize a boolean
+        # renormalize a boolean; seed and threads sit beside the parameters
         experiment = "arrhenius-sweep" if key == "epsilon_list" else "spde-hitting"
+        top_level = key in ("seed", "threads")
+        cfg = {key: value} if top_level else {"parameters": {key: value}}
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"parameters": {key: value}}))
+        cfg_file.write_text(json.dumps(cfg))
         assert main([experiment, "--config", str(cfg_file),
                      "--out", str(tmp_path / "out")]) == 2
         message = json.loads(capsys.readouterr().err)["message"]
-        assert f"parameter {key} has the wrong type" in message
+        name = key if top_level else f"parameter {key}"
+        assert f"{name} has the wrong type" in message
+
+    def test_config_seed_runs_as_the_flag(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"parameters": {
+            "epsilon": 0.3, "dt": 0.002, "x0": -1.0, "target": 1.0,
+            "delta": 0.2, "n": 4}, "seed": 7}))
+        assert main(["sde-hitting", *SDE_ARGS, "--seed", "7",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["sde-hitting", "--config", str(cfg_file),
+                     "--out", str(tmp_path / "b")]) == 0
+        # the first line of results.csv is the config hash
+        a, b = ((tmp_path / o / "results.csv").read_bytes() for o in "ab")
+        assert a == b
 
     @pytest.mark.filterwarnings("ignore:running the d=2 field without")
     def test_config_values_of_the_flag_type_run_as_the_flags(self, tmp_path):
@@ -545,3 +572,45 @@ class TestReadme:
         experiment = json.loads(example)["experiment"]
         cfg = parse_config([experiment, "--config", str(cfg_file)])
         assert cfg.parameters == json.loads(example)["parameters"]
+
+
+def scipy_modules_loaded_by(code):
+    """The scipy modules a fresh interpreter has loaded after running code."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    report = ("import json, sys\n"
+              "print(json.dumps(sorted(m for m in sys.modules"
+              " if m.split('.')[0] == 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestImports:
+    """Importing the package needs numpy only; scipy loads where it is used:
+    the banded solve of the potential-theory oracle and randomwalk's KS test."""
+
+    def test_import_loads_no_scipy(self):
+        assert scipy_modules_loaded_by("import metastab, metastab.cli") == []
+
+    @pytest.mark.parametrize("argv", (
+        ["determinant", "--d", "1", "--L", "2", "--N", "8"],
+        ["sde-hitting", *SDE_ARGS],
+        ["spde-hitting", "--d", "1", "--L", "2.0", "--N", "4", "--epsilon",
+         "0.5", "--dt", "0.002", "--t_max", "50", "--delta", "0.3", "--n", "2"],
+        ["kramers-predict", "--system", "ac1d", "--L", "2", "--N", "16",
+         "--epsilon", "0.1"],
+    ), ids=lambda argv: argv[0])
+    def test_runs_without_the_solver_load_no_scipy(self, argv, tmp_path):
+        code = (f"from metastab.cli import main\n"
+                f"assert main({[*argv, '--out', str(tmp_path)]!r}) == 0")
+        assert scipy_modules_loaded_by(code) == []
+
+    def test_first_banded_solve_loads_scipy_linalg(self):
+        code = ("from metastab import quartic_double_well\n"
+                "from metastab.potential_theory import Grid1D, solve_poisson\n"
+                "solve_poisson(Grid1D(-2.5, 2.5, 99), quartic_double_well(),"
+                " 0.2, (0.8, 1.2))")
+        assert "scipy.linalg" in scipy_modules_loaded_by(code)

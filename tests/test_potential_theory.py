@@ -9,7 +9,7 @@ from metastab import (
     solve_committor,
     solve_poisson,
 )
-from metastab.errors import OverlappingSets
+from metastab.errors import OverlappingSets, SingularSystem
 from metastab.potentials import Potential
 
 
@@ -58,6 +58,11 @@ class TestPoisson:
     def test_empty_target_rejected(self, unit_grid):
         with pytest.raises(ValueError):
             solve_poisson(unit_grid, free_potential(), 0.1, (2.0, 3.0))
+
+    def test_singular_system_raised(self, quartic):
+        # at eps = 0 the reflecting rows at both outer ends are zero
+        with pytest.raises(SingularSystem, match="singular matrix"):
+            solve_poisson(Grid1D(-2.5, 2.5, 99), quartic, 0.0, (0.8, 1.2))
 
 
 class TestCommittor:
