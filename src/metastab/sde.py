@@ -4,14 +4,15 @@ Every Monte Carlo replica owns a counter-based RNG stream derived from
 (seed_base, replica_index), so ensembles are reproducible under any parallel
 schedule; aggregation is ordered by replica index.  _first_passage is the one
 loop, here and in spde, that advances states over time and draws their noise
-in blocks set by one rule (_block_steps); callers pass a step, and record and
-stop replicas through its observe(k, states, aux) callback, which also sees
-the initial states (k = 0), so a replica that starts in the target hits at
-time 0.
+in blocks set by one rule (_block_steps) into one buffer per call; callers
+pass a step, and record and stop replicas through its observe(k, states, aux)
+callback, which also sees the initial states (k = 0), so a replica that
+starts in the target hits at time 0.
 """
 
 from __future__ import annotations
 
+import mmap
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -173,11 +174,25 @@ def _block_steps(width: int, live: int, left: int) -> int:
                    min(_MAX_DRAW // width, _BLOCK_NORMALS // (width * live))))
 
 
-def _draw_noise(rngs, steps: int, shape: tuple, scale=None) -> np.ndarray:
+def _noise_buffer(size: int) -> np.ndarray:
+    """A flat float buffer of size entries in its own anonymous mapping.
+
+    Noise blocks live here rather than on malloc's heap, where numpy marks a
+    block of 4 MiB or more for huge pages and a freed block stays resident
+    around whatever the process allocates next (a module import, say), so
+    the process's peak memory would depend on when that happens.  The mapping
+    goes back to the system when the last view of the buffer is released.
+    """
+    return np.frombuffer(mmap.mmap(-1, 8 * size))
+
+
+def _draw_noise(rngs, steps: int, shape: tuple, scale=None, buf=None) -> np.ndarray:
     """(steps, len(rngs)) + shape standard normals, times scale if given;
     column r is rngs[r]'s stream in step order, the same however the steps of
-    a replica are split into blocks."""
-    g = np.empty((len(rngs), steps) + shape)
+    a replica are split into blocks.  They fill the front of the flat float
+    buffer buf if given, else a new array."""
+    size = len(rngs) * steps * int(np.prod(shape))
+    g = (np.empty(size) if buf is None else buf[:size]).reshape((len(rngs), steps) + shape)
     for rng, out in zip(rngs, g):
         rng.standard_normal(out=out)
     if scale is not None:
@@ -191,7 +206,8 @@ def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
     """The one time loop: n replicas from x0 for up to max_steps steps.
 
     Replica i draws `shape` normals a step (times scale) from
-    replica_rng(seed, offset + i), _block_steps at a time; shape None draws
+    replica_rng(seed, offset + i), _block_steps at a time, into one
+    _noise_buffer that grows only if a block needs more; shape None draws
     nothing.  step(states, noise, aux) returns (new states, new aux) and is
     passed the live rows' noise (or None) and the aux of the step before,
     starting from a copy of aux0 per replica.  observe(k, states, aux) sees
@@ -216,12 +232,15 @@ def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
         x, ids = x[keep], ids[keep]
         if aux is not None:
             aux = aux[keep]
-    done = 0
+    done, buf = 0, np.empty(0)
     while ids.size and done < max_steps:
         steps = _block_steps(width, ids.size, max_steps - done)
-        noise = eta = None  # release the last block before drawing the next
+        noise = eta = None  # the last block's views, released before a redraw
         if shape is not None:
-            noise = _draw_noise([rngs[i] for i in ids], steps, shape, scale)
+            if buf.size < ids.size * steps * width:
+                buf = None  # release the old buffer before mapping a larger one
+                buf = _noise_buffer(ids.size * steps * width)
+            noise = _draw_noise([rngs[i] for i in ids], steps, shape, scale, buf)
         rows = None  # set once a hit has compacted the live array
         for j in range(steps):
             if noise is not None:

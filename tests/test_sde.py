@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 
@@ -321,15 +323,36 @@ class TestBlockRule:
         blocks = []
         draw = sde._draw_noise
 
-        def recording(rngs, steps, shape, scale=None):
+        def recording(rngs, steps, *rest):
             blocks.append(steps)
-            return draw(rngs, steps, shape, scale)
+            return draw(rngs, steps, *rest)
 
         monkeypatch.setattr(sde, "_draw_noise", recording)
         monkeypatch.setattr(sde, "_MIN_DRAW", 1)
         monkeypatch.setattr(sde, "_BLOCK_NORMALS", budget)
         budgeted = hitting_times_raw(run, [1.0], 0.2, 8)
         assert blocks[0] == budget // 8 and len(set(blocks)) > 1
+        assert np.array_equal(whole, budgeted, equal_nan=True)
+
+    def test_blocks_share_one_mapped_buffer(self, quartic, monkeypatch):
+        # a call's blocks are views of one buffer outside malloc's heap, so
+        # the loop's memory does not follow the hits or earlier allocations
+        run = SdeRun(quartic, epsilon=0.35, dt=1e-3, x0=[-1.0], seed=11,
+                     t_max=40.0)
+        whole = hitting_times_raw(run, [1.0], 0.2, 8)
+        buffers = []
+        draw = sde._draw_noise
+
+        def recording(rngs, steps, shape, scale, buf):
+            buffers.append(buf)
+            return draw(rngs, steps, shape, scale, buf)
+
+        monkeypatch.setattr(sde, "_draw_noise", recording)
+        monkeypatch.setattr(sde, "_MIN_DRAW", 1)
+        monkeypatch.setattr(sde, "_BLOCK_NORMALS", 24)
+        budgeted = hitting_times_raw(run, [1.0], 0.2, 8)
+        assert len(buffers) > 1 and all(b is buffers[0] for b in buffers)
+        assert buffers[0].size == 24 and isinstance(buffers[0].base.obj, mmap.mmap)
         assert np.array_equal(whole, budgeted, equal_nan=True)
 
 

@@ -463,9 +463,9 @@ class TestHitting:
         blocks = []
         draw = sde._draw_noise
 
-        def recording(rngs, steps, shape, scale=None):
+        def recording(rngs, steps, *rest):
             blocks.append(steps)
-            return draw(rngs, steps, shape, scale)
+            return draw(rngs, steps, *rest)
 
         monkeypatch.setattr(sde, "_draw_noise", recording)
         monkeypatch.setattr(sde, "_MIN_DRAW", 1)
