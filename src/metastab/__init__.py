@@ -10,13 +10,11 @@ theory, and Fredholm / Carleman-Fredholm spectral determinants.
 from .allen_cahn import AllenCahnEnergy, galerkin_critical_points_1d, galerkin_potential_1d
 from .determinants import (
     DeterminantResult,
-    TorusSpectrum,
     carleman_det_2d,
     counterterm_trace,
     fredholm_closed_form,
     fredholm_det_1d,
     resolvent_trace,
-    torus_spectrum,
 )
 from .fields import (
     SpectralField,

@@ -146,7 +146,8 @@ def galerkin_critical_points_1d(L: float, N: int) -> tuple[CriticalPoint, Critic
     Eigenvalues are the diagonal Hessian entries in the real coordinates:
     nu_0 and 2 nu_k (doubled) at the saddle, shifted by +3 at the minimum.
     """
-    nu_pos = (2 * np.pi * np.arange(1, N + 1) / L) ** 2 - 1.0
+    AllenCahnEnergy(1, L, N)  # rejects L <= 0 and N < 0
+    nu_pos = fields.squared_wavenumber_grid(1, L, N)[1:N + 1] - 1.0
     saddle_eigs = np.concatenate(([-1.0], np.repeat(2 * nu_pos, 2)))
     min_eigs = np.concatenate(([2.0], np.repeat(2 * (nu_pos + 3.0), 2)))
 

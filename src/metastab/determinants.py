@@ -1,8 +1,14 @@
-"""Torus Laplacian spectra and spectral determinants of 1 + 3/(-Lap - 1).
+"""Spectral determinants of 1 + 3/(-Lap - 1) and the Wick counterterm trace.
 
-All mode products are accumulated as (sign, log-magnitude) pairs so that 2D
-products over (2N+1)^2 modes never overflow, and so that regrouped reductions
-can be compared at machine precision.
+The eigenvalues nu_k = (2 pi |k| / L)^2 - 1 are fields.squared_wavenumber_grid
+minus one: the band the field stepper advances, in FFT order.  So the
+Fredholm and Carleman-Fredholm products and the counterterm C_N run over
+exactly the modes the renormalized stepper evolves, and C_N cancels the
+e^{-Tr} factor of the Carleman-Fredholm determinant mode by mode.
+
+Products are accumulated as (sign, log-magnitude) pairs so that 2D products
+over (2N+1)^2 modes never overflow, and so that regrouped reductions can be
+compared at machine precision.
 """
 
 from __future__ import annotations
@@ -11,17 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class TorusSpectrum:
-    """Eigenvalues nu_k = (2 pi |k| / L)^2 - 1 over the square cutoff max|k_i| <= N."""
-
-    d: int
-    L: float
-    N: int
-    eigenvalues: np.ndarray  # flattened, the k=0 entry first
 
 
 @dataclass(frozen=True)
@@ -33,13 +30,19 @@ class DeterminantResult:
     truncation interval.
     """
 
-    value: float
-    abs_value: float
     log_abs: float
     sign: int
     N: int
     tail_estimate: float
     kind: str  # "fredholm" or "carleman_fredholm"
+
+    @property
+    def value(self) -> float:
+        return self.sign * np.exp(self.log_abs)
+
+    @property
+    def abs_value(self) -> float:
+        return np.exp(self.log_abs)
 
 
 def _check_domain(L: float) -> None:
@@ -50,25 +53,35 @@ def _check_domain(L: float) -> None:
         )
 
 
-def torus_spectrum(d: int, L: float, N: int) -> TorusSpectrum:
-    """Spectrum of -Lap - 1 on the torus, square cutoff, k=0 entry first."""
+def _eigenvalues(d: int, L: float, N: int) -> np.ndarray:
+    """nu_k over the band max|k_i| <= N that the field stepper advances."""
     if d not in (1, 2):
         raise DomainError("only d=1 and d=2 are supported")
     if N < 0:
         raise DomainError("cutoff N must be nonnegative")
     if L <= 0:
         raise DomainError("torus side length must be positive")
-    k = np.concatenate(([0], np.arange(1, N + 1), -np.arange(1, N + 1)))
+    return fields.squared_wavenumber_grid(d, L, N) - 1.0
+
+
+def _determinant(d: int, L: float, N: int) -> DeterminantResult:
+    """prod (1 + x_k), x_k = 3/nu_k, over the band; in d=2 each factor also
+    carries e^{-x_k}, which removes the trace divergence."""
+    _check_domain(L)
+    x = 3.0 / _eigenvalues(d, L, N)
+    factors = 1.0 + x
+    log_terms = np.log(np.abs(factors))
+    a = L / (2 * np.pi)  # < 1, so nu_k > 0 for all k != 0
     if d == 1:
-        ksq = k.astype(float) ** 2
+        tail = 3.0 * a * np.log((N + a) / (N - a)) if N >= 1 else np.inf
+        kind = "fredholm"
     else:
-        ksq = (k[:, None] ** 2 + k[None, :] ** 2).astype(float).ravel()
-    return TorusSpectrum(d, L, N, (2 * np.pi / L) ** 2 * ksq - 1.0)
-
-
-def _signed_log_sum(log_terms: np.ndarray, signs: np.ndarray) -> tuple[int, float]:
-    sign = 1 if int(np.sum(signs < 0)) % 2 == 0 else -1
-    return sign, float(np.sum(log_terms))
+        log_terms -= x  # fused per-mode reduction
+        tail = 4.5 * a**4 * np.pi / (N**2 - a**2) if N >= 1 else np.inf
+        kind = "carleman_fredholm"
+    sign = -1 if np.count_nonzero(factors < 0) % 2 else 1
+    return DeterminantResult(log_abs=float(np.sum(log_terms)), sign=sign, N=N,
+                             tail_estimate=tail, kind=kind)
 
 
 def fredholm_det_1d(L: float, N: int) -> DeterminantResult:
@@ -78,18 +91,7 @@ def fredholm_det_1d(L: float, N: int) -> DeterminantResult:
     so the value is negative for every N; the infinite product converges to
     :func:`fredholm_closed_form` at rate O(1/N).
     """
-    _check_domain(L)
-    spec = torus_spectrum(1, L, N)
-    factors = 1.0 + 3.0 / spec.eigenvalues
-    sign, log_abs = _signed_log_sum(np.log(np.abs(factors)), factors)
-    a = L / (2 * np.pi)  # < 1, so nu_k > 0 for all |k| >= 1
-    if N >= 1:
-        tail = 3.0 * a * np.log((N + a) / (N - a))
-    else:
-        tail = np.inf
-    value = sign * np.exp(log_abs)
-    return DeterminantResult(value=value, abs_value=abs(value), log_abs=log_abs,
-                             sign=sign, N=N, tail_estimate=tail, kind="fredholm")
+    return _determinant(1, L, N)
 
 
 def fredholm_closed_form(L: float) -> float:
@@ -104,27 +106,12 @@ def carleman_det_2d(L: float, N: int) -> DeterminantResult:
     The exponential factor removes the trace divergence, leaving a log-tail
     of order sum 9/(2 nu_k^2) ~ 1/N^2; the plain product has no limit.
     """
-    _check_domain(L)
-    if N < 0:
-        raise DomainError("cutoff N must be nonnegative")
-    spec = torus_spectrum(2, L, N)
-    x = 3.0 / spec.eigenvalues
-    log_terms = np.log(np.abs(1.0 + x)) - x  # fused per-mode reduction
-    sign, log_abs = _signed_log_sum(log_terms, 1.0 + x)
-    a = L / (2 * np.pi)
-    if N >= 1:
-        tail = 4.5 * a**4 * np.pi / (N**2 - a**2)
-    else:
-        tail = np.inf
-    value = sign * np.exp(log_abs)
-    return DeterminantResult(value=value, abs_value=abs(value), log_abs=log_abs,
-                             sign=sign, N=N, tail_estimate=tail,
-                             kind="carleman_fredholm")
+    return _determinant(2, L, N)
 
 
 def resolvent_trace(d: int, L: float, N: int) -> float:
     """Tr(P_N (-Lap - 1)^{-1}) = sum over the retained band of 1/nu_k."""
-    return float(np.sum(1.0 / torus_spectrum(d, L, N).eigenvalues))
+    return float(np.sum(1.0 / _eigenvalues(d, L, N)))
 
 
 def counterterm_trace(L: float, N: int) -> float:

@@ -9,6 +9,10 @@ the k_last >= 0 half band), serves grid_values, field_from_grid, the d=1
 Galerkin Hessian and the field stepper, which carries that half band;
 full_band() mirrors it back.
 require_conjugate_symmetric checks c[-k] = conj(c[k]) on bands themselves.
+squared_wavenumber_grid is the one source of (2 pi |k| / L)^2: the stepper's
+divisors, the energy, the Galerkin potential and its critical points, the
+H^s norm, and (minus one, as nu_k) the determinants and the Wick counterterm
+all read it, so they share one band in one order.
 """
 
 from __future__ import annotations
@@ -204,7 +208,8 @@ def translated(field: SpectralField, shift: float, axis: int = 0) -> SpectralFie
 
 
 def squared_wavenumber_grid(d: int, L: float, N: int) -> np.ndarray:
-    """(2*pi*|k|/L)^2 over the retained band, FFT ordering."""
+    """(2*pi*|k|/L)^2 over the retained band, FFT ordering; minus one, the
+    eigenvalues nu_k of -Lap - 1 that the determinants and C_N sum over."""
     k = mode_wavenumbers(N) * (2 * np.pi / L)
     if d == 1:
         return k**2

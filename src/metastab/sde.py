@@ -127,18 +127,16 @@ def ou_mean_var(x0: float, t: float, eps: float) -> tuple[float, float]:
 
 def detailed_balance_residual(t: float, eps: float, grid: np.ndarray) -> float:
     """max over grid pairs of |pi(x) p_t(x,y) - pi(y) p_t(y,x)| for the
-    quadratic well, with pi the centered normal of variance eps.
+    quadratic well, with pi = ou_density(0, ., inf, eps) the centered normal
+    of variance eps.
 
     The product pi(x) p_t(x,y) is symmetric in (x, y) in closed form, so the
     residual is pure floating-point noise (< 1e-12).
     """
     grid = np.asarray(grid, dtype=float)
-    var = eps * (1.0 - np.exp(-2.0 * t))
     x = grid[:, None]
     y = grid[None, :]
-    pi_x = np.exp(-(x**2) / (2 * eps)) / np.sqrt(2 * np.pi * eps)
-    p_xy = np.exp(-((y - x * np.exp(-t)) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var)
-    flux = pi_x * p_xy
+    flux = ou_density(0.0, x, np.inf, eps) * ou_density(x, y, t, eps)
     return float(np.max(np.abs(flux - flux.T)))
 
 

@@ -57,6 +57,12 @@ class SpdeRun:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        # The implicit step divides mode k by 1 - dt mu_k, and mu_0 = 1 is
+        # the largest mu_k: at dt = 1 the mean mode's divisor is zero, and
+        # above it the divisor is negative, so the mean flips sign each step.
+        if self.dt >= 1:
+            raise DomainError(f"dt = {self.dt} must be below 1: the implicit "
+                              "step divides the mean mode by 1 - dt")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if self.renormalize and self.field0.d == 1:

@@ -180,6 +180,18 @@ class TestGalerkin1D:
             eigs = np.linalg.eigvalsh(pot.hessian(cp.location))
             assert np.allclose(np.sort(eigs), cp.hessian_eigenvalues, rtol=1e-10)
 
+    @pytest.mark.parametrize("L, N", [(2.0, 2), (3.0, 8), (1.5, 32), (0.7, 64)])
+    def test_saddle_eigenvalues_are_the_hessian_diagonal_bit_for_bit(self, L, N):
+        # both read nu_k from the band the field stepper advances
+        _, sd = galerkin_critical_points_1d(L, N)
+        hess = galerkin_potential_1d(L, N).hessian(np.zeros(2 * N + 1))
+        assert np.array_equal(sd.hessian_eigenvalues, np.sort(np.diag(hess)))
+
+    @pytest.mark.parametrize("L, N", [(-2.0, 3), (0.0, 2), (2.0, -1)])
+    def test_critical_points_reject_bad_truncation(self, L, N):
+        with pytest.raises(ValueError):
+            galerkin_critical_points_1d(L, N)
+
     @pytest.mark.parametrize("N", (1, 8))
     def test_hessian_matches_dense_cos_sin_basis(self, N, rng):
         # reference: grid values of the coordinate directions built from

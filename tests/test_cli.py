@@ -246,6 +246,21 @@ class TestCliRuns:
         assert code == 2
         assert not (tmp_path / "results.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["spde-hitting", "--d", "1", "--L", "2", "--N", "4", "--epsilon", "0.1",
+         "--delta", "0.5", "--t_max", "60", "--n", "8", "--start", "-0.5"],
+        ["arrhenius-sweep", "--system", "ac1d", "--L", "2", "--N", "4", *SWEEP_ARGS],
+    ])
+    def test_field_dt_of_one_or_more_exits_2_without_output(self, argv, tmp_path,
+                                                           capsys):
+        # the implicit step divides the mean mode by 1 - dt
+        code = main([*argv, "--dt", "1.5", "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "results.csv").exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "DomainError"
+
     @pytest.mark.parametrize("t_max", ("0", "-5"))
     def test_sde_nonpositive_horizon_exits_2_without_output(self, t_max, tmp_path,
                                                             capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,37 +7,42 @@ from hypothesis import strategies as st
 
 from metastab import (
     carleman_det_2d,
+    compensation_residual,
     counterterm_trace,
     fredholm_closed_form,
     fredholm_det_1d,
     resolvent_trace,
-    torus_spectrum,
 )
 from metastab.errors import DomainError
+from metastab.fields import squared_wavenumber_grid
+
+
+def eigenvalues(d, L, N):
+    """nu_k = (2 pi |k| / L)^2 - 1 on the band the field stepper advances."""
+    return squared_wavenumber_grid(d, L, N) - 1.0
 
 
 class TestTorusSpectrum:
     def test_one_negative_eigenvalue_below_2pi(self):
         for L in (0.5, 2.0, 5.0):
-            spec = torus_spectrum(1, L, 32)
-            assert np.sum(spec.eigenvalues < 0) == 1
-            assert spec.eigenvalues[0] == -1.0
+            eigs = eigenvalues(1, L, 32)
+            assert np.sum(eigs < 0) == 1
+            assert eigs[0] == -1.0
 
     def test_symmetric_under_k_negation(self):
-        spec = torus_spectrum(1, 2.0, 8)
-        eigs = spec.eigenvalues
-        # entries 1..N pair with entries N+1..2N
-        assert np.allclose(eigs[1:9], eigs[9:])
+        N = 8
+        eigs = eigenvalues(1, 2.0, N)
+        # FFT order [0, 1..N, -N..-1]: entry k pairs with entry 2N+1-k
+        assert np.array_equal(eigs[1:N + 1], eigs[:N:-1])
 
     def test_2d_mode_count(self):
-        spec = torus_spectrum(2, 2.0, 5)
-        assert spec.eigenvalues.size == 11**2
+        assert eigenvalues(2, 2.0, 5).size == 11**2
 
     def test_2d_includes_axis_modes(self):
         # modes with one zero component are genuine eigenvalues
-        spec = torus_spectrum(2, 2.0, 3)
+        eigs = eigenvalues(2, 2.0, 3)
         expected = (2 * np.pi / 2.0) ** 2 * 1.0 - 1.0  # k = (1, 0)
-        assert np.any(np.isclose(spec.eigenvalues, expected))
+        assert np.any(np.isclose(eigs, expected))
 
 
 class TestFredholm1D:
@@ -118,8 +125,7 @@ class TestCarleman2D:
         L = 2.0
         logs = []
         for N in (8, 16, 32, 64, 128):
-            spec = torus_spectrum(2, L, N)
-            logs.append(np.sum(np.log(np.abs(1.0 + 3.0 / spec.eigenvalues))))
+            logs.append(np.sum(np.log(np.abs(1.0 + 3.0 / eigenvalues(2, L, N)))))
         diffs = np.diff(logs)
         assert np.all(diffs > 0.1)  # keeps growing, harmonic-series style
 
@@ -131,12 +137,12 @@ class TestCarleman2D:
         # one pass over (1 + x) e^{-x} per mode vs product and trace reduced
         # separately, compared in log magnitude
         L, N = 2.0, 64
-        spec = torus_spectrum(2, L, N)
-        x = 3.0 / spec.eigenvalues
+        x = 3.0 / eigenvalues(2, L, N)
         fused = float(np.sum(np.log(np.abs(1.0 + x)) - x))
         separate = float(np.sum(np.log(np.abs(1.0 + x)))) - 3.0 * resolvent_trace(2, L, N)
         assert fused == pytest.approx(separate, rel=1e-12)
-        assert carleman_det_2d(L, N).log_abs == pytest.approx(fused, rel=1e-14)
+        # the determinant reads the same band, in the same order
+        assert carleman_det_2d(L, N).log_abs == fused
 
 
 def test_1d_regularized_identity_per_cutoff():
@@ -144,8 +150,7 @@ def test_1d_regularized_identity_per_cutoff():
     # regularization in d=1, exactly, for every cutoff
     L = 2.0
     for N in (0, 1, 4, 16, 64):
-        spec = torus_spectrum(1, L, N)
-        x = 3.0 / spec.eigenvalues
+        x = 3.0 / eigenvalues(1, L, N)
         det2_log = float(np.sum(np.log(np.abs(1.0 + x)) - x))
         plain = fredholm_det_1d(L, N)
         assert plain.log_abs - 3.0 * resolvent_trace(1, L, N) == pytest.approx(
@@ -172,3 +177,22 @@ class TestCounterterm:
         c1 = counterterm_trace(1.0, 32)
         c2 = counterterm_trace(2.0, 32)
         assert c1 != pytest.approx(c2)
+
+
+@pytest.mark.parametrize("func, args, message", [
+    (compensation_residual, (2, -1, 0.1), "cutoff N must be nonnegative"),
+    (compensation_residual, (7, 4, 0.1), "L = 7 outside (0, 2*pi)"),
+    (resolvent_trace, (3, 2, 4), "only d=1 and d=2 are supported"),
+    (resolvent_trace, (1, -1, 4), "torus side length must be positive"),
+    (carleman_det_2d, (2, -2), "cutoff N must be nonnegative"),
+    (fredholm_det_1d, (2, -1), "cutoff N must be nonnegative"),
+    (fredholm_closed_form, (7,), "L = 7 outside (0, 2*pi)"),
+])
+def test_invalid_input_raises_domain_error(func, args, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        func(*args)
+
+
+def test_resolvent_trace_beyond_two_pi_is_finite():
+    # no nu_k vanishes at L = 7; only the determinants need L < 2 pi
+    assert np.isfinite(resolvent_trace(2, 7, 4))

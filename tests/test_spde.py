@@ -18,7 +18,7 @@ from metastab import (
     solve_poisson,
     spde,
 )
-from metastab.errors import AllCensored, DomainError
+from metastab.errors import AllCensored, DomainError, NonFinite
 from metastab.fields import (
     BandGrid,
     SpectralField,
@@ -512,6 +512,23 @@ def test_mean_field_hitting_time_matches_the_poisson_solve(d):
     print(f"d={d}: MC {batch.mean:.3f} +- {batch.stderr:.3f}, exact {exact:.3f}, z={z:.2f}")
     assert batch.n_censored == 0
     assert abs(z) < 3
+
+
+class TestTimeStep:
+    @pytest.mark.parametrize("dt", [1.0, 1.5])
+    def test_dt_at_or_above_one_rejected(self, dt):
+        # the implicit step divides the mean mode by 1 - dt
+        with pytest.raises(DomainError, match="below 1"):
+            make_run(dt=dt)
+
+    def test_dt_below_one_accepted(self):
+        assert make_run(dt=0.9).dt == 0.9
+
+    def test_field_overflow_raises(self):
+        run = make_run(d=1, L=2.0, N=4, eps=0.0, dt=0.5, start=10.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFinite, match="field step overflowed"):
+            integrate_deterministic(run, 20 * run.dt)
 
 
 class TestRenormalizationFlags:
