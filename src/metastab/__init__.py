@@ -7,7 +7,14 @@ laws whose prefactors come from Hessian determinant ratios, 1D potential
 theory, and Fredholm / Carleman-Fredholm spectral determinants.
 """
 
-from .allen_cahn import AllenCahnEnergy, galerkin_critical_points_1d, galerkin_potential_1d
+from .allen_cahn import (
+    allen_cahn_energy,
+    allen_cahn_gradient,
+    galerkin_critical_points_1d,
+    galerkin_potential_1d,
+    gateaux_derivative,
+    renormalized_energy_gap,
+)
 from .determinants import (
     DeterminantResult,
     carleman_det_2d,

@@ -1,84 +1,54 @@
 """The Allen-Cahn energy functional on Galerkin-truncated torus fields.
 
-Quadratic terms are evaluated exactly in Fourier space; the quartic term is
-integrated by collocation on a dealiased grid, which makes both the integral
-and the projected cubic gradient exact for fields in the retained band.
+Functions of the field, on its own truncation (d, L, N).  Quadratic terms are
+evaluated exactly in Fourier space; the quartic term is integrated by
+collocation on a dealiased grid, which makes both the integral and the
+projected cubic gradient exact for fields in the retained band.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import fields
 from .determinants import counterterm_trace
-from .errors import DomainError, ShapeMismatch
 from .fields import SpectralField
 from .potentials import CriticalPoint, Potential
 
 
-@dataclass(frozen=True)
-class AllenCahnEnergy:
-    """Energy density integral of (|grad phi|^2/2 - phi^2/2 + phi^4/4)."""
+def allen_cahn_energy(phi: SpectralField) -> float:
+    """V(phi), the integral of |grad phi|^2/2 - phi^2/2 + phi^4/4; exactly 0
+    for the zero field, L^d (c^4/4 - c^2/2) for phi = c."""
+    ksq = fields.squared_wavenumber_grid(phi.d, phi.L, phi.N)
+    power = np.abs(phi.coeffs) ** 2
+    quad = 0.5 * float(np.sum(ksq * power)) - 0.5 * float(np.sum(power))
+    M = fields.dealiased_grid_size(phi.N)
+    u = fields.grid_values(phi, M)
+    cell = (phi.L / M) ** phi.d
+    u2 = u * u
+    return quad + 0.25 * float(np.sum(u2 * u2)) * cell
 
-    dimension_d: int
-    L: float
-    cutoff_N: int
 
-    def __post_init__(self):
-        if self.dimension_d not in (1, 2):
-            raise ValueError("dimension_d must be 1 or 2")
-        if self.L <= 0:
-            raise ValueError("torus side length must be positive")
-        if self.cutoff_N < 0:
-            raise ValueError("cutoff_N must be nonnegative")
+def allen_cahn_gradient(phi: SpectralField) -> np.ndarray:
+    """Spectral coefficients of -Laplacian(phi) - phi + P_N(phi^3)."""
+    ksq = fields.squared_wavenumber_grid(phi.d, phi.L, phi.N)
+    u = fields.grid_values(phi)
+    cubic = fields.field_from_grid(phi.d, phi.L, phi.N, u * u * u)
+    return (ksq - 1.0) * phi.coeffs + cubic.coeffs
 
-    def _check(self, phi: SpectralField) -> None:
-        if (phi.d, phi.L, phi.N) != (self.dimension_d, self.L, self.cutoff_N):
-            raise ShapeMismatch(
-                f"field (d={phi.d}, L={phi.L}, N={phi.N}) incompatible with "
-                f"energy (d={self.dimension_d}, L={self.L}, N={self.cutoff_N})"
-            )
 
-    def energy(self, phi: SpectralField) -> float:
-        """V(phi); exactly 0 for the zero field, L^d (c^4/4 - c^2/2) for phi = c."""
-        self._check(phi)
-        ksq = fields.squared_wavenumber_grid(phi.d, phi.L, phi.N)
-        power = np.abs(phi.coeffs) ** 2
-        quad = 0.5 * float(np.sum(ksq * power)) - 0.5 * float(np.sum(power))
-        M = fields.dealiased_grid_size(phi.N)
-        u = fields.grid_values(phi, M)
-        cell = (phi.L / M) ** phi.d
-        u2 = u * u
-        return quad + 0.25 * float(np.sum(u2 * u2)) * cell
+def gateaux_derivative(phi: SpectralField, psi: SpectralField) -> float:
+    """d/dh V(phi + h psi) at h=0, i.e. the L^2 pairing of the gradient with
+    psi; ShapeMismatch unless both fields share (d, L, N)."""
+    phi.require_compatible(psi)
+    g = allen_cahn_gradient(phi)
+    return float(np.real(np.sum(np.conj(g) * psi.coeffs)))
 
-    def gradient_coeffs(self, phi: SpectralField) -> np.ndarray:
-        """Spectral coefficients of -Laplacian(phi) - phi + P_N(phi^3)."""
-        self._check(phi)
-        ksq = fields.squared_wavenumber_grid(phi.d, phi.L, phi.N)
-        u = fields.grid_values(phi)
-        cubic = fields.field_from_grid(phi.d, phi.L, phi.N, u * u * u)
-        return (ksq - 1.0) * phi.coeffs + cubic.coeffs
 
-    def gateaux_derivative(self, phi: SpectralField, psi: SpectralField) -> float:
-        """d/dh V(phi + h psi) at h=0, i.e. the L^2 pairing of the gradient with psi."""
-        self._check(phi)
-        phi.require_compatible(psi)
-        g = self.gradient_coeffs(phi)
-        return float(np.real(np.sum(np.conj(g) * psi.coeffs)))
-
-    def renormalized_energy_gap(self, eps: float) -> float:
-        """Renormalized barrier between the zero field and the -1 well in d=2
-        at noise intensity eps.
-
-        Equals L^2/4 + (3/2) L^2 eps C_N, with C_N the Wick counterterm trace
-        at this energy's cutoff.
-        """
-        if self.dimension_d != 2:
-            raise DomainError("the renormalized energy gap is defined for d=2")
-        return self.L**2 / 4.0 + \
-            1.5 * self.L**2 * eps * counterterm_trace(self.L, self.cutoff_N)
+def renormalized_energy_gap(L: float, N: int, eps: float) -> float:
+    """L^2/4 + (3/2) L^2 eps C_N, the renormalized barrier between the zero
+    field and the -1 well on the d=2 torus of side L at cutoff N."""
+    return L**2 / 4.0 + 1.5 * L**2 * eps * counterterm_trace(L, N)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +78,7 @@ def galerkin_potential_1d(L: float, N: int) -> Potential:
     3 phi^2 are collocated on the dealiased grid, exact for band-limited
     fields.
     """
-    AllenCahnEnergy(1, L, N)  # rejects L <= 0 and N < 0
+    fields.check_truncation(1, L, N)
     colloc = fields.BandGrid(1, L, N, fields.dealiased_grid_size(N))
     cell = L / colloc.M
     nu = fields.squared_wavenumber_grid(1, L, N)[:N + 1] - 1.0
@@ -146,7 +116,7 @@ def galerkin_critical_points_1d(L: float, N: int) -> tuple[CriticalPoint, Critic
     Eigenvalues are the diagonal Hessian entries in the real coordinates:
     nu_0 and 2 nu_k (doubled) at the saddle, shifted by +3 at the minimum.
     """
-    AllenCahnEnergy(1, L, N)  # rejects L <= 0 and N < 0
+    fields.check_truncation(1, L, N)
     nu_pos = fields.squared_wavenumber_grid(1, L, N)[1:N + 1] - 1.0
     saddle_eigs = np.concatenate(([-1.0], np.repeat(2 * nu_pos, 2)))
     min_eigs = np.concatenate(([2.0], np.repeat(2 * (nu_pos + 3.0), 2)))

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .allen_cahn import galerkin_critical_points_1d, galerkin_potential_1d
 from .determinants import carleman_det_2d, fredholm_closed_form, fredholm_det_1d
-from .errors import AllCensored, InsufficientData, MetastabError
+from .errors import AllCensored, InsufficientData, MetastabError, ShapeMismatch
 from .fields import constant_field
 from .kramers import ek_allen_cahn_1d, ek_allen_cahn_2d, ek_finite
 from .potential_theory import (
@@ -83,6 +83,9 @@ class ExperimentConfig:
             if system not in keys:
                 raise ValueError(f"unknown system {system!r}")
             keys, what = keys[system] | {"system"}, f"{what} --system {system}"
+        norm = self.parameters.get("norm", "linf")
+        if "norm" in keys and norm != "hs":  # s is the hs norm's index
+            keys, what = keys - {"s"}, f"{what} --norm {norm}"
         unread = sorted(set(self.parameters) - keys)
         if unread:
             raise ValueError(f"{what} does not read {', '.join(unread)}")
@@ -394,8 +397,10 @@ def _run_rate_functional(cfg: ExperimentConfig):
         from .rate_functional import load_field_path_jsonl, rate_functional_ac_1d
 
         path = load_field_path_jsonl(p["field_jsonl"])
-        value = rate_functional_ac_1d(path, p.get("L", path.L))
-        rev = rate_functional_ac_1d(path.reversed(), p.get("L", path.L))
+        if p.get("L", path.L) != path.L:
+            raise ShapeMismatch(f"path torus length {path.L} != requested {p['L']}")
+        value = rate_functional_ac_1d(path)
+        rev = rate_functional_ac_1d(path.reversed())
     else:
         path = load_path_csv(p["path_csv"])
         pot = _POTENTIALS[p.get("potential", "quartic")]()

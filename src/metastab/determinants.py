@@ -55,12 +55,7 @@ def _check_domain(L: float) -> None:
 
 def _eigenvalues(d: int, L: float, N: int) -> np.ndarray:
     """nu_k over the band max|k_i| <= N that the field stepper advances."""
-    if d not in (1, 2):
-        raise DomainError("only d=1 and d=2 are supported")
-    if N < 0:
-        raise DomainError("cutoff N must be nonnegative")
-    if L <= 0:
-        raise DomainError("torus side length must be positive")
+    fields.check_truncation(d, L, N)
     return fields.squared_wavenumber_grid(d, L, N) - 1.0
 
 
@@ -118,6 +113,8 @@ def counterterm_trace(L: float, N: int) -> float:
     """Wick counterterm C_N = Tr(P_N (-Lap - 1)^{-1}) / L^2 on the 2D torus.
 
     Diverges like log(N)/(2 pi); independent of the noise intensity, which
-    multiplies it externally.
+    multiplies it externally.  DomainError outside 0 < L < 2 pi, where some
+    nu_k, k != 0, is <= 0 (C_N is infinite at L = 2 pi).
     """
+    _check_domain(L)
     return resolvent_trace(2, L, N) / L**2

@@ -9,10 +9,12 @@ the k_last >= 0 half band), serves grid_values, field_from_grid, the d=1
 Galerkin Hessian and the field stepper, which carries that half band;
 full_band() mirrors it back.
 require_conjugate_symmetric checks c[-k] = conj(c[k]) on bands themselves.
+check_truncation is the one check of (d, L, N); the rest reads the field's.
 squared_wavenumber_grid is the one source of (2 pi |k| / L)^2: the stepper's
 divisors, the energy, the Galerkin potential and its critical points, the
-H^s norm, and (minus one, as nu_k) the determinants and the Wick counterterm
-all read it, so they share one band in one order.
+H^s weights, and (minus one, as nu_k) the determinants and the Wick
+counterterm all read it, so they share one band in one order.
+distance_to_constant is the one distance to a constant, hitting times' too.
 """
 
 from __future__ import annotations
@@ -21,9 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import DomainError, ShapeMismatch
 
 REALNESS_TOL = 1e-12
+
+
+def check_truncation(d: int, L: float, N: int) -> None:
+    """DomainError unless d is 1 or 2, N >= 0 and L > 0, checked in that order."""
+    if d not in (1, 2):
+        raise DomainError("only d=1 and d=2 are supported")
+    if N < 0:
+        raise DomainError("cutoff N must be nonnegative")
+    if L <= 0:
+        raise DomainError("torus side length must be positive")
 
 
 def mode_wavenumbers(N: int) -> np.ndarray:
@@ -55,21 +67,15 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.d not in (1, 2):
-            raise ValueError("only d=1 and d=2 tori are supported")
-        if self.L <= 0:
-            raise ValueError("torus side length must be positive")
+        check_truncation(self.d, self.L, self.N)
         expected = (2 * self.N + 1,) * self.d
         if self.coeffs.shape != expected:
             raise ShapeMismatch(
                 f"coefficient array has shape {self.coeffs.shape}, expected {expected}"
             )
 
-    def compatible_with(self, other: "SpectralField") -> bool:
-        return self.d == other.d and self.L == other.L and self.N == other.N
-
     def require_compatible(self, other: "SpectralField") -> None:
-        if not self.compatible_with(other):
+        if (self.d, self.L, self.N) != (other.d, other.L, other.N):
             raise ShapeMismatch(
                 f"fields live on different truncations: "
                 f"(d={self.d}, L={self.L}, N={self.N}) vs "
@@ -216,18 +222,42 @@ def squared_wavenumber_grid(d: int, L: float, N: int) -> np.ndarray:
     return k[:, None] ** 2 + k[None, :] ** 2
 
 
+def distance_to_constant(d: int, L: float, N: int, c: float, norm: str,
+                         s: float = -0.5):
+    """Distances to the constant field c of fields on (d, L, N), as a function
+    of (half bands (..., [2N+1,] N+1), grids (..., M[, M])) returning (...):
+    for norm "linf" the sup over the grids; for "hs" the H^s norm
+    sqrt(sum_k (1 + (2 pi |k| / L)^2)^s |c_k - t_k|^2), t the band of c, off
+    the half bands, whose k_last > 0 columns count twice, for their mirrors."""
+    def flat(a):  # the last d axes as one
+        return a.reshape(a.shape[:a.ndim - d] + (-1,))
+    if norm == "linf":
+        return lambda half, grids: np.max(np.abs(flat(grids) - c), axis=-1)
+    if norm != "hs":
+        raise ValueError("norm must be 'linf' or 'hs'")
+    weights = (1.0 + squared_wavenumber_grid(d, L, N)[..., :N + 1]) ** s
+    weights[..., 1:] *= 2
+    target = np.zeros(weights.shape, dtype=complex)
+    target[(0,) * d] = c * L ** (d / 2.0)
+    return lambda half, grids: np.sqrt(
+        np.sum(flat(weights * np.abs(half - target) ** 2), axis=-1))
+
+
 def hs_norm(field: SpectralField, s: float) -> float:
-    """Sobolev norm sqrt(sum_k (1 + (2 pi |k| / L)^2)^s |c_k|^2)."""
-    w = (1.0 + squared_wavenumber_grid(field.d, field.L, field.N)) ** s
-    return float(np.sqrt(np.sum(w * np.abs(field.coeffs) ** 2)))
+    """The H^s distance to 0 (see hs_distance_to_constant)."""
+    return hs_distance_to_constant(field, 0.0, s)
 
 
 def hs_distance_to_constant(field: SpectralField, c: float, s: float) -> float:
-    shifted = field.coeffs.copy()
-    shifted[(0,) * field.d] -= c * field.L ** (field.d / 2)
-    return hs_norm(SpectralField(field.d, field.L, field.N, shifted), s)
+    """H^s distance to the constant c (see distance_to_constant); ShapeMismatch
+    unless the band is conjugate-symmetric, which its half band cannot show."""
+    require_conjugate_symmetric(field.coeffs, field.d)
+    dist = distance_to_constant(field.d, field.L, field.N, c, "hs", s)
+    return float(dist(field.coeffs[None, ..., :field.N + 1], None)[0])
 
 
 def linf_distance_to_constant(field: SpectralField, c: float,
                               M: int | None = None) -> float:
-    return float(np.max(np.abs(grid_values(field, M) - c)))
+    """Sup over the M^d grid of |phi - c| (see grid_values)."""
+    dist = distance_to_constant(field.d, field.L, field.N, c, "linf")
+    return float(dist(None, grid_values(field, M)[None])[0])

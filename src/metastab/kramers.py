@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .allen_cahn import AllenCahnEnergy
+from .allen_cahn import renormalized_energy_gap
 from .determinants import (
     _eigenvalues,
     carleman_det_2d,
@@ -142,7 +142,7 @@ def compensation_residual(L: float, N: int, eps: float) -> float:
     two log mean times agree up to floating-point regrouping.
     """
     log_plain = float(np.sum(np.log(np.abs(1.0 + 3.0 / _eigenvalues(2, L, N)))))
-    gap = AllenCahnEnergy(2, L, N).renormalized_energy_gap(eps)
+    gap = renormalized_energy_gap(L, N, eps)
     log_route_a = np.log(2 * np.pi) - 0.5 * log_plain + gap / eps
 
     det2 = carleman_det_2d(L, N)

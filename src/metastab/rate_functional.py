@@ -89,21 +89,19 @@ def rate_functional_sde(path: DiscretePath, p: Potential) -> float:
     return float(0.5 * np.sum(integrand * dt[:, 0]))
 
 
-def rate_functional_ac_1d(path: FieldPath, L: float) -> float:
+def rate_functional_ac_1d(path: FieldPath) -> float:
     """Space-time cost of a 1D field path against its own gradient dynamics.
 
     Integrand: (d_t gamma - d_xx gamma - gamma + gamma^3)^2, quadrature
     midpoint in time; the spatial integral of the squared residual is exact
     for band-limited snapshots because the residual (modes up to 3N) is
     evaluated on a grid with more than 6N points.  ShapeMismatch if the path
-    is not d=1 on a torus of side L, or if a snapshot violates conjugate
-    symmetry by more than REALNESS_TOL relative to the largest coefficient.
+    is not d=1, or if a snapshot violates conjugate symmetry by more than
+    REALNESS_TOL relative to the largest coefficient.
     """
     if path.d != 1:
         raise ShapeMismatch("this functional is defined for d=1 field paths")
-    if path.L != L:
-        raise ShapeMismatch(f"path torus length {path.L} != requested {L}")
-    N, c, dt = path.N, path.coeffs, np.diff(path.times)
+    L, N, c, dt = path.L, path.N, path.coeffs, np.diff(path.times)
     fields.require_conjugate_symmetric(c, 1)
     ksq = fields.squared_wavenumber_grid(1, L, N)
     mid = 0.5 * (c[:-1] + c[1:])

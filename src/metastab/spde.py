@@ -23,6 +23,8 @@ Every time loop runs on sde._first_passage, which draws each step's normals
 and carries each state's grid as the aux step() takes and returns: trajectories,
 snapshots and the noiseless flow are one replica with a recording observer,
 and the noise check is an ensemble whose states are accumulated pairings.
+The hitting observer measures with fields.distance_to_constant.  A run reads
+(d, L, N) off its initial field; its counterterm needs 0 < L < 2 pi.
 """
 
 from __future__ import annotations
@@ -305,34 +307,18 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
     """First times the distance to the constant target falls below delta.
 
     norm = "linf" measures on the collocation grid; norm = "hs" uses the
-    Fourier-weighted Sobolev norm with index s < 0.  One nan per censored
-    replica; deterministic given (seed, replica index).
+    Fourier-weighted Sobolev norm with index s < 0 (fields.distance_to_constant).
+    One nan per censored replica; deterministic given (seed, replica index).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if norm not in ("linf", "hs"):
-        raise ValueError("norm must be 'linf' or 'hs'")
     if norm == "hs" and s >= 0:
         raise DomainError("the Sobolev hitting norm requires s < 0")
     st = _Stepper(run)
-    d, L, N = st.d, st.L, st.N
-    c0 = run.field0.coeffs[..., :N + 1]
-    target_c = np.zeros_like(c0)
-    target_c[(0,) * d] = target * L ** (d / 2.0)
-    if norm == "hs":  # on the half band, k_last > 0 columns count twice
-        weights = (1.0 + fields.squared_wavenumber_grid(d, L, N)[..., :N + 1]) ** s
-        weights[..., 1:] *= 2
-
-    def distances(coeffs, grids):
-        if norm == "linf":
-            flat = grids.reshape(grids.shape[0], -1)
-            return np.max(np.abs(flat - target), axis=1)
-        diff = coeffs - target_c
-        flat = (weights * np.abs(diff) ** 2).reshape(coeffs.shape[0], -1)
-        return np.sqrt(np.sum(flat, axis=1))
-
+    distances = fields.distance_to_constant(st.d, st.L, st.N, target, norm, s)
+    c0 = run.field0.coeffs[..., :st.N + 1]
     return _first_passage(c0, run.seed, replica_offset, n, run.dt,
                           int(round(run.t_max / run.dt)), st.noise_shape, st.step,
                           lambda _k, coeffs, grids: distances(coeffs, grids) < delta,

@@ -283,8 +283,8 @@ def test_criterion_13_rate_functionals(quartic):
     from metastab.rate_functional import FieldPath
 
     fpath = FieldPath(times=ftimes, d=1, L=L, N=N, coeffs=snaps)
-    fflow = m.rate_functional_ac_1d(fpath, L)
-    frev = m.rate_functional_ac_1d(fpath.reversed(), L)
+    fflow = m.rate_functional_ac_1d(fpath)
+    frev = m.rate_functional_ac_1d(fpath.reversed())
     ok_field = fflow <= 1e-4 and abs(frev - L / 2) / (L / 2) <= 0.02
     passed = report(
         "13 (rate functionals)", ok_sde and ok_field,

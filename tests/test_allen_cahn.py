@@ -2,25 +2,23 @@ import numpy as np
 import pytest
 
 from metastab import (
-    AllenCahnEnergy,
     SdeRun,
     SpectralField,
+    allen_cahn_energy,
+    allen_cahn_gradient,
     constant_field,
     field_from_function,
     galerkin_critical_points_1d,
     galerkin_potential_1d,
+    gateaux_derivative,
     random_field,
+    renormalized_energy_gap,
     sample_hitting_times,
 )
-from metastab.errors import DomainError, ShapeMismatch
+from metastab.errors import ShapeMismatch
 from metastab.fields import dealiased_grid_size, grid_values, translated
 from metastab.potential_theory import Grid1D, solve_poisson
 from metastab.potentials import numerical_hessian
-
-
-@pytest.fixture
-def energy_1d():
-    return AllenCahnEnergy(1, 2.0, 8)
 
 
 def quadrature_energy(f, L, M=8192):
@@ -31,26 +29,25 @@ def quadrature_energy(f, L, M=8192):
     return float(np.sum(0.5 * du**2 - 0.5 * u**2 + 0.25 * u**4) * L / M)
 
 
-def test_zero_field_energy_is_exactly_zero(energy_1d):
-    assert energy_1d.energy(constant_field(1, 2.0, 8, 0.0)) == 0.0
+def test_zero_field_energy_is_exactly_zero():
+    assert allen_cahn_energy(constant_field(1, 2.0, 8, 0.0)) == 0.0
 
 
 @pytest.mark.parametrize("d,L", [(1, 2.0), (2, 1.5)])
 @pytest.mark.parametrize("c", [-1.0, 0.5, 1.3])
 def test_constant_field_energy(d, L, c):
-    e = AllenCahnEnergy(d, L, 4)
     f = constant_field(d, L, 4, c)
-    assert e.energy(f) == pytest.approx(L**d * (c**4 / 4 - c**2 / 2), abs=1e-12)
+    assert allen_cahn_energy(f) == pytest.approx(L**d * (c**4 / 4 - c**2 / 2), abs=1e-12)
 
 
-def test_cosine_energy_analytic(energy_1d):
+def test_cosine_energy_analytic():
     L = 2.0
     f = field_from_function(1, L, 8, lambda x: np.cos(2 * np.pi * x / L))
     exact = L * ((2 * np.pi / L) ** 2 / 4 - 1 / 4 + 3 / 32)
-    assert energy_1d.energy(f) == pytest.approx(exact, rel=1e-12)
+    assert allen_cahn_energy(f) == pytest.approx(exact, rel=1e-12)
 
 
-def test_energy_against_quadrature_oracle(energy_1d):
+def test_energy_against_quadrature_oracle():
     L = 2.0
 
     def profile(x):
@@ -59,42 +56,34 @@ def test_energy_against_quadrature_oracle(energy_1d):
     f = field_from_function(1, L, 8, profile)
     # the profile is band-limited, so the spectral value must match plain
     # high-resolution quadrature of the density
-    assert energy_1d.energy(f) == pytest.approx(quadrature_energy(profile, L), rel=1e-6)
-
-
-def test_energy_shape_mismatch(energy_1d):
-    with pytest.raises(ShapeMismatch):
-        energy_1d.energy(constant_field(1, 2.0, 4, 0.0))
-    with pytest.raises(ShapeMismatch):
-        energy_1d.energy(constant_field(1, 3.0, 8, 0.0))
+    assert allen_cahn_energy(f) == pytest.approx(quadrature_energy(profile, L), rel=1e-6)
 
 
 def test_energy_translation_invariance(rng):
     L, N = 2.0, 8
-    e = AllenCahnEnergy(1, L, N)
     f = random_field(1, L, N, rng)
     M = dealiased_grid_size(N)
     for cells in (1, 7, 20):
         g = translated(f, cells * L / M)
-        assert e.energy(g) == pytest.approx(e.energy(f), rel=1e-11)
+        assert allen_cahn_energy(g) == pytest.approx(allen_cahn_energy(f), rel=1e-11)
 
 
 class TestGateaux:
-    def test_zero_at_minus_one_well(self, energy_1d, rng):
+    def test_zero_at_minus_one_well(self, rng):
         phi = constant_field(1, 2.0, 8, -1.0)
         for _ in range(5):
             psi = random_field(1, 2.0, 8, rng)
-            assert abs(energy_1d.gateaux_derivative(phi, psi)) < 1e-12
+            assert abs(gateaux_derivative(phi, psi)) < 1e-12
 
-    def test_constant_directions(self, energy_1d):
+    def test_constant_directions(self):
         L = 2.0
         psi = constant_field(1, L, 8, 1.0)
         for c in (-1.5, -0.3, 0.8):
             phi = constant_field(1, L, 8, c)
-            assert energy_1d.gateaux_derivative(phi, psi) == pytest.approx(
+            assert gateaux_derivative(phi, psi) == pytest.approx(
                 L * (c**3 - c), rel=1e-12, abs=1e-12)
 
-    def test_matches_finite_difference(self, energy_1d, rng):
+    def test_matches_finite_difference(self, rng):
         L, N = 2.0, 8
         h = 1e-5
         for _ in range(10):
@@ -102,14 +91,13 @@ class TestGateaux:
             psi = random_field(1, L, N, rng, 0.6)
             fplus = SpectralField(1, L, N, phi.coeffs + h * psi.coeffs)
             fminus = SpectralField(1, L, N, phi.coeffs - h * psi.coeffs)
-            fd = (energy_1d.energy(fplus) - energy_1d.energy(fminus)) / (2 * h)
-            gt = energy_1d.gateaux_derivative(phi, psi)
+            fd = (allen_cahn_energy(fplus) - allen_cahn_energy(fminus)) / (2 * h)
+            gt = gateaux_derivative(phi, psi)
             assert gt == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
     def test_integration_by_parts_form(self, rng):
         # pairing of -(Lap phi + phi - phi^3) with psi equals the derivative
         L, N = 2.0, 6
-        e = AllenCahnEnergy(1, L, N)
         ksq = (2 * np.pi / L) ** 2
         for _ in range(50):
             phi = random_field(1, L, N, rng, 0.5)
@@ -121,17 +109,22 @@ class TestGateaux:
                 -(np.fft.fftfreq(M, d=1.0 / M) * 2 * np.pi / L) ** 2 * np.fft.fft(u)))
             integrand = -(lap + u - u**3) * v
             oracle = float(np.sum(integrand) * L / M)
-            assert e.gateaux_derivative(phi, psi) == pytest.approx(
+            assert gateaux_derivative(phi, psi) == pytest.approx(
                 oracle, rel=1e-9, abs=1e-10)
 
-    def test_only_constants_zero_minus_one_and_one(self, energy_1d):
+    def test_fields_on_different_truncations_rejected(self):
+        with pytest.raises(ShapeMismatch, match="different truncations"):
+            gateaux_derivative(constant_field(1, 2.0, 8, 0.0),
+                               constant_field(1, 2.0, 4, 1.0))
+
+    def test_only_constants_zero_minus_one_and_one(self):
         # scan constant fields: the derivative vanishes in all directions
         # only at c in {-1, 0, 1}
         L, N = 2.0, 8
         psi = constant_field(1, L, N, 1.0)
         cs = np.linspace(-1.6, 1.6, 33)
         vals = np.array([
-            energy_1d.gateaux_derivative(constant_field(1, L, N, c), psi)
+            gateaux_derivative(constant_field(1, L, N, c), psi)
             for c in cs
         ])
         zeros = cs[np.abs(vals) < 1e-9]
@@ -140,26 +133,20 @@ class TestGateaux:
 
 class TestRenormalizedGap:
     def test_counterterm_off(self):
-        e = AllenCahnEnergy(2, 2.0, 7)
-        assert e.renormalized_energy_gap(0.0) == pytest.approx(1.0)
+        assert renormalized_energy_gap(2.0, 7, 0.0) == pytest.approx(1.0)
 
     def test_single_mode_gap(self):
         # C_0 = -1/L^2, so the gap drops by (3/2) eps
-        e = AllenCahnEnergy(2, 2.0, 0)
-        assert e.renormalized_energy_gap(1.0) == pytest.approx(1.0 - 1.5)
+        assert renormalized_energy_gap(2.0, 0, 1.0) == pytest.approx(1.0 - 1.5)
 
     def test_log_divergence_slope(self):
         # gap(N) grows like (3/2) L^2 eps * log(N) / (2 pi) at large N
         L, eps = 2.0, 0.7
-        gaps = {N: AllenCahnEnergy(2, L, N).renormalized_energy_gap(eps)
+        gaps = {N: renormalized_energy_gap(L, N, eps)
                 for N in (128, 256, 512, 1024)}
         increments = [gaps[2 * N] - gaps[N] for N in (128, 256, 512)]
         expected = 1.5 * L**2 * eps * np.log(2) / (2 * np.pi)
         assert np.allclose(increments, expected, rtol=0.05)
-
-    def test_requires_d2(self):
-        with pytest.raises(DomainError):
-            AllenCahnEnergy(1, 2.0, 4).renormalized_energy_gap(0.1)
 
 
 class TestGalerkin1D:
@@ -246,21 +233,21 @@ class TestGalerkin1D:
 
     @pytest.mark.parametrize("N", (0, 3))
     def test_value_and_gradient_match_the_field_energy(self, N, rng):
-        # the coordinates' own formulas against AllenCahnEnergy on the field
+        # the coordinates' own formulas against the field energy on the field
         # they name: c_0 = a_0, c_k = u_k + i v_k, c_{-k} = conj(c_k)
         L = 2.0
-        pot, energy = galerkin_potential_1d(L, N), AllenCahnEnergy(1, L, N)
+        pot = galerkin_potential_1d(L, N)
         x = rng.standard_normal(2 * N + 1) * 0.5
         c = np.zeros(2 * N + 1, dtype=complex)
         c[0] = x[0]
         c[1:N + 1] = x[1::2] + 1j * x[2::2]
         c[N + 1:] = c[N:0:-1].conj()
         phi = SpectralField(1, L, N, c)
-        g = energy.gradient_coeffs(phi)
+        g = allen_cahn_gradient(phi)
         want = np.empty(2 * N + 1)
         want[0] = g[0].real
         want[1::2], want[2::2] = 2 * g[1:N + 1].real, 2 * g[1:N + 1].imag
-        assert pot.value(x) == pytest.approx(energy.energy(phi), rel=1e-13)
+        assert pot.value(x) == pytest.approx(allen_cahn_energy(phi), rel=1e-13)
         assert np.allclose(pot.gradient_batch(x), want, rtol=1e-13, atol=1e-13)
 
     def test_engine_hitting_time_at_N0_matches_the_poisson_solve(self):

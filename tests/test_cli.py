@@ -19,6 +19,8 @@ README = ROOT / "README.md"
 SDE_ARGS = ["--epsilon", "0.3", "--dt", "0.002", "--x0", "-1", "--target", "1",
             "--delta", "0.2", "--n", "4"]
 SWEEP_ARGS = ["--epsilon-list", "0.4,0.5,0.6", "--n", "4"]
+SPDE_ARGS = ["--d", "1", "--L", "2", "--N", "4", "--epsilon", "0.5", "--dt",
+             "0.01", "--delta", "0.3", "--t_max", "50", "--n", "4"]
 
 
 def batch_with_mean(mean):
@@ -312,6 +314,27 @@ class TestCliRuns:
         assert summary["cost"] < 1e-4
         assert summary["cost_reversed"] == pytest.approx(0.5, rel=0.05)
 
+    def test_rate_functional_from_field_jsonl(self, tmp_path, capsys):
+        # --L must name the torus the path lives on; the functional reads L
+        # off the path, so a mismatch stops at the input
+        from metastab.fields import constant_field
+        from metastab.rate_functional import FieldPath, save_field_path_jsonl
+
+        c = constant_field(1, 2.0, 4, 0.0).coeffs
+        f = tmp_path / "path.jsonl"
+        save_field_path_jsonl(FieldPath(times=np.array([0.0, 0.1]), d=1, L=2.0,
+                                        N=4, coeffs=np.array([c, c])), str(f))
+        for L, code in (("2", 0), ("3", 2)):
+            out = tmp_path / f"out_L{L}"
+            assert main(["rate-functional", "--field_jsonl", str(f), "--L", L,
+                         "--out", str(out)]) == code
+            assert (out / "results.csv").exists() == (code == 0)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "ShapeMismatch"
+        assert "2.0 != requested 3.0" in payload["message"]
+
     def test_randomwalk_experiment(self, tmp_path):
         code = main(["randomwalk", "--n_walks", "3000", "--n_steps", "2000",
                      "--seed", "5", "--out", str(tmp_path)])
@@ -532,6 +555,14 @@ class TestParametersRead:
         (["rate-functional", "--path_csv", "p.csv", "--field_jsonl",
           "f.jsonl"], "exactly one"),
         (["rate-functional"], "exactly one"),
+        # s is the index of the hs norm, read with --norm hs only
+        (["spde-hitting", *SPDE_ARGS, "--s", "-0.3"],
+         "spde-hitting --norm linf does not read s"),
+        (["spde-hitting", *SPDE_ARGS, "--norm", "linf", "--s", "-0.3"],
+         "spde-hitting --norm linf does not read s"),
+        (["arrhenius-sweep", "--system", "ac1d", "--L", "2", "--N", "4",
+          *SWEEP_ARGS, "--s", "-0.3"],
+         "arrhenius-sweep --system ac1d --norm linf does not read s"),
     ))
     def test_unread_flag_exits_2_without_output(self, argv, named, tmp_path,
                                                 capsys):

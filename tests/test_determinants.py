@@ -193,6 +193,13 @@ def test_invalid_input_raises_domain_error(func, args, message):
         func(*args)
 
 
+@pytest.mark.parametrize("L", (2 * np.pi, 7.0))
+def test_counterterm_rejects_L_outside_zero_two_pi(L):
+    # at 2 pi nu_1 = 0 and C_N is infinite; beyond it nu_1 < 0
+    with pytest.raises(DomainError, match=re.escape(f"L = {L} outside (0, 2*pi)")):
+        counterterm_trace(L, 4)
+
+
 def test_resolvent_trace_beyond_two_pi_is_finite():
     # no nu_k vanishes at L = 7; only the determinants need L < 2 pi
     assert np.isfinite(resolvent_trace(2, 7, 4))

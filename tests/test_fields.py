@@ -12,8 +12,16 @@ from metastab import (
     linf_distance_to_constant,
     random_field,
 )
-from metastab.errors import ShapeMismatch
-from metastab.fields import dealiased_grid_size, mode_wavenumbers, translated
+from metastab import galerkin_critical_points_1d, galerkin_potential_1d, resolvent_trace
+from metastab.errors import DomainError, ShapeMismatch
+from metastab.fields import (
+    BandGrid,
+    dealiased_grid_size,
+    distance_to_constant,
+    full_band,
+    mode_wavenumbers,
+    translated,
+)
 
 
 def test_mode_wavenumbers_fft_order():
@@ -119,6 +127,64 @@ class TestHsNorm:
         f = constant_field(1, 2.0, 4, 0.4)
         assert hs_distance_to_constant(f, 1.0, -0.5) == pytest.approx(
             0.6 * np.sqrt(2.0))
+
+
+    def test_asymmetric_band_rejected(self):
+        # a half band cannot see c[-1] != conj(c[1])
+        f = constant_field(1, 2.0, 4, 0.0)
+        f.coeffs[1] = 0.1
+        for dist in (lambda: hs_norm(f, -0.5),
+                     lambda: hs_distance_to_constant(f, 1.0, -0.5)):
+            with pytest.raises(ShapeMismatch, match="conjugate symmetry"):
+                dist()
+
+
+@pytest.mark.parametrize("d, N", ((1, 8), (2, 4)))
+def test_batched_distance_is_the_public_distance_bit_for_bit(d, N, rng):
+    # the hitting observer's distance, row by row, against the public
+    # distances of the full bands those rows stand for
+    L = 1.7
+    half = np.array([random_field(d, L, N, rng).coeffs[..., :N + 1]
+                     for _ in range(5)])
+    grids = BandGrid(d, L, N, dealiased_grid_size(N)).grid(half)
+    for c in (-1.0, 0.0, 0.3):
+        linf = distance_to_constant(d, L, N, c, "linf")(half, grids)
+        for i, row in enumerate(half):
+            f = SpectralField(d, L, N, full_band(row, d))
+            assert linf[i] == linf_distance_to_constant(f, c)
+        for s in (-1.0, -0.5, 0.0):
+            hs = distance_to_constant(d, L, N, c, "hs", s)(half, grids)
+            for i, row in enumerate(half):
+                f = SpectralField(d, L, N, full_band(row, d))
+                assert hs[i] == hs_distance_to_constant(f, c, s)
+                if c == 0.0:
+                    assert hs[i] == hs_norm(f, s)
+
+
+def test_distance_rejects_an_unknown_norm():
+    with pytest.raises(ValueError, match="'linf' or 'hs'"):
+        distance_to_constant(1, 2.0, 4, 1.0, "l2")
+
+
+def _raised(func, *args):
+    with pytest.raises(DomainError) as info:
+        func(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("d, L, N, message", (
+    (3, 2.0, 4, "only d=1 and d=2 are supported"),
+    (1, 2.0, -1, "cutoff N must be nonnegative"),
+    (1, 0.0, 4, "torus side length must be positive"),
+))
+def test_one_truncation_check(d, L, N, message):
+    # the field and the determinants reject a truncation alike
+    coeffs = np.zeros(3, dtype=complex)
+    assert _raised(SpectralField, d, L, N, coeffs) == message
+    assert _raised(resolvent_trace, d, L, N) == message
+    if d == 1:
+        assert _raised(galerkin_potential_1d, L, N) == message
+        assert _raised(galerkin_critical_points_1d, L, N) == message
 
 
 def test_linf_distance_to_constant():

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from metastab import (
-    AllenCahnEnergy,
     Grid1D,
     Potential,
     SpdeRun,
+    allen_cahn_energy,
     constant_field,
     counterterm_trace,
     field_from_function,
@@ -65,12 +65,11 @@ class TestStep:
 
     def test_energy_nonincreasing_along_flow(self, rng):
         L, N = 2.0, 8
-        e = AllenCahnEnergy(1, L, N)
         for _ in range(20):
             f0 = random_field(1, L, N, rng, 0.5)
             run = SpdeRun(field0=f0, epsilon=0.0, dt=1e-3, t_max=1.0, seed=0)
             _, snaps = integrate_deterministic(run, 0.2, record_every=20)
-            energies = [e.energy(SpectralField(1, L, N, c)) for c in snaps]
+            energies = [allen_cahn_energy(SpectralField(1, L, N, c)) for c in snaps]
             assert np.all(np.diff(energies) <= 1e-10)
 
     def test_flow_matches_fine_dt_reference(self):
@@ -119,8 +118,11 @@ class TestStep:
     def test_band_stays_hermitian_beyond_two_pi(self):
         # at L = 8 > 2 pi, mu_1 = 1 - (2 pi / 8)^2 > 0: an anti-Hermitian part
         # of the k_last = 0 column, which the grid cannot see, would grow
-        # like exp(mu_1 t) unless every step keeps that column exact
-        run = make_run(d=2, L=8.0, N=4, eps=0.01, dt=5e-3, seed=17)
+        # like exp(mu_1 t) unless every step keeps that column exact.  No
+        # counterterm exists beyond 2 pi, so the run is not renormalized.
+        with pytest.warns(RuntimeWarning, match="without renormalization"):
+            run = make_run(d=2, L=8.0, N=4, eps=0.01, dt=5e-3, seed=17,
+                           renormalize=False)
         st = _Stepper(run)
         rng = replica_rng(run.seed, 0)
         c = run.field0.coeffs[..., :5]
@@ -529,6 +531,13 @@ class TestTimeStep:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFinite, match="field step overflowed"):
             integrate_deterministic(run, 20 * run.dt)
+
+
+def test_renormalized_run_at_two_pi_names_L_before_stepping():
+    # nu_1 = 0 makes C_N infinite: the stepper names L before any step
+    run = make_run(d=2, L=2 * np.pi, N=4)
+    with pytest.raises(DomainError, match="outside"):
+        spatial_mean_trajectory(run, 10 * run.dt)
 
 
 class TestRenormalizationFlags:
