@@ -187,6 +187,7 @@ def field_from_function(d: int, L: float, N: int, f, M: int | None = None) -> Sp
 
 
 def constant_field(d: int, L: float, N: int, c: float) -> SpectralField:
+    check_truncation(d, L, N)
     coeffs = np.zeros((2 * N + 1,) * d, dtype=complex)
     coeffs[(0,) * d] = c * L ** (d / 2)
     return SpectralField(d, L, N, coeffs)
@@ -195,6 +196,7 @@ def constant_field(d: int, L: float, N: int, c: float) -> SpectralField:
 def random_field(d: int, L: float, N: int, rng: np.random.Generator,
                  amplitude: float = 1.0) -> SpectralField:
     """Random real field: iid normal grid values projected to the band."""
+    check_truncation(d, L, N)
     M = 2 * N + 1
     vals = amplitude * rng.standard_normal((M,) * d)
     return field_from_grid(d, L, N, vals)

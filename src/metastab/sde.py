@@ -3,11 +3,14 @@
 Every Monte Carlo replica owns a counter-based RNG stream derived from
 (seed_base, replica_index), so ensembles are reproducible under any parallel
 schedule; aggregation is ordered by replica index.  _first_passage is the one
-loop, here and in spde, that advances states over time and draws their noise
-in blocks set by one rule (_block_steps) into one buffer per call; callers
-pass a step, and record and stop replicas through its observe(k, states, aux)
-callback, which also sees the initial states (k = 0), so a replica that
-starts in the target hits at time 0.
+loop, here and in spde, that advances states over time.  It draws their noise
+step-major in blocks set by one rule (_block_steps) into one buffer per call,
+steps the live replicas across a block, keeps what the caller's
+keep(states, aux) takes of each step (the SDE keeps its states, written into
+the noise rows they used), and then hands the kept block to observe(k, kept),
+which records and names hits; replicas stop at their first hit and are
+compacted once per block.  observe also sees the initial states (k = 0), so a
+replica that starts in the target hits at time 0.
 """
 
 from __future__ import annotations
@@ -22,10 +25,13 @@ import numpy as np
 from .errors import AllCensored, NonFinite
 from .potentials import Potential
 
-# The block rule, in normals of 8 bytes: a replica draws at least 8 KiB a call
-# (below that its RNG call outweighs a cheap SDE step) and at most 256 KiB; a
-# block of at most 1024 steps holds at most 16 MiB unless that floor needs more.
+# The block rule, in values of 8 bytes (normals, and kept values beside them):
+# a replica takes at least 8 KiB a block (below that its RNG call outweighs a
+# cheap SDE step) and at most 256 KiB; a block of at most 1024 steps holds at
+# most 16 MiB unless that floor needs more.  observe reads a block in slices of
+# at most _OBSERVE_VALUES kept values, which bounds its temporaries.
 _MAX_STEPS, _MIN_DRAW, _MAX_DRAW, _BLOCK_NORMALS = 1024, 1 << 10, 1 << 15, 1 << 21
+_OBSERVE_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -101,8 +107,8 @@ def integrate_path(run: SdeRun, t_final: float, record: bool = False):
     n_steps = int(round(t_final / run.dt))
     path = np.empty((n_steps + 1, run.x0.size))
 
-    def observe(k, x, _aux):
-        path[k] = x[0]
+    def observe(k, x):
+        path[k:k + len(x)] = x[:, 0]
 
     _first_passage(run.x0, run.seed, 0, 1, run.dt, n_steps, observe=observe,
                    **_sde_callbacks(run))
@@ -165,8 +171,8 @@ def ou_fokker_planck_residual(x0: float, eps: float, t: float,
 
 
 def _block_steps(width: int, live: int, left: int) -> int:
-    """Steps in the next noise block of `live` replicas that each draw `width`
-    normals a step, with `left` steps to go."""
+    """Steps in the next block of `live` replicas that each take `width`
+    values a step (normals plus kept values), with `left` steps to go."""
     return min(_MAX_STEPS, left,
                max(max(1, _MIN_DRAW // width),
                    min(_MAX_DRAW // width, _BLOCK_NORMALS // (width * live))))
@@ -185,75 +191,112 @@ def _noise_buffer(size: int) -> np.ndarray:
 
 
 def _draw_noise(rngs, steps: int, shape: tuple, scale=None, buf=None) -> np.ndarray:
-    """(steps, len(rngs)) + shape standard normals, times scale if given;
-    column r is rngs[r]'s stream in step order, the same however the steps of
-    a replica are split into blocks.  They fill the front of the flat float
-    buffer buf if given, else a new array."""
-    size = len(rngs) * steps * int(np.prod(shape))
-    g = (np.empty(size) if buf is None else buf[:size]).reshape((len(rngs), steps) + shape)
-    for rng, out in zip(rngs, g):
-        rng.standard_normal(out=out)
-    if scale is not None:
-        g *= scale  # in place, so a block holds one buffer
-    return g.swapaxes(0, 1)
+    """A C-contiguous (steps, len(rngs)) + shape block of standard normals,
+    times scale if given; column r is rngs[r]'s stream in step order, the same
+    however the steps of a replica are split into blocks.  Each replica fills
+    its row of a replica-major scratch of at most max(_MAX_DRAW, one
+    replica's draw) normals, and one transposing copy (which also scales) per
+    group of replicas moves the scratch into the block.  The block fills the
+    front of the flat float buffer buf if given, else a new array."""
+    live, per = len(rngs), steps * int(np.prod(shape))
+    block = (np.empty(live * per) if buf is None else buf[:live * per])
+    block = block.reshape((steps, live) + shape)
+    group = min(live, max(1, _MAX_DRAW // per))
+    scratch = np.empty((group, steps) + shape)
+    for r0 in range(0, live, group):
+        part = scratch[:min(group, live - r0)]
+        for rng, out in zip(rngs[r0:r0 + group], part):
+            rng.standard_normal(out=out)
+        cols = block[:, r0:r0 + len(part)]
+        if scale is None:
+            np.copyto(cols, part.swapaxes(0, 1))
+        else:
+            np.multiply(part.swapaxes(0, 1), scale, out=cols)
+    return block
+
+
+def _first_hits(observe, k: int, kept: np.ndarray) -> np.ndarray:
+    """Each column's first row among kept rows k, k+1, .. that observe names
+    as a hit, -1 for none; observe reads slices of at most _OBSERVE_VALUES."""
+    first = np.full(kept.shape[1], -1)
+    rows = max(1, _OBSERVE_VALUES // kept[0].size)
+    for a in range(0, len(kept), rows):
+        mask = observe(k + a, kept[a:a + rows])
+        if mask is not None:
+            new = mask.any(axis=0) & (first < 0)
+            first[new] = a + mask[:, new].argmax(axis=0)
+    return first
 
 
 def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
                    max_steps: int, shape, step, observe=None, check=None,
-                   scale=None, aux0=None):
+                   scale=None, aux0=None, keep=None):
     """The one time loop: n replicas from x0 for up to max_steps steps.
 
     Replica i draws `shape` normals a step (times scale) from
-    replica_rng(seed, offset + i), _block_steps at a time, into one
-    _noise_buffer that grows only if a block needs more; shape None draws
-    nothing.  step(states, noise, aux) returns (new states, new aux) and is
-    passed the live rows' noise (or None) and the aux of the step before,
-    starting from a copy of aux0 per replica.  observe(k, states, aux) sees
-    the live replicas at k = 0 .. max_steps, the initial states and then the
-    states after each step (counted across blocks), and returns the mask of
-    those that hit, which stop, or None; a replica that hits at k = 0 gets
-    time 0.0 and draws no noise.  check(states) runs per block.
-    Steps advance the live array with no mask; states, aux, replica ids and
-    the live-row-to-noise-row map are compacted only on steps with a hit.
+    replica_rng(seed, offset + i), _block_steps at a time, as one step-major
+    _draw_noise block in one _noise_buffer that grows only if a block needs
+    more; shape None draws nothing.  step(states, noise, aux) returns (new
+    states, new aux) and is passed the live rows' noise row (or None) and the
+    aux of the step before, starting from a copy of aux0 per replica.  With an
+    observe, keep(states, aux) gives what it reads of each step, kept in the
+    same buffer after the noise (its width counts in the block rule); keep
+    None keeps the states themselves, which step must then write into the
+    noise row it was passed and return.  observe(k, kept) sees kept rows
+    k, k+1, .. of the live replicas (columns), in order and each once: the
+    initial states at k = 0, then each block's steps, in slices; it must not
+    write into kept, and returns a (rows, live) hit mask or None.  A replica
+    hits at its first masked row; at k = 0 it gets time 0.0 and draws no noise.
+    Steps advance the live array across a whole block with no mask, so a
+    replica that hits mid-block steps on to the block's end on noise already
+    drawn; times are set, and states, aux and replica ids compacted, once per
+    block, after which check(states) sees the survivors.
     Returns (hitting times, nan if censored; final states of the survivors).
     """
     rngs = [replica_rng(seed, offset + i) for i in range(n)]
-    width = 1 if shape is None else int(np.prod(shape))
+    width = 0 if shape is None else int(np.prod(shape))
     times = np.full(n, np.nan)
     x = np.repeat(x0[None], n, axis=0)
     aux = None if aux0 is None else np.repeat(aux0[None], n, axis=0)
     ids = np.arange(n)
-    newly = None if observe is None else observe(0, x, aux)
-    if newly is not None and newly.any():
-        times[newly] = 0.0
-        keep = ~newly
-        x, ids = x[keep], ids[keep]
+    kwidth = 0
+
+    def stop(k, kept):
+        """Stops the replicas at their first hit in kept rows k, k+1, ..
+        and copies the survivors out of the block."""
+        nonlocal x, aux, ids
+        first = np.full(ids.size, -1) if observe is None else _first_hits(observe, k, kept)
+        hit = first >= 0
+        times[ids[hit]] = (k + first[hit]) * dt
+        stay = ~hit
+        x, ids = x[stay], ids[stay]
         if aux is not None:
-            aux = aux[keep]
+            aux = aux[stay]
+
+    if observe is not None:
+        kept = (x if keep is None else keep(x, aux))[None]
+        if keep is not None:
+            kdtype, kshape = kept.dtype, kept.shape[2:]
+            kwidth = kept.itemsize * int(np.prod(kshape)) // 8
+        stop(0, kept)
     done, buf = 0, np.empty(0)
     while ids.size and done < max_steps:
-        steps = _block_steps(width, ids.size, max_steps - done)
-        noise = eta = None  # the last block's views, released before a redraw
+        live = ids.size
+        steps = _block_steps(width + kwidth, live, max_steps - done)
+        noise = kept = None  # the last block's views, released before a redraw
+        if buf.size < live * steps * (width + kwidth):
+            buf = None  # release the old buffer before mapping a larger one
+            buf = _noise_buffer(live * steps * (width + kwidth))
         if shape is not None:
-            if buf.size < ids.size * steps * width:
-                buf = None  # release the old buffer before mapping a larger one
-                buf = _noise_buffer(ids.size * steps * width)
             noise = _draw_noise([rngs[i] for i in ids], steps, shape, scale, buf)
-        rows = None  # set once a hit has compacted the live array
+        if kwidth:
+            kept = buf[live * steps * width:live * steps * (width + kwidth)]
+            kept = kept.view(kdtype).reshape((steps, live) + kshape)
         for j in range(steps):
-            if noise is not None:
-                eta = noise[j] if rows is None else noise[j, rows]
-            x, aux = step(x, eta, aux)
-            newly = None if observe is None else observe(done + j + 1, x, aux)
-            if newly is not None and newly.any():
-                times[ids[newly]] = (done + j + 1) * dt
-                keep = ~newly
-                x, ids = x[keep], ids[keep]
-                if aux is not None:
-                    aux = aux[keep]
-                rows = np.flatnonzero(keep) if rows is None else rows[keep]
-                if not ids.size:
-                    break
+            x, aux = step(x, None if noise is None else noise[j], aux)
+            if kwidth:
+                kept[j] = keep(x, aux)
+        stop(done + 1, noise if keep is None else kept)
         if check is not None:
             check(x)
         done += steps
@@ -265,8 +308,8 @@ def _sde_callbacks(run: SdeRun) -> dict:
     for _first_passage."""
     gradient = run.potential.gradient_batch
 
-    def step(x, noise, _aux):
-        return x - gradient(x) * run.dt + noise, None
+    def step(x, noise, _aux):  # the new states overwrite their noise row
+        return np.add(x - gradient(x) * run.dt, noise, out=noise), None
 
     warned = False
 
@@ -320,9 +363,10 @@ def hitting_times_raw(run: SdeRun, target_center: np.ndarray, delta: float,
         raise ValueError("n must be >= 1")
     center = np.atleast_1d(np.asarray(target_center, dtype=float))
 
-    def observe(_k, x, _aux):
-        diff = x - center
-        return np.sqrt(np.add.reduce(diff * diff, axis=1)) < delta  # as np.linalg.norm
+    def observe(_k, x):  # x: (steps, live, dim)
+        diff = (x - center).reshape(-1, center.size)
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # as np.linalg.norm
+        return (dist < delta).reshape(x.shape[:2])
 
     return _first_passage(run.x0, run.seed, replica_offset, n, run.dt,
                           int(round(run.horizon / run.dt)), observe=observe,

@@ -19,12 +19,15 @@ each real Fourier degree of freedom receives an independent Brownian motion.
 Each step runs one inverse and one forward real FFT; full_band() mirrors the
 state only where a full band is handed out.
 
-Every time loop runs on sde._first_passage, which draws each step's normals
-and carries each state's grid as the aux step() takes and returns: trajectories,
-snapshots and the noiseless flow are one replica with a recording observer,
-and the noise check is an ensemble whose states are accumulated pairings.
-The hitting observer measures with fields.distance_to_constant.  A run reads
-(d, L, N) off its initial field; its counterterm needs 0 < L < 2 pi.
+Every time loop runs on sde._first_passage, which draws each block's normals
+step-major and carries each state's grid as the aux step() takes and returns;
+the engine's per-block check, not step(), stops a run whose surviving states
+overflow.  Trajectories, snapshots and the noiseless flow are one replica
+whose keep takes what its recorder reads of each step, and the noise check is
+an ensemble whose states are accumulated pairings.  Hitting keeps each step's
+fields.distance_to_constant, and its observer compares a block of them with
+delta at once.  A run reads (d, L, N) off its initial field; its counterterm
+needs 0 < L < 2 pi.
 """
 
 from __future__ import annotations
@@ -136,9 +139,13 @@ class _Stepper:
             new += (dt * self.counter) * coeffs
         new += coeffs
         new /= self.denom
-        if not np.all(np.isfinite(new)):
-            raise NonFinite("field step overflowed; reduce dt")
         return new, self.colloc.grid(new)
+
+
+def _check_finite(coeffs: np.ndarray) -> None:
+    """The engine's per-block check of the surviving field states."""
+    if not np.all(np.isfinite(coeffs)):
+        raise NonFinite("field step overflowed; reduce dt")
 
 
 def draw_mode_noise(run: SpdeRun, rng: np.random.Generator) -> np.ndarray:
@@ -148,14 +155,17 @@ def draw_mode_noise(run: SpdeRun, rng: np.random.Generator) -> np.ndarray:
     return fields.full_band(st.mode_noise(eta), st.d)
 
 
-def _one_replica(st: _Stepper, n_steps: int, replica_index: int, observe,
-                 noisy: bool = True) -> None:
+def _one_replica(st: _Stepper, n_steps: int, replica_index: int, keep,
+                 observe, noisy: bool = True) -> None:
     """Step one replica of st.run n_steps on the engine, noiseless unless
-    noisy; observe(k, half band) sees its state after k = 0 .. n_steps steps."""
+    noisy; keep(half bands) takes what observe(k, rows) reads of each state,
+    rows holding it for the states after steps k, k+1, .., every step of
+    0 .. n_steps once and in order."""
     c0 = st.run.field0.coeffs[..., :st.N + 1]
     _first_passage(c0, st.run.seed, replica_index, 1, st.run.dt, n_steps,
                    st.noise_shape if noisy else None, st.step,
-                   lambda k, c, _aux: observe(k, c[0]), aux0=st.colloc.grid(c0))
+                   lambda k, kept: observe(k, kept[:, 0]), _check_finite,
+                   aux0=st.colloc.grid(c0), keep=lambda c, _u: keep(c))
 
 
 def integrate_deterministic(run: SpdeRun, t_final: float,
@@ -169,12 +179,13 @@ def integrate_deterministic(run: SpdeRun, t_final: float,
     n_steps = int(round(t_final / run.dt))
     times, snaps = [], []
 
-    def observe(k, c):
-        if k % record_every == 0 or k == n_steps:
-            times.append(k * run.dt)
-            snaps.append(c)
+    def observe(k, cs):
+        ks = np.arange(k, k + len(cs))
+        ks = ks[(ks % record_every == 0) | (ks == n_steps)]
+        times.extend(ks * run.dt)
+        snaps.extend(cs[ks - k])
 
-    _one_replica(st, n_steps, 0, observe, noisy=False)
+    _one_replica(st, n_steps, 0, lambda c: c, observe, noisy=False)
     return np.array(times), fields.full_band(np.array(snaps), st.d)
 
 
@@ -184,10 +195,10 @@ def spatial_mean_trajectory(run: SpdeRun, t_final: float) -> tuple[np.ndarray, n
     n_steps = int(round(t_final / run.dt))
     means = np.empty(n_steps + 1)
 
-    def observe(k, c):
-        means[k] = c[(0,) * st.d].real
+    def observe(k, means_k):
+        means[k:k + len(means_k)] = means_k
 
-    _one_replica(st, n_steps, 0, observe)
+    _one_replica(st, n_steps, 0, lambda c: c[(Ellipsis,) + (0,) * st.d].real, observe)
     return np.arange(n_steps + 1) * run.dt, means * st.L ** (-st.d / 2.0)
 
 
@@ -264,13 +275,14 @@ def noise_coefficient_check(run: SpdeRun, sets: Sequence = None,
         flat = st.mode_noise(eta).reshape(n, -1)
         return acc + (np.sqrt(run.dt) * np.real(pair_rows @ flat.T)).T, None
 
-    def observe(k, acc, _aux):
+    def observe(k, accs):
         for ti, ns in enumerate(n_steps_per_T):
-            if ns == k:
-                pair_sums[:, ti] = acc.T
+            if k <= ns < k + len(accs):
+                pair_sums[:, ti] = accs[ns - k].T
 
     _first_passage(np.zeros(len(sets)), run.seed, 0, n, run.dt,
-                   max(n_steps_per_T), st.noise_shape, step, observe)
+                   max(n_steps_per_T), st.noise_shape, step, observe,
+                   keep=lambda acc, _aux: acc)
 
     emp = pair_sums.var(axis=2, ddof=1)
     stderr = emp * np.sqrt(2.0 / (n - 1))
@@ -321,8 +333,8 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
     c0 = run.field0.coeffs[..., :st.N + 1]
     return _first_passage(c0, run.seed, replica_offset, n, run.dt,
                           int(round(run.t_max / run.dt)), st.noise_shape, st.step,
-                          lambda _k, coeffs, grids: distances(coeffs, grids) < delta,
-                          aux0=st.colloc.grid(c0))[0]
+                          lambda _k, dist: dist < delta, _check_finite,
+                          aux0=st.colloc.grid(c0), keep=distances)[0]
 
 
 def sample_spde_hitting_times(run: SpdeRun, target: float, delta: float,
@@ -369,8 +381,9 @@ def record_snapshots(run: SpdeRun, snapshot_times, out_dir,
     written = []
     jsonl = os.path.join(out_dir, "trajectory.jsonl")
 
-    def observe(k, c):
-        while len(written) < len(marks) and marks[len(written)][0] == k:
+    def observe(k0, cs):
+        while len(written) < len(marks) and marks[len(written)][0] < k0 + len(cs):
+            c = cs[marks[len(written)][0] - k0]
             t = marks[len(written)][1]
             path = os.path.join(out_dir, f"snap_{len(written):04d}.csv")
             vals = export_snapshot_csv(
@@ -381,5 +394,5 @@ def record_snapshots(run: SpdeRun, snapshot_times, out_dir,
             written.append(path)
 
     with open(jsonl, "w") as summary:
-        _one_replica(st, last, replica_index, observe)
+        _one_replica(st, last, replica_index, lambda c: c, observe)
     return written + [jsonl]

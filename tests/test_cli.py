@@ -235,6 +235,16 @@ class TestCliRuns:
         assert len(err) == 1
         assert "must be >=" in json.loads(err[0])["message"]
 
+    def test_negative_cutoff_names_the_cutoff(self, tmp_path, capsys):
+        code = main(["spde-hitting", "--d", "1", "--L", "2", "--N", "-1",
+                     "--epsilon", "0.5", "--dt", "0.005", "--delta", "0.5",
+                     "--t_max", "1", "--n", "2", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out" / "results.csv").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "DomainError",
+                       "message": "cutoff N must be nonnegative"}
+
     def test_validation_rejects_bad_L(self, tmp_path):
         code = main(["determinant", "--d", "1", "--L", "7.0", "--N", "16",
                      "--out", str(tmp_path)])

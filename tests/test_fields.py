@@ -187,6 +187,15 @@ def test_one_truncation_check(d, L, N, message):
         assert _raised(galerkin_critical_points_1d, L, N) == message
 
 
+@pytest.mark.parametrize("make", (
+    lambda: constant_field(1, 2.0, -1, 1.0),
+    lambda: random_field(2, 2.0, -1, np.random.default_rng(0)),
+))
+def test_constructors_check_the_cutoff_before_allocating(make):
+    with pytest.raises(DomainError, match="cutoff N must be nonnegative"):
+        make()
+
+
 def test_linf_distance_to_constant():
     L = 2.0
     f = field_from_function(1, L, 8, lambda x: 1.0 + 0.25 * np.cos(2 * np.pi * x / L))

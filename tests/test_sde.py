@@ -269,45 +269,102 @@ class TestFirstPassageEngine:
         assert np.array_equal(raw, ref, equal_nan=True)
 
     def test_observe_sees_every_step_and_only_live_rows(self, monkeypatch):
-        # blocks of 4 steps; replica 0 starts in the target (k = 0), replica 1
-        # hits at step 3, replica 2 at step 6, the first step of the second
-        # block.  aux holds the replica ids once the first step has set them.
+        # blocks of 4 steps over 9: replica 0 starts in the target (k = 0),
+        # replica 1 hits on the first block's last step (4), replica 2 on
+        # the second block's first step (5) and again at 7, replica 3 never.
+        # aux holds the replica ids once the first step has set them.  Each
+        # state is kept once, and observe sees the kept rows in order, in
+        # one slice per block and in slices of one row.
         monkeypatch.setattr(sde, "_MAX_STEPS", 4)
-        seen = []
+        draw = sde._draw_noise
         ids = np.arange(4)
 
         def step(x, noise, aux):
             return x + 1.0 + noise, ids[1:] if aux is None else aux
 
-        def observe(k, x, aux):
-            seen.append((k, (ids if aux is None else aux).tolist()))
-            assert np.all(x[:, 0] == k)
-            if k == 0:
-                return ids == 0
-            return None if k not in (3, 6) else aux == k // 3
+        for observe_values in (1 << 16, 1):
+            monkeypatch.setattr(sde, "_OBSERVE_VALUES", observe_values)
+            draws, kept_states, seen, checked = [], [], [], []
 
-        times, final = _first_passage(np.zeros(1), 0, 0, 4, 0.5, 9, (1,), step,
-                                      observe, scale=0.0)
-        assert [k for k, _ in seen] == list(range(10))
-        assert [live for _, live in seen] == \
-            [[0, 1, 2, 3]] + [[1, 2, 3]] * 3 + [[2, 3]] * 3 + [[3]] * 3
-        assert np.array_equal(times, [0.0, 1.5, 3.0, np.nan], equal_nan=True)
-        assert np.array_equal(final, [[9.0]])
+            def recording(rngs, steps, *rest):
+                draws.append((steps, len(rngs)))
+                return draw(rngs, steps, *rest)
+
+            monkeypatch.setattr(sde, "_draw_noise", recording)
+
+            def keep(x, aux):
+                kept_states.append(x[:, 0].tolist())
+                return np.column_stack((x[:, 0], ids if aux is None else aux))
+
+            def observe(k, kept):
+                for r, row in enumerate(kept):
+                    assert np.all(row[:, 0] == k + r)
+                    seen.append((k + r, row[:, 1].astype(int).tolist()))
+                ks = np.arange(k, k + len(kept))[:, None]
+                who = kept[..., 1]
+                return (((who == 0) & (ks == 0)) | ((who == 1) & (ks == 4))
+                        | ((who == 2) & ((ks == 5) | (ks == 7))))
+
+            times, final = _first_passage(np.zeros(1), 0, 0, 4, 0.5, 9, (1,),
+                                          step, observe, checked.append,
+                                          scale=0.0, keep=keep)
+            assert [k for k, _ in seen] == list(range(10))
+            assert [live for _, live in seen] == \
+                [[0, 1, 2, 3]] + [[1, 2, 3]] * 4 + [[2, 3]] * 4 + [[3]]
+            assert kept_states == [[0.0] * 4] + [[k] * 3 for k in (1.0, 2.0, 3.0, 4.0)] \
+                + [[k] * 2 for k in (5.0, 6.0, 7.0, 8.0)] + [[9.0]]
+            assert draws == [(4, 3), (4, 2), (1, 1)]  # replica 0 draws nothing
+            assert [c.tolist() for c in checked] == [[[4.0], [4.0]], [[8.0]], [[9.0]]]
+            assert np.array_equal(times, [0.0, 2.0, 2.5, np.nan], equal_nan=True)
+            assert np.array_equal(final, [[9.0]])
+
+    def test_sde_states_are_kept_in_their_noise_rows(self, quartic):
+        # keep None: the SDE step writes each new state over the noise row it
+        # used, and observe reads those rows
+        run = SdeRun(quartic, epsilon=0.3, dt=1e-3, x0=[-1.0], seed=5)
+        blocks = []
+
+        def observe(k, x):
+            blocks.append((k, x.copy()))
+
+        _first_passage(run.x0, run.seed, 0, 3, run.dt, 6, observe=observe,
+                       **_sde_callbacks(run))
+        amp = np.sqrt(2 * run.epsilon * run.dt)
+        noise = amp * np.stack([replica_rng(5, i).standard_normal((6, 1))
+                                for i in range(3)], axis=1)
+        x = np.full((3, 1), -1.0)
+        want = [x]
+        for g in noise:
+            x = x - quartic.gradient_batch(x) * run.dt + g
+            want.append(x)
+        assert [k for k, _ in blocks] == [0, 1]
+        assert np.array_equal(np.concatenate([b for _, b in blocks]), np.array(want))
 
 
 class TestBlockRule:
+    # width: normals plus kept values per replica-step.  The SDE keeps its
+    # states in its noise rows; field hitting keeps one distance and the
+    # spatial mean trajectories one mean per step
     @pytest.mark.parametrize("width, live, steps", [
         (1, 2000, 1024),  # sde_kramers, criteria 4 and 5
         (1, 60_000, 1024),  # the SDE at any n: the 8 KiB floor
         (2, 1, 1024),
-        (65**2, 64, 7),  # d=2, N=32, n=64 field hitting
-        (33, 400, 158),  # criterion 11: d=1, N=16, n=400
-        (17**2, 1, 113),  # field_2d trajectories at N=8, 16, 32
+        (65**2 + 1, 64, 7),  # d=2, N=32, n=64 field hitting
+        (33 + 1, 400, 154),  # criterion 11: d=1, N=16, n=400
+        (17**2 + 1, 1, 112),  # field_2d trajectories at N=8, 16, 32
+        (33**2 + 1, 1, 30),
+        (65**2 + 1, 1, 7),
+        (33 + 1, 100, 616),  # field_1d: d=1, N=16, n=100
+        (9 + 1, 16, 1024),  # d=1, N=4, n=16: one block
+        (129**2, 4096, 1),  # at least one step
+        # the same normals with nothing kept beside them
+        (65**2, 64, 7),
+        (33, 400, 158),
+        (17**2, 1, 113),
         (33**2, 1, 30),
         (65**2, 1, 7),
-        (33, 100, 635),  # field_1d: d=1, N=16, n=100
-        (9, 16, 1024),  # d=1, N=4, n=16: one block
-        (129**2, 4096, 1),  # at least one step
+        (33, 100, 635),
+        (9, 16, 1024),
     ])
     def test_block_lengths(self, width, live, steps):
         assert _block_steps(width, live, 10**6) == steps
@@ -354,6 +411,29 @@ class TestBlockRule:
         assert len(buffers) > 1 and all(b is buffers[0] for b in buffers)
         assert buffers[0].size == 24 and isinstance(buffers[0].base.obj, mmap.mmap)
         assert np.array_equal(whole, budgeted, equal_nan=True)
+
+
+class TestDrawNoise:
+    @pytest.mark.parametrize("steps, shape, max_draw, live", [
+        (7, (3,), 50, 5),  # groups of 2, 2 and 1 replicas
+        (7, (3,), 21, 3),  # one replica a group
+        (1024, (1,), 1 << 15, 40),  # the SDE's groups of 32, then 8
+        (3, (2, 3), 50, 4),  # a field's (2N+1)^d normals, groups of 2
+    ])
+    def test_columns_are_each_replicas_own_stream(self, steps, shape, max_draw,
+                                                  live, monkeypatch):
+        monkeypatch.setattr(sde, "_MAX_DRAW", max_draw)
+        rngs = [replica_rng(3, i) for i in range(live)]
+        block = sde._draw_noise(rngs, steps, shape, 0.5, np.empty(live * steps * 9))
+        assert block.shape == (steps, live) + shape and block.flags.c_contiguous
+        for r in range(live):
+            own = replica_rng(3, r).standard_normal((steps,) + shape)
+            assert np.array_equal(block[:, r], 0.5 * own)
+        # the streams go on where the block left them
+        more = sde._draw_noise(rngs, 2, shape)
+        for r in range(live):
+            own = replica_rng(3, r).standard_normal((steps + 2,) + shape)
+            assert np.array_equal(more[:, r], own[steps:])
 
 
 @pytest.mark.slow

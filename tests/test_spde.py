@@ -314,13 +314,14 @@ class TestLinearizedModes:
         gap = int(np.ceil(5.0 / (nu_1 * dt)))  # states e^-10 correlated
         samples = []
 
-        def observe(k, c):
-            if k and k % gap == 0:
-                full = full_band(c, d)
-                full[0, 0] = 0.0  # the mean mode, unstable without the cubic
-                samples.append(np.sum(np.abs(full) ** 2) / L**d)
+        def observe(k0, cs):
+            for k, c in enumerate(cs, k0):
+                if k and k % gap == 0:
+                    full = full_band(c, d)
+                    full[0, 0] = 0.0  # the mean mode, unstable without the cubic
+                    samples.append(np.sum(np.abs(full) ** 2) / L**d)
 
-        spde._one_replica(_Stepper(run), 100 * gap, 0, observe)
+        spde._one_replica(_Stepper(run), 100 * gap, 0, lambda c: c, observe)
         var = np.array(samples)
         se = var.std(ddof=1) / np.sqrt(var.size)
         nu = nu[nu != -1.0]
@@ -405,6 +406,26 @@ class TestHitting:
         ])
         assert np.array_equal(whole, parts, equal_nan=True)
 
+    @pytest.mark.parametrize("norm,delta", (("hs", 0.6), ("linf", 0.8)))
+    def test_d2_partition_invariance(self, norm, delta, monkeypatch):
+        # one call (a single 500-step block), two replica ranges, and blocks
+        # of two steps while all 12 replicas live (49 normals and 1 kept
+        # distance per replica-step); hits and censoring in each
+        run = make_run(d=2, L=1.5, N=3, eps=0.5, dt=2e-3, t_max=1.0, seed=17,
+                       start=0.2)
+        whole = spde_hitting_times_raw(run, 1.0, delta, norm=norm, n=12)
+        assert np.sum(np.isnan(whole)) >= 2 and np.sum(whole > 0) >= 6
+        parts = np.concatenate([
+            spde_hitting_times_raw(run, 1.0, delta, norm=norm, n=5),
+            spde_hitting_times_raw(run, 1.0, delta, norm=norm, n=7,
+                                   replica_offset=5),
+        ])
+        monkeypatch.setattr(sde, "_MIN_DRAW", 1)
+        monkeypatch.setattr(sde, "_BLOCK_NORMALS", 2 * 12 * 50)
+        tiny = spde_hitting_times_raw(run, 1.0, delta, norm=norm, n=12)
+        assert np.array_equal(whole, parts, equal_nan=True)
+        assert np.array_equal(whole, tiny, equal_nan=True)
+
     def test_hs_hitting_runs(self):
         run = make_run(N=4, eps=0.5, dt=2e-3, t_max=400.0, seed=14)
         batch = sample_spde_hitting_times(run, 1.0, delta=1.0, norm="hs",
@@ -458,8 +479,9 @@ class TestHitting:
 
     @pytest.mark.parametrize("budget_steps", (1, 7))
     def test_noise_byte_budget_keeps_hitting_times(self, budget_steps, monkeypatch):
-        # d=1, N=4: each replica draws 9 real normals per step; with no floor
-        # and a cap of budget_steps steps per replica and call
+        # d=1, N=4: each replica draws 9 real normals and keeps 1 distance
+        # per step; with no floor and a cap of budget_steps steps per
+        # replica and call
         run = make_run(N=4, eps=0.5, dt=2e-3, t_max=0.9, seed=21, start=0.2)
         whole = spde_hitting_times_raw(run, 1.0, 0.4, n=16)
         blocks = []
@@ -471,18 +493,33 @@ class TestHitting:
 
         monkeypatch.setattr(sde, "_draw_noise", recording)
         monkeypatch.setattr(sde, "_MIN_DRAW", 1)
-        monkeypatch.setattr(sde, "_MAX_DRAW", budget_steps * 9)
+        monkeypatch.setattr(sde, "_MAX_DRAW", budget_steps * 10)
         budgeted = spde_hitting_times_raw(run, 1.0, 0.4, n=16)
         assert max(blocks) == budget_steps
         assert np.array_equal(whole, budgeted, equal_nan=True)
 
+    def test_field_blocks_count_the_kept_distance(self, monkeypatch):
+        # d=1, N=16, n=100 field hitting: 33 normals and 1 distance a step
+        blocks = []
+        draw = sde._draw_noise
+
+        def recording(rngs, steps, *rest):
+            blocks.append((steps, len(rngs)))
+            return draw(rngs, steps, *rest)
+
+        monkeypatch.setattr(sde, "_draw_noise", recording)
+        run = make_run(N=16, eps=0.1, dt=1e-3, t_max=0.7, seed=3)
+        assert np.all(np.isnan(spde_hitting_times_raw(run, 100.0, 0.3, n=100)))
+        assert blocks == [(616, 100), (84, 100)]
+
     def test_tiny_block_budget_keeps_hitting_times(self, monkeypatch):
-        # 9 normals per replica-step in blocks of at most 288: two steps while
-        # all 16 replicas live, longer blocks as they hit
+        # 9 normals and 1 kept distance per replica-step in blocks of at most
+        # 320 values: two steps while all 16 replicas live, longer blocks as
+        # they hit
         run = make_run(N=4, eps=0.5, dt=2e-3, t_max=0.9, seed=21, start=0.2)
         whole = spde_hitting_times_raw(run, 1.0, 0.4, n=16)
         monkeypatch.setattr(sde, "_MIN_DRAW", 1)
-        monkeypatch.setattr(sde, "_BLOCK_NORMALS", 2 * 16 * 9)
+        monkeypatch.setattr(sde, "_BLOCK_NORMALS", 2 * 16 * 10)
         budgeted = spde_hitting_times_raw(run, 1.0, 0.4, n=16)
         assert np.array_equal(whole, budgeted, equal_nan=True)
 
