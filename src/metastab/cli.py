@@ -35,7 +35,7 @@ from . import __version__
 from .allen_cahn import galerkin_critical_points_1d, galerkin_potential_1d
 from .determinants import carleman_det_2d, fredholm_closed_form, fredholm_det_1d
 from .errors import AllCensored, InsufficientData, MetastabError, ShapeMismatch
-from .fields import constant_field
+from .fields import check_truncation, constant_field
 from .kramers import ek_allen_cahn_1d, ek_allen_cahn_2d, ek_finite
 from .potential_theory import (
     Grid1D,
@@ -276,6 +276,7 @@ def _run_sde_hitting(cfg: ExperimentConfig):
 def _run_spde_hitting(cfg: ExperimentConfig):
     p = cfg.parameters
     _require(p, "n")
+    _at_least(p, 0, "snapshots")
     run, worker = _spde_ensemble(p, cfg.seed)
     raw = _parallel_raw(worker, p["n"], cfg.threads)
     results = _hitting_results(raw, cfg.seed)
@@ -344,6 +345,7 @@ def _run_determinant(cfg: ExperimentConfig):
     p = cfg.parameters
     _require(p, "d", "L", "N")
     d, L, N = p["d"], p["L"], p["N"]
+    check_truncation(d, L, N)
     if d == 1:
         res = fredholm_det_1d(L, N)
         closed = fredholm_closed_form(L)
@@ -351,13 +353,11 @@ def _run_determinant(cfg: ExperimentConfig):
                 ("closed_form", closed),
                 ("relative_error", abs(res.value - closed) / abs(closed)),
                 ("tail_estimate", res.tail_estimate)]
-    elif d == 2:
+    else:
         res = carleman_det_2d(L, N)
         rows = [("truncated_value", res.value),
                 ("log_abs", res.log_abs),
                 ("tail_estimate", res.tail_estimate)]
-    else:
-        raise ValueError("d must be 1 or 2")
     return ["quantity", "value"], rows, dict(rows)
 
 
@@ -418,6 +418,8 @@ def _run_randomwalk(cfg: ExperimentConfig):
     _at_least(p, 1, "n_steps")
     n_walks, n_steps = p["n_walks"], p["n_steps"]
     s, t = p.get("s", 0.25), p.get("t", 1.0)
+    if not s < t:
+        raise ValueError("parameter s must be below t")
     with_s = ensemble_rescaled(n_walks, n_steps, [s, t], cfg.seed)
     incr = with_s[:, 1] - with_s[:, 0]
     var_emp = float(incr.var(ddof=1))

@@ -5,12 +5,13 @@ Every Monte Carlo replica owns a counter-based RNG stream derived from
 schedule; aggregation is ordered by replica index.  _first_passage is the one
 loop, here and in spde, that advances states over time.  It draws their noise
 step-major in blocks set by one rule (_block_steps) into one buffer per call,
-steps the live replicas across a block, keeps what the caller's
+steps the live replicas across a block and keeps what the caller's
 keep(states, aux) takes of each step (the SDE keeps its states, written into
-the noise rows they used), and then hands the kept block to observe(k, kept),
-which records and names hits; replicas stop at their first hit and are
-compacted once per block.  observe also sees the initial states (k = 0), so a
-replica that starts in the target hits at time 0.
+the noise rows they used).  Callers say two things about the kept values: a
+hit test hit(kept), a mask over kept rows that stops each replica at its
+first hit, and the steps to record, whose kept values come back.  The engine
+looks at the start states too (step 0), so a replica that starts in the
+target hits at time 0; replicas are compacted once per block.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .potentials import Potential
 # The block rule, in values of 8 bytes (normals, and kept values beside them):
 # a replica takes at least 8 KiB a block (below that its RNG call outweighs a
 # cheap SDE step) and at most 256 KiB; a block of at most 1024 steps holds at
-# most 16 MiB unless that floor needs more.  observe reads a block in slices of
-# at most _OBSERVE_VALUES kept values, which bounds its temporaries.
+# most 16 MiB unless that floor needs more.  The hit test reads a block in
+# slices of at most _OBSERVE_VALUES kept values, which bounds its temporaries.
 _MAX_STEPS, _MIN_DRAW, _MAX_DRAW, _BLOCK_NORMALS = 1024, 1 << 10, 1 << 15, 1 << 21
 _OBSERVE_VALUES = 1 << 14
 
@@ -105,14 +106,10 @@ def integrate_path(run: SdeRun, t_final: float, record: bool = False):
     Returns the final state, or (times, states) when record is set.
     """
     n_steps = int(round(t_final / run.dt))
-    path = np.empty((n_steps + 1, run.x0.size))
-
-    def observe(k, x):
-        path[k:k + len(x)] = x[:, 0]
-
-    _first_passage(run.x0, run.seed, 0, 1, run.dt, n_steps, observe=observe,
-                   **_sde_callbacks(run))
-    return (np.arange(n_steps + 1) * run.dt, path) if record else path[-1]
+    steps = np.arange(n_steps + 1) if record else [n_steps]
+    path = _first_passage(run.x0, run.seed, 0, 1, run.dt, n_steps, record=steps,
+                          **_sde_callbacks(run))[1][:, 0]
+    return (steps * run.dt, path) if record else path[-1]
 
 
 def ou_density(x: float, y: float, t: float, eps: float) -> float:
@@ -215,21 +212,20 @@ def _draw_noise(rngs, steps: int, shape: tuple, scale=None, buf=None) -> np.ndar
     return block
 
 
-def _first_hits(observe, k: int, kept: np.ndarray) -> np.ndarray:
-    """Each column's first row among kept rows k, k+1, .. that observe names
-    as a hit, -1 for none; observe reads slices of at most _OBSERVE_VALUES."""
+def _first_hits(hit, kept: np.ndarray) -> np.ndarray:
+    """Each column's first row of kept that hit names, -1 for none; hit
+    reads slices of at most _OBSERVE_VALUES kept values."""
     first = np.full(kept.shape[1], -1)
     rows = max(1, _OBSERVE_VALUES // kept[0].size)
     for a in range(0, len(kept), rows):
-        mask = observe(k + a, kept[a:a + rows])
-        if mask is not None:
-            new = mask.any(axis=0) & (first < 0)
-            first[new] = a + mask[:, new].argmax(axis=0)
+        mask = hit(kept[a:a + rows])
+        new = mask.any(axis=0) & (first < 0)
+        first[new] = a + mask[:, new].argmax(axis=0)
     return first
 
 
 def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
-                   max_steps: int, shape, step, observe=None, check=None,
+                   max_steps: int, shape, step, hit=None, record=(), check=None,
                    scale=None, aux0=None, keep=None):
     """The one time loop: n replicas from x0 for up to max_steps steps.
 
@@ -238,47 +234,52 @@ def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
     _draw_noise block in one _noise_buffer that grows only if a block needs
     more; shape None draws nothing.  step(states, noise, aux) returns (new
     states, new aux) and is passed the live rows' noise row (or None) and the
-    aux of the step before, starting from a copy of aux0 per replica.  With an
-    observe, keep(states, aux) gives what it reads of each step, kept in the
-    same buffer after the noise (its width counts in the block rule); keep
-    None keeps the states themselves, which step must then write into the
-    noise row it was passed and return.  observe(k, kept) sees kept rows
-    k, k+1, .. of the live replicas (columns), in order and each once: the
-    initial states at k = 0, then each block's steps, in slices; it must not
-    write into kept, and returns a (rows, live) hit mask or None.  A replica
-    hits at its first masked row; at k = 0 it gets time 0.0 and draws no noise.
-    Steps advance the live array across a whole block with no mask, so a
-    replica that hits mid-block steps on to the block's end on noise already
-    drawn; times are set, and states, aux and replica ids compacted, once per
-    block, after which check(states) sees the survivors.
-    Returns (hitting times, nan if censored; final states of the survivors).
+    aux of the step before, starting from a copy of aux0 per replica.  Of the
+    start (step 0) and of each step the engine keeps keep(states, aux), in
+    the buffer after the noise (its width counts in the block rule); keep
+    None keeps the states, which step must then write into its noise row.
+    hit(kept) returns the hit mask of a slice of kept rows of the live
+    replicas (columns) and must not write into them; a replica stops at its
+    first hit, at step 0 with time 0.0 and no noise drawn.  A replica that
+    hits mid-block steps on to the block's end on noise already drawn; times
+    are set, and states, aux and replica ids compacted, once per block, after
+    which check(states) sees the survivors.  Returns (hitting times, nan if
+    censored; recorded): the kept values at the steps in record (any order,
+    repeats allowed, each in [0, max_steps]), shape (len(record), n) + kept
+    shape, nan where a replica had stopped.
     """
+    if max_steps < 0:
+        raise ValueError(f"a run of {max_steps} steps: the duration must be nonnegative")
+    record = np.asarray(record, dtype=int).reshape(-1)
+    if np.any((record < 0) | (record > max_steps)):
+        raise ValueError(f"recorded steps must lie in [0, {max_steps}]")
+    order = np.argsort(record, kind="stable")
+    wanted = record[order]
     rngs = [replica_rng(seed, offset + i) for i in range(n)]
     width = 0 if shape is None else int(np.prod(shape))
-    times = np.full(n, np.nan)
+    stops = np.full(n, max_steps + 1)  # each replica's hit step, past the horizon if none
     x = np.repeat(x0[None], n, axis=0)
     aux = None if aux0 is None else np.repeat(aux0[None], n, axis=0)
     ids = np.arange(n)
-    kwidth = 0
 
     def stop(k, kept):
-        """Stops the replicas at their first hit in kept rows k, k+1, ..
-        and copies the survivors out of the block."""
+        """Records kept rows k, k+1, .., stops the replicas at their first
+        hit among them and copies the survivors out of the block."""
         nonlocal x, aux, ids
-        first = np.full(ids.size, -1) if observe is None else _first_hits(observe, k, kept)
-        hit = first >= 0
-        times[ids[hit]] = (k + first[hit]) * dt
-        stay = ~hit
+        a, b = np.searchsorted(wanted, (k, k + len(kept)))
+        recorded[order[a:b, None], ids] = kept[wanted[a:b] - k]
+        first = np.full(ids.size, -1) if hit is None else _first_hits(hit, kept)
+        stay = first < 0
+        stops[ids[~stay]] = k + first[~stay]
         x, ids = x[stay], ids[stay]
         if aux is not None:
             aux = aux[stay]
 
-    if observe is not None:
-        kept = (x if keep is None else keep(x, aux))[None]
-        if keep is not None:
-            kdtype, kshape = kept.dtype, kept.shape[2:]
-            kwidth = kept.itemsize * int(np.prod(kshape)) // 8
-        stop(0, kept)
+    kept = (x if keep is None else keep(x, aux))[None]
+    kdtype, kshape = kept.dtype, kept.shape[2:]
+    kwidth = 0 if keep is None else kept.itemsize * int(np.prod(kshape)) // 8
+    recorded = np.full((record.size, n) + kshape, np.nan, dtype=kdtype)
+    stop(0, kept)
     done, buf = 0, np.empty(0)
     while ids.size and done < max_steps:
         live = ids.size
@@ -300,7 +301,8 @@ def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
         if check is not None:
             check(x)
         done += steps
-    return times, x
+    recorded[record[:, None] > stops] = np.nan  # steps run past a hit
+    return np.where(stops <= max_steps, stops * dt, np.nan), recorded
 
 
 def _sde_callbacks(run: SdeRun) -> dict:
@@ -336,9 +338,9 @@ def sample_endpoints(run: SdeRun, t: float, n: int,
     out = np.empty((n, run.x0.size))
     for start in range(0, n, chunk):
         count = min(chunk, n - start)
-        _, out[start:start + count] = _first_passage(
+        out[start:start + count] = _first_passage(
             run.x0, run.seed, replica_offset + start, count, run.dt, n_steps,
-            **callbacks)
+            record=[n_steps], **callbacks)[1][0]
     return out
 
 
@@ -363,13 +365,13 @@ def hitting_times_raw(run: SdeRun, target_center: np.ndarray, delta: float,
         raise ValueError("n must be >= 1")
     center = np.atleast_1d(np.asarray(target_center, dtype=float))
 
-    def observe(_k, x):  # x: (steps, live, dim)
+    def hit(x):  # x: (steps, live, dim)
         diff = (x - center).reshape(-1, center.size)
         dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # as np.linalg.norm
         return (dist < delta).reshape(x.shape[:2])
 
     return _first_passage(run.x0, run.seed, replica_offset, n, run.dt,
-                          int(round(run.horizon / run.dt)), observe=observe,
+                          int(round(run.horizon / run.dt)), hit=hit,
                           **_sde_callbacks(run))[0]
 
 

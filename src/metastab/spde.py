@@ -23,11 +23,11 @@ Every time loop runs on sde._first_passage, which draws each block's normals
 step-major and carries each state's grid as the aux step() takes and returns;
 the engine's per-block check, not step(), stops a run whose surviving states
 overflow.  Trajectories, snapshots and the noiseless flow are one replica
-whose keep takes what its recorder reads of each step, and the noise check is
-an ensemble whose states are accumulated pairings.  Hitting keeps each step's
-fields.distance_to_constant, and its observer compares a block of them with
-delta at once.  A run reads (d, L, N) off its initial field; its counterterm
-needs 0 < L < 2 pi.
+that records what its caller reads at the steps it names, and the noise check
+is an ensemble whose states are accumulated pairings, recorded at each
+horizon.  Hitting keeps each step's fields.distance_to_constant, and its hit
+test compares a block of them with delta at once.  A run reads (d, L, N) off
+its initial field; its counterterm needs 0 < L < 2 pi.
 """
 
 from __future__ import annotations
@@ -155,17 +155,18 @@ def draw_mode_noise(run: SpdeRun, rng: np.random.Generator) -> np.ndarray:
     return fields.full_band(st.mode_noise(eta), st.d)
 
 
-def _one_replica(st: _Stepper, n_steps: int, replica_index: int, keep,
-                 observe, noisy: bool = True) -> None:
-    """Step one replica of st.run n_steps on the engine, noiseless unless
-    noisy; keep(half bands) takes what observe(k, rows) reads of each state,
-    rows holding it for the states after steps k, k+1, .., every step of
-    0 .. n_steps once and in order."""
+def _one_replica(st: _Stepper, steps, replica_index: int, keep,
+                 noisy: bool = True) -> np.ndarray:
+    """keep(half bands) of one replica of st.run after each of steps, run to
+    the largest of them, noiseless unless noisy; shape (len(steps),) + kept
+    shape."""
     c0 = st.run.field0.coeffs[..., :st.N + 1]
-    _first_passage(c0, st.run.seed, replica_index, 1, st.run.dt, n_steps,
-                   st.noise_shape if noisy else None, st.step,
-                   lambda k, kept: observe(k, kept[:, 0]), _check_finite,
-                   aux0=st.colloc.grid(c0), keep=lambda c, _u: keep(c))
+    return _first_passage(c0, st.run.seed, replica_index, 1, st.run.dt,
+                          int(np.max(steps)) if len(steps) else 0,
+                          st.noise_shape if noisy else None, st.step,
+                          record=steps, check=_check_finite,
+                          aux0=st.colloc.grid(c0),
+                          keep=lambda c, _u: keep(c))[1][:, 0]
 
 
 def integrate_deterministic(run: SpdeRun, t_final: float,
@@ -175,31 +176,22 @@ def integrate_deterministic(run: SpdeRun, t_final: float,
     Snapshots are taken every record_every steps; the final state is always
     included.
     """
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     st = _Stepper(run)
     n_steps = int(round(t_final / run.dt))
-    times, snaps = [], []
-
-    def observe(k, cs):
-        ks = np.arange(k, k + len(cs))
-        ks = ks[(ks % record_every == 0) | (ks == n_steps)]
-        times.extend(ks * run.dt)
-        snaps.extend(cs[ks - k])
-
-    _one_replica(st, n_steps, 0, lambda c: c, observe, noisy=False)
-    return np.array(times), fields.full_band(np.array(snaps), st.d)
+    steps = np.union1d(np.arange(0, n_steps + 1, record_every), n_steps)
+    snaps = _one_replica(st, steps, 0, lambda c: c, noisy=False)
+    return steps * run.dt, fields.full_band(snaps, st.d)
 
 
 def spatial_mean_trajectory(run: SpdeRun, t_final: float) -> tuple[np.ndarray, np.ndarray]:
     """Times and spatially-averaged field of one noisy trajectory."""
     st = _Stepper(run)
     n_steps = int(round(t_final / run.dt))
-    means = np.empty(n_steps + 1)
-
-    def observe(k, means_k):
-        means[k:k + len(means_k)] = means_k
-
-    _one_replica(st, n_steps, 0, lambda c: c[(Ellipsis,) + (0,) * st.d].real, observe)
-    return np.arange(n_steps + 1) * run.dt, means * st.L ** (-st.d / 2.0)
+    steps = np.append(np.arange(n_steps), n_steps)  # 0 .. n_steps, or a negative n_steps
+    means = _one_replica(st, steps, 0, lambda c: c[(Ellipsis,) + (0,) * st.d].real)
+    return steps * run.dt, means * st.L ** (-st.d / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +261,14 @@ def noise_coefficient_check(run: SpdeRun, sets: Sequence = None,
     T_values = tuple(float(T) for T in T_values)
     n_steps_per_T = [int(round(T / run.dt)) for T in T_values]
 
-    pair_sums = np.zeros((len(sets), len(T_values), n))
-
     def step(acc, eta, _aux):  # a replica's state: its pairing with each set
         flat = st.mode_noise(eta).reshape(n, -1)
         return acc + (np.sqrt(run.dt) * np.real(pair_rows @ flat.T)).T, None
 
-    def observe(k, accs):
-        for ti, ns in enumerate(n_steps_per_T):
-            if k <= ns < k + len(accs):
-                pair_sums[:, ti] = accs[ns - k].T
-
-    _first_passage(np.zeros(len(sets)), run.seed, 0, n, run.dt,
-                   max(n_steps_per_T), st.noise_shape, step, observe,
-                   keep=lambda acc, _aux: acc)
+    _, accs = _first_passage(np.zeros(len(sets)), run.seed, 0, n, run.dt,
+                             max(n_steps_per_T), st.noise_shape, step,
+                             record=n_steps_per_T, keep=lambda acc, _aux: acc)
+    pair_sums = np.ascontiguousarray(accs.transpose(2, 0, 1))  # (sets, T, n)
 
     emp = pair_sums.var(axis=2, ddof=1)
     stderr = emp * np.sqrt(2.0 / (n - 1))
@@ -333,7 +319,7 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
     c0 = run.field0.coeffs[..., :st.N + 1]
     return _first_passage(c0, run.seed, replica_offset, n, run.dt,
                           int(round(run.t_max / run.dt)), st.noise_shape, st.step,
-                          lambda _k, dist: dist < delta, _check_finite,
+                          hit=lambda dist: dist < delta, check=_check_finite,
                           aux0=st.colloc.grid(c0), keep=distances)[0]
 
 
@@ -367,10 +353,9 @@ def record_snapshots(run: SpdeRun, snapshot_times, out_dir,
 
     Writes snap_<i>.csv grid files at the requested times plus
     trajectory.jsonl with one summary line (t, spatial mean, min, max) per
-    snapshot; returns the written paths.
+    snapshot, after the run; returns the written paths.
     """
     st = _Stepper(run)
-    os.makedirs(out_dir, exist_ok=True)
     marks = []  # (step, time) of each snapshot, in time order
     last, t_now = 0, 0.0
     for t in sorted(float(t) for t in snapshot_times):
@@ -378,21 +363,17 @@ def record_snapshots(run: SpdeRun, snapshot_times, out_dir,
         last += n_steps
         t_now += n_steps * run.dt
         marks.append((last, t_now))
+    snaps = _one_replica(st, [k for k, _ in marks], replica_index, lambda c: c)
+    os.makedirs(out_dir, exist_ok=True)
     written = []
     jsonl = os.path.join(out_dir, "trajectory.jsonl")
-
-    def observe(k0, cs):
-        while len(written) < len(marks) and marks[len(written)][0] < k0 + len(cs):
-            c = cs[marks[len(written)][0] - k0]
-            t = marks[len(written)][1]
-            path = os.path.join(out_dir, f"snap_{len(written):04d}.csv")
+    with open(jsonl, "w") as summary:
+        for i, (c, (_, t)) in enumerate(zip(snaps, marks)):
+            path = os.path.join(out_dir, f"snap_{i:04d}.csv")
             vals = export_snapshot_csv(
                 SpectralField(st.d, st.L, st.N, fields.full_band(c, st.d)), t, path)
             summary.write(json.dumps({"t": t, "mean": float(vals.mean()),
                                       "min": float(vals.min()),
                                       "max": float(vals.max())}) + "\n")
             written.append(path)
-
-    with open(jsonl, "w") as summary:
-        _one_replica(st, last, replica_index, lambda c: c, observe)
     return written + [jsonl]

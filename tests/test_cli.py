@@ -235,6 +235,58 @@ class TestCliRuns:
         assert len(err) == 1
         assert "must be >=" in json.loads(err[0])["message"]
 
+    @pytest.mark.parametrize("experiment,args,phrase", (
+        ("spde-hitting", [*SPDE_ARGS, "--snapshots", "-2"],
+         "parameter snapshots must be >= 0"),
+        ("randomwalk", ["--n_walks", "10", "--n_steps", "5", "--s", "0.5",
+                        "--t", "0.25"], "parameter s must be below t"),
+        ("randomwalk", ["--n_walks", "10", "--n_steps", "5", "--s", "0.5",
+                        "--t", "0.5"], "parameter s must be below t"),
+    ))
+    def test_out_of_range_parameter_exits_2_before_running(
+            self, experiment, args, phrase, tmp_path, capsys, monkeypatch):
+        def ran(*_args, **_kw):
+            raise AssertionError("ran before the range check")
+
+        monkeypatch.setattr(cli, "_parallel_raw", ran)
+        monkeypatch.setattr(cli, "ensemble_rescaled", ran)
+        out = tmp_path / "out"
+        assert main([experiment, *args, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "ValueError", "message": phrase}
+
+    def test_field_side_outside_the_counterterm_range_names_L(self, tmp_path,
+                                                                capsys):
+        args = list(SPDE_ARGS)
+        args[args.index("--L") + 1] = "7"
+        assert main(["spde-hitting", *args, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "L must lie in (0, 2*pi)"}
+
+    def test_determinant_dimension_is_the_truncation_check(self, tmp_path, capsys):
+        code = main(["determinant", "--d", "3", "--L", "2", "--N", "8",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "DomainError",
+                       "message": "only d=1 and d=2 are supported"}
+
+    def test_snapshots_write_files_and_keep_the_hitting_rows(self, tmp_path):
+        base = ["spde-hitting", *SPDE_ARGS, "--seed", "11"]
+        assert main([*base, "--out", str(tmp_path / "plain")]) == 0
+        assert main([*base, "--snapshots", "3", "--out", str(tmp_path / "snap")]) == 0
+        snaps = tmp_path / "snap" / "snapshots"
+        assert sorted(f.name for f in snaps.iterdir()) == [
+            "snap_0000.csv", "snap_0001.csv", "snap_0002.csv", "trajectory.jsonl"]
+        assert len((snaps / "trajectory.jsonl").read_text().splitlines()) == 3
+        rows = [(tmp_path / run / "results.csv").read_text().splitlines()[1:]
+                for run in ("plain", "snap")]
+        assert rows[0] == rows[1]
+
     def test_negative_cutoff_names_the_cutoff(self, tmp_path, capsys):
         code = main(["spde-hitting", "--d", "1", "--L", "2", "--N", "-1",
                      "--epsilon", "0.5", "--dt", "0.005", "--delta", "0.5",

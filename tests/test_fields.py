@@ -19,6 +19,7 @@ from metastab.fields import (
     dealiased_grid_size,
     distance_to_constant,
     full_band,
+    grid_points,
     mode_wavenumbers,
     translated,
 )
@@ -210,4 +211,32 @@ def test_translation_is_isometry_on_grid(rng):
     shift_cells = 3
     g = translated(f, shift_cells * L / M)
     rolled = np.roll(grid_values(f, M), -shift_cells)
+    assert np.allclose(grid_values(g, M), rolled, atol=1e-12)
+
+
+def test_d2_grid_points_and_field_from_function():
+    L, N = 2.0, 6
+    M = dealiased_grid_size(N)
+    pts = grid_points(2, L, M)
+    x = np.arange(M) * (L / M)
+    assert pts.shape == (2, M, M)
+    assert np.array_equal(pts[0], np.broadcast_to(x[:, None], (M, M)))
+    assert np.array_equal(pts[1], np.broadcast_to(x[None, :], (M, M)))
+
+    def f(x, y):  # band-limited, with distinct modes along each axis
+        return (0.5 + 0.3 * np.cos(2 * np.pi * x / L)
+                + 0.2 * np.sin(4 * np.pi * y / L) * np.cos(2 * np.pi * x / L))
+
+    field = field_from_function(2, L, N, f)
+    assert np.allclose(grid_values(field, M), f(pts[0], pts[1]), atol=1e-12)
+    assert field.coeffs[0, 0] == pytest.approx(0.5 * L)  # c L^{d/2}
+
+
+@pytest.mark.parametrize("axis", (0, 1))
+def test_d2_translation_rolls_the_grid_along_its_axis(axis, rng):
+    L, N = 2.0, 6
+    M = dealiased_grid_size(N)
+    f = random_field(2, L, N, rng)
+    g = translated(f, 3 * L / M, axis=axis)
+    rolled = np.roll(grid_values(f, M), -3, axis=axis)
     assert np.allclose(grid_values(g, M), rolled, atol=1e-12)

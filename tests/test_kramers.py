@@ -4,6 +4,7 @@ import pytest
 from metastab import (
     CriticalPoint,
     Potential,
+    RatePrediction,
     compensation_residual,
     ek_allen_cahn_1d,
     ek_allen_cahn_2d,
@@ -12,7 +13,7 @@ from metastab import (
     galerkin_critical_points_1d,
     galerkin_potential_1d,
 )
-from metastab.errors import DegenerateHessian, DomainError, WrongKind
+from metastab.errors import DegenerateHessian, DomainError, ShapeMismatch, WrongKind
 
 
 def _flat_potential(dim):
@@ -176,3 +177,27 @@ class TestGalerkinConsistency:
         via_hessians = ek_finite(mn, sd, pot)
         via_det = ek_allen_cahn_1d(L, N_for_det=N)
         assert via_hessians.prefactor == pytest.approx(via_det.prefactor, rel=1e-12)
+
+
+_QUARTIC_LAW = RatePrediction(barrier=0.25, prefactor=np.pi * np.sqrt(2),
+                              lambda_minus=-1.0, determinant_factor=1.0,
+                              kind="finite")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _QUARTIC_LAW.predict(0.0), ValueError, "eps must be positive"),
+    (lambda: _QUARTIC_LAW.predict(-0.1), ValueError, "eps must be positive"),
+    (lambda: _QUARTIC_LAW.log_predict(0.0), ValueError, "eps must be positive"),
+    (lambda: _QUARTIC_LAW.log_predict(-0.1), ValueError, "eps must be positive"),
+    (lambda: ek_finite(_cp([0.0], "minimum", [1.0]),
+                       _cp([1.0, 0.0], "saddle", [-1.0, 1.0]), _flat_potential(2)),
+     ShapeMismatch, "critical points live in different dimensions"),
+    (lambda: ek_finite(_cp([0.0, 0.0], "minimum", [-1.0, 1.0]),
+                       _cp([1.0, 0.0], "saddle", [-1.0, 1.0]), _flat_potential(2)),
+     WrongKind, "minimum has nonpositive Hessian eigenvalues"),
+])
+def test_bad_inputs_raise(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

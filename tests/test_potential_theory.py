@@ -217,3 +217,27 @@ class TestGridConvergence:
         f0, f1, f2 = observables(g0), observables(g1), observables(g2)
         ratios = (f0 - f1) / (f1 - f2)
         assert np.all(np.abs(ratios - 4.0) < 0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Grid1D(0.0, 1.0, 2), "need at least 3 interior nodes"),
+    (lambda: Grid1D(1.0, 1.0, 9), "empty interval"),
+    (lambda: Grid1D(1.0, 0.0, 9), "empty interval"),
+    (lambda: solve_committor(Grid1D(0.0, 1.0, 99), free_potential(), 0.1,
+                             (2.0, 3.0), (0.8, 1.0)),
+     "A_set and B_set must each contain grid nodes"),
+    (lambda: solve_committor(Grid1D(0.0, 1.0, 99), free_potential(), 0.1,
+                             (0.0, 0.2), (2.0, 3.0)),
+     "A_set and B_set must each contain grid nodes"),
+    (lambda: magic_identity_residual(Grid1D(0.0, 1.0, 99), free_potential(), 0.1,
+                                     (2.0, 3.0), (0.8, 1.0)),
+     "A_set selects no grid nodes"),
+    (lambda: magic_identity_residual(Grid1D(0.0, 1.0, 99), free_potential(), 0.1,
+                                     (0.0, 0.2), (2.0, 3.0)),
+     "B_set selects no grid nodes"),
+])
+def test_bad_inputs_raise(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

@@ -103,3 +103,18 @@ class TestBrownianLimit:
         v1, v2 = base.var(ddof=1), finer.var(ddof=1)
         band = 3 * np.sqrt(2.0 / (n_walks - 1)) * max(v1, v2)
         assert abs(v1 - v2) < band
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: walk(0, seed=1), ValueError, "n must be >= 1"),
+    (lambda: walk(-3, seed=1), ValueError, "n must be >= 1"),
+    (lambda: ensemble_rescaled(3, 10, [-0.1, 0.5], seed=1), OutOfRange,
+     "negative times requested"),
+    (lambda: ensemble_rescaled(3, 10, [-0.5, -0.1], seed=1), OutOfRange,
+     "negative times requested"),
+])
+def test_bad_inputs_raise(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

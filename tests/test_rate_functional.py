@@ -178,3 +178,30 @@ class TestPathIO:
         assert loaded.d == 1 and loaded.L == L and loaded.N == N
         assert np.allclose(loaded.coeffs, snaps)
         assert np.allclose(loaded.times, path.times)
+
+
+def _field_path(times, n_coeffs, d=1):
+    return FieldPath(times=np.asarray(times, float), d=d, L=2.0, N=2,
+                     coeffs=np.zeros((n_coeffs,) + (5,) * d, dtype=complex))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: DiscretePath(times=np.array([0.0]), points=np.array([[1.0]])),
+     DegeneratePath, "a path needs at least 2 nodes"),
+    (lambda: DiscretePath(times=np.array([0.0, 1.0, 1.0]), points=np.zeros((3, 1))),
+     DegeneratePath, "times must be strictly increasing"),
+    (lambda: DiscretePath(times=np.array([0.0, 1.0]), points=np.zeros((3, 1))),
+     ShapeMismatch, "times and points disagree in length"),
+    (lambda: _field_path([0.0], 1), DegeneratePath, "a path needs at least 2 nodes"),
+    (lambda: _field_path([0.0, 0.5, 0.4], 3), DegeneratePath,
+     "times must be strictly increasing"),
+    (lambda: _field_path([0.0, 0.5], 3), ShapeMismatch,
+     "times and snapshots disagree in length"),
+    (lambda: rate_functional_ac_1d(_field_path([0.0, 0.5], 2, d=2)), ShapeMismatch,
+     "this functional is defined for d=1 field paths"),
+])
+def test_path_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

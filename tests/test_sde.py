@@ -268,12 +268,13 @@ class TestFirstPassageEngine:
         assert np.sum(np.isnan(raw)) >= 2  # censored at the horizon
         assert np.array_equal(raw, ref, equal_nan=True)
 
-    def test_observe_sees_every_step_and_only_live_rows(self, monkeypatch):
-        # blocks of 4 steps over 9: replica 0 starts in the target (k = 0),
+    def test_hits_and_records_see_every_step_and_only_live_rows(self, monkeypatch):
+        # blocks of 4 steps over 9: replica 0 starts in the target (step 0),
         # replica 1 hits on the first block's last step (4), replica 2 on
         # the second block's first step (5) and again at 7, replica 3 never.
-        # aux holds the replica ids once the first step has set them.  Each
-        # state is kept once, and observe sees the kept rows in order, in
+        # The kept state equals the step count, so hit reads the step from
+        # it; aux holds the replica ids once the first step has set them.
+        # Each state is kept once, and hit sees the kept rows in order, in
         # one slice per block and in slices of one row.
         monkeypatch.setattr(sde, "_MAX_STEPS", 4)
         draw = sde._draw_noise
@@ -296,18 +297,17 @@ class TestFirstPassageEngine:
                 kept_states.append(x[:, 0].tolist())
                 return np.column_stack((x[:, 0], ids if aux is None else aux))
 
-            def observe(k, kept):
-                for r, row in enumerate(kept):
-                    assert np.all(row[:, 0] == k + r)
-                    seen.append((k + r, row[:, 1].astype(int).tolist()))
-                ks = np.arange(k, k + len(kept))[:, None]
-                who = kept[..., 1]
+            def hit(kept):
+                ks, who = kept[..., 0], kept[..., 1]
+                for row in kept:
+                    assert np.all(row[:, 0] == row[0, 0])
+                    seen.append((int(row[0, 0]), row[:, 1].astype(int).tolist()))
                 return (((who == 0) & (ks == 0)) | ((who == 1) & (ks == 4))
                         | ((who == 2) & ((ks == 5) | (ks == 7))))
 
-            times, final = _first_passage(np.zeros(1), 0, 0, 4, 0.5, 9, (1,),
-                                          step, observe, checked.append,
-                                          scale=0.0, keep=keep)
+            times, recorded = _first_passage(np.zeros(1), 0, 0, 4, 0.5, 9, (1,),
+                                             step, hit, range(10), checked.append,
+                                             scale=0.0, keep=keep)
             assert [k for k, _ in seen] == list(range(10))
             assert [live for _, live in seen] == \
                 [[0, 1, 2, 3]] + [[1, 2, 3]] * 4 + [[2, 3]] * 4 + [[3]]
@@ -316,19 +316,38 @@ class TestFirstPassageEngine:
             assert draws == [(4, 3), (4, 2), (1, 1)]  # replica 0 draws nothing
             assert [c.tolist() for c in checked] == [[[4.0], [4.0]], [[8.0]], [[9.0]]]
             assert np.array_equal(times, [0.0, 2.0, 2.5, np.nan], equal_nan=True)
-            assert np.array_equal(final, [[9.0]])
+            # each replica's kept values up to its hit, nan after it, also
+            # on the steps replica 2 ran past its hit within the block
+            ks = np.arange(10)[:, None] * np.ones(4)
+            want = np.stack((ks, np.ones((10, 1)) * ids), axis=2)
+            want[ks > np.array([0, 4, 5, 9])] = np.nan
+            assert np.array_equal(recorded, want, equal_nan=True)
+
+    def test_record_takes_steps_in_any_order_and_repeated(self, quartic):
+        run = SdeRun(quartic, epsilon=0.3, dt=1e-3, x0=[-1.0], seed=5)
+        callbacks = _sde_callbacks(run)
+        _, every = _first_passage(run.x0, run.seed, 0, 3, run.dt, 2000,
+                                  record=range(2001), **callbacks)
+        times, some = _first_passage(run.x0, run.seed, 0, 3, run.dt, 2000,
+                                     record=[2000, 0, 1024, 1024, 7], **callbacks)
+        assert np.array_equal(some, every[[2000, 0, 1024, 1024, 7]])
+        assert np.all(np.isnan(times))
+        times, none = _first_passage(run.x0, run.seed, 0, 3, run.dt, 20, **callbacks)
+        assert none.shape == (0, 3, 1)
+
+    @pytest.mark.parametrize("record", ([6], [0, -1]))
+    def test_recorded_steps_outside_the_run_rejected(self, quartic, record):
+        run = SdeRun(quartic, epsilon=0.3, dt=1e-3, x0=[-1.0], seed=5)
+        with pytest.raises(ValueError, match=r"recorded steps must lie in \[0, 5\]"):
+            _first_passage(run.x0, run.seed, 0, 3, run.dt, 5, record=record,
+                           **_sde_callbacks(run))
 
     def test_sde_states_are_kept_in_their_noise_rows(self, quartic):
         # keep None: the SDE step writes each new state over the noise row it
-        # used, and observe reads those rows
+        # used, and the recorded steps read those rows
         run = SdeRun(quartic, epsilon=0.3, dt=1e-3, x0=[-1.0], seed=5)
-        blocks = []
-
-        def observe(k, x):
-            blocks.append((k, x.copy()))
-
-        _first_passage(run.x0, run.seed, 0, 3, run.dt, 6, observe=observe,
-                       **_sde_callbacks(run))
+        _, recorded = _first_passage(run.x0, run.seed, 0, 3, run.dt, 6,
+                                     record=range(7), **_sde_callbacks(run))
         amp = np.sqrt(2 * run.epsilon * run.dt)
         noise = amp * np.stack([replica_rng(5, i).standard_normal((6, 1))
                                 for i in range(3)], axis=1)
@@ -337,8 +356,7 @@ class TestFirstPassageEngine:
         for g in noise:
             x = x - quartic.gradient_batch(x) * run.dt + g
             want.append(x)
-        assert [k for k, _ in blocks] == [0, 1]
-        assert np.array_equal(np.concatenate([b for _, b in blocks]), np.array(want))
+        assert np.array_equal(recorded, np.array(want))
 
 
 class TestBlockRule:
@@ -498,3 +516,39 @@ class TestHittingTimeStatistics:
         chi2 = float(np.sum((merged_counts - merged_expected) ** 2 / merged_expected))
         dof = merged_counts.size - 1
         assert chi2 < stats.chi2.ppf(0.95, dof)
+
+
+def _run(quartic, **kw):
+    return SdeRun(quartic, **{"epsilon": 0.3, "dt": 1e-3, "x0": [-1.0], "seed": 0, **kw})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda q: _run(q, dt=0.0), ValueError, "dt must be positive"),
+    (lambda q: _run(q, dt=-1e-3), ValueError, "dt must be positive"),
+    (lambda q: _run(q, epsilon=-0.1), ValueError, "epsilon must be nonnegative"),
+    (lambda q: hitting_times_raw(_run(q), [1.0], 0.0, 4), ValueError,
+     "delta must be positive"),
+    (lambda q: hitting_times_raw(_run(q), [1.0], -0.2, 4), ValueError,
+     "delta must be positive"),
+    (lambda q: ou_density(0.0, 0.5, 0.0, 0.3), ValueError, "t and eps must be positive"),
+    (lambda q: ou_density(0.0, 0.5, -1.0, 0.3), ValueError, "t and eps must be positive"),
+    # one answer to a negative duration, from the engine
+    (lambda q: sample_endpoints(_run(q), -1.0, 3), ValueError,
+     "a run of -1000 steps: the duration must be nonnegative"),
+    (lambda q: integrate_path(_run(q), -1.0), ValueError,
+     "a run of -1000 steps: the duration must be nonnegative"),
+    (lambda q: integrate_path(_run(q), -1.0, record=True), ValueError,
+     "a run of -1000 steps: the duration must be nonnegative"),
+])
+def test_bad_inputs_raise(quartic, call, error, message):
+    with pytest.raises(error) as info:
+        call(quartic)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_zero_duration_gives_the_start_states(quartic):
+    run = _run(quartic)
+    assert np.array_equal(sample_endpoints(run, 0.0, 3), np.full((3, 1), -1.0))
+    times, states = integrate_path(run, 0.0, record=True)
+    assert np.array_equal(times, [0.0]) and np.array_equal(states, [[-1.0]])

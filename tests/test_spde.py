@@ -312,17 +312,11 @@ class TestLinearizedModes:
         nu = squared_wavenumber_grid(d, L, N) - 1.0
         nu_1 = (2 * np.pi / L) ** 2 - 1.0
         gap = int(np.ceil(5.0 / (nu_1 * dt)))  # states e^-10 correlated
-        samples = []
-
-        def observe(k0, cs):
-            for k, c in enumerate(cs, k0):
-                if k and k % gap == 0:
-                    full = full_band(c, d)
-                    full[0, 0] = 0.0  # the mean mode, unstable without the cubic
-                    samples.append(np.sum(np.abs(full) ** 2) / L**d)
-
-        spde._one_replica(_Stepper(run), 100 * gap, 0, lambda c: c, observe)
-        var = np.array(samples)
+        cs = spde._one_replica(_Stepper(run), np.arange(gap, 100 * gap + 1, gap),
+                               0, lambda c: c)
+        full = full_band(cs, d)
+        full[:, 0, 0] = 0.0  # the mean mode, unstable without the cubic
+        var = np.sum(np.abs(full) ** 2, axis=(1, 2)) / L**d
         se = var.std(ddof=1) / np.sqrt(var.size)
         nu = nu[nu != -1.0]
         law = eps / L**d * np.sum(1.0 / (nu * (1.0 + dt * nu / 2.0)))
@@ -689,3 +683,51 @@ def test_record_snapshots_match_a_stepper_loop(tmp_path, monkeypatch):
         assert row["t"] == pytest.approx(k * run.dt, abs=1e-12)
         assert (row["mean"], row["min"], row["max"]) == \
             (want.mean(), want.min(), want.max())
+
+
+def test_record_snapshots_write_nothing_when_the_run_raises(tmp_path):
+    # the files are written after the run, so the t = 0 snapshot is not
+    # left behind by a run that overflows later
+    run = make_run(d=1, L=2.0, N=4, eps=0.0, dt=0.5, start=10.0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFinite, match="field step overflowed"):
+        record_snapshots(run, [0.0, 10.0], str(tmp_path / "snaps"))
+    assert not (tmp_path / "snaps").exists()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: make_run(dt=0.0), ValueError, "dt must be positive"),
+    (lambda: make_run(dt=-1e-3), ValueError, "dt must be positive"),
+    (lambda: make_run(eps=-0.1), ValueError, "epsilon must be nonnegative"),
+    (lambda: spde_hitting_times_raw(make_run(), 1.0, 0.0), ValueError,
+     "delta must be positive"),
+    (lambda: spde_hitting_times_raw(make_run(), 1.0, -0.3), ValueError,
+     "delta must be positive"),
+    # one answer to a negative duration, from the engine
+    (lambda: spde_hitting_times_raw(make_run(t_max=-1.0), 1.0, 0.3), ValueError,
+     "a run of -1000 steps: the duration must be nonnegative"),
+    (lambda: integrate_deterministic(make_run(), -1.0), ValueError,
+     "a run of -1000 steps: the duration must be nonnegative"),
+    (lambda: integrate_deterministic(make_run(), -1.0, record_every=7), ValueError,
+     "a run of -1000 steps: the duration must be nonnegative"),
+    (lambda: spatial_mean_trajectory(make_run(), -1.0), ValueError,
+     "a run of -1000 steps: the duration must be nonnegative"),
+    (lambda: integrate_deterministic(make_run(), 1.0, record_every=0), ValueError,
+     "record_every must be >= 1"),
+    (lambda: integrate_deterministic(make_run(), 1.0, record_every=-3), ValueError,
+     "record_every must be >= 1"),
+])
+def test_bad_inputs_raise(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_zero_duration_gives_the_start_state():
+    run = make_run()
+    times, snaps = integrate_deterministic(run, 0.0)
+    assert np.array_equal(times, [0.0])
+    assert np.array_equal(snaps, run.field0.coeffs[None])
+    times, means = spatial_mean_trajectory(run, 0.0)
+    assert np.array_equal(times, [0.0]) and np.allclose(means, [-1.0])
