@@ -71,7 +71,7 @@ def ensemble_rescaled(n_walks: int, n: int, t_grid: np.ndarray,
     """
     t = np.asarray(t_grid, dtype=float)
     idx = _step_index(n, t)
-    n_steps = int(np.max(idx))
+    n_steps = int(np.max(idx, initial=0))
     if np.any(t < 0):
         raise OutOfRange("negative times requested")
     out = np.empty((n_walks, t.size))

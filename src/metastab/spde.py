@@ -355,10 +355,13 @@ def record_snapshots(run: SpdeRun, snapshot_times, out_dir,
     trajectory.jsonl with one summary line (t, spatial mean, min, max) per
     snapshot, after the run; returns the written paths.
     """
+    times = sorted(float(t) for t in snapshot_times)
+    if times and times[0] < 0:
+        raise ValueError(f"snapshot time {times[0]} is negative")
     st = _Stepper(run)
     marks = []  # (step, time) of each snapshot, in time order
     last, t_now = 0, 0.0
-    for t in sorted(float(t) for t in snapshot_times):
+    for t in times:
         n_steps = max(0, int(round((t - t_now) / run.dt)))
         last += n_steps
         t_now += n_steps * run.dt

@@ -697,8 +697,8 @@ def scipy_modules_loaded_by(code):
 
 
 class TestImports:
-    """Importing the package needs numpy only; scipy loads where it is used:
-    the banded solve of the potential-theory oracle and randomwalk's KS test."""
+    """The package runs on numpy alone, the 1D potential-theory solver
+    included; scipy loads only for randomwalk's KS test."""
 
     def test_import_loads_no_scipy(self):
         assert scipy_modules_loaded_by("import metastab, metastab.cli") == []
@@ -716,9 +716,23 @@ class TestImports:
                 f"assert main({[*argv, '--out', str(tmp_path)]!r}) == 0")
         assert scipy_modules_loaded_by(code) == []
 
-    def test_first_banded_solve_loads_scipy_linalg(self):
+    def test_potential_theory_run_loads_no_scipy(self, tmp_path):
+        argv = ["potential-theory", "--epsilon", "0.25", "--out", str(tmp_path)]
+        code = f"from metastab.cli import main\nassert main({argv!r}) == 0"
+        assert scipy_modules_loaded_by(code) == []
+
+    def test_banded_solves_load_no_scipy(self):
         code = ("from metastab import quartic_double_well\n"
-                "from metastab.potential_theory import Grid1D, solve_poisson\n"
-                "solve_poisson(Grid1D(-2.5, 2.5, 99), quartic_double_well(),"
-                " 0.2, (0.8, 1.2))")
-        assert "scipy.linalg" in scipy_modules_loaded_by(code)
+                "from metastab.potential_theory import (Grid1D, solve_committor,"
+                " solve_poisson)\n"
+                "grid, V = Grid1D(-2.5, 2.5, 99), quartic_double_well()\n"
+                "solve_poisson(grid, V, 0.2, (0.8, 1.2))\n"
+                "solve_committor(grid, V, 0.2, (-1.2, -0.8), (0.8, 1.2))")
+        assert scipy_modules_loaded_by(code) == []
+
+    def test_randomwalk_loads_scipy_stats(self, tmp_path):
+        # the helper sees a scipy import where one happens
+        argv = ["randomwalk", "--n_walks", "10", "--n_steps", "5",
+                "--out", str(tmp_path)]
+        code = f"from metastab.cli import main\nassert main({argv!r}) == 0"
+        assert "scipy.stats" in scipy_modules_loaded_by(code)

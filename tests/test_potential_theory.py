@@ -10,7 +10,8 @@ from metastab import (
     solve_poisson,
 )
 from metastab.errors import OverlappingSets, SingularSystem
-from metastab.potentials import Potential
+from metastab.potential_theory import _assemble, _solve, set_mask
+from metastab.potentials import Potential, quadratic_well, quartic_double_well
 
 
 def free_potential():
@@ -63,6 +64,47 @@ class TestPoisson:
         # at eps = 0 the reflecting rows at both outer ends are zero
         with pytest.raises(SingularSystem, match="singular matrix"):
             solve_poisson(Grid1D(-2.5, 2.5, 99), quartic, 0.0, (0.8, 1.2))
+
+
+class TestSolver:
+    """The banded solve is LAPACK dgtsv's elimination, so it matches
+    scipy.linalg.solve_banded((1, 1), ...), which calls dgtsv, bit for bit."""
+
+    @pytest.mark.parametrize("eps", [0.03, 0.25, 1.0])
+    @pytest.mark.parametrize("m", [99, 1999, 3999])
+    @pytest.mark.parametrize("potential", [quartic_double_well, quadratic_well])
+    def test_assembled_systems_match_solve_banded(self, potential, m, eps):
+        from scipy.linalg import solve_banded
+
+        grid = Grid1D(-2.5, 2.5, m)
+        a_mask = set_mask(grid, (-1.2, -0.8))
+        b_mask = set_mask(grid, (0.8, 1.2))
+        poisson = _assemble(grid, potential(), eps, b_mask, rhs_interior=-1.0)
+        committor = _assemble(grid, potential(), eps, a_mask | b_mask,
+                              rhs_interior=0.0)
+        committor[1][a_mask] = 1.0
+        for ab, rhs in (poisson, committor):
+            assert np.array_equal(_solve(ab, rhs), solve_banded((1, 1), ab, rhs))
+
+    @pytest.mark.parametrize("n", [5, 6, 64, 501])
+    def test_row_interchanges_match_solve_banded(self, n):
+        from scipy.linalg import solve_banded
+
+        # a doubled subdiagonal makes most eliminations interchange rows,
+        # which fills in the second superdiagonal
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            ab, rhs = rng.standard_normal((3, n)), rng.standard_normal(n)
+            ab[2] *= 2.0
+            assert np.array_equal(_solve(ab, rhs), solve_banded((1, 1), ab, rhs))
+
+    def test_non_finite_bands_rejected(self):
+        # an infinite subdiagonal entry would otherwise zero a multiplier
+        ab = np.ones((3, 5))
+        ab[1] = 4.0
+        ab[2, 1] = np.inf
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            _solve(ab, np.ones(5))
 
 
 class TestCommittor:

@@ -105,6 +105,13 @@ class TestBrownianLimit:
         assert abs(v1 - v2) < band
 
 
+def test_empty_time_grid_gives_no_columns():
+    # as diffusive_rescale returns an empty array for an empty grid
+    out = ensemble_rescaled(3, 10, [], seed=1)
+    assert out.shape == (3, 0) and out.dtype == float
+    assert diffusive_rescale(walk(10, seed=1), 10, []).shape == (0,)
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: walk(0, seed=1), ValueError, "n must be >= 1"),
     (lambda: walk(-3, seed=1), ValueError, "n must be >= 1"),

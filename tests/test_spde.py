@@ -695,6 +695,14 @@ def test_record_snapshots_write_nothing_when_the_run_raises(tmp_path):
     assert not (tmp_path / "snaps").exists()
 
 
+def test_record_snapshots_reject_a_negative_time(tmp_path):
+    with pytest.raises(ValueError) as info:
+        record_snapshots(make_run(), [0.05, -1.0], str(tmp_path / "snaps"))
+    assert type(info.value) is ValueError
+    assert str(info.value) == "snapshot time -1.0 is negative"
+    assert not (tmp_path / "snaps").exists()
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: make_run(dt=0.0), ValueError, "dt must be positive"),
     (lambda: make_run(dt=-1e-3), ValueError, "dt must be positive"),
