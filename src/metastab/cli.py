@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -140,16 +141,20 @@ def arrhenius_fit(batches) -> ArrheniusFit:
 
 
 def _parallel_raw(worker, n: int, threads: int) -> np.ndarray:
-    """worker(offset, count) on `threads` contiguous replica ranges, one thread
-    each, in replica order; each replica's (seed, index) stream makes results
-    independent of threads.  Threads pay where numpy's FFTs, which release the
-    interpreter lock, dominate a step (d=2 fields): SDE and d=1 field loops
-    are bound by Python under that lock and run slower on threads."""
+    """worker(offset, count) on `threads` contiguous replica ranges, run on at
+    most as many threads as there are usable CPUs (a range holds its noise
+    blocks only while it runs), in replica order; each replica's (seed, index)
+    stream makes results independent of threads.  Threads pay where numpy's
+    FFTs, which release the interpreter lock, dominate a step (d=2 fields):
+    SDE and d=1 field loops are bound by Python under that lock and run
+    slower on threads."""
     k = max(1, min(n, threads))
     if k == 1:
         return worker(0, n)
     bounds = np.linspace(0, n, k + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=k) as pool:
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=min(k, usable)) as pool:
         return np.concatenate(list(pool.map(
             lambda a, b: worker(int(a), int(b - a)), bounds[:-1], bounds[1:])))
 

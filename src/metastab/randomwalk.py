@@ -12,10 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sde
 from .errors import OutOfRange
-from .sde import replica_rng
 
-_CHUNK = 500  # walks whose steps are held at once
+# bytes held per walk-step of a chunk: its int8 step, the int64 prefix sum
+# and the sum's copy behind the leading zero
+_STEP_BYTES = 17
 
 
 def _step_index(n: int, t: np.ndarray) -> np.ndarray:
@@ -40,7 +42,7 @@ def walk(n: int, seed: int) -> WalkPath:
     steps as walk 0 of ensemble_rescaled at this seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = replica_rng(seed, 0)
+    rng = sde.replica_rng(seed, 0)
     steps = (2 * rng.integers(0, 2, size=n, dtype=np.int8) - 1).astype(np.int64)
     positions = np.concatenate(([0], np.cumsum(steps)))
     return WalkPath(steps=steps, positions=positions, seed=seed)
@@ -67,7 +69,9 @@ def ensemble_rescaled(n_walks: int, n: int, t_grid: np.ndarray,
     """Rescaled positions for an ensemble, shape (n_walks, len(t_grid)).
 
     Each walk draws from its own (seed, walk_index) stream, so the ensemble
-    is reproducible under any execution order.
+    is reproducible under any execution order.  Walks run in chunks whose
+    steps take about the engine's noise block budget (8 MiB), so memory does
+    not grow with n_walks; a walk longer than that budget runs alone.
     """
     t = np.asarray(t_grid, dtype=float)
     idx = _step_index(n, t)
@@ -75,11 +79,12 @@ def ensemble_rescaled(n_walks: int, n: int, t_grid: np.ndarray,
     if np.any(t < 0):
         raise OutOfRange("negative times requested")
     out = np.empty((n_walks, t.size))
-    for start in range(0, n_walks, _CHUNK):
-        count = min(_CHUNK, n_walks - start)
+    chunk = max(1, 8 * sde._BLOCK_NORMALS // (_STEP_BYTES * max(1, n_steps)))
+    for start in range(0, n_walks, chunk):
+        count = min(chunk, n_walks - start)
         block = np.empty((count, n_steps), dtype=np.int8)
         for i in range(count):
-            rng = replica_rng(seed, start + i)
+            rng = sde.replica_rng(seed, start + i)
             block[i] = 2 * rng.integers(0, 2, size=n_steps, dtype=np.int8) - 1
         pos = np.concatenate(
             [np.zeros((count, 1), dtype=np.int64),

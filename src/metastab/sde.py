@@ -27,11 +27,14 @@ from .errors import AllCensored, NonFinite
 from .potentials import Potential
 
 # The block rule, in values of 8 bytes (normals, and kept values beside them):
-# a replica takes at least 8 KiB a block (below that its RNG call outweighs a
-# cheap SDE step) and at most 256 KiB; a block of at most 1024 steps holds at
-# most 16 MiB unless that floor needs more.  The hit test reads a block in
-# slices of at most _OBSERVE_VALUES kept values, which bounds its temporaries.
-_MAX_STEPS, _MIN_DRAW, _MAX_DRAW, _BLOCK_NORMALS = 1024, 1 << 10, 1 << 15, 1 << 21
+# a replica takes at least 4 KiB a block and at most 256 KiB; a block of at
+# most 1024 steps holds at most 8 MiB unless that floor needs more.  The floor
+# is the RNG's knee: with 2000 generators (best of 7), a standard_normal call
+# costs 19.3, 18.6, 19.7, 23.7 and 28.8 ns per normal at 2048, 1024, 512, 256
+# and 128 normals, so a shorter draw lets the call outweigh a cheap SDE step.
+# The hit test reads a block in slices of at most _OBSERVE_VALUES kept values,
+# which bounds its temporaries.
+_MAX_STEPS, _MIN_DRAW, _MAX_DRAW, _BLOCK_NORMALS = 1024, 1 << 9, 1 << 15, 1 << 20
 _OBSERVE_VALUES = 1 << 14
 
 

@@ -4,6 +4,8 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -528,6 +530,27 @@ class TestReproducibility:
 
         out = cli._parallel_raw(worker, n, threads)
         assert sorted(calls) == ranges
+        assert np.array_equal(out, np.arange(n, dtype=float))
+
+    def test_ranges_run_on_at_most_the_usable_cpus(self):
+        # two ranges more than CPUs: each range still runs, on no more
+        # threads than there are CPUs
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count())
+        n = usable + 2
+        lock, running, peak = threading.Lock(), [0], [0]
+
+        def worker(offset, count):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.05)
+            with lock:
+                running[0] -= 1
+            return np.arange(offset, offset + count, dtype=float)
+
+        out = cli._parallel_raw(worker, n, n)
+        assert 1 <= peak[0] <= usable
         assert np.array_equal(out, np.arange(n, dtype=float))
 
     def test_manifests_agree_up_to_wall_time(self, tmp_path):

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from metastab import diffusive_rescale, ensemble_rescaled, walk
+from metastab import diffusive_rescale, ensemble_rescaled, sde, walk
 from metastab.errors import OutOfRange
 
 
@@ -103,6 +105,25 @@ class TestBrownianLimit:
         v1, v2 = base.var(ddof=1), finer.var(ddof=1)
         band = 3 * np.sqrt(2.0 / (n_walks - 1)) * max(v1, v2)
         assert abs(v1 - v2) < band
+
+
+class TestChunks:
+    def test_ensemble_memory_stays_within_the_block_budget(self):
+        # 500 walks of 20000 steps hold 170 MB at 17 bytes a walk-step if
+        # held at once; chunks of the engine's 8 MiB budget hold about 8 MiB
+        tracemalloc.start()
+        try:
+            ensemble_rescaled(500, 20000, [1.0], seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+    def test_chunk_size_changes_no_position(self, monkeypatch):
+        t = [0.0, 0.3, 1.0]
+        whole = ensemble_rescaled(40, 50, t, seed=6)
+        monkeypatch.setattr(sde, "_BLOCK_NORMALS", 400)  # chunks of 3 walks
+        assert np.array_equal(ensemble_rescaled(40, 50, t, seed=6), whole)
 
 
 def test_empty_time_grid_gives_no_columns():

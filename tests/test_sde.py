@@ -364,24 +364,25 @@ class TestBlockRule:
     # states in its noise rows; field hitting keeps one distance and the
     # spatial mean trajectories one mean per step
     @pytest.mark.parametrize("width, live, steps", [
-        (1, 2000, 1024),  # sde_kramers, criteria 4 and 5
-        (1, 60_000, 1024),  # the SDE at any n: the 8 KiB floor
+        (1, 2000, 524),  # sde_kramers, criteria 4 and 5: 8 MiB
+        (1, 1024, 1024),  # the SDE's tail: 1024 steps up to 1024 live
+        (1, 60_000, 512),  # the SDE at any n: the 4 KiB floor
         (2, 1, 1024),
-        (65**2 + 1, 64, 7),  # d=2, N=32, n=64 field hitting
-        (33 + 1, 400, 154),  # criterion 11: d=1, N=16, n=400
+        (65**2 + 1, 64, 3),  # d=2, N=32, n=64 field hitting
+        (33 + 1, 400, 77),  # criterion 11: d=1, N=16, n=400
         (17**2 + 1, 1, 112),  # field_2d trajectories at N=8, 16, 32
         (33**2 + 1, 1, 30),
         (65**2 + 1, 1, 7),
-        (33 + 1, 100, 616),  # field_1d: d=1, N=16, n=100
+        (33 + 1, 100, 308),  # field_1d: d=1, N=16, n=100
         (9 + 1, 16, 1024),  # d=1, N=4, n=16: one block
         (129**2, 4096, 1),  # at least one step
         # the same normals with nothing kept beside them
-        (65**2, 64, 7),
-        (33, 400, 158),
+        (65**2, 64, 3),
+        (33, 400, 79),
         (17**2, 1, 113),
         (33**2, 1, 30),
         (65**2, 1, 7),
-        (33, 100, 635),
+        (33, 100, 317),
         (9, 16, 1024),
     ])
     def test_block_lengths(self, width, live, steps):
@@ -429,6 +430,22 @@ class TestBlockRule:
         assert len(buffers) > 1 and all(b is buffers[0] for b in buffers)
         assert buffers[0].size == 24 and isinstance(buffers[0].base.obj, mmap.mmap)
         assert np.array_equal(whole, budgeted, equal_nan=True)
+
+    def test_sde_kramers_block_fits_in_8_mib(self, quartic, monkeypatch):
+        # 2000 live replicas take 524-step blocks: 8.0 MiB of normals, where
+        # 1000-step blocks would map 15.3 MiB
+        run = SdeRun(quartic, epsilon=0.25, dt=1e-3, x0=[-1.0], seed=5,
+                     t_max=1.0)
+        sizes = []
+        mapped = sde._noise_buffer
+
+        def recording(size):
+            sizes.append(8 * size)
+            return mapped(size)
+
+        monkeypatch.setattr(sde, "_noise_buffer", recording)
+        hitting_times_raw(run, [1.0], 0.2, 2000)
+        assert sizes and max(sizes) <= 8 << 20
 
 
 class TestDrawNoise:

@@ -2,6 +2,9 @@
 paths, field trajectories, snapshot files and CLI results.csv bytes.
 
 A refactor that claims bit-identical outputs must pass these unchanged.  The
+SDE, field, snapshot and CLI entries also run under tiny noise blocks and
+expect the same digests, since a replica's stream does not depend on how its
+steps are split into blocks.  The
 field entries run numpy FFTs, whose last bits may differ between numpy
 releases, so they skip on a numpy other than the one the digests were taken
 with; the SDE entries use only numpy's Generator streams and arithmetic and
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 
 from metastab import (SdeRun, constant_field, double_well_2d, galerkin_potential_1d,
-                      quartic_double_well, random_field)
+                      quartic_double_well, random_field, sde)
 from metastab.cli import main
 from metastab.sde import hitting_times_raw, integrate_path, sample_endpoints
 from metastab.spde import (
@@ -177,12 +180,39 @@ def _parts(out):
     return out if isinstance(out, tuple) else (out,)
 
 
-@pytest.mark.parametrize("name", SDE_ENTRIES)
-def test_sde_output(name):
+@pytest.fixture
+def tiny_blocks(monkeypatch):
+    """Blocks of at most 13 steps and 128 values, with a floor of 8 values a
+    replica: runs split into many short blocks whose lengths follow the live
+    count, and sample_endpoints into ranges of 16 replicas."""
+    monkeypatch.setattr(sde, "_MAX_STEPS", 13)
+    monkeypatch.setattr(sde, "_MIN_DRAW", 8)
+    monkeypatch.setattr(sde, "_BLOCK_NORMALS", 128)
+
+
+def _sde_digest(name):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         out = SDE_ENTRIES[name]()
-    assert _digest(*_parts(out)) == RECORDED[name]
+    return _digest(*_parts(out))
+
+
+def _write_snapshots(out):
+    record_snapshots(_field(2, 1.5, 4, -1.0, 0.3, 2e-3, 31), [0.05, 0.0, 0.014],
+                     str(out), replica_index=2)
+
+
+def _cli_digest(name, out):
+    assert main(CLI_ENTRIES[name] + ["--out", str(out)]) == 0
+    return _digest((out / "results.csv").read_bytes())
+
+
+CLI_NAMES = ["sde-hitting", pytest.param("spde-hitting-d2-hs", marks=needs_fft)]
+
+
+@pytest.mark.parametrize("name", SDE_ENTRIES)
+def test_sde_output(name):
+    assert _sde_digest(name) == RECORDED[name]
 
 
 @needs_fft
@@ -194,8 +224,7 @@ def test_field_output(name):
 @pytest.fixture(scope="module")
 def snapshot_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("snapshots")
-    record_snapshots(_field(2, 1.5, 4, -1.0, 0.3, 2e-3, 31), [0.05, 0.0, 0.014],
-                     str(out), replica_index=2)
+    _write_snapshots(out)
     return out
 
 
@@ -205,8 +234,29 @@ def test_snapshot_file(name, snapshot_dir):
     assert _digest((snapshot_dir / name).read_bytes()) == RECORDED[name]
 
 
-@pytest.mark.parametrize("name", [
-    "sde-hitting", pytest.param("spde-hitting-d2-hs", marks=needs_fft)])
+@pytest.mark.parametrize("name", CLI_NAMES)
 def test_cli_results_csv(name, tmp_path):
-    assert main(CLI_ENTRIES[name] + ["--out", str(tmp_path)]) == 0
-    assert _digest((tmp_path / "results.csv").read_bytes()) == RECORDED[name]
+    assert _cli_digest(name, tmp_path) == RECORDED[name]
+
+
+class TestTinyBlocks:
+    """Every recorded output again, with its steps split into tiny blocks."""
+
+    @pytest.mark.parametrize("name", SDE_ENTRIES)
+    def test_sde_output(self, name, tiny_blocks):
+        assert _sde_digest(name) == RECORDED[name]
+
+    @needs_fft
+    @pytest.mark.parametrize("name", FIELD_ENTRIES)
+    def test_field_output(self, name, tiny_blocks):
+        assert _digest(*_parts(FIELD_ENTRIES[name]())) == RECORDED[name]
+
+    @needs_fft
+    def test_snapshot_files(self, tiny_blocks, tmp_path):
+        _write_snapshots(tmp_path)
+        for name in SNAPSHOT_FILES:
+            assert _digest((tmp_path / name).read_bytes()) == RECORDED[name]
+
+    @pytest.mark.parametrize("name", CLI_NAMES)
+    def test_cli_results_csv(self, name, tiny_blocks, tmp_path):
+        assert _cli_digest(name, tmp_path) == RECORDED[name]

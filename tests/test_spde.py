@@ -504,7 +504,7 @@ class TestHitting:
         monkeypatch.setattr(sde, "_draw_noise", recording)
         run = make_run(N=16, eps=0.1, dt=1e-3, t_max=0.7, seed=3)
         assert np.all(np.isnan(spde_hitting_times_raw(run, 100.0, 0.3, n=100)))
-        assert blocks == [(616, 100), (84, 100)]
+        assert blocks == [(308, 100), (308, 100), (84, 100)]
 
     def test_tiny_block_budget_keeps_hitting_times(self, monkeypatch):
         # 9 normals and 1 kept distance per replica-step in blocks of at most
