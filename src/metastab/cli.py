@@ -5,7 +5,8 @@ Every experiment writes ``results.csv`` (LF line endings, '.' decimals, one
 the full configuration, seed, package version and wall time.  The hash covers
 only reproducibility-relevant fields (experiment, parameters, seed).
 ``--threads k`` runs the replicas of a hitting-time experiment as k
-contiguous ranges on k threads; outputs are byte-identical across its values.
+contiguous ranges on at most k threads, and on no more than the usable CPUs
+(``sde.run_ranges``); outputs are byte-identical across its values.
 
 An experiment takes only the parameters it reads (``_EXPERIMENTS``; per
 ``--system`` for two of them, per input file for rate-functional), as
@@ -23,10 +24,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,6 +55,7 @@ from .sde import (
     hitting_times_raw,
     ou_fokker_planck_residual,
     ou_mean_var,
+    run_ranges as _parallel_raw,  # the name that tests and perfbench patch
     sample_endpoints,
 )
 from .spde import SpdeRun, record_snapshots, spde_hitting_times_raw
@@ -133,30 +133,6 @@ def arrhenius_fit(batches) -> ArrheniusFit:
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return ArrheniusFit(slope=slope, intercept=intercept, r_squared=r2,
                         points=tuple(pts))
-
-
-# ---------------------------------------------------------------------------
-# Parallel replica scheduling
-# ---------------------------------------------------------------------------
-
-
-def _parallel_raw(worker, n: int, threads: int) -> np.ndarray:
-    """worker(offset, count) on `threads` contiguous replica ranges, run on at
-    most as many threads as there are usable CPUs (a range holds its noise
-    blocks only while it runs), in replica order; each replica's (seed, index)
-    stream makes results independent of threads.  Threads pay where numpy's
-    FFTs, which release the interpreter lock, dominate a step (d=2 fields):
-    SDE and d=1 field loops are bound by Python under that lock and run
-    slower on threads."""
-    k = max(1, min(n, threads))
-    if k == 1:
-        return worker(0, n)
-    bounds = np.linspace(0, n, k + 1).astype(int)
-    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=min(k, usable)) as pool:
-        return np.concatenate(list(pool.map(
-            lambda a, b: worker(int(a), int(b - a)), bounds[:-1], bounds[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +401,12 @@ def _run_randomwalk(cfg: ExperimentConfig):
     s, t = p.get("s", 0.25), p.get("t", 1.0)
     if not s < t:
         raise ValueError("parameter s must be below t")
-    with_s = ensemble_rescaled(n_walks, n_steps, [s, t], cfg.seed)
-    incr = with_s[:, 1] - with_s[:, 0]
+    w = ensemble_rescaled(n_walks, n_steps, [s, t, 1.0], cfg.seed)
+    incr = w[:, 1] - w[:, 0]
     var_emp = float(incr.var(ddof=1))
     se = var_emp * np.sqrt(2.0 / (n_walks - 1))
     from scipy import stats
-    w1 = ensemble_rescaled(n_walks, n_steps, [1.0], cfg.seed)[:, 0]
-    ks = stats.kstest(w1, "norm")
+    ks = stats.kstest(w[:, 2], "norm")
     header = ["check", "value", "expected", "band"]
     rows = [
         ("increment_variance", var_emp, t - s, 3 * se),

@@ -15,10 +15,6 @@ import numpy as np
 from . import sde
 from .errors import OutOfRange
 
-# bytes held per walk-step of a chunk: its int8 step, the int64 prefix sum
-# and the sum's copy behind the leading zero
-_STEP_BYTES = 17
-
 
 def _step_index(n: int, t: np.ndarray) -> np.ndarray:
     """floor(n t), with n t rounded to the nearest integer within 4 ulps of it."""
@@ -69,25 +65,24 @@ def ensemble_rescaled(n_walks: int, n: int, t_grid: np.ndarray,
     """Rescaled positions for an ensemble, shape (n_walks, len(t_grid)).
 
     Each walk draws from its own (seed, walk_index) stream, so the ensemble
-    is reproducible under any execution order.  Walks run in chunks whose
-    steps take about the engine's noise block budget (8 MiB), so memory does
-    not grow with n_walks; a walk longer than that budget runs alone.
+    is reproducible under any execution order.  Walks run one at a time
+    through one buffer of up-step counts, read at the requested steps, so
+    memory is one walk's steps and does not grow with n_walks.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n_walks < 0:
+        raise ValueError("n_walks must be >= 0")
     t = np.asarray(t_grid, dtype=float)
     idx = _step_index(n, t)
-    n_steps = int(np.max(idx, initial=0))
     if np.any(t < 0):
         raise OutOfRange("negative times requested")
-    out = np.empty((n_walks, t.size))
-    chunk = max(1, 8 * sde._BLOCK_NORMALS // (_STEP_BYTES * max(1, n_steps)))
-    for start in range(0, n_walks, chunk):
-        count = min(chunk, n_walks - start)
-        block = np.empty((count, n_steps), dtype=np.int8)
-        for i in range(count):
-            rng = sde.replica_rng(seed, start + i)
-            block[i] = 2 * rng.integers(0, 2, size=n_steps, dtype=np.int8) - 1
-        pos = np.concatenate(
-            [np.zeros((count, 1), dtype=np.int64),
-             np.cumsum(block, axis=1, dtype=np.int64)], axis=1)
-        out[start:start + count] = pos[:, idx] / np.sqrt(n)
-    return out
+    # ups[k]: the up-steps among a walk's first k
+    ups = np.zeros(int(np.max(idx, initial=0)) + 1, dtype=np.int64)
+    ups_at = np.empty((n_walks, t.size), dtype=np.int64)
+    for i in range(n_walks):
+        rng = sde.replica_rng(seed, i)
+        np.cumsum(rng.integers(0, 2, size=ups.size - 1, dtype=np.int8),
+                  dtype=np.int64, out=ups[1:])
+        np.take(ups, idx, out=ups_at[i])
+    return (2 * ups_at - idx) / np.sqrt(n)  # S_k = 2 #ups_k - k

@@ -2,21 +2,24 @@
 
 Every Monte Carlo replica owns a counter-based RNG stream derived from
 (seed_base, replica_index), so ensembles are reproducible under any parallel
-schedule; aggregation is ordered by replica index.  _first_passage is the one
-loop, here and in spde, that advances states over time.  It draws their noise
-step-major in blocks set by one rule (_block_steps) into one buffer per call,
-steps the live replicas across a block and keeps what the caller's
-keep(states, aux) takes of each step (the SDE keeps its states, written into
-the noise rows they used).  Callers say two things about the kept values: a
-hit test hit(kept), a mask over kept rows that stops each replica at its
-first hit, and the steps to record, whose kept values come back.  The engine
-looks at the start states too (step 0), so a replica that starts in the
-target hits at time 0; replicas are compacted once per block.
+schedule; aggregation is ordered by replica index.  run_ranges is the one
+cut of replicas into ranges (the CLI's threads, sample_endpoints').
+_first_passage is the one loop, here and in spde, that advances states over
+time.  It draws their noise step-major in blocks set by one rule
+(_block_steps) into one buffer per call, steps the live replicas across a
+block and keeps what the caller's keep(states, aux) takes of each step (the
+SDE keeps its states, written into the noise rows they used).  Callers say two
+things about the kept values: a hit test hit(kept), a mask over kept rows that
+stops each replica at its first hit, and the steps to record, whose kept
+values come back.  The engine looks at the start states too (step 0), so a
+replica that starts in the target hits at time 0; replicas are compacted once
+per block.
 """
 
 from __future__ import annotations
 
 import mmap
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -331,20 +334,41 @@ def _sde_callbacks(run: SdeRun) -> dict:
                 step=step, check=check)
 
 
+def run_ranges(worker, n: int, ranges: int, threads: Optional[int] = None) -> np.ndarray:
+    """worker(offset, count) on `ranges` contiguous replica ranges (1 to n),
+    concatenated in replica order, on at most `threads` threads (default one
+    a range) and the usable CPUs, as a running range holds its noise blocks;
+    inline on one.  Each replica's (seed, index) stream makes results
+    independent of both counts.  Threads pay where numpy's FFTs, which release
+    the interpreter lock, dominate a step (d=2 fields): SDE and d=1 field
+    loops are bound by Python under that lock and run slower on threads."""
+    k = max(1, min(n, ranges))
+    bounds = np.linspace(0, n, k + 1).astype(int).tolist()
+    offsets, counts = bounds[:-1], np.diff(bounds).tolist()
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    workers = min(k, usable, k if threads is None else threads)
+    if workers == 1:
+        return np.concatenate(list(map(worker, offsets, counts)))
+    from concurrent.futures import ThreadPoolExecutor  # with logging, ~10 ms to import
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(worker, offsets, counts)))
+
+
 def sample_endpoints(run: SdeRun, t: float, n: int,
                      replica_offset: int = 0) -> np.ndarray:
-    """States of n independent replicas at time t, shape (n, dim); replicas
-    run in ranges whose noise blocks stay within the engine's budget, so
-    memory does not grow with n."""
-    n_steps, chunk = int(round(t / run.dt)), _BLOCK_NORMALS // _MIN_DRAW
-    callbacks = _sde_callbacks(run)
-    out = np.empty((n, run.x0.size))
-    for start in range(0, n, chunk):
-        count = min(chunk, n - start)
-        out[start:start + count] = _first_passage(
-            run.x0, run.seed, replica_offset + start, count, run.dt, n_steps,
-            record=[n_steps], **callbacks)[1][0]
-    return out
+    """States of n independent replicas at time t, shape (n, dim), run one
+    range of at most _BLOCK_NORMALS // _MIN_DRAW (2048) after another, so
+    noise blocks stay within the engine's budget at any n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    n_steps, callbacks = int(round(t / run.dt)), _sde_callbacks(run)
+
+    def endpoints(offset, count):
+        return _first_passage(run.x0, run.seed, replica_offset + offset, count,
+                              run.dt, n_steps, record=[n_steps], **callbacks)[1][0]
+
+    return run_ranges(endpoints, n, -(-n // (_BLOCK_NORMALS // _MIN_DRAW)), threads=1)
 
 
 def _stability_check(run: SdeRun, x: np.ndarray) -> bool:

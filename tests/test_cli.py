@@ -533,8 +533,8 @@ class TestReproducibility:
         assert np.array_equal(out, np.arange(n, dtype=float))
 
     def test_ranges_run_on_at_most_the_usable_cpus(self):
-        # two ranges more than CPUs: each range still runs, on no more
-        # threads than there are CPUs
+        # two ranges more than CPUs, each allowed a thread: each range still
+        # runs, concurrently but on no more threads than there are CPUs
         usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count())
         n = usable + 2
@@ -549,8 +549,8 @@ class TestReproducibility:
                 running[0] -= 1
             return np.arange(offset, offset + count, dtype=float)
 
-        out = cli._parallel_raw(worker, n, n)
-        assert 1 <= peak[0] <= usable
+        out = cli._parallel_raw(worker, n, n, threads=n)
+        assert min(2, usable) <= peak[0] <= usable
         assert np.array_equal(out, np.arange(n, dtype=float))
 
     def test_manifests_agree_up_to_wall_time(self, tmp_path):

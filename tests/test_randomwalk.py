@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from metastab import diffusive_rescale, ensemble_rescaled, sde, walk
+from metastab import diffusive_rescale, ensemble_rescaled, walk
 from metastab.errors import OutOfRange
 
 
@@ -107,23 +107,22 @@ class TestBrownianLimit:
         assert abs(v1 - v2) < band
 
 
-class TestChunks:
-    def test_ensemble_memory_stays_within_the_block_budget(self):
-        # 500 walks of 20000 steps hold 170 MB at 17 bytes a walk-step if
-        # held at once; chunks of the engine's 8 MiB budget hold about 8 MiB
+class TestWalkByWalk:
+    def test_ensemble_memory_is_one_walks_worth(self):
+        # 500 walks of 20000 steps would hold 90 MB of int8 steps and int64
+        # sums at once; walk by walk, one walk's up-step counts take 160 kB
         tracemalloc.start()
         try:
             ensemble_rescaled(500, 20000, [1.0], seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 << 20
+        assert peak < 1 << 20
 
-    def test_chunk_size_changes_no_position(self, monkeypatch):
+    def test_positions_do_not_depend_on_n_walks(self):
         t = [0.0, 0.3, 1.0]
-        whole = ensemble_rescaled(40, 50, t, seed=6)
-        monkeypatch.setattr(sde, "_BLOCK_NORMALS", 400)  # chunks of 3 walks
-        assert np.array_equal(ensemble_rescaled(40, 50, t, seed=6), whole)
+        assert np.array_equal(ensemble_rescaled(40, 50, t, seed=6)[:3],
+                              ensemble_rescaled(3, 50, t, seed=6))
 
 
 def test_empty_time_grid_gives_no_columns():
@@ -133,6 +132,11 @@ def test_empty_time_grid_gives_no_columns():
     assert diffusive_rescale(walk(10, seed=1), 10, []).shape == (0,)
 
 
+def test_no_walks_give_no_rows():
+    out = ensemble_rescaled(0, 10, [0.5, 1.0], seed=1)
+    assert out.shape == (0, 2) and out.dtype == float
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: walk(0, seed=1), ValueError, "n must be >= 1"),
     (lambda: walk(-3, seed=1), ValueError, "n must be >= 1"),
@@ -140,6 +144,10 @@ def test_empty_time_grid_gives_no_columns():
      "negative times requested"),
     (lambda: ensemble_rescaled(3, 10, [-0.5, -0.1], seed=1), OutOfRange,
      "negative times requested"),
+    (lambda: ensemble_rescaled(3, 0, [0.5], seed=1), ValueError, "n must be >= 1"),
+    (lambda: ensemble_rescaled(3, -4, [0.5], seed=1), ValueError, "n must be >= 1"),
+    (lambda: ensemble_rescaled(-2, 10, [0.5], seed=1), ValueError,
+     "n_walks must be >= 0"),
 ])
 def test_bad_inputs_raise(call, error, message):
     with pytest.raises(error) as info:

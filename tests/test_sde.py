@@ -447,6 +447,25 @@ class TestBlockRule:
         hitting_times_raw(run, [1.0], 0.2, 2000)
         assert sizes and max(sizes) <= 8 << 20
 
+    def test_endpoint_ranges_fit_in_8_mib(self, quartic, monkeypatch):
+        # 5000 replicas run as three ranges of at most 2048, each in 600-step
+        # blocks of 7.6 MiB, where one range would map 512-step blocks of
+        # 19.5 MiB; a replica's endpoint does not depend on its range
+        run = SdeRun(quartic, epsilon=0.25, dt=1e-3, x0=[-1.0], seed=5)
+        sizes = []
+        mapped = sde._noise_buffer
+
+        def recording(size):
+            sizes.append(8 * size)
+            return mapped(size)
+
+        monkeypatch.setattr(sde, "_noise_buffer", recording)
+        whole = sample_endpoints(run, 0.6, 5000)
+        assert len(sizes) == 3 and max(sizes) <= 8 << 20
+        parts = [sample_endpoints(run, 0.6, count, replica_offset=offset)
+                 for offset, count in ((0, 1000), (1000, 3000), (4000, 1000))]
+        assert np.array_equal(whole, np.concatenate(parts))
+
 
 class TestDrawNoise:
     @pytest.mark.parametrize("steps, shape, max_draw, live", [
@@ -552,6 +571,7 @@ def _run(quartic, **kw):
     # one answer to a negative duration, from the engine
     (lambda q: sample_endpoints(_run(q), -1.0, 3), ValueError,
      "a run of -1000 steps: the duration must be nonnegative"),
+    (lambda q: sample_endpoints(_run(q), 1.0, -3), ValueError, "n must be >= 0"),
     (lambda q: integrate_path(_run(q), -1.0), ValueError,
      "a run of -1000 steps: the duration must be nonnegative"),
     (lambda q: integrate_path(_run(q), -1.0, record=True), ValueError,
@@ -567,5 +587,6 @@ def test_bad_inputs_raise(quartic, call, error, message):
 def test_zero_duration_gives_the_start_states(quartic):
     run = _run(quartic)
     assert np.array_equal(sample_endpoints(run, 0.0, 3), np.full((3, 1), -1.0))
+    assert sample_endpoints(run, 0.0, 0).shape == (0, 1)
     times, states = integrate_path(run, 0.0, record=True)
     assert np.array_equal(times, [0.0]) and np.array_equal(states, [[-1.0]])

@@ -184,7 +184,7 @@ def _parts(out):
 def tiny_blocks(monkeypatch):
     """Blocks of at most 13 steps and 128 values, with a floor of 8 values a
     replica: runs split into many short blocks whose lengths follow the live
-    count, and sample_endpoints into ranges of 16 replicas."""
+    count, and sample_endpoints into ranges of at most 16 replicas."""
     monkeypatch.setattr(sde, "_MAX_STEPS", 13)
     monkeypatch.setattr(sde, "_MIN_DRAW", 8)
     monkeypatch.setattr(sde, "_BLOCK_NORMALS", 128)
