@@ -42,7 +42,6 @@ from .kramers import (
     ek_finite,
 )
 from .potential_theory import (
-    CommittorSolution,
     Grid1D,
     capacity_dirichlet,
     committor_weighted_integral,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -96,6 +97,8 @@ class ExperimentConfig:
                     self.experiment == "kramers-predict" and key == "epsilon"
                     and _fits(_comma_floats, v))):
                 raise ValueError(f"parameter {key} has the wrong type: {v!r}")
+            if not _finite(v):  # argparse reads "inf", json.load "Infinity"
+                raise ValueError(f"parameter {key} must be finite")
 
     def hash(self) -> str:
         """Hash of the reproducibility-relevant fields only."""
@@ -169,7 +172,8 @@ def write_results(cfg: ExperimentConfig, header: list, rows: list,
         "wall_time_s": wall_time,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    if summary is not None:
+    if summary is not None:  # strict JSON: a non-finite value becomes null
+        summary = {k: v if _finite(v) else None for k, v in summary.items()}
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return csv_path
 
@@ -307,8 +311,8 @@ def _run_potential_theory(cfg: ExperimentConfig):
     eps = p["epsilon"]
     pot = _POTENTIALS[p.get("potential", "quartic")]()
     grid = Grid1D(p.get("a", -2.5), p.get("b", 2.5), p.get("m", 1999))
-    A = tuple(p.get("A", (-1.2, -0.8)))
-    B = tuple(p.get("B", (0.8, 1.2)))
+    A = p.get("A", (-1.2, -0.8))
+    B = p.get("B", (0.8, 1.2))
     w = solve_poisson(grid, pot, eps, B)
     comm = solve_committor(grid, pot, eps, A, B)
     i_star = int(np.argmin(pot.value(grid.nodes[:, None])))
@@ -505,6 +509,13 @@ def _fits(kind, v) -> bool:
         return isinstance(v, bool)
     allowed = (int, float) if kind is float else kind
     return isinstance(v, allowed) and not isinstance(v, bool)
+
+
+def _finite(v) -> bool:
+    """Whether no float in v, a value or a nested list of values, is inf or nan."""
+    if isinstance(v, (list, tuple)):
+        return all(_finite(x) for x in v)
+    return not isinstance(v, float) or math.isfinite(v)
 
 
 def _report(error: str, message: str) -> None:

@@ -32,9 +32,7 @@ class DeterminantResult:
 
     log_abs: float
     sign: int
-    N: int
     tail_estimate: float
-    kind: str  # "fredholm" or "carleman_fredholm"
 
     @property
     def value(self) -> float:
@@ -69,14 +67,12 @@ def _determinant(d: int, L: float, N: int) -> DeterminantResult:
     a = L / (2 * np.pi)  # < 1, so nu_k > 0 for all k != 0
     if d == 1:
         tail = 3.0 * a * np.log((N + a) / (N - a)) if N >= 1 else np.inf
-        kind = "fredholm"
     else:
         log_terms -= x  # fused per-mode reduction
         tail = 4.5 * a**4 * np.pi / (N**2 - a**2) if N >= 1 else np.inf
-        kind = "carleman_fredholm"
     sign = -1 if np.count_nonzero(factors < 0) % 2 else 1
-    return DeterminantResult(log_abs=float(np.sum(log_terms)), sign=sign, N=N,
-                             tail_estimate=tail, kind=kind)
+    return DeterminantResult(log_abs=float(np.sum(log_terms)), sign=sign,
+                             tail_estimate=tail)
 
 
 def fredholm_det_1d(L: float, N: int) -> DeterminantResult:

@@ -4,7 +4,9 @@ The mean transition time at noise intensity eps is predicted as
 ``prefactor * exp(barrier / eps)`` with prefactor
 ``(2 pi / |lambda_-|) * determinant_factor``; the determinant factor is a
 Hessian-determinant ratio in finite dimension and an inverse square-root
-spectral determinant for the truncated field dynamics.
+spectral determinant for the truncated field dynamics.  On the torus the
+unstable direction is the constant mode, so lambda_- = -1 and both field
+laws (d = 1 and d = 2) differ only in barrier and determinant.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class RatePrediction:
     prefactor: float
     lambda_minus: float
     determinant_factor: float
-    kind: str
     det_tail: float = 0.0
 
     def predict(self, eps: float) -> float:
@@ -85,8 +86,19 @@ def ek_finite(minimum: CriticalPoint, saddle: CriticalPoint,
         prefactor=2 * np.pi / abs(lam) * det_factor,
         lambda_minus=lam,
         determinant_factor=det_factor,
-        kind="finite",
     )
+
+
+def _torus_law(barrier: float, det_abs: float, log_tail: float) -> RatePrediction:
+    """The torus field law: lambda_- = -1 and prefactor 2 pi det^{-1/2}.
+
+    A log-tail t on the determinant is a relative interval t/2 on its
+    inverse square root.
+    """
+    det_factor = 1.0 / np.sqrt(det_abs)
+    return RatePrediction(barrier=barrier, prefactor=2 * np.pi * det_factor,
+                          lambda_minus=-1.0, determinant_factor=det_factor,
+                          det_tail=0.5 * log_tail)
 
 
 def ek_allen_cahn_1d(L: float, N_for_det: Optional[int] = None) -> RatePrediction:
@@ -96,21 +108,9 @@ def ek_allen_cahn_1d(L: float, N_for_det: Optional[int] = None) -> RatePredictio
     or the truncated product when N_for_det is given.
     """
     if N_for_det is None:
-        det_abs = abs(fredholm_closed_form(L))
-        tail = 0.0
-    else:
-        res = fredholm_det_1d(L, N_for_det)
-        det_abs = res.abs_value
-        tail = 0.5 * res.tail_estimate
-    det_factor = 1.0 / np.sqrt(det_abs)
-    return RatePrediction(
-        barrier=L / 4.0,
-        prefactor=2 * np.pi * det_factor,
-        lambda_minus=-1.0,
-        determinant_factor=det_factor,
-        kind="allen_cahn_1d",
-        det_tail=tail,
-    )
+        return _torus_law(L / 4.0, abs(fredholm_closed_form(L)), 0.0)
+    res = fredholm_det_1d(L, N_for_det)
+    return _torus_law(L / 4.0, res.abs_value, res.tail_estimate)
 
 
 def ek_allen_cahn_2d(L: float, N_for_det: int) -> RatePrediction:
@@ -121,15 +121,7 @@ def ek_allen_cahn_2d(L: float, N_for_det: int) -> RatePrediction:
     interval reported.
     """
     res = carleman_det_2d(L, N_for_det)
-    det_factor = 1.0 / np.sqrt(res.abs_value)
-    return RatePrediction(
-        barrier=L**2 / 4.0,
-        prefactor=2 * np.pi * det_factor,
-        lambda_minus=-1.0,
-        determinant_factor=det_factor,
-        kind="allen_cahn_2d",
-        det_tail=0.5 * res.tail_estimate,
-    )
+    return _torus_law(L**2 / 4.0, res.abs_value, res.tail_estimate)
 
 
 def compensation_residual(L: float, N: int, eps: float) -> float:

@@ -6,13 +6,15 @@ Provides the mean hitting time (source problem), the committor (harmonic
 interpolation between the sets), the capacity via the Dirichlet form of the
 solved committor, and a numerical check of the identity linking the mean
 hitting time to the committor-weighted Gibbs integral over the capacity.
+Both solvers return their node values as one array over ``grid.nodes``.
 
 The tridiagonal solve is LAPACK dgtsv's elimination with partial pivoting,
-written out over the three bands: the same operations in the same order, so
-its solutions are bit-identical to scipy.linalg.solve_banded((1, 1), ...),
-which calls dgtsv. It replaced that call because importing scipy.linalg cost
-each run about 0.3 s and 18 MB of memory, while written out in Python a
-2001-row solve takes about 1.5 ms, against 0.2 ms in LAPACK.
+written out over the sub-, main and superdiagonal: the same operations in the
+same order, so its solutions are bit-identical to
+scipy.linalg.solve_banded((1, 1), ...), which calls dgtsv. It replaced that
+call because importing scipy.linalg cost each run about 0.3 s and 18 MB of
+memory, while written out in Python a 2001-row solve takes about 1.5 ms,
+against 0.2 ms in LAPACK.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import numpy as np
 
 from .errors import OverlappingSets, SingularSystem
 from .potentials import Potential
-
-Interval = tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -53,71 +53,47 @@ class Grid1D:
         return Grid1D(self.a, self.b, 2 * self.m + 1)
 
 
-@dataclass(frozen=True)
-class CommittorSolution:
-    grid: Grid1D
-    h_values: np.ndarray
-    A_set: tuple[Interval, ...]
-    B_set: tuple[Interval, ...]
-
-
-def _normalize_sets(sets) -> tuple[Interval, ...]:
-    if isinstance(sets, tuple) and len(sets) == 2 and np.isscalar(sets[0]):
-        sets = [sets]
-    return tuple((float(lo), float(hi)) for lo, hi in sets)
-
-
 def set_mask(grid: Grid1D, sets) -> np.ndarray:
-    """Boolean mask of nodes lying in the union of closed intervals."""
+    """Boolean mask of nodes lying in the union of closed intervals; sets is
+    one pair (lo, hi) or a sequence of pairs."""
     x = grid.nodes
     tol = 1e-12 * max(1.0, abs(grid.b - grid.a))
     mask = np.zeros(x.size, dtype=bool)
-    for lo, hi in _normalize_sets(sets):
+    for lo, hi in np.asarray(sets, dtype=float).reshape(-1, 2):
         mask |= (x >= lo - tol) & (x <= hi + tol)
     return mask
 
 
-def _assemble(grid: Grid1D, V: Potential, eps: float,
-              dirichlet: np.ndarray, rhs_interior: float) -> tuple[np.ndarray, np.ndarray]:
-    """Banded rows of the discrete generator with Dirichlet overrides.
+def _assemble(grid: Grid1D, V: Potential, eps: float, dirichlet: np.ndarray,
+              rhs_interior: float) -> tuple[np.ndarray, ...]:
+    """Sub-, main and superdiagonal and right-hand side of the discrete
+    generator with Dirichlet overrides.
 
     Interior: eps (w_{i+1} - 2 w_i + w_{i-1})/h^2 - V'_i (w_{i+1} - w_{i-1})/(2h).
     Outer boundary nodes not in a Dirichlet set get the ghost-node reflecting
     row 2 eps (w_inner - w_0)/h^2 (the drift term cancels under reflection).
     """
     x = grid.nodes
-    n = x.size
     h = grid.h
     vprime = V.gradient_batch(x[:, None])[:, 0]
-
-    ab = np.zeros((3, n))  # LAPACK band layout: [upper, diag, lower]
-    rhs = np.full(n, rhs_interior, dtype=float)
-
-    diag = np.full(n, -2 * eps / h**2)
-    upper = eps / h**2 - vprime / (2 * h)
-    lower = eps / h**2 + vprime / (2 * h)
-
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-
+    dl = eps / h**2 + vprime[1:] / (2 * h)
+    d = np.full(x.size, -2 * eps / h**2)
+    du = eps / h**2 - vprime[:-1] / (2 * h)
+    rhs = np.full(x.size, rhs_interior, dtype=float)
     if not dirichlet[0]:
-        ab[1, 0] = -2 * eps / h**2
-        ab[0, 1] = 2 * eps / h**2
+        du[0] = 2 * eps / h**2
     if not dirichlet[-1]:
-        ab[1, -1] = -2 * eps / h**2
-        ab[2, -2] = 2 * eps / h**2
-
-    idx = np.flatnonzero(dirichlet)
-    ab[1, idx] = 1.0
-    ab[0, idx[idx + 1 < n] + 1] = 0.0
-    ab[2, idx[idx >= 1] - 1] = 0.0
-    rhs[idx] = 0.0
-    return ab, rhs
+        dl[-1] = 2 * eps / h**2
+    dl[dirichlet[1:]] = 0.0
+    d[dirichlet] = 1.0
+    du[dirichlet[:-1]] = 0.0
+    rhs[dirichlet] = 0.0
+    return dl, d, du, rhs
 
 
-def _solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with bands ab = [upper, diag, lower].
+def _solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
+           rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with sub-, main and superdiagonal dl, d, du.
 
     dgtsv's one-right-hand-side path: Gaussian elimination that swaps rows i
     and i+1 when the subdiagonal entry is larger than the pivot, which fills
@@ -125,10 +101,9 @@ def _solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     # an infinite subdiagonal entry would give a zero multiplier and a
     # finite, wrong solution
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+    if not all(np.isfinite(a).all() for a in (dl, d, du, rhs)):
         raise ValueError("array must not contain infs or NaNs")
-    du, d, dl = ab[0, 1:].tolist(), ab[1].tolist(), ab[2, :-1].tolist()
-    x = rhs.tolist()
+    dl, d, du, x = dl.tolist(), d.tolist(), du.tolist(), rhs.tolist()
     n = len(d)
     du2 = [0.0] * n  # the second superdiagonal
     for i in range(n - 1):
@@ -164,35 +139,32 @@ def solve_poisson(grid: Grid1D, V: Potential, eps: float, B_set) -> np.ndarray:
     b_mask = set_mask(grid, B_set)
     if not b_mask.any():
         raise ValueError("B_set selects no grid nodes")
-    ab, rhs = _assemble(grid, V, eps, b_mask, rhs_interior=-1.0)
-    w = _solve(ab, rhs)
+    w = _solve(*_assemble(grid, V, eps, b_mask, rhs_interior=-1.0))
     w[b_mask] = 0.0
     return w
 
 
 def solve_committor(grid: Grid1D, V: Potential, eps: float,
-                    A_set, B_set) -> CommittorSolution:
-    """Probability of reaching A before B: harmonic between 1 on A, 0 on B."""
+                    A_set, B_set) -> np.ndarray:
+    """Probability of reaching A before B at each node: harmonic between 1 on
+    A and 0 on B."""
     a_mask = set_mask(grid, A_set)
     b_mask = set_mask(grid, B_set)
     if not a_mask.any() or not b_mask.any():
         raise ValueError("A_set and B_set must each contain grid nodes")
     if np.any(a_mask & b_mask):
         raise OverlappingSets("A and B overlap on the grid")
-    dirichlet = a_mask | b_mask
-    ab, rhs = _assemble(grid, V, eps, dirichlet, rhs_interior=0.0)
+    dl, d, du, rhs = _assemble(grid, V, eps, a_mask | b_mask, rhs_interior=0.0)
     rhs[a_mask] = 1.0
-    h_values = _solve(ab, rhs)
-    h_values[a_mask] = 1.0
-    h_values[b_mask] = 0.0
-    return CommittorSolution(grid=grid, h_values=h_values,
-                             A_set=_normalize_sets(A_set),
-                             B_set=_normalize_sets(B_set))
+    h = _solve(dl, d, du, rhs)
+    h[a_mask] = 1.0
+    h[b_mask] = 0.0
+    return h
 
 
 def capacity_dirichlet(grid: Grid1D, V: Potential, eps: float,
-                       committor: CommittorSolution, v_ref: float = 0.0) -> float:
-    """Dirichlet-form energy of the committor:
+                       committor: np.ndarray, v_ref: float = 0.0) -> float:
+    """Dirichlet-form energy of the committor's node values:
     eps * sum_cells exp(-(V - v_ref)/eps) (dh/dx)^2 dx, trapezoidal weights.
 
     v_ref shifts the Gibbs weight; callers comparing against the hitting-time
@@ -201,14 +173,15 @@ def capacity_dirichlet(grid: Grid1D, V: Potential, eps: float,
     h = grid.h
     e = np.exp(-(V.value(grid.nodes[:, None]) - v_ref) / eps)
     w_cell = 0.5 * (e[:-1] + e[1:])
-    slope = np.diff(committor.h_values) / h
+    slope = np.diff(committor) / h
     return float(eps * np.sum(w_cell * slope**2) * h)
 
 
 def committor_weighted_integral(grid: Grid1D, V: Potential, eps: float,
-                                committor: CommittorSolution,
+                                committor: np.ndarray,
                                 v_ref: float = 0.0) -> float:
-    """Trapezoidal integral of exp(-(V - v_ref)/eps) * h over the grid.
+    """Trapezoidal integral of exp(-(V - v_ref)/eps) * h over the grid, with
+    h the committor's node values.
 
     The committor vanishes on B, so this is the integral over the complement
     of B; for small eps it concentrates at the starting minimum and matches
@@ -216,7 +189,7 @@ def committor_weighted_integral(grid: Grid1D, V: Potential, eps: float,
     """
     x = grid.nodes
     vals = np.exp(-(V.value(x[:, None]) - v_ref) / eps)
-    return float(np.trapezoid(vals * committor.h_values, x))
+    return float(np.trapezoid(vals * committor, x))
 
 
 def magic_identity_residual(grid: Grid1D, V: Potential, eps: float,

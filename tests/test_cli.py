@@ -336,6 +336,57 @@ class TestCliRuns:
         assert not (tmp_path / "results.csv").exists()
         assert "t_max" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("argv, key", [
+        (["sde-hitting", *SDE_ARGS, "--t_max", "inf"], "t_max"),
+        (["spde-hitting", *SPDE_ARGS, "--t_max", "inf"], "t_max"),
+        (["ou-check", "--epsilon", "0.1", "--t", "inf", "--dt", "0.001",
+          "--n", "40"], "t"),
+    ])
+    def test_non_finite_flag_exits_2_without_output(self, argv, key, tmp_path,
+                                                   capsys):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "results.csv").exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["message"] == f"parameter {key} must be finite"
+
+    @pytest.mark.parametrize("experiment, params, key", [
+        ("arrhenius-sweep", {"epsilon_list": [0.4, float("inf")], "n": 4},
+         "epsilon_list"),
+        ("kramers-predict", {"epsilon": [0.4, float("nan")]}, "epsilon"),
+        ("sde-hitting", {"t_max": float("-inf")}, "t_max"),
+    ])
+    def test_non_finite_config_value_exits_2_without_output(
+            self, experiment, params, key, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"parameters": params}))  # Infinity, NaN
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not (out / "results.csv").exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["message"] == f"parameter {key} must be finite"
+
+    @pytest.mark.parametrize("argv, key", [
+        (["determinant", "--d", "1", "--L", "2", "--N", "0"], "tail_estimate"),
+        # one hit gives an infinite standard error
+        (["sde-hitting", *SDE_ARGS, "--n", "1"], "stderr"),
+    ])
+    def test_non_finite_summary_value_is_strict_json_null(self, argv, key,
+                                                          tmp_path):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "summary.json").read_text()
+        assert json.loads(text, parse_constant=reject)[key] is None
+
+    def test_non_finite_csv_value_stays_inf(self, tmp_path):
+        assert main(["determinant", "--d", "1", "--L", "2", "--N", "0",
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "results.csv").read_text().splitlines()
+        assert "tail_estimate,inf" in lines
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = {"experiment": "determinant",
                "parameters": {"d": 1, "L": 2.0, "N": 64}, "seed": 3}

@@ -180,8 +180,7 @@ class TestGalerkinConsistency:
 
 
 _QUARTIC_LAW = RatePrediction(barrier=0.25, prefactor=np.pi * np.sqrt(2),
-                              lambda_minus=-1.0, determinant_factor=1.0,
-                              kind="finite")
+                              lambda_minus=-1.0, determinant_factor=1.0)
 
 
 @pytest.mark.parametrize("call, error, message", [

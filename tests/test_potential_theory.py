@@ -65,9 +65,28 @@ class TestPoisson:
         with pytest.raises(SingularSystem, match="singular matrix"):
             solve_poisson(Grid1D(-2.5, 2.5, 99), quartic, 0.0, (0.8, 1.2))
 
+    @pytest.mark.parametrize("B_set", [[0.8, 1.2], np.array([0.8, 1.2]),
+                                       [(0.8, 1.2)], np.array([[0.8, 1.2]])])
+    def test_one_interval_may_be_any_pair(self, quartic, B_set):
+        grid = Grid1D(-2.5, 2.5, 99)
+        want = solve_poisson(grid, quartic, 0.25, (0.8, 1.2))
+        assert np.array_equal(solve_poisson(grid, quartic, 0.25, B_set), want)
+
+    @pytest.mark.parametrize("B_set", [(0.8, 1.0, 1.2), [(0.8, 1.0, 1.2)]])
+    def test_three_numbers_are_no_interval(self, quartic, B_set):
+        with pytest.raises(ValueError):
+            solve_poisson(Grid1D(-2.5, 2.5, 99), quartic, 0.25, B_set)
+
+
+def _band_layout(dl, d, du):
+    """The LAPACK band layout [upper, diag, lower] that solve_banded reads."""
+    ab = np.zeros((3, d.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    return ab
+
 
 class TestSolver:
-    """The banded solve is LAPACK dgtsv's elimination, so it matches
+    """The tridiagonal solve is LAPACK dgtsv's elimination, so it matches
     scipy.linalg.solve_banded((1, 1), ...), which calls dgtsv, bit for bit."""
 
     @pytest.mark.parametrize("eps", [0.03, 0.25, 1.0])
@@ -82,9 +101,10 @@ class TestSolver:
         poisson = _assemble(grid, potential(), eps, b_mask, rhs_interior=-1.0)
         committor = _assemble(grid, potential(), eps, a_mask | b_mask,
                               rhs_interior=0.0)
-        committor[1][a_mask] = 1.0
-        for ab, rhs in (poisson, committor):
-            assert np.array_equal(_solve(ab, rhs), solve_banded((1, 1), ab, rhs))
+        committor[3][a_mask] = 1.0
+        for dl, d, du, rhs in (poisson, committor):
+            assert np.array_equal(_solve(dl, d, du, rhs),
+                                  solve_banded((1, 1), _band_layout(dl, d, du), rhs))
 
     @pytest.mark.parametrize("n", [5, 6, 64, 501])
     def test_row_interchanges_match_solve_banded(self, n):
@@ -96,41 +116,40 @@ class TestSolver:
         for _ in range(10):
             ab, rhs = rng.standard_normal((3, n)), rng.standard_normal(n)
             ab[2] *= 2.0
-            assert np.array_equal(_solve(ab, rhs), solve_banded((1, 1), ab, rhs))
+            assert np.array_equal(_solve(ab[2, :-1], ab[1], ab[0, 1:], rhs),
+                                  solve_banded((1, 1), ab, rhs))
 
     def test_non_finite_bands_rejected(self):
         # an infinite subdiagonal entry would otherwise zero a multiplier
-        ab = np.ones((3, 5))
-        ab[1] = 4.0
-        ab[2, 1] = np.inf
+        dl = np.ones(4)
+        dl[1] = np.inf
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            _solve(ab, np.ones(5))
+            _solve(dl, np.full(5, 4.0), np.ones(4), np.ones(5))
 
 
 class TestCommittor:
     def test_free_diffusion_linear(self, unit_grid):
-        sol = solve_committor(unit_grid, free_potential(), 0.2,
-                              (0.0, 0.0), (1.0, 1.0))
-        assert np.allclose(sol.h_values, 1 - unit_grid.nodes, atol=1e-10)
+        h = solve_committor(unit_grid, free_potential(), 0.2,
+                            (0.0, 0.0), (1.0, 1.0))
+        assert np.allclose(h, 1 - unit_grid.nodes, atol=1e-10)
 
     def test_boundary_values(self, well_grid, quartic):
-        sol = solve_committor(well_grid, quartic, 0.1, (-1.2, -0.8), (0.8, 1.2))
+        h = solve_committor(well_grid, quartic, 0.1, (-1.2, -0.8), (0.8, 1.2))
         x = well_grid.nodes
-        assert np.all(sol.h_values[(x >= -1.2) & (x <= -0.8)] == 1.0)
-        assert np.all(sol.h_values[(x >= 0.8) & (x <= 1.2)] == 0.0)
+        assert np.all(h[(x >= -1.2) & (x <= -0.8)] == 1.0)
+        assert np.all(h[(x >= 0.8) & (x <= 1.2)] == 0.0)
 
     def test_maximum_principle(self, well_grid, quartic):
         for eps in (0.05, 0.1, 0.3):
-            sol = solve_committor(well_grid, quartic, eps, (-1.2, -0.8), (0.8, 1.2))
-            assert np.all(sol.h_values >= -1e-12)
-            assert np.all(sol.h_values <= 1 + 1e-12)
+            h = solve_committor(well_grid, quartic, eps, (-1.2, -0.8), (0.8, 1.2))
+            assert np.all(h >= -1e-12)
+            assert np.all(h <= 1 + 1e-12)
 
     def test_basin_plateaus_and_localized_transition(self, well_grid, quartic):
         # plateau near 1 over the starting basin, near 0 over the target
         # basin, with the transition concentrated around the saddle
-        sol = solve_committor(well_grid, quartic, 0.1, (-1.2, -0.8), (0.8, 1.2))
+        h = solve_committor(well_grid, quartic, 0.1, (-1.2, -0.8), (0.8, 1.2))
         x = well_grid.nodes
-        h = sol.h_values
         assert h[np.argmin(np.abs(x + 0.5))] > 0.9
         assert h[np.argmin(np.abs(x - 0.5))] < 0.1
         assert h[np.argmin(np.abs(x + 0.25))] - h[np.argmin(np.abs(x - 0.25))] > 0.5
@@ -138,10 +157,10 @@ class TestCommittor:
     def test_basins_sharpen_as_noise_vanishes(self, well_grid, quartic):
         # the plateaus become exponentially flat; at eps = 0.025 the
         # committor is within 1% of its plateau values at +-0.5
-        sol = solve_committor(well_grid, quartic, 0.025, (-1.2, -0.8), (0.8, 1.2))
+        h = solve_committor(well_grid, quartic, 0.025, (-1.2, -0.8), (0.8, 1.2))
         x = well_grid.nodes
-        assert sol.h_values[np.argmin(np.abs(x + 0.5))] > 0.99
-        assert sol.h_values[np.argmin(np.abs(x - 0.5))] < 0.01
+        assert h[np.argmin(np.abs(x + 0.5))] > 0.99
+        assert h[np.argmin(np.abs(x - 0.5))] < 0.01
 
     def test_overlapping_sets_rejected(self, unit_grid):
         with pytest.raises(OverlappingSets):

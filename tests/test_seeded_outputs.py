@@ -1,5 +1,6 @@
 """Seeded outputs as a contract: sha256 digests of hitting arrays, endpoints,
-paths, field trajectories, snapshot files and CLI results.csv bytes.
+paths, field trajectories, snapshot files and CLI results.csv bytes, the
+oracles' (1D solver, determinants, rate laws) included.
 
 A refactor that claims bit-identical outputs must pass these unchanged.  The
 SDE, field, snapshot and CLI entries also run under tiny noise blocks and
@@ -124,6 +125,17 @@ CLI_ENTRIES = {
                            "--epsilon", "0.6", "--dt", "2e-3", "--t_max", "1",
                            "--start", "0", "--delta", "1.0", "--norm", "hs",
                            "--n", "8", "--seed", "3"],
+    # the oracles: 1D solver, determinants and rate laws
+    "potential-theory": ["potential-theory", "--epsilon", "0.25"],
+    "determinant-d2": ["determinant", "--d", "2", "--L", "2", "--N", "32"],
+    "kramers-quartic": ["kramers-predict", "--system", "quartic",
+                        "--epsilon", "0.25"],
+    "kramers-ac1d": ["kramers-predict", "--system", "ac1d", "--L", "2",
+                     "--N", "64", "--epsilon", "0.4"],
+    "kramers-ac2d": ["kramers-predict", "--system", "ac2d", "--L", "2",
+                     "--N", "32", "--epsilon", "0.4"],
+    "kramers-ac1d-galerkin": ["kramers-predict", "--system", "ac1d-galerkin",
+                              "--L", "2", "--N", "4", "--epsilon", "0.4"],
 }
 
 RECORDED = {
@@ -173,6 +185,18 @@ RECORDED = {
         "7c906e3f2f6b582f3334da664f3b529105647c0ba57d88ea5773e5232da42a7a",
     "spde-hitting-d2-hs":
         "b80169d21eeacbee11de17a1ee9f756daea4badad74088eee629d0bc99139ff6",
+    "potential-theory":
+        "b53dbede9c5ec333b6cd5485ef716390135c3c835a231b734f58600f7e19e444",
+    "determinant-d2":
+        "fe0207b8dbdbfd4adbbfd47a1fc2b06017203de23d6c633b5f94b30218daa196",
+    "kramers-quartic":
+        "19ad8b9923ac2f61edf9892840bf8fbc0b92a1158d487c5746f1db9849f3f22f",
+    "kramers-ac1d":
+        "2d83f1acbd066d178bb498d0b6430f0bab9ce57e85eb4fa6c750806ca3f46f6b",
+    "kramers-ac2d":
+        "d0fa8eef964f8a0baa4f6dafc66a7b0a73910b5b89fca441da7bd7a0b574eb29",
+    "kramers-ac1d-galerkin":
+        "bac004b3fcd6dac04a7b7ff6ffaa5740ffe08935a6927a351c01aa94d22a781f",
 }
 
 
@@ -207,7 +231,11 @@ def _cli_digest(name, out):
     return _digest((out / "results.csv").read_bytes())
 
 
-CLI_NAMES = ["sde-hitting", pytest.param("spde-hitting-d2-hs", marks=needs_fft)]
+CLI_NAMES = ["sde-hitting", pytest.param("spde-hitting-d2-hs", marks=needs_fft),
+             "potential-theory", "determinant-d2", "kramers-quartic",
+             "kramers-ac1d", "kramers-ac2d",
+             # the Galerkin energy runs BandGrid's FFTs
+             pytest.param("kramers-ac1d-galerkin", marks=needs_fft)]
 
 
 @pytest.mark.parametrize("name", SDE_ENTRIES)
