@@ -45,6 +45,7 @@ from .potential_theory import (
     magic_identity_residual,
     solve_committor,
     solve_poisson,
+    start_node,
 )
 from .potentials import find_critical_point, quadratic_well, quartic_double_well
 from .randomwalk import ensemble_rescaled
@@ -116,7 +117,6 @@ class ArrheniusFit:
     slope: float
     intercept: float
     r_squared: float
-    points: tuple  # rows (eps, mean_tau)
 
 
 def arrhenius_fit(batches) -> ArrheniusFit:
@@ -134,8 +134,7 @@ def arrhenius_fit(batches) -> ArrheniusFit:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     ss_res = float(np.sum((A @ coef - y) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return ArrheniusFit(slope=slope, intercept=intercept, r_squared=r2,
-                        points=tuple(pts))
+    return ArrheniusFit(slope=slope, intercept=intercept, r_squared=r2)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +240,9 @@ def _spde_ensemble(p: dict, seed: int):
         s=p.get("s", -0.5), n=count, replica_offset=offset)
 
 
-def _hitting_results(raw: np.ndarray, seed: int):
+def _hitting_results(raw: np.ndarray):
     """Header, rows and summary of one ensemble's hitting times."""
-    batch = HittingTimeBatch.from_raw(raw, seed)
+    batch = HittingTimeBatch.from_raw(raw)
     rows = [(i, 0.0 if np.isnan(t) else t, bool(np.isnan(t)))
             for i, t in enumerate(raw)]
     summary = {"mean": batch.mean, "stderr": batch.stderr,
@@ -255,7 +254,7 @@ def _run_sde_hitting(cfg: ExperimentConfig):
     _require(cfg.parameters, "n")
     _, worker = _sde_ensemble(cfg.parameters, cfg.seed)
     return _hitting_results(
-        _parallel_raw(worker, cfg.parameters["n"], cfg.threads), cfg.seed)
+        _parallel_raw(worker, cfg.parameters["n"], cfg.threads))
 
 
 def _run_spde_hitting(cfg: ExperimentConfig):
@@ -264,7 +263,7 @@ def _run_spde_hitting(cfg: ExperimentConfig):
     _at_least(p, 0, "snapshots")
     run, worker = _spde_ensemble(p, cfg.seed)
     raw = _parallel_raw(worker, p["n"], cfg.threads)
-    results = _hitting_results(raw, cfg.seed)
+    results = _hitting_results(raw)
     if p.get("snapshots"):
         horizon = min(p["t_max"], float(np.nanmax(raw)) if np.isfinite(raw).any()
                       else p["t_max"])
@@ -315,11 +314,11 @@ def _run_potential_theory(cfg: ExperimentConfig):
     B = p.get("B", (0.8, 1.2))
     w = solve_poisson(grid, pot, eps, B)
     comm = solve_committor(grid, pot, eps, A, B)
-    i_star = int(np.argmin(pot.value(grid.nodes[:, None])))
     rows = [
-        ("mean_hitting_time_at_minimum", w[i_star]),
+        ("mean_hitting_time_at_minimum", w[start_node(grid, pot, A)]),
         ("capacity", capacity_dirichlet(grid, pot, eps, comm)),
-        ("magic_identity_residual", magic_identity_residual(grid, pot, eps, A, B)),
+        ("magic_identity_residual",
+         magic_identity_residual(grid, pot, eps, A, w, comm)),
         ("committor_weighted_integral",
          committor_weighted_integral(grid, pot, eps, comm)),
     ]
@@ -442,9 +441,8 @@ def _run_arrhenius_sweep(cfg: ExperimentConfig):
              for i in range(len(eps_list))]
     workers = [ensemble({**defaults, **p, "epsilon": eps}, seed)[1]
                for eps, seed in zip(eps_list, seeds)]  # validates every eps first
-    batches = [(eps, HittingTimeBatch.from_raw(
-        _parallel_raw(worker, n, cfg.threads), seed))
-        for eps, seed, worker in zip(eps_list, seeds, workers)]
+    batches = [(eps, HittingTimeBatch.from_raw(_parallel_raw(worker, n, cfg.threads)))
+               for eps, worker in zip(eps_list, workers)]
     fit = arrhenius_fit(batches)
     header = ["epsilon", "mean_tau", "stderr", "n_censored"]
     rows = [(eps, b.mean, b.stderr, b.n_censored) for eps, b in batches]

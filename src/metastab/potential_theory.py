@@ -6,7 +6,10 @@ Provides the mean hitting time (source problem), the committor (harmonic
 interpolation between the sets), the capacity via the Dirichlet form of the
 solved committor, and a numerical check of the identity linking the mean
 hitting time to the committor-weighted Gibbs integral over the capacity.
-Both solvers return their node values as one array over ``grid.nodes``.
+Both solvers return their node values as one array over ``grid.nodes``; the
+capacity, the weighted integral and the identity's residual take those
+arrays and solve nothing themselves.  ``start_node`` is the one rule for
+where the mean hitting time is read: the lowest node of V inside A.
 
 The tridiagonal solve is LAPACK dgtsv's elimination with partial pivoting,
 written out over the sub-, main and superdiagonal: the same operations in the
@@ -192,29 +195,28 @@ def committor_weighted_integral(grid: Grid1D, V: Potential, eps: float,
     return float(np.trapezoid(vals * committor, x))
 
 
-def magic_identity_residual(grid: Grid1D, V: Potential, eps: float,
-                            A_set, B_set) -> float:
-    """Relative gap between the two routes to the mean transition time.
-
-    Left: the solved mean hitting time of B evaluated at the minimum of V
-    inside A (the boundary measure concentrates there).  Right: the
-    committor-weighted Gibbs integral divided by the capacity.  Both sides
-    share one Gibbs-weight normalization so the result is shift-invariant.
-    """
-    a_mask = set_mask(grid, A_set)
-    if not a_mask.any():
+def start_node(grid: Grid1D, V: Potential, A_set) -> int:
+    """Index of the lowest node of V inside A, where the mean hitting time is
+    read: the boundary measure of A concentrates there for small eps."""
+    a_idx = np.flatnonzero(set_mask(grid, A_set))
+    if not a_idx.size:
         raise ValueError("A_set selects no grid nodes")
-    w = solve_poisson(grid, V, eps, B_set)
-    comm = solve_committor(grid, V, eps, A_set, B_set)
+    return int(a_idx[np.argmin(V.value(grid.nodes[:, None])[a_idx])])
 
-    v_all = V.value(grid.nodes[:, None])
-    v_ref = float(np.min(v_all))
-    cap = capacity_dirichlet(grid, V, eps, comm, v_ref=v_ref)
-    rhs = committor_weighted_integral(grid, V, eps, comm, v_ref=v_ref) / cap
 
-    a_idx = np.flatnonzero(a_mask)
-    x_star = a_idx[np.argmin(v_all[a_idx])]
-    lhs = w[x_star]
+def magic_identity_residual(grid: Grid1D, V: Potential, eps: float, A_set,
+                            w: np.ndarray, committor: np.ndarray) -> float:
+    """Relative gap between the two routes to the mean transition time, from
+    the solved mean hitting time w of B and the committor of A against B.
+
+    Left: w at the start node of A.  Right: the committor-weighted Gibbs
+    integral divided by the capacity.  Both sides share one Gibbs-weight
+    normalization so the result is shift-invariant.
+    """
+    lhs = w[start_node(grid, V, A_set)]
+    v_ref = float(np.min(V.value(grid.nodes[:, None])))
+    cap = capacity_dirichlet(grid, V, eps, committor, v_ref=v_ref)
+    rhs = committor_weighted_integral(grid, V, eps, committor, v_ref=v_ref) / cap
     if abs(lhs) < 1e-300 and abs(rhs) < 1e-300:
         return 0.0
     return float(abs(lhs - rhs) / abs(rhs))

@@ -79,11 +79,10 @@ class HittingTimeBatch:
     n_censored: int
     mean: float
     stderr: float
-    seed_base: int
     raw: np.ndarray
 
     @staticmethod
-    def from_raw(raw: np.ndarray, seed_base: int) -> "HittingTimeBatch":
+    def from_raw(raw: np.ndarray) -> "HittingTimeBatch":
         raw = np.asarray(raw, dtype=float)
         samples = raw[np.isfinite(raw)]
         n_censored = int(raw.size - samples.size)
@@ -96,7 +95,7 @@ class HittingTimeBatch:
         stderr = float(np.std(samples, ddof=1) / np.sqrt(samples.size)) if samples.size > 1 else np.inf
         return HittingTimeBatch(samples=samples, n_attempted=raw.size,
                                 n_censored=n_censored, mean=mean, stderr=stderr,
-                                seed_base=seed_base, raw=raw)
+                                raw=raw)
 
 
 def replica_rng(seed_base: int, replica_index: int) -> np.random.Generator:
@@ -126,8 +125,8 @@ def ou_density(x: float, y: float, t: float, eps: float) -> float:
     """
     if t <= 0 or eps <= 0:
         raise ValueError("t and eps must be positive")
-    var = eps * (1.0 - np.exp(-2.0 * t))
-    return np.exp(-((y - x * np.exp(-t)) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var)
+    mean, var = ou_mean_var(x, t, eps)
+    return np.exp(-((y - mean) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var)
 
 
 def ou_mean_var(x0: float, t: float, eps: float) -> tuple[float, float]:
@@ -410,4 +409,4 @@ def sample_hitting_times(run: SdeRun, target_center, delta: float, n: int,
     AllCensored when no replica reaches the target.
     """
     raw = hitting_times_raw(run, target_center, delta, n, replica_offset)
-    return HittingTimeBatch.from_raw(raw, run.seed)
+    return HittingTimeBatch.from_raw(raw)

@@ -216,24 +216,13 @@ class NoiseCheckReport:
 def _indicator_coeffs(d: int, L: float, N: int, interval_per_axis) -> np.ndarray:
     """Band coefficients of the indicator of a box, conj(e_k)-integrals."""
     k = fields.mode_wavenumbers(N)
-
-    def axis_coeffs(lo, hi):
-        out = np.empty(2 * N + 1, dtype=complex)
-        for i, ki in enumerate(k):
-            if ki == 0:
-                out[i] = (hi - lo) / np.sqrt(L) if d == 1 else (hi - lo)
-            else:
-                w = -2j * np.pi * ki / L
-                out[i] = (np.exp(w * hi) - np.exp(w * lo)) / w
-                if d == 1:
-                    out[i] /= np.sqrt(L)
-        return out
-
-    if d == 1:
-        (lo, hi) = interval_per_axis[0]
-        return axis_coeffs(lo, hi)
-    ax = [axis_coeffs(lo, hi) for (lo, hi) in interval_per_axis]
-    return np.outer(ax[0], ax[1]) / L  # joint L^{-d/2} normalization
+    w = -2j * np.pi * np.where(k == 0, 1, k) / L
+    ax = [np.where(k == 0, hi - lo, (np.exp(w * hi) - np.exp(w * lo)) / w)
+          for lo, hi in interval_per_axis]
+    if d == 2:
+        return np.outer(ax[0], ax[1]) / L  # joint L^{-d/2} normalization
+    # the k = 0 entry is real; dividing it as a complex number moves its last bit
+    return np.where(k == 0, ax[0].real / np.sqrt(L), ax[0] / np.sqrt(L))
 
 
 def noise_coefficient_check(run: SpdeRun, sets: Sequence = None,
@@ -272,14 +261,9 @@ def noise_coefficient_check(run: SpdeRun, sets: Sequence = None,
 
     emp = pair_sums.var(axis=2, ddof=1)
     stderr = emp * np.sqrt(2.0 / (n - 1))
-    pred = np.empty((len(sets), len(T_values)))
-    cont = np.empty_like(pred)
-    for si, s in enumerate(sets):
-        norm_sq = float(np.sum(np.abs(coeffs[si]) ** 2))
-        vol = np.prod([hi - lo for (lo, hi) in s])
-        for ti, T in enumerate(T_values):
-            pred[si, ti] = T * norm_sq
-            cont[si, ti] = T * vol
+    norm_sq = [float(np.sum(np.abs(c) ** 2)) for c in coeffs]
+    vol = [np.prod([hi - lo for (lo, hi) in s]) for s in sets]
+    pred, cont = np.outer(norm_sq, T_values), np.outer(vol, T_values)
     cov = 0.0
     tol = 0.0
     if len(sets) >= 2:
@@ -329,7 +313,7 @@ def sample_spde_hitting_times(run: SpdeRun, target: float, delta: float,
     """Seeded ensemble of field first-hitting times (see spde_hitting_times_raw)."""
     raw = spde_hitting_times_raw(run, target, delta, norm=norm, s=s, n=n,
                                  replica_offset=replica_offset)
-    return HittingTimeBatch.from_raw(raw, run.seed)
+    return HittingTimeBatch.from_raw(raw)
 
 
 # ---------------------------------------------------------------------------

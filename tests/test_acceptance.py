@@ -145,8 +145,10 @@ def test_criterion_05_arrhenius_slope_sde(quartic):
 
 def test_criterion_06_magic_identity_and_laplace(quartic):
     grid = m.Grid1D(-2.5, 2.5, 1999)
-    residual = m.magic_identity_residual(grid, quartic, 0.2,
-                                         (-1.2, -0.8), (0.8, 1.2))
+    A, B = (-1.2, -0.8), (0.8, 1.2)
+    residual = m.magic_identity_residual(
+        grid, quartic, 0.2, A, m.solve_poisson(grid, quartic, 0.2, B),
+        m.solve_committor(grid, quartic, 0.2, A, B))
     eps = 0.1
     sol = m.solve_committor(grid, quartic, eps, (-1.2, -0.8), (0.5, 1.5))
     integ = m.committor_weighted_integral(grid, quartic, eps, sol)

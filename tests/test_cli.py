@@ -28,8 +28,7 @@ SPDE_ARGS = ["--d", "1", "--L", "2", "--N", "4", "--epsilon", "0.5", "--dt",
 def batch_with_mean(mean):
     samples = np.array([mean])
     return HittingTimeBatch(samples=samples, n_attempted=1, n_censored=0,
-                            mean=float(mean), stderr=0.0, seed_base=0,
-                            raw=samples)
+                            mean=float(mean), stderr=0.0, raw=samples)
 
 
 class TestArrheniusFit:
@@ -411,6 +410,36 @@ class TestCliRuns:
                      "--out", str(tmp_path)])
         assert code == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["magic_identity_residual"] <= 0.10
+
+    def test_potential_theory_solves_twice(self, tmp_path, monkeypatch):
+        # the residual reads the run's mean hitting time and committor
+        # instead of solving both again
+        from metastab import potential_theory
+
+        calls = []
+        solve = potential_theory._solve
+        monkeypatch.setattr(potential_theory, "_solve",
+                            lambda *a: calls.append(1) or solve(*a))
+        assert main(["potential-theory", "--epsilon", "0.25",
+                     "--out", str(tmp_path)]) == 0
+        assert len(calls) == 2
+
+    def test_potential_theory_reads_the_start_node_of_A(self, tmp_path, quartic):
+        # with A and B swapped the global minimum of V lies in B, where the
+        # mean hitting time is 0; the row reads it at A's lowest node
+        from metastab.potential_theory import Grid1D, solve_poisson, start_node
+
+        A, B = (0.8, 1.2), (-1.2, -0.8)
+        cfg = tmp_path / "swapped.json"
+        cfg.write_text(json.dumps({"parameters": {"epsilon": 0.25, "A": A, "B": B}}))
+        assert main(["potential-theory", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        grid = Grid1D(-2.5, 2.5, 1999)
+        want = solve_poisson(grid, quartic, 0.25, B)[start_node(grid, quartic, A)]
+        assert want != 0.0
+        assert summary["mean_hitting_time_at_minimum"] == want
         assert summary["magic_identity_residual"] <= 0.10
 
     def test_rate_functional_from_csv(self, tmp_path, quartic):

@@ -10,7 +10,7 @@ from metastab import (
     solve_poisson,
 )
 from metastab.errors import OverlappingSets, SingularSystem
-from metastab.potential_theory import _assemble, _solve, set_mask
+from metastab.potential_theory import _assemble, _solve, set_mask, start_node
 from metastab.potentials import Potential, quadratic_well, quartic_double_well
 
 
@@ -207,24 +207,35 @@ class TestCapacity:
         assert shifted == pytest.approx(base, rel=1e-12)
 
 
+def residual(grid, V, eps, A_set, B_set):
+    """The magic-identity residual of the solved arrays of (A, B)."""
+    return magic_identity_residual(grid, V, eps, A_set,
+                                   solve_poisson(grid, V, eps, B_set),
+                                   solve_committor(grid, V, eps, A_set, B_set))
+
+
 class TestMagicIdentity:
     def test_free_diffusion_exact(self, unit_grid):
         # point electrode at 0, absorber at 1: both routes coincide exactly
-        res = magic_identity_residual(unit_grid, free_potential(), 0.3,
-                                      (0.0, 0.0), (1.0, 1.0))
+        res = residual(unit_grid, free_potential(), 0.3, (0.0, 0.0), (1.0, 1.0))
         assert res < 1e-9
 
     def test_quartic_small_residual(self, well_grid, quartic):
-        assert magic_identity_residual(well_grid, quartic, 0.2,
-                                       (-1.2, -0.8), (0.8, 1.2)) <= 0.10
-        assert magic_identity_residual(well_grid, quartic, 0.25,
-                                       (-1.2, -0.8), (0.8, 1.2)) <= 0.10
+        assert residual(well_grid, quartic, 0.2, (-1.2, -0.8), (0.8, 1.2)) <= 0.10
+        assert residual(well_grid, quartic, 0.25, (-1.2, -0.8), (0.8, 1.2)) <= 0.10
 
     def test_residual_shrinks_with_eps(self, well_grid, quartic):
-        r = [magic_identity_residual(well_grid, quartic, eps,
-                                     (-1.2, -0.8), (0.8, 1.2))
+        r = [residual(well_grid, quartic, eps, (-1.2, -0.8), (0.8, 1.2))
              for eps in (0.25, 0.15, 0.1)]
         assert r[-1] < r[0]
+
+    def test_start_node_is_lowest_in_A(self, well_grid, quartic):
+        # the lowest node of V inside A, not the global minimum of V
+        x = well_grid.nodes
+        assert x[start_node(well_grid, quartic, (-1.2, -0.8))] == pytest.approx(-1.0)
+        assert x[start_node(well_grid, quartic, (0.8, 1.2))] == pytest.approx(1.0)
+        assert x[start_node(well_grid, quadratic_well(), (-1.2, -0.8))] == \
+            pytest.approx(-0.8)
 
     def test_laplace_asymptotics_of_weighted_integral(self, well_grid, quartic):
         # with the target taking up the right half-basin, the committor
@@ -290,11 +301,9 @@ class TestGridConvergence:
     (lambda: solve_committor(Grid1D(0.0, 1.0, 99), free_potential(), 0.1,
                              (0.0, 0.2), (2.0, 3.0)),
      "A_set and B_set must each contain grid nodes"),
-    (lambda: magic_identity_residual(Grid1D(0.0, 1.0, 99), free_potential(), 0.1,
-                                     (2.0, 3.0), (0.8, 1.0)),
+    (lambda: start_node(Grid1D(0.0, 1.0, 99), free_potential(), (2.0, 3.0)),
      "A_set selects no grid nodes"),
-    (lambda: magic_identity_residual(Grid1D(0.0, 1.0, 99), free_potential(), 0.1,
-                                     (0.0, 0.2), (2.0, 3.0)),
+    (lambda: solve_poisson(Grid1D(0.0, 1.0, 99), free_potential(), 0.1, (2.0, 3.0)),
      "B_set selects no grid nodes"),
 ])
 def test_bad_inputs_raise(call, message):
