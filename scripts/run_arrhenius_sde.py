@@ -12,6 +12,7 @@ import numpy as np
 
 import metastab as m
 from metastab.cli import arrhenius_fit
+from metastab.potential_theory import start_node
 
 
 def main():
@@ -25,7 +26,7 @@ def main():
 
     quartic = m.quartic_double_well()
     grid = m.Grid1D(-2.5, 2.5, 1999)
-    i_star = np.argmin(np.abs(grid.nodes + 1.0))
+    i_star = start_node(grid, quartic, (-1.2, -0.8))
 
     batches, pde_times = [], []
     for eps in eps_list:

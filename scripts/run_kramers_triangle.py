@@ -5,9 +5,8 @@ double well at one noise intensity: Monte Carlo first-hitting times, the
 
 import argparse
 
-import numpy as np
-
 import metastab as m
+from metastab.potential_theory import start_node
 
 
 def main():
@@ -27,7 +26,7 @@ def main():
     grid = m.Grid1D(-2.5, 2.5, 1999)
     w = m.solve_poisson(grid, quartic, args.epsilon,
                         (1 - args.delta, 1 + args.delta))
-    w_star = w[np.argmin(np.abs(grid.nodes + 1.0))]
+    w_star = w[start_node(grid, quartic, (-1.2, -0.8))]
 
     mn = m.find_critical_point(quartic, [-0.9])
     sd = m.find_critical_point(quartic, [0.1])

@@ -106,8 +106,7 @@ def galerkin_potential_1d(L: float, N: int) -> Potential:
         u = colloc.grid(_coords_to_half(np.asarray(x, float), N))
         return np.diag(quad_diag) + (basis * (3.0 * u**2 * cell)) @ basis.T
 
-    return Potential(value=value, gradient_batch=gradient_batch, hessian=hessian,
-                     name=f"allen_cahn_galerkin_1d(L={L}, N={N})")
+    return Potential(value=value, gradient_batch=gradient_batch, hessian=hessian)
 
 
 def galerkin_critical_points_1d(L: float, N: int) -> tuple[CriticalPoint, CriticalPoint]:

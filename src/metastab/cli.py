@@ -14,9 +14,10 @@ full-name flags, which its ``--help`` lists, or as config-file values of the
 flag's JSON type; any other flag, key or value exits 2 before anything runs.
 ``--config``, ``--out``, ``--seed`` and ``--threads`` are global.
 
-Exit codes: 0 success, 2 configuration/validation error (usage errors
-included), 3 all replicas censored.  Errors are also emitted as one JSON
-object on stderr.
+Exit codes: 0 success, 2 configuration/validation error (usage errors, an
+input file that cannot be read and an --out that cannot be written included),
+3 all replicas censored.  Errors are also emitted as one JSON object on
+stderr.
 """
 
 from __future__ import annotations
@@ -100,6 +101,9 @@ class ExperimentConfig:
                 raise ValueError(f"parameter {key} has the wrong type: {v!r}")
             if not _finite(v):  # argparse reads "inf", json.load "Infinity"
                 raise ValueError(f"parameter {key} must be finite")
+        potential = self.parameters.get("potential", "quartic")
+        if potential not in _POTENTIALS:
+            raise ValueError(f"unknown potential {potential!r}")
 
     def hash(self) -> str:
         """Hash of the reproducibility-relevant fields only."""
@@ -119,13 +123,16 @@ class ArrheniusFit:
     r_squared: float
 
 
+def _require_three_eps(eps_values) -> None:
+    if len({float(e) for e in eps_values}) < 3:
+        raise InsufficientData("need at least 3 distinct eps values")
+
+
 def arrhenius_fit(batches) -> ArrheniusFit:
     """Fit (1/eps, log mean tau); the slope estimates the barrier height."""
     pts = [(float(eps), b.mean if isinstance(b, HittingTimeBatch) else float(b))
            for eps, b in batches]
-    eps_vals = sorted({e for e, _ in pts})
-    if len(eps_vals) < 3:
-        raise InsufficientData("need at least 3 distinct eps values")
+    _require_three_eps(e for e, _ in pts)
     x = np.array([1.0 / e for e, _ in pts])
     y = np.log([t for _, t in pts])
     A = np.vstack([x, np.ones_like(x)]).T
@@ -435,6 +442,7 @@ def _run_arrhenius_sweep(cfg: ExperimentConfig):
     _require(p, "epsilon_list", "n")
     ensemble, _, defaults = _SWEEP_SYSTEMS[p.get("system", "sde")]
     eps_list, n = p["epsilon_list"], p["n"]
+    _require_three_eps(eps_list)  # before any ensemble runs
     # the eps index joins the seed in the entropy, so no (seed, index) pair
     # shares another's streams
     seeds = [int(np.random.SeedSequence([cfg.seed, i]).generate_state(1)[0])
@@ -585,14 +593,15 @@ def run(cfg: ExperimentConfig) -> int:
     t0 = time.perf_counter()
     try:
         header, rows, summary = _EXPERIMENTS[cfg.experiment][0](cfg)
+        write_results(cfg, header, rows, summary, wall_time=time.perf_counter() - t0)
     except AllCensored as exc:
         _report("AllCensored", str(exc))
         return 3
-    except (ValueError, TypeError, KeyError, MetastabError) as exc:
-        # TypeError: a config-file value of the wrong JSON type
+    except (OSError, ValueError, TypeError, KeyError, MetastabError) as exc:
+        # TypeError: a config-file value of the wrong JSON type; OSError: an
+        # input file that cannot be read or an --out that cannot be written
         _report(type(exc).__name__, str(exc))
         return 2
-    write_results(cfg, header, rows, summary, wall_time=time.perf_counter() - t0)
     return 0
 
 

@@ -177,11 +177,10 @@ def grid_points(d: int, L: float, M: int) -> np.ndarray:
         return x
     return np.stack(np.meshgrid(x, x, indexing="ij"))
 
-def field_from_function(d: int, L: float, N: int, f, M: int | None = None) -> SpectralField:
-    """Sample f on the collocation grid and project onto modes up to N."""
-    if M is None:
-        M = dealiased_grid_size(N)
-    pts = grid_points(d, L, M)
+def field_from_function(d: int, L: float, N: int, f) -> SpectralField:
+    """Sample f on the dealiased collocation grid and project onto modes up
+    to N."""
+    pts = grid_points(d, L, dealiased_grid_size(N))
     vals = f(pts) if d == 1 else f(pts[0], pts[1])
     return field_from_grid(d, L, N, np.asarray(vals, dtype=float))
 

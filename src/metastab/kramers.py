@@ -26,6 +26,8 @@ from .determinants import (
 from .errors import DegenerateHessian, ShapeMismatch, WrongKind
 from .potentials import CriticalPoint, Potential
 
+_DEGENERATE_TOL = 1e-12  # ek_finite's floor on |Hessian eigenvalue|
+
 
 @dataclass(frozen=True)
 class RatePrediction:
@@ -55,12 +57,13 @@ class RatePrediction:
 
 
 def ek_finite(minimum: CriticalPoint, saddle: CriticalPoint,
-              p: Potential, degenerate_tol: float = 1e-12) -> RatePrediction:
+              p: Potential) -> RatePrediction:
     """Rate prediction for a gradient diffusion between two critical points.
 
     barrier = V(saddle) - V(minimum); the determinant ratio is accumulated in
     log space from the Hessian eigenvalues, so arbitrarily large truncations
-    do not overflow.
+    do not overflow.  An eigenvalue below _DEGENERATE_TOL in modulus raises
+    DegenerateHessian.
     """
     if minimum.kind != "minimum":
         raise WrongKind(f"expected a minimum, got {minimum.kind}")
@@ -70,7 +73,7 @@ def ek_finite(minimum: CriticalPoint, saddle: CriticalPoint,
     eig_sad = np.asarray(saddle.hessian_eigenvalues, dtype=float)
     if eig_min.size != eig_sad.size:
         raise ShapeMismatch("critical points live in different dimensions")
-    if np.any(np.abs(eig_min) < degenerate_tol) or np.any(np.abs(eig_sad) < degenerate_tol):
+    if np.any(np.abs(eig_min) < _DEGENERATE_TOL) or np.any(np.abs(eig_sad) < _DEGENERATE_TOL):
         raise DegenerateHessian("near-zero Hessian eigenvalue in rate formula")
     if np.any(eig_min <= 0):
         raise WrongKind("minimum has nonpositive Hessian eigenvalues")

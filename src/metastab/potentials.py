@@ -9,6 +9,9 @@ import numpy as np
 
 from .errors import DegenerateHessian, NoConvergence
 
+_FD_STEP = 1e-5  # the finite-difference step of numerical_gradient / _hessian
+_GRADIENT_TOL = 1e-10  # the gradient norm at which Newton's iteration stops
+
 
 @dataclass(frozen=True)
 class Potential:
@@ -22,7 +25,6 @@ class Potential:
     value: Callable[[np.ndarray], np.ndarray]
     gradient_batch: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -53,17 +55,15 @@ def quartic_double_well() -> Potential:
     barrier height is 1/4; curvatures are V''(+-1) = 2 and V''(0) = -1.
     """
     return Potential(value=_quartic_value, gradient_batch=_quartic_gradient,
-                     hessian=lambda x: np.array([[3 * x[0] ** 2 - 1]]),
-                     name="quartic_double_well")
+                     hessian=lambda x: np.array([[3 * x[0] ** 2 - 1]]))
 
 
-def quadratic_well(curvature: float = 1.0, dim: int = 1) -> Potential:
-    """Isotropic quadratic well V(x) = curvature * |x|^2 / 2."""
+def quadratic_well(dim: int = 1) -> Potential:
+    """Isotropic quadratic well V(x) = |x|^2 / 2."""
     return Potential(
-        value=lambda x: 0.5 * curvature * np.sum(np.square(x), axis=-1),
-        gradient_batch=lambda x: curvature * np.asarray(x, dtype=float),
-        hessian=lambda x: curvature * np.eye(dim),
-        name=f"quadratic_well({curvature})")
+        value=lambda x: 0.5 * np.sum(np.square(x), axis=-1),
+        gradient_batch=lambda x: np.array(x, dtype=float),
+        hessian=lambda x: np.eye(dim))
 
 
 def double_well_2d() -> Potential:
@@ -75,22 +75,21 @@ def double_well_2d() -> Potential:
     return Potential(
         value=lambda p: _quartic_value(p) + np.square(np.asarray(p, float)[..., 1]) / 2,
         gradient_batch=gradient_batch,
-        hessian=lambda p: np.array([[3 * p[0] ** 2 - 1, 0.0], [0.0, 1.0]]),
-        name="double_well_2d")
+        hessian=lambda p: np.array([[3 * p[0] ** 2 - 1, 0.0], [0.0, 1.0]]))
 
 
-def numerical_gradient(p: Potential, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Centered O(h^2) finite differences of p.value."""
+def numerical_gradient(p: Potential, x: np.ndarray) -> np.ndarray:
+    """Centered O(h^2) finite differences of p.value, h = _FD_STEP."""
     x = np.asarray(x, dtype=float)
-    e = h * np.eye(x.size)
-    return (p.value(x + e) - p.value(x - e)) / (2 * h)
+    e = _FD_STEP * np.eye(x.size)
+    return (p.value(x + e) - p.value(x - e)) / (2 * _FD_STEP)
 
 
-def numerical_hessian(p: Potential, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Centered O(h^2) finite differences of p.gradient_batch."""
+def numerical_hessian(p: Potential, x: np.ndarray) -> np.ndarray:
+    """Centered O(h^2) finite differences of p.gradient_batch, h = _FD_STEP."""
     x = np.asarray(x, dtype=float)
-    e = h * np.eye(x.size)
-    H = (p.gradient_batch(x + e) - p.gradient_batch(x - e)).T / (2 * h)
+    e = _FD_STEP * np.eye(x.size)
+    H = (p.gradient_batch(x + e) - p.gradient_batch(x - e)).T / (2 * _FD_STEP)
     return 0.5 * (H + H.T)
 
 
@@ -115,10 +114,10 @@ def classify_hessian(eigenvalues: np.ndarray, degenerate_tol: float = 1e-8):
     )
 
 
-def find_critical_point(p: Potential, guess, tol_crit: float = 1e-10,
-                        max_iter: int = 100,
+def find_critical_point(p: Potential, guess, max_iter: int = 100,
                         degenerate_tol: float = 1e-8) -> CriticalPoint:
-    """Newton refinement of a stationary point, classified by Hessian signs.
+    """Newton refinement of a stationary point until the gradient norm falls
+    below _GRADIENT_TOL, classified by Hessian signs.
 
     Fails loudly (NoConvergence / DegenerateHessian) instead of returning a
     degenerate or unconverged point.
@@ -126,7 +125,7 @@ def find_critical_point(p: Potential, guess, tol_crit: float = 1e-10,
     x = np.atleast_1d(np.asarray(guess, dtype=float)).copy()
     for _ in range(max_iter):
         g = p.gradient_batch(x)
-        if np.linalg.norm(g) < tol_crit:
+        if np.linalg.norm(g) < _GRADIENT_TOL:
             break
         H = p.hessian(x)
         if abs(np.linalg.det(H)) < degenerate_tol:
@@ -139,7 +138,7 @@ def find_critical_point(p: Potential, guess, tol_crit: float = 1e-10,
     else:
         raise NoConvergence(
             f"gradient norm {np.linalg.norm(p.gradient_batch(x)):.3e} "
-            f"> {tol_crit} after {max_iter} Newton steps"
+            f"> {_GRADIENT_TOL} after {max_iter} Newton steps"
         )
     eigs = np.linalg.eigvalsh(p.hessian(x))
     kind, lam = classify_hessian(eigs, degenerate_tol)

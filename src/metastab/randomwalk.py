@@ -30,7 +30,6 @@ class WalkPath:
 
     steps: np.ndarray
     positions: np.ndarray
-    seed: int
 
 
 def walk(n: int, seed: int) -> WalkPath:
@@ -41,7 +40,7 @@ def walk(n: int, seed: int) -> WalkPath:
     rng = sde.replica_rng(seed, 0)
     steps = (2 * rng.integers(0, 2, size=n, dtype=np.int8) - 1).astype(np.int64)
     positions = np.concatenate(([0], np.cumsum(steps)))
-    return WalkPath(steps=steps, positions=positions, seed=seed)
+    return WalkPath(steps=steps, positions=positions)
 
 
 def diffusive_rescale(path: WalkPath, n: int, t_grid: np.ndarray) -> np.ndarray:

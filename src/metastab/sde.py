@@ -13,7 +13,8 @@ things about the kept values: a hit test hit(kept), a mask over kept rows that
 stops each replica at its first hit, and the steps to record, whose kept
 values come back.  The engine looks at the start states too (step 0), so a
 replica that starts in the target hits at time 0; replicas are compacted once
-per block.
+per block, and the engine then raises NonFinite if a surviving state has
+overflowed, the one overflow check of every run here and in spde.
 """
 
 from __future__ import annotations
@@ -248,7 +249,8 @@ def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
     first hit, at step 0 with time 0.0 and no noise drawn.  A replica that
     hits mid-block steps on to the block's end on noise already drawn; times
     are set, and states, aux and replica ids compacted, once per block, after
-    which check(states) sees the survivors.  Returns (hitting times, nan if
+    which NonFinite is raised if a survivor's state is not finite, and else
+    check(states) sees the survivors.  Returns (hitting times, nan if
     censored; recorded): the kept values at the steps in record (any order,
     repeats allowed, each in [0, max_steps]), shape (len(record), n) + kept
     shape, nan where a replica had stopped.
@@ -303,6 +305,8 @@ def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
             if kwidth:
                 kept[j] = keep(x, aux)
         stop(done + 1, noise if keep is None else kept)
+        if not np.all(np.isfinite(x)):
+            raise NonFinite("a state overflowed; reduce dt")
         if check is not None:
             check(x)
         done += steps
@@ -312,7 +316,8 @@ def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
 
 def _sde_callbacks(run: SdeRun) -> dict:
     """The Euler-Maruyama ensemble's shape, scale, step and check keywords
-    for _first_passage."""
+    for _first_passage; check warns once if dt exceeds the inverse Hessian
+    scale along the trajectory."""
     gradient = run.potential.gradient_batch
 
     def step(x, noise, _aux):  # the new states overwrite their noise row
@@ -322,8 +327,6 @@ def _sde_callbacks(run: SdeRun) -> dict:
 
     def check(x):
         nonlocal warned
-        if not np.all(np.isfinite(x)):
-            raise NonFinite("ensemble overflowed; reduce dt")
         if not warned and not _stability_check(run, x):
             warnings.warn("dt exceeds 1/max Hessian eigenvalue along trajectory",
                           RuntimeWarning)

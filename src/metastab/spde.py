@@ -21,13 +21,14 @@ state only where a full band is handed out.
 
 Every time loop runs on sde._first_passage, which draws each block's normals
 step-major and carries each state's grid as the aux step() takes and returns;
-the engine's per-block check, not step(), stops a run whose surviving states
-overflow.  Trajectories, snapshots and the noiseless flow are one replica
-that records what its caller reads at the steps it names, and the noise check
-is an ensemble whose states are accumulated pairings, recorded at each
-horizon.  Hitting keeps each step's fields.distance_to_constant, and its hit
-test compares a block of them with delta at once.  A run reads (d, L, N) off
-its initial field; its counterterm needs 0 < L < 2 pi.
+the engine, not step() or its callers here, raises NonFinite once a block
+leaves a surviving state overflowed.  Trajectories, snapshots and the
+noiseless flow are one replica that records what its caller reads at the
+steps it names, and the noise check is an ensemble whose states are
+accumulated pairings, recorded at each horizon.  Hitting keeps each step's
+fields.distance_to_constant, and its hit test compares a block of them with
+delta at once.  A run reads (d, L, N) off its initial field; its counterterm
+needs 0 < L < 2 pi.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import fields
 from .determinants import counterterm_trace
-from .errors import DomainError, NonFinite
+from .errors import DomainError
 from .fields import SpectralField
 from .sde import HittingTimeBatch, _draw_noise, _first_passage
 
@@ -142,12 +143,6 @@ class _Stepper:
         return new, self.colloc.grid(new)
 
 
-def _check_finite(coeffs: np.ndarray) -> None:
-    """The engine's per-block check of the surviving field states."""
-    if not np.all(np.isfinite(coeffs)):
-        raise NonFinite("field step overflowed; reduce dt")
-
-
 def draw_mode_noise(run: SpdeRun, rng: np.random.Generator) -> np.ndarray:
     """A single conjugate-symmetric noise array with the law the stepper uses."""
     st = _Stepper(run)
@@ -164,8 +159,7 @@ def _one_replica(st: _Stepper, steps, replica_index: int, keep,
     return _first_passage(c0, st.run.seed, replica_index, 1, st.run.dt,
                           int(np.max(steps)) if len(steps) else 0,
                           st.noise_shape if noisy else None, st.step,
-                          record=steps, check=_check_finite,
-                          aux0=st.colloc.grid(c0),
+                          record=steps, aux0=st.colloc.grid(c0),
                           keep=lambda c, _u: keep(c))[1][:, 0]
 
 
@@ -209,7 +203,7 @@ class NoiseCheckReport:
     predicted_var: np.ndarray  # truncated prediction T * sum |a_k|^2
     continuum_var: np.ndarray  # T * volume(A)
     var_stderr: np.ndarray
-    pair_covariance: float  # first two sets at the last T
+    pair_covariance: float  # the last two boxes at the last T
     pair_tol: float
 
 
@@ -225,22 +219,21 @@ def _indicator_coeffs(d: int, L: float, N: int, interval_per_axis) -> np.ndarray
     return np.where(k == 0, ax[0].real / np.sqrt(L), ax[0] / np.sqrt(L))
 
 
-def noise_coefficient_check(run: SpdeRun, sets: Sequence = None,
-                            T_values: Sequence[float] = (0.5, 1.0),
+def noise_coefficient_check(run: SpdeRun, T_values: Sequence[float] = (0.5, 1.0),
                             n: int = 2000) -> NoiseCheckReport:
     """Verify the white-noise isometry on indicator functions.
 
-    For each box A and horizon T, n replicas accumulate the pairing of the
-    discrete noise with 1_{[0,T] x A}; its variance must equal T times the
-    squared L^2 norm of the truncated indicator (continuum limit: T * |A|).
+    For each box A of [0, L]^d, [0, L/2]^d and [L/2, L]^d and each horizon
+    T, n replicas accumulate the pairing of the discrete noise with
+    1_{[0,T] x A}; its variance must equal T times the squared L^2 norm of
+    the truncated indicator (continuum limit: T * |A|).  The last two boxes
+    are disjoint, so their pairings at the last T are uncorrelated.
     """
     if n < 2:
         raise ValueError("n must be >= 2 for a sample variance")
     st = _Stepper(run)
     d, L, N = st.d, st.L, st.N
-    if sets is None:
-        # last two sets are disjoint, for the independence check
-        sets = [((0.0, L),) * d, ((0.0, L / 2),) * d, ((L / 2, L),) * d]
+    sets = [((0.0, L),) * d, ((0.0, L / 2),) * d, ((L / 2, L),) * d]
     coeffs = np.array([_indicator_coeffs(d, L, N, s) for s in sets])
     # Re sum_k eta_k conj(a_k) over the band, read off the half band: the
     # k_last > 0 columns stand for their mirrors too
@@ -264,18 +257,11 @@ def noise_coefficient_check(run: SpdeRun, sets: Sequence = None,
     norm_sq = [float(np.sum(np.abs(c) ** 2)) for c in coeffs]
     vol = [np.prod([hi - lo for (lo, hi) in s]) for s in sets]
     pred, cont = np.outer(norm_sq, T_values), np.outer(vol, T_values)
-    cov = 0.0
-    tol = 0.0
-    if len(sets) >= 2:
-        # the last two sets are meant to be disjoint (see default sets)
-        a = pair_sums[-2, -1]
-        b = pair_sums[-1, -1]
-        cov = float(np.corrcoef(a, b)[0, 1])
-        tol = 3.0 / np.sqrt(n)
+    cov = float(np.corrcoef(pair_sums[1, -1], pair_sums[2, -1])[0, 1])
     return NoiseCheckReport(sets=tuple(map(tuple, sets)), T_values=T_values,
                             empirical_var=emp, predicted_var=pred,
                             continuum_var=cont, var_stderr=stderr,
-                            pair_covariance=cov, pair_tol=tol)
+                            pair_covariance=cov, pair_tol=3.0 / np.sqrt(n))
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +289,8 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
     c0 = run.field0.coeffs[..., :st.N + 1]
     return _first_passage(c0, run.seed, replica_offset, n, run.dt,
                           int(round(run.t_max / run.dt)), st.noise_shape, st.step,
-                          hit=lambda dist: dist < delta, check=_check_finite,
-                          aux0=st.colloc.grid(c0), keep=distances)[0]
+                          hit=lambda dist: dist < delta, aux0=st.colloc.grid(c0),
+                          keep=distances)[0]
 
 
 def sample_spde_hitting_times(run: SpdeRun, target: float, delta: float,
@@ -321,11 +307,10 @@ def sample_spde_hitting_times(run: SpdeRun, target: float, delta: float,
 # ---------------------------------------------------------------------------
 
 
-def export_snapshot_csv(field: SpectralField, t: float, filename: str,
-                        M: int | None = None) -> np.ndarray:
-    """Grid values as CSV, row-major, with a header naming (d, L, N, t);
-    returns the grid values written."""
-    vals = fields.grid_values(field, M)
+def export_snapshot_csv(field: SpectralField, t: float, filename: str) -> np.ndarray:
+    """Grid values on the dealiased grid as CSV, row-major, with a header
+    naming (d, L, N, t); returns the grid values written."""
+    vals = fields.grid_values(field)
     header = f"d={field.d},L={field.L!r},N={field.N},t={t!r}"
     np.savetxt(filename, np.atleast_2d(vals), delimiter=",", header=header)
     return vals

@@ -207,7 +207,7 @@ class TestGalerkin1D:
         L, N = 2.0, 2
         pot = galerkin_potential_1d(L, N)
         x = rng.standard_normal(2 * N + 1) * 0.4
-        H_fd = numerical_hessian(pot, x, h=1e-5)
+        H_fd = numerical_hessian(pot, x)
         assert np.allclose(pot.hessian(x), H_fd, rtol=1e-4, atol=1e-6)
 
     def test_gradient_matches_finite_differences(self, rng):

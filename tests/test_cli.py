@@ -258,6 +258,65 @@ class TestCliRuns:
         assert len(err) == 1
         assert json.loads(err[0]) == {"error": "ValueError", "message": phrase}
 
+    @pytest.mark.parametrize("argv", (
+        ["rate-functional", "--path_csv", "missing.csv"],
+        ["rate-functional", "--field_jsonl", "missing.jsonl"],
+    ))
+    def test_unreadable_input_exits_2_with_one_json_line(self, argv, tmp_path,
+                                                         capsys):
+        out = tmp_path / "out"
+        assert main([*argv[:-1], str(tmp_path / argv[-1]), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "FileNotFoundError"
+
+    def test_unwritable_out_exits_2_with_one_json_line(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(["determinant", "--d", "1", "--L", "2", "--N", "4",
+                     "--out", str(tmp_path / "file" / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "NotADirectoryError"
+
+    @pytest.mark.parametrize("eps_list", ("0.3,0.4", "0.3,0.4,0.4"))
+    def test_sweep_of_fewer_than_three_eps_exits_2_before_running(
+            self, eps_list, tmp_path, capsys, monkeypatch):
+        def ran(*_args, **_kw):
+            raise AssertionError("ran before the eps count check")
+
+        monkeypatch.setattr(cli, "_parallel_raw", ran)
+        monkeypatch.setitem(cli._SWEEP_SYSTEMS, "sde",
+                            (ran, *cli._SWEEP_SYSTEMS["sde"][1:]))
+        out = tmp_path / "out"
+        assert main(["arrhenius-sweep", "--epsilon-list", eps_list, "--n", "200",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "InsufficientData",
+                                      "message": "need at least 3 distinct eps values"}
+
+    @pytest.mark.parametrize("argv", (
+        ["sde-hitting", *SDE_ARGS],
+        ["potential-theory", "--epsilon", "0.25"],
+        ["rate-functional", "--path_csv", "missing.csv"],  # named before reading
+        ["arrhenius-sweep", *SWEEP_ARGS],
+    ))
+    def test_unknown_potential_is_named_before_running(self, argv, tmp_path,
+                                                       capsys, monkeypatch):
+        def ran(*_args, **_kw):
+            raise AssertionError("ran before the potential check")
+
+        monkeypatch.setattr(cli, "_parallel_raw", ran)
+        out = tmp_path / "out"
+        assert main([*argv, "--potential", "cubic", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "ConfigError",
+                                      "message": "unknown potential 'cubic'"}
+
     def test_field_side_outside_the_counterterm_range_names_L(self, tmp_path,
                                                                 capsys):
         args = list(SPDE_ARGS)

@@ -17,8 +17,7 @@ from metastab.potentials import Potential, quadratic_well, quartic_double_well
 def free_potential():
     return Potential(value=lambda x: np.zeros(np.shape(x)[:-1]),
                      gradient_batch=lambda x: np.zeros(np.shape(x)),
-                     hessian=lambda x: np.zeros((1, 1)),
-                     name="free")
+                     hessian=lambda x: np.zeros((1, 1)))
 
 
 @pytest.fixture

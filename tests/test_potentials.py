@@ -38,7 +38,7 @@ def test_quartic_barrier_height(quartic):
 def test_quartic_gradient_matches_finite_differences(x):
     p = quartic_double_well()
     pt = np.array([x])
-    fd = numerical_gradient(p, pt, h=1e-5)
+    fd = numerical_gradient(p, pt)
     exact = p.gradient_batch(pt)
     assert np.allclose(fd, exact, rtol=1e-5, atol=1e-7)
 
@@ -48,7 +48,7 @@ def test_quartic_gradient_matches_finite_differences(x):
 def test_quartic_hessian_matches_finite_differences(x):
     p = quartic_double_well()
     pt = np.array([x])
-    fd = numerical_hessian(p, pt, h=1e-5)
+    fd = numerical_hessian(p, pt)
     assert np.allclose(fd, p.hessian(pt), rtol=1e-5, atol=1e-7)
 
 
@@ -65,7 +65,7 @@ def test_2d_well_derivatives_match_finite_differences(x, y):
 
 def test_potential_contract_has_no_optional_field():
     fields = dataclasses.fields(Potential)
-    assert [f.name for f in fields] == ["value", "gradient_batch", "hessian", "name"]
+    assert [f.name for f in fields] == ["value", "gradient_batch", "hessian"]
     assert all(f.default is not None for f in fields)
 
 

@@ -323,6 +323,22 @@ class TestFirstPassageEngine:
             want[ks > np.array([0, 4, 5, 9])] = np.nan
             assert np.array_equal(recorded, want, equal_nan=True)
 
+    def test_overflowed_survivor_raises_without_a_check(self):
+        # no check is passed: the engine tests the survivors of each block
+        # itself.  States grow by 1e200 a step, so they overflow at step 2 of
+        # the block; replicas that hit at step 1 are no survivors.
+        def step(x, _noise, aux):
+            return x * 1e200, aux
+
+        def run(hit):
+            return _first_passage(np.ones(1), 0, 0, 2, 0.5, 10, None, step, hit,
+                                  keep=lambda x, _aux: x)[0]
+
+        with np.errstate(over="ignore"):
+            assert np.array_equal(run(lambda kept: kept[..., 0] > 1), [0.5, 0.5])
+            with pytest.raises(NonFinite, match="a state overflowed; reduce dt"):
+                run(None)
+
     def test_record_takes_steps_in_any_order_and_repeated(self, quartic):
         run = SdeRun(quartic, epsilon=0.3, dt=1e-3, x0=[-1.0], seed=5)
         callbacks = _sde_callbacks(run)

@@ -560,7 +560,7 @@ class TestTimeStep:
     def test_field_overflow_raises(self):
         run = make_run(d=1, L=2.0, N=4, eps=0.0, dt=0.5, start=10.0)
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NonFinite, match="field step overflowed"):
+                pytest.raises(NonFinite, match="a state overflowed"):
             integrate_deterministic(run, 20 * run.dt)
 
 
@@ -690,7 +690,7 @@ def test_record_snapshots_write_nothing_when_the_run_raises(tmp_path):
     # left behind by a run that overflows later
     run = make_run(d=1, L=2.0, N=4, eps=0.0, dt=0.5, start=10.0)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NonFinite, match="field step overflowed"):
+            pytest.raises(NonFinite, match="a state overflowed"):
         record_snapshots(run, [0.0, 10.0], str(tmp_path / "snaps"))
     assert not (tmp_path / "snaps").exists()
 
