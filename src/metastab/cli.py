@@ -4,9 +4,10 @@ Every experiment writes ``results.csv`` (LF line endings, '.' decimals, one
 '#' comment line carrying the config hash) plus ``manifest.json`` recording
 the full configuration, seed, package version and wall time.  The hash covers
 only reproducibility-relevant fields (experiment, parameters, seed).
-``--threads k`` runs the replicas of a hitting-time experiment as k
-contiguous ranges on at most k threads, and on no more than the usable CPUs
-(``sde.run_ranges``); outputs are byte-identical across its values.
+``--threads k`` runs the replicas of a hitting-time experiment as contiguous
+ranges on k worker processes, at most one a usable CPU (``sde.run_ranges``;
+``--threads 1``, the default, is this process alone); outputs are
+byte-identical across its values.
 
 An experiment takes only the parameters it reads (``_EXPERIMENTS``; per
 ``--system`` for two of them, per input file for rate-functional), as
@@ -15,9 +16,9 @@ flag's JSON type; any other flag, key or value exits 2 before anything runs.
 ``--config``, ``--out``, ``--seed`` and ``--threads`` are global.
 
 Exit codes: 0 success, 2 configuration/validation error (usage errors, an
-input file that cannot be read and an --out that cannot be written included),
-3 all replicas censored.  Errors are also emitted as one JSON object on
-stderr.
+input file that cannot be read and an --out that cannot be written included,
+the last two under the OSError's name; --out is made before the run), 3 all
+replicas censored.  Errors are also emitted as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -589,26 +590,41 @@ def parse_config(argv) -> ExperimentConfig:
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute one experiment; returns the process exit code."""
+    """Execute one experiment; returns the process exit code.  The out
+    directory is made before the experiment runs, so an --out that cannot be
+    written exits before anything runs, and a failed run removes the
+    directories it made."""
     t0 = time.perf_counter()
+    out = Path(cfg.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
+        out.mkdir(parents=True, exist_ok=True)
         header, rows, summary = _EXPERIMENTS[cfg.experiment][0](cfg)
         write_results(cfg, header, rows, summary, wall_time=time.perf_counter() - t0)
+        return 0
     except AllCensored as exc:
         _report("AllCensored", str(exc))
-        return 3
+        code = 3
     except (OSError, ValueError, TypeError, KeyError, MetastabError) as exc:
         # TypeError: a config-file value of the wrong JSON type; OSError: an
         # input file that cannot be read or an --out that cannot be written
         _report(type(exc).__name__, str(exc))
-        return 2
-    return 0
+        code = 2
+    for d in made:
+        try:
+            d.rmdir()
+        except OSError:  # not made, or not empty
+            break
+    return code
 
 
 def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
-    except (OSError, ValueError, TypeError) as exc:  # OSError: --config
+    except OSError as exc:  # --config, named as run() names the other files
+        _report(type(exc).__name__, str(exc))
+        return 2
+    except (ValueError, TypeError) as exc:
         _report("ConfigError", str(exc))
         return 2
     except SystemExit as exc:  # --help, or a usage error _Parser reported

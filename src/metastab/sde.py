@@ -3,7 +3,9 @@
 Every Monte Carlo replica owns a counter-based RNG stream derived from
 (seed_base, replica_index), so ensembles are reproducible under any parallel
 schedule; aggregation is ordered by replica index.  run_ranges is the one
-cut of replicas into ranges (the CLI's threads, sample_endpoints').
+replica scheduler: it cuts an ensemble into contiguous ranges, one per
+worker process, this process and forked children (hitting ensembles here and
+in spde on every usable CPU, the CLI's on --threads workers).
 _first_passage is the one loop, here and in spde, that advances states over
 time.  It draws their noise step-major in blocks set by one rule
 (_block_steps) into one buffer per call, steps the live replicas across a
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import pickle
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -40,6 +43,13 @@ from .potentials import Potential
 # which bounds its temporaries.
 _MAX_STEPS, _MIN_DRAW, _MAX_DRAW, _BLOCK_NORMALS = 1024, 1 << 9, 1 << 15, 1 << 20
 _OBSERVE_VALUES = 1 << 14
+# run_ranges forks no range of fewer than _MIN_RANGE replicas.  A fork, its
+# pickled result and its reaping cost about 3 ms (2 cores, from a process of
+# 30 to 400 MB), while an SDE hitting replica of about 5000 steps (eps 0.3,
+# dt 2e-3) takes 0.2 ms of vectorised steps, so a range of 32 such replicas
+# holds about twice the fork's cost.
+_MIN_RANGE = 32
+_in_range = False  # whether this process is running a range of run_ranges
 
 
 @dataclass(frozen=True)
@@ -336,25 +346,101 @@ def _sde_callbacks(run: SdeRun) -> dict:
                 step=step, check=check)
 
 
-def run_ranges(worker, n: int, ranges: int, threads: Optional[int] = None) -> np.ndarray:
-    """worker(offset, count) on `ranges` contiguous replica ranges (1 to n),
-    concatenated in replica order, on at most `threads` threads (default one
-    a range) and the usable CPUs, as a running range holds its noise blocks;
-    inline on one.  Each replica's (seed, index) stream makes results
-    independent of both counts.  Threads pay where numpy's FFTs, which release
-    the interpreter lock, dominate a step (d=2 fields): SDE and d=1 field
-    loops are bound by Python under that lock and run slower on threads."""
-    k = max(1, min(n, ranges))
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: os.sched_getaffinity's, else
+    os.cpu_count()."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def run_ranges(worker, n: int, workers: Optional[int] = None) -> np.ndarray:
+    """worker(offset, count) on contiguous replica ranges, concatenated in
+    replica order: one range a worker, min(workers (default all), the usable
+    CPUs, n // _MIN_RANGE) of them, at least one.
+
+    This process runs the first range itself and a forked child each other
+    one; a child pickles back its result, or its exception, with the warnings
+    it recorded.  Those warnings are re-issued here, the first exception in
+    replica order is re-raised (one that cannot be pickled as a RuntimeError
+    with its type name and message), and every child is reaped before the
+    call returns, killed first if the call raises.  Ranges do not nest: inside
+    a range, or where os.fork is missing, the call runs inline as one range.
+    Each replica's (seed, index) stream makes the result independent of the
+    cut, and each range holds its own noise blocks."""
+    global _in_range
+    k = 1 if _in_range or not hasattr(os, "fork") else max(1, min(
+        _usable_cpus(), n // _MIN_RANGE, n if workers is None else workers))
     bounds = np.linspace(0, n, k + 1).astype(int).tolist()
-    offsets, counts = bounds[:-1], np.diff(bounds).tolist()
-    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
-    workers = min(k, usable, k if threads is None else threads)
-    if workers == 1:
-        return np.concatenate(list(map(worker, offsets, counts)))
-    from concurrent.futures import ThreadPoolExecutor  # with logging, ~10 ms to import
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(worker, offsets, counts)))
+    children = []  # (pid, read end of its pipe)
+    try:
+        for offset, end in zip(bounds[1:-1], bounds[2:]):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _serve(worker, offset, end - offset, w)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        _in_range = True
+        try:
+            results = [worker(0, bounds[1])]
+        finally:
+            _in_range = False
+        for _, pipe in children:
+            results.append(_receive(pipe))
+        return np.concatenate(results)
+    except BaseException:
+        import signal  # not loaded by numpy; only a failed call needs it
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _serve(worker, offset: int, count: int, fd: int):
+    """A forked range's whole life: run worker(offset, count), pickle (ok,
+    result or exception, warnings) to fd and exit, never returning."""
+    global _in_range
+    _in_range = True
+    try:
+        with warnings.catch_warnings(record=True) as heard:
+            try:
+                outcome = (True, worker(offset, count))
+            except BaseException as exc:  # KeyboardInterrupt too: it goes back
+                outcome = (False, exc)
+        heard = [(w.message, w.category, w.filename, w.lineno) for w in heard]
+        try:
+            data = pickle.dumps(outcome + (heard,))
+            if not outcome[0]:
+                pickle.loads(data)  # an exception can pickle and not unpickle
+        except Exception as exc:  # sent as its type name and message
+            if not outcome[0]:
+                exc = outcome[1]
+            data = pickle.dumps((False, f"{type(exc).__name__}: {exc}", []))
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+    finally:
+        os._exit(0)
+
+
+def _receive(pipe):
+    """A forked range's result, after its warnings are re-issued here (once
+    per location under the default filter, as warnings.warn from this module
+    would); raises its exception."""
+    data = pipe.read()
+    if not data:
+        raise RuntimeError("a replica range's process died before it reported")
+    ok, value, heard = pickle.loads(data)
+    for message, category, filename, lineno in heard:
+        warnings.warn_explicit(message, category, filename, lineno,
+                               registry=globals().setdefault("__warningregistry__", {}))
+    if ok:
+        return value
+    raise value if isinstance(value, BaseException) else RuntimeError(value)
 
 
 def sample_endpoints(run: SdeRun, t: float, n: int,
@@ -365,12 +451,11 @@ def sample_endpoints(run: SdeRun, t: float, n: int,
     if n < 0:
         raise ValueError("n must be >= 0")
     n_steps, callbacks = int(round(t / run.dt)), _sde_callbacks(run)
-
-    def endpoints(offset, count):
-        return _first_passage(run.x0, run.seed, replica_offset + offset, count,
-                              run.dt, n_steps, record=[n_steps], **callbacks)[1][0]
-
-    return run_ranges(endpoints, n, -(-n // (_BLOCK_NORMALS // _MIN_DRAW)), threads=1)
+    size = _BLOCK_NORMALS // _MIN_DRAW
+    return np.concatenate([
+        _first_passage(run.x0, run.seed, replica_offset + offset, min(size, n - offset),
+                       run.dt, n_steps, record=[n_steps], **callbacks)[1][0]
+        for offset in range(0, max(n, 1), size)])  # n = 0: one empty range
 
 
 def _stability_check(run: SdeRun, x: np.ndarray) -> bool:
@@ -387,7 +472,8 @@ def _stability_check(run: SdeRun, x: np.ndarray) -> bool:
 def hitting_times_raw(run: SdeRun, target_center: np.ndarray, delta: float,
                       n: int, replica_offset: int = 0) -> np.ndarray:
     """First times ||x_t - center|| < delta, one entry per replica (nan =
-    censored at the horizon).  Deterministic given (seed, replica indices)."""
+    censored at the horizon), run on the usable CPUs by run_ranges.
+    Deterministic given (seed, replica indices)."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     if n < 1:
@@ -399,9 +485,10 @@ def hitting_times_raw(run: SdeRun, target_center: np.ndarray, delta: float,
         dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # as np.linalg.norm
         return (dist < delta).reshape(x.shape[:2])
 
-    return _first_passage(run.x0, run.seed, replica_offset, n, run.dt,
-                          int(round(run.horizon / run.dt)), hit=hit,
-                          **_sde_callbacks(run))[0]
+    max_steps, callbacks = int(round(run.horizon / run.dt)), _sde_callbacks(run)
+    return run_ranges(lambda offset, count: _first_passage(
+        run.x0, run.seed, replica_offset + offset, count, run.dt, max_steps,
+        hit=hit, **callbacks)[0], n)
 
 
 def sample_hitting_times(run: SdeRun, target_center, delta: float, n: int,

@@ -45,7 +45,7 @@ from . import fields
 from .determinants import counterterm_trace
 from .errors import DomainError
 from .fields import SpectralField
-from .sde import HittingTimeBatch, _draw_noise, _first_passage
+from .sde import HittingTimeBatch, _draw_noise, _first_passage, run_ranges
 
 
 @dataclass(frozen=True)
@@ -277,6 +277,7 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
     norm = "linf" measures on the collocation grid; norm = "hs" uses the
     Fourier-weighted Sobolev norm with index s < 0 (fields.distance_to_constant).
     One nan per censored replica; deterministic given (seed, replica index).
+    The replicas run on the usable CPUs (sde.run_ranges).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -287,10 +288,11 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
     st = _Stepper(run)
     distances = fields.distance_to_constant(st.d, st.L, st.N, target, norm, s)
     c0 = run.field0.coeffs[..., :st.N + 1]
-    return _first_passage(c0, run.seed, replica_offset, n, run.dt,
-                          int(round(run.t_max / run.dt)), st.noise_shape, st.step,
-                          hit=lambda dist: dist < delta, aux0=st.colloc.grid(c0),
-                          keep=distances)[0]
+    u0, max_steps = st.colloc.grid(c0), int(round(run.t_max / run.dt))
+    return run_ranges(lambda offset, count: _first_passage(
+        c0, run.seed, replica_offset + offset, count, run.dt, max_steps,
+        st.noise_shape, st.step, hit=lambda dist: dist < delta, aux0=u0,
+        keep=distances)[0], n)
 
 
 def sample_spde_hitting_times(run: SpdeRun, target: float, delta: float,

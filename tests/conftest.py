@@ -20,6 +20,13 @@ def no_noise(monkeypatch):
 
 
 @pytest.fixture
+def one_worker(monkeypatch):
+    """Runs every replica range in this process, where recorders of engine
+    calls can see them: a forked range's calls stay in its child."""
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20200115)
 

@@ -326,7 +326,7 @@ def test_criterion_15_reproducibility(tmp_path):
     identical = outs[1] == outs[4] == outs[8]
     passed = report(
         "15 (reproducibility)", identical,
-        "results.csv byte-identical across 1, 4, 8 worker threads")
+        "results.csv byte-identical at --threads 1, 4, 8")
     assert passed
 
 

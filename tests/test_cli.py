@@ -4,14 +4,12 @@ import re
 import shlex
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metastab import cli
+from metastab import cli, sde
 from metastab.cli import arrhenius_fit, main, parse_config
 from metastab.errors import InsufficientData
 from metastab.sde import HittingTimeBatch
@@ -261,6 +259,7 @@ class TestCliRuns:
     @pytest.mark.parametrize("argv", (
         ["rate-functional", "--path_csv", "missing.csv"],
         ["rate-functional", "--field_jsonl", "missing.jsonl"],
+        ["determinant", "--config", "missing.json"],
     ))
     def test_unreadable_input_exits_2_with_one_json_line(self, argv, tmp_path,
                                                          capsys):
@@ -275,6 +274,19 @@ class TestCliRuns:
         (tmp_path / "file").write_text("")
         assert main(["determinant", "--d", "1", "--L", "2", "--N", "4",
                      "--out", str(tmp_path / "file" / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "NotADirectoryError"
+
+    def test_unwritable_out_exits_2_before_running(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def ran(*_args, **_kw):
+            raise AssertionError("ran before the out directory was made")
+
+        monkeypatch.setattr(cli, "_parallel_raw", ran)
+        (tmp_path / "file").write_text("")
+        assert main(["sde-hitting", *SDE_ARGS[:-1], "500",
+                     "--out", str(tmp_path / "file" / "sub")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "NotADirectoryError"
@@ -636,7 +648,7 @@ class TestReproducibility:
             d = tmp_path / f"t{threads}"
             code = main(["sde-hitting", "--epsilon", "0.3", "--dt", "0.002",
                          "--x0", "-1", "--target", "1", "--delta", "0.2",
-                         "--n", "48", "--seed", "99", "--threads",
+                         "--n", "96", "--seed", "99", "--threads",
                          str(threads), "--out", str(d)])
             assert code == 0
             outs[threads] = (d / "results.csv").read_bytes()
@@ -649,48 +661,37 @@ class TestReproducibility:
             code = main(["spde-hitting", "--d", "2", "--L", "6.0", "--N", "4",
                          "--start", "0", "--epsilon", "0.1", "--dt", "0.01",
                          "--delta", "2", "--norm", "hs", "--t_max", "4",
-                         "--n", "7", "--seed", "7", "--threads", str(threads),
+                         "--n", "64", "--seed", "7", "--threads", str(threads),
                          "--out", str(d)])
             assert code == 0
             outs[threads] = (d / "results.csv").read_bytes()
         assert outs[1] == outs[3]
 
-    @pytest.mark.parametrize("n,threads,ranges", (
-        (10, 1, [(0, 10)]),
-        (10, 3, [(0, 3), (3, 3), (6, 4)]),
-        (2, 8, [(0, 1), (1, 1)]),
+    @pytest.mark.parametrize("n,threads,usable,ranges", (
+        (100, 1, 4, [(0, 100)]),
+        (100, 3, 4, [(0, 33), (33, 33), (66, 34)]),
+        (100, 8, 2, [(0, 50), (50, 50)]),  # at most one range a usable CPU
+        (70, 8, 8, [(0, 35), (35, 35)]),  # and at least 32 replicas a range
+        (63, 8, 8, [(0, 63)]),
     ))
-    def test_threads_split_replicas_into_contiguous_ranges(self, n, threads, ranges):
-        calls = []
+    def test_threads_split_replicas_into_contiguous_ranges(self, n, threads, usable,
+                                                           ranges, monkeypatch):
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: usable)
 
         def worker(offset, count):
-            calls.append((offset, count))
-            return np.arange(offset, offset + count, dtype=float)
+            return np.column_stack([np.arange(offset, offset + count),
+                                    np.full(count, offset), np.full(count, count)])
 
         out = cli._parallel_raw(worker, n, threads)
-        assert sorted(calls) == ranges
-        assert np.array_equal(out, np.arange(n, dtype=float))
+        assert np.array_equal(out[:, 0], np.arange(n))
+        assert sorted({(int(a), int(b)) for _, a, b in out}) == ranges
 
     def test_ranges_run_on_at_most_the_usable_cpus(self):
-        # two ranges more than CPUs, each allowed a thread: each range still
-        # runs, concurrently but on no more threads than there are CPUs
-        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count())
-        n = usable + 2
-        lock, running, peak = threading.Lock(), [0], [0]
-
-        def worker(offset, count):
-            with lock:
-                running[0] += 1
-                peak[0] = max(peak[0], running[0])
-            time.sleep(0.05)
-            with lock:
-                running[0] -= 1
-            return np.arange(offset, offset + count, dtype=float)
-
-        out = cli._parallel_raw(worker, n, n, threads=n)
-        assert min(2, usable) <= peak[0] <= usable
-        assert np.array_equal(out, np.arange(n, dtype=float))
+        # a range a worker process, this one included, a worker a usable CPU
+        usable = sde._usable_cpus()
+        n = 64 * (usable + 2)
+        out = cli._parallel_raw(lambda o, c: np.full(c, os.getpid()), n, n)
+        assert len(set(out)) == usable and out[0] == os.getpid()
 
     def test_manifests_agree_up_to_wall_time(self, tmp_path):
         mans = []
@@ -804,7 +805,6 @@ class TestParametersRead:
         (["determinant", "--bogus", "1"], "unrecognized arguments"),
         (["sde-hitting", "--n", "abc"], "invalid int value"),
         (["spde-hitting", "--renormalize", "maybe"], "on or off"),
-        (["determinant", "--config", "no/such/cfg.json"], "cfg.json"),
     ))
     def test_usage_error_is_one_json_line(self, argv, phrase, capsys):
         assert main(argv) == 2

@@ -1,4 +1,6 @@
 import mmap
+import os
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from metastab import (
 )
 from metastab import potentials, sde
 from metastab.errors import AllCensored, NonFinite
+from metastab.fields import constant_field
+from metastab.spde import SpdeRun, spde_hitting_times_raw
 from metastab.sde import (
     _block_steps,
     _first_passage,
@@ -406,7 +410,8 @@ class TestBlockRule:
         assert _block_steps(width, live, 5) == min(steps, 5)
 
     @pytest.mark.parametrize("budget", (8, 24))
-    def test_tiny_budget_keeps_hitting_times(self, budget, quartic, monkeypatch):
+    def test_tiny_budget_keeps_hitting_times(self, budget, quartic, monkeypatch,
+                                              one_worker):
         # 8 live replicas: blocks of budget // 8 steps that lengthen as
         # replicas hit
         run = SdeRun(quartic, epsilon=0.35, dt=1e-3, x0=[-1.0], seed=11,
@@ -426,7 +431,7 @@ class TestBlockRule:
         assert blocks[0] == budget // 8 and len(set(blocks)) > 1
         assert np.array_equal(whole, budgeted, equal_nan=True)
 
-    def test_blocks_share_one_mapped_buffer(self, quartic, monkeypatch):
+    def test_blocks_share_one_mapped_buffer(self, quartic, monkeypatch, one_worker):
         # a call's blocks are views of one buffer outside malloc's heap, so
         # the loop's memory does not follow the hits or earlier allocations
         run = SdeRun(quartic, epsilon=0.35, dt=1e-3, x0=[-1.0], seed=11,
@@ -447,7 +452,7 @@ class TestBlockRule:
         assert buffers[0].size == 24 and isinstance(buffers[0].base.obj, mmap.mmap)
         assert np.array_equal(whole, budgeted, equal_nan=True)
 
-    def test_sde_kramers_block_fits_in_8_mib(self, quartic, monkeypatch):
+    def test_sde_kramers_block_fits_in_8_mib(self, quartic, monkeypatch, one_worker):
         # 2000 live replicas take 524-step blocks: 8.0 MiB of normals, where
         # 1000-step blocks would map 15.3 MiB
         run = SdeRun(quartic, epsilon=0.25, dt=1e-3, x0=[-1.0], seed=5,
@@ -504,6 +509,114 @@ class TestDrawNoise:
         for r in range(live):
             own = replica_rng(3, r).standard_normal((steps + 2,) + shape)
             assert np.array_equal(more[:, r], own[steps:])
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestRunRanges:
+    """Replica ranges forked from this process: the arrays of one worker,
+    a child's exceptions and warnings at the caller, no child left over."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Three usable CPUs, and the pids of the children forked here."""
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: 3)
+        pids, fork = [], os.fork
+
+        def recording():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording)
+        return pids
+
+    @pytest.mark.parametrize("call", [
+        lambda: hitting_times_raw(
+            SdeRun(quadratic_well(), epsilon=0.5, dt=1e-3, x0=[-1.0], seed=11,
+                   t_max=3.0), [1.0], 0.2, 96, replica_offset=5),
+        lambda: spde_hitting_times_raw(
+            SpdeRun(constant_field(1, 2.0, 4, -1.0), epsilon=0.5, dt=0.01,
+                    t_max=10.0, seed=3), 1.0, 0.3, n=96),
+        lambda: spde_hitting_times_raw(
+            SpdeRun(constant_field(2, 6.0, 2, 0.0), epsilon=0.1, dt=0.01,
+                    t_max=4.0, seed=7), 1.0, 2.0, norm="hs", n=96),
+    ], ids=["sde", "field_d1", "field_d2"])
+    def test_hitting_arrays_are_one_workers(self, call, forks, monkeypatch):
+        forked = call()
+        assert len(forks) == 2 and _no_child_left()
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
+        one = call()
+        assert len(forks) == 2
+        assert np.isfinite(one).sum() >= 10 and np.isnan(one).sum() >= 1
+        assert np.array_equal(forked, one, equal_nan=True)
+
+    @staticmethod
+    def _children_run(run, good):
+        """A worker that runs the forked ranges on run, the first on good."""
+        return lambda offset, count: hitting_times_raw(
+            run if offset else good, [1.0], 0.2, count, replica_offset=offset)
+
+    def test_a_childs_exception_reaches_the_caller(self, quartic, forks):
+        good = SdeRun(quartic, epsilon=0.3, dt=1e-3, x0=[-1.0], seed=1, t_max=0.5)
+        overflowing = SdeRun(quartic, epsilon=0.3, dt=0.5, x0=[-3.0], seed=1)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFinite, match="^a state overflowed; reduce dt$"):
+            sde.run_ranges(self._children_run(overflowing, good), 96)
+        assert len(forks) == 2 and _no_child_left()
+
+    def test_a_childs_warning_reaches_the_caller(self, quartic, forks):
+        good = SdeRun(quartic, epsilon=0.3, dt=1e-3, x0=[-1.0], seed=1, t_max=0.5)
+        unstable = SdeRun(quartic, epsilon=0.01, dt=0.6, x0=[-1.0], seed=1, t_max=6.0)
+        with pytest.warns(RuntimeWarning, match="dt exceeds 1/max Hessian") as heard:
+            sde.run_ranges(self._children_run(unstable, good), 96)
+        assert len(forks) == 2 and _no_child_left()
+        assert len(heard) == 2  # one from each child
+
+    def test_an_unpicklable_exception_comes_back_by_name(self, forks):
+        class Local(Exception):
+            pass
+
+        def worker(offset, count):
+            if offset:
+                raise Local("from a child")
+            return np.zeros(count)
+
+        with pytest.raises(RuntimeError, match="^Local: from a child$"):
+            sde.run_ranges(worker, 96)
+        assert _no_child_left()
+
+    def test_children_are_killed_when_this_range_raises(self, forks):
+        def worker(offset, count):
+            if offset == 0:
+                raise ValueError("first range")
+            time.sleep(60)
+
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="first range"):
+            sde.run_ranges(worker, 96)
+        assert time.perf_counter() - start < 30
+        assert len(forks) == 2 and _no_child_left()
+
+    def test_ranges_do_not_nest(self, forks):
+        # inside a range, a call runs inline: its replicas report their
+        # range's process
+        def worker(offset, count):
+            inner = sde.run_ranges(lambda o, c: np.full(c, os.getpid()), count)
+            return np.column_stack([inner, np.full(count, os.getpid())])
+
+        pids = sde.run_ranges(worker, 192, 2)
+        assert np.array_equal(pids[:, 0], pids[:, 1])
+        assert len(set(pids[:, 1])) == 2 and len(forks) == 1
+
+    def test_small_ensembles_stay_inline(self, forks):
+        pids = sde.run_ranges(lambda o, c: np.full(c, os.getpid()), 2 * sde._MIN_RANGE - 1)
+        assert set(pids) == {os.getpid()} and forks == []
 
 
 @pytest.mark.slow

@@ -492,7 +492,7 @@ class TestHitting:
         assert max(blocks) == budget_steps
         assert np.array_equal(whole, budgeted, equal_nan=True)
 
-    def test_field_blocks_count_the_kept_distance(self, monkeypatch):
+    def test_field_blocks_count_the_kept_distance(self, monkeypatch, one_worker):
         # d=1, N=16, n=100 field hitting: 33 normals and 1 distance a step
         blocks = []
         draw = sde._draw_noise
