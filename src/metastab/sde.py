@@ -5,7 +5,8 @@ Every Monte Carlo replica owns a counter-based RNG stream derived from
 schedule; aggregation is ordered by replica index.  run_ranges is the one
 replica scheduler: it cuts an ensemble into contiguous ranges, one per
 worker process, this process and forked children (hitting ensembles here and
-in spde on every usable CPU, the CLI's on --threads workers).
+in spde on every usable CPU, the CLI's on --threads workers; inline in a
+process that runs other threads).
 _first_passage is the one loop, here and in spde, that advances states over
 time.  It draws their noise step-major in blocks set by one rule
 (_block_steps) into one buffer per call, steps the live replicas across a
@@ -24,6 +25,7 @@ from __future__ import annotations
 import mmap
 import os
 import pickle
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -43,13 +45,16 @@ from .potentials import Potential
 # which bounds its temporaries.
 _MAX_STEPS, _MIN_DRAW, _MAX_DRAW, _BLOCK_NORMALS = 1024, 1 << 9, 1 << 15, 1 << 20
 _OBSERVE_VALUES = 1 << 14
-# run_ranges forks no range of fewer than _MIN_RANGE replicas.  A fork, its
-# pickled result and its reaping cost about 3 ms (2 cores, from a process of
-# 30 to 400 MB), while an SDE hitting replica of about 5000 steps (eps 0.3,
-# dt 2e-3) takes 0.2 ms of vectorised steps, so a range of 32 such replicas
-# holds about twice the fork's cost.
+# By default run_ranges forks no range of fewer than _MIN_RANGE replicas.  A
+# fork, its pickled result and its reaping cost about 3 ms (2 cores, from a
+# process of 30 to 400 MB), while an SDE hitting replica of about 5000 steps
+# (eps 0.3, dt 2e-3) takes 0.2 ms of vectorised steps, so a range of 32 such
+# replicas holds about twice the fork's cost.  An explicit worker count (the
+# CLI's --threads) is not held to it.
 _MIN_RANGE = 32
-_in_range = False  # whether this process is running a range of run_ranges
+# Whether this process is running a range of run_ranges; only a call that
+# starts with no other thread alive sets it.
+_in_range = False
 
 
 @dataclass(frozen=True)
@@ -355,21 +360,25 @@ def _usable_cpus() -> int:
 
 def run_ranges(worker, n: int, workers: Optional[int] = None) -> np.ndarray:
     """worker(offset, count) on contiguous replica ranges, concatenated in
-    replica order: one range a worker, min(workers (default all), the usable
-    CPUs, n // _MIN_RANGE) of them, at least one.
+    replica order: one range a worker, at least one, and at most the usable
+    CPUs and n; by default (workers None) n // _MIN_RANGE at most, else at
+    most workers.
 
     This process runs the first range itself and a forked child each other
     one; a child pickles back its result, or its exception, with the warnings
     it recorded.  Those warnings are re-issued here, the first exception in
     replica order is re-raised (one that cannot be pickled as a RuntimeError
     with its type name and message), and every child is reaped before the
-    call returns, killed first if the call raises.  Ranges do not nest: inside
-    a range, or where os.fork is missing, the call runs inline as one range.
+    call returns, killed first if the call raises.  The call runs inline as
+    one range inside a range (ranges do not nest), where os.fork is missing
+    and while another thread is alive, whose locks a fork could copy held.
     Each replica's (seed, index) stream makes the result independent of the
     cut, and each range holds its own noise blocks."""
     global _in_range
-    k = 1 if _in_range or not hasattr(os, "fork") else max(1, min(
-        _usable_cpus(), n // _MIN_RANGE, n if workers is None else workers))
+    if _in_range or not hasattr(os, "fork") or threading.active_count() > 1:
+        return worker(0, n)
+    k = max(1, min(_usable_cpus(), n // _MIN_RANGE if workers is None
+                   else min(workers, n)))
     bounds = np.linspace(0, n, k + 1).astype(int).tolist()
     children = []  # (pid, read end of its pipe)
     try:

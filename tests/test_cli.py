@@ -268,7 +268,9 @@ class TestCliRuns:
         assert not out.exists()
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        assert json.loads(err[0])["error"] == "FileNotFoundError"
+        payload = json.loads(err[0])
+        assert payload["error"] == "FileNotFoundError"
+        assert argv[-1] in payload["message"]
 
     def test_unwritable_out_exits_2_with_one_json_line(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
@@ -648,7 +650,7 @@ class TestReproducibility:
             d = tmp_path / f"t{threads}"
             code = main(["sde-hitting", "--epsilon", "0.3", "--dt", "0.002",
                          "--x0", "-1", "--target", "1", "--delta", "0.2",
-                         "--n", "96", "--seed", "99", "--threads",
+                         "--n", "48", "--seed", "99", "--threads",
                          str(threads), "--out", str(d)])
             assert code == 0
             outs[threads] = (d / "results.csv").read_bytes()
@@ -661,7 +663,7 @@ class TestReproducibility:
             code = main(["spde-hitting", "--d", "2", "--L", "6.0", "--N", "4",
                          "--start", "0", "--epsilon", "0.1", "--dt", "0.01",
                          "--delta", "2", "--norm", "hs", "--t_max", "4",
-                         "--n", "64", "--seed", "7", "--threads", str(threads),
+                         "--n", "7", "--seed", "7", "--threads", str(threads),
                          "--out", str(d)])
             assert code == 0
             outs[threads] = (d / "results.csv").read_bytes()
@@ -671,8 +673,8 @@ class TestReproducibility:
         (100, 1, 4, [(0, 100)]),
         (100, 3, 4, [(0, 33), (33, 33), (66, 34)]),
         (100, 8, 2, [(0, 50), (50, 50)]),  # at most one range a usable CPU
-        (70, 8, 8, [(0, 35), (35, 35)]),  # and at least 32 replicas a range
-        (63, 8, 8, [(0, 63)]),
+        (10, 3, 4, [(0, 3), (3, 3), (6, 4)]),  # ranges of any size
+        (2, 8, 8, [(0, 1), (1, 1)]),  # at most one range a replica
     ))
     def test_threads_split_replicas_into_contiguous_ranges(self, n, threads, usable,
                                                            ranges, monkeypatch):

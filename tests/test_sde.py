@@ -1,5 +1,6 @@
 import mmap
 import os
+import threading
 import time
 
 import numpy as np
@@ -617,6 +618,22 @@ class TestRunRanges:
     def test_small_ensembles_stay_inline(self, forks):
         pids = sde.run_ranges(lambda o, c: np.full(c, os.getpid()), 2 * sde._MIN_RANGE - 1)
         assert set(pids) == {os.getpid()} and forks == []
+        pids = sde.run_ranges(lambda o, c: np.full(c, os.getpid()), 2 * sde._MIN_RANGE)
+        assert len(set(pids)) == 2 and len(forks) == 1 and _no_child_left()
+
+    def test_a_call_beside_another_thread_stays_inline(self, forks):
+        # a fork would copy no thread, and any lock one held
+        run = SdeRun(quadratic_well(), epsilon=0.5, dt=1e-3, x0=[-1.0], seed=11,
+                     t_max=3.0)
+        out = []
+        beside = threading.Thread(
+            target=lambda: out.append(hitting_times_raw(run, [1.0], 0.2, 96)))
+        beside.start()
+        beside.join()
+        assert forks == []
+        assert np.array_equal(out[0], hitting_times_raw(run, [1.0], 0.2, 96),
+                              equal_nan=True)
+        assert len(forks) == 2 and _no_child_left()
 
 
 @pytest.mark.slow
