@@ -9,15 +9,17 @@ ranges on k worker processes, at most one a usable CPU (``sde.run_ranges``;
 ``--threads 1``, the default, is this process alone); outputs are
 byte-identical across its values.
 
-An experiment takes only the parameters it reads (``_EXPERIMENTS``; per
-``--system`` for two of them, per input file for rate-functional), as
-full-name flags, which its ``--help`` lists, or as config-file values of the
-flag's JSON type; any other flag, key or value exits 2 before anything runs.
-``--config``, ``--out``, ``--seed`` and ``--threads`` are global.
+An experiment takes only the parameters it reads, as full-name flags, which
+its ``--help`` lists, or as config-file values of the flag's JSON type.
+``_PARAMS`` gives each parameter's type and domain, ``_EXPERIMENTS`` each
+experiment's (or ``--system``'s, ``--norm``'s, input's) keys, defaults and
+cross-key rules; one pass over both runs before anything else, and the
+runners only read its result.  ``--config``, ``--out``, ``--seed`` and
+``--threads`` are global.
 
-Exit codes: 0 success, 2 configuration/validation error (usage errors, an
-input file that cannot be read and an --out that cannot be written included,
-the last two under the OSError's name; --out is made before the run), 3 all
+Exit codes: 0 success, 2 configuration/validation error (ConfigError for a
+usage error or a parameter fault the tables find; a library check, an
+unreadable input file or an unwritable --out under its own name), 3 all
 replicas censored.  Errors are also emitted as one JSON object on stderr.
 """
 
@@ -67,44 +69,13 @@ from .spde import SpdeRun, record_snapshots, spde_hitting_times_raw
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment request: name plus a flat parameter map."""
+    """Experiment request: name plus a flat parameter map, as given."""
 
     experiment: str
     parameters: dict
     seed: int = 0
     threads: int = 1
     out: str = "."
-
-    def __post_init__(self):
-        keys, what = _EXPERIMENTS[self.experiment][1], self.experiment
-        if self.experiment == "rate-functional":  # one input, one mode
-            given = sorted(_RATE_FUNCTIONAL_MODES.keys() & self.parameters.keys())
-            if len(given) != 1:
-                raise ValueError("rate-functional reads exactly one of "
-                                 "path_csv and field_jsonl")
-            keys, what = _RATE_FUNCTIONAL_MODES[given[0]], f"{what} --{given[0]}"
-        elif isinstance(keys, dict):
-            system = self.parameters.get("system", next(iter(keys)))
-            if system not in keys:
-                raise ValueError(f"unknown system {system!r}")
-            keys, what = keys[system] | {"system"}, f"{what} --system {system}"
-        norm = self.parameters.get("norm", "linf")
-        if "norm" in keys and norm != "hs":  # s is the hs norm's index
-            keys, what = keys - {"s"}, f"{what} --norm {norm}"
-        unread = sorted(set(self.parameters) - keys)
-        if unread:
-            raise ValueError(f"{what} does not read {', '.join(unread)}")
-        for key, v in self.parameters.items():
-            if key in _FLAG_TYPES and not (_fits(_FLAG_TYPES[key], v) or (
-                    # kramers-predict also takes a list of eps
-                    self.experiment == "kramers-predict" and key == "epsilon"
-                    and _fits(_comma_floats, v))):
-                raise ValueError(f"parameter {key} has the wrong type: {v!r}")
-            if not _finite(v):  # argparse reads "inf", json.load "Infinity"
-                raise ValueError(f"parameter {key} must be finite")
-        potential = self.parameters.get("potential", "quartic")
-        if potential not in _POTENTIALS:
-            raise ValueError(f"unknown potential {potential!r}")
 
     def hash(self) -> str:
         """Hash of the reproducibility-relevant fields only."""
@@ -113,6 +84,10 @@ class ExperimentConfig:
              "seed": self.seed},
             sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+class ConfigError(ValueError):
+    """A parameter fault the parameter tables find, before anything runs."""
 
 
 @dataclass(frozen=True)
@@ -124,16 +99,12 @@ class ArrheniusFit:
     r_squared: float
 
 
-def _require_three_eps(eps_values) -> None:
-    if len({float(e) for e in eps_values}) < 3:
-        raise InsufficientData("need at least 3 distinct eps values")
-
-
 def arrhenius_fit(batches) -> ArrheniusFit:
     """Fit (1/eps, log mean tau); the slope estimates the barrier height."""
     pts = [(float(eps), b.mean if isinstance(b, HittingTimeBatch) else float(b))
            for eps, b in batches]
-    _require_three_eps(e for e, _ in pts)
+    if len({e for e, _ in pts}) < 3:
+        raise InsufficientData("need at least 3 distinct eps values")
     x = np.array([1.0 / e for e, _ in pts])
     y = np.log([t for _, t in pts])
     A = np.vstack([x, np.ones_like(x)]).T
@@ -195,57 +166,25 @@ _POTENTIALS = {
 }
 
 
-def _require(params: dict, *keys):
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise ValueError(f"missing required parameter(s): {', '.join(missing)}")
-
-
-def _positive(params: dict, *keys):
-    for k in keys:
-        if k in params and not params[k] > 0:
-            raise ValueError(f"parameter {k} must be positive")
-
-
-def _at_least(params: dict, low: int, *keys):
-    for k in keys:
-        if k in params and not params[k] >= low:
-            raise ValueError(f"parameter {k} must be >= {low}")
-
-
-# the parameters of an SDE hitting ensemble
-_SDE_KEYS = {"epsilon", "dt", "x0", "target", "delta", "t_max", "potential"}
-
-
 def _sde_ensemble(p: dict, seed: int):
     """(run, worker(offset, count)) of the SDE hitting ensemble of p."""
-    _require(p, "epsilon", "dt", "x0", "target", "delta")
-    _positive(p, "epsilon", "dt", "delta")
-    pot = _POTENTIALS[p.get("potential", "quartic")]()
+    pot = _POTENTIALS[p["potential"]]()
     run = SdeRun(potential=pot, epsilon=p["epsilon"], dt=p["dt"],
-                 x0=np.atleast_1d(p["x0"]), seed=seed, t_max=p.get("t_max"))
+                 x0=np.atleast_1d(p["x0"]), seed=seed, t_max=p["t_max"])
     target = np.atleast_1d(p["target"])
     return run, lambda offset, count: hitting_times_raw(
         run, target, p["delta"], count, replica_offset=offset)
 
 
-# the parameters of a field hitting ensemble
-_SPDE_KEYS = {"d", "L", "N", "epsilon", "dt", "delta", "t_max", "start",
-              "renormalize", "target", "norm", "s"}
-
-
 def _spde_ensemble(p: dict, seed: int):
     """(run, worker(offset, count)) of the field hitting ensemble of p."""
-    _require(p, "d", "L", "N", "epsilon", "dt", "delta", "t_max")
-    _positive(p, "epsilon", "dt", "delta", "t_max")
-    if not 0 < p["L"] < 2 * np.pi:
-        raise ValueError("L must lie in (0, 2*pi)")
-    f0 = constant_field(p["d"], p["L"], p["N"], p.get("start", -1.0))
+    f0 = constant_field(p["d"], p["L"], p["N"], p["start"])
     run = SpdeRun(field0=f0, epsilon=p["epsilon"], dt=p["dt"], t_max=p["t_max"],
-                  seed=seed, renormalize=p.get("renormalize"))
+                  seed=seed, renormalize=p["renormalize"])
+    hs = {"s": p["s"]} if p["norm"] == "hs" else {}  # s is the hs norm's index
     return run, lambda offset, count: spde_hitting_times_raw(
-        run, p.get("target", 1.0), p["delta"], norm=p.get("norm", "linf"),
-        s=p.get("s", -0.5), n=count, replica_offset=offset)
+        run, p["target"], p["delta"], norm=p["norm"], n=count,
+        replica_offset=offset, **hs)
 
 
 def _hitting_results(raw: np.ndarray):
@@ -258,21 +197,16 @@ def _hitting_results(raw: np.ndarray):
     return ["replica", "tau", "censored"], rows, summary
 
 
-def _run_sde_hitting(cfg: ExperimentConfig):
-    _require(cfg.parameters, "n")
-    _, worker = _sde_ensemble(cfg.parameters, cfg.seed)
-    return _hitting_results(
-        _parallel_raw(worker, cfg.parameters["n"], cfg.threads))
+def _run_sde_hitting(cfg: ExperimentConfig, p: dict):
+    _, worker = _sde_ensemble(p, cfg.seed)
+    return _hitting_results(_parallel_raw(worker, p["n"], cfg.threads))
 
 
-def _run_spde_hitting(cfg: ExperimentConfig):
-    p = cfg.parameters
-    _require(p, "n")
-    _at_least(p, 0, "snapshots")
+def _run_spde_hitting(cfg: ExperimentConfig, p: dict):
     run, worker = _spde_ensemble(p, cfg.seed)
     raw = _parallel_raw(worker, p["n"], cfg.threads)
     results = _hitting_results(raw)
-    if p.get("snapshots"):
+    if p["snapshots"]:
         horizon = min(p["t_max"], float(np.nanmax(raw)) if np.isfinite(raw).any()
                       else p["t_max"])
         times = np.linspace(0.0, horizon, p["snapshots"])
@@ -281,24 +215,20 @@ def _run_spde_hitting(cfg: ExperimentConfig):
     return results
 
 
-def _run_ou_check(cfg: ExperimentConfig):
-    p = cfg.parameters
-    _require(p, "epsilon", "t", "dt", "n")
-    _positive(p, "epsilon", "t", "dt")
-    _at_least(p, 2, "n")  # a sample variance
-    eps, t = p["epsilon"], p["t"]
+def _run_ou_check(cfg: ExperimentConfig, p: dict):
+    eps, t, x0 = p["epsilon"], p["t"], p["x0"]
     run = SdeRun(potential=quadratic_well(), epsilon=eps, dt=p["dt"],
-                 x0=[p.get("x0", 1.0)], seed=cfg.seed)
+                 x0=[x0], seed=cfg.seed)
     xs = sample_endpoints(run, t, p["n"])[:, 0]
-    mean_th, var_th = ou_mean_var(p.get("x0", 1.0), t, eps)
+    mean_th, var_th = ou_mean_var(x0, t, eps)
     mean_emp, var_emp = float(xs.mean()), float(xs.var(ddof=1))
     se_mean = float(xs.std(ddof=1) / np.sqrt(xs.size))
     se_var = var_emp * np.sqrt(2.0 / (xs.size - 1))
 
     db = detailed_balance_residual(0.7, eps, np.linspace(-2, 2, 41))
     y = np.linspace(-1.5, 1.5, 31)
-    r1 = ou_fokker_planck_residual(p.get("x0", 1.0), eps, max(t, 0.5), y, 1e-2)
-    r2 = ou_fokker_planck_residual(p.get("x0", 1.0), eps, max(t, 0.5), y, 5e-3)
+    r1 = ou_fokker_planck_residual(x0, eps, max(t, 0.5), y, 1e-2)
+    r2 = ou_fokker_planck_residual(x0, eps, max(t, 0.5), y, 5e-3)
 
     header = ["check", "value", "expected", "band"]
     rows = [
@@ -311,15 +241,10 @@ def _run_ou_check(cfg: ExperimentConfig):
     return header, rows, {"all_passed": ok}
 
 
-def _run_potential_theory(cfg: ExperimentConfig):
-    p = cfg.parameters
-    _require(p, "epsilon")
-    _positive(p, "epsilon")
-    eps = p["epsilon"]
-    pot = _POTENTIALS[p.get("potential", "quartic")]()
-    grid = Grid1D(p.get("a", -2.5), p.get("b", 2.5), p.get("m", 1999))
-    A = p.get("A", (-1.2, -0.8))
-    B = p.get("B", (0.8, 1.2))
+def _run_potential_theory(cfg: ExperimentConfig, p: dict):
+    eps, A, B = p["epsilon"], p["A"], p["B"]
+    pot = _POTENTIALS[p["potential"]]()
+    grid = Grid1D(p["a"], p["b"], p["m"])
     w = solve_poisson(grid, pot, eps, B)
     comm = solve_committor(grid, pot, eps, A, B)
     rows = [
@@ -333,9 +258,7 @@ def _run_potential_theory(cfg: ExperimentConfig):
     return ["quantity", "value"], rows, dict(rows)
 
 
-def _run_determinant(cfg: ExperimentConfig):
-    p = cfg.parameters
-    _require(p, "d", "L", "N")
+def _run_determinant(cfg: ExperimentConfig, p: dict):
     d, L, N = p["d"], p["L"], p["N"]
     check_truncation(d, L, N)
     if d == 1:
@@ -353,24 +276,16 @@ def _run_determinant(cfg: ExperimentConfig):
     return ["quantity", "value"], rows, dict(rows)
 
 
-def _run_kramers_predict(cfg: ExperimentConfig):
-    p = cfg.parameters
-    system = p.get("system", "quartic")
-    eps_list = p.get("epsilon", [])
-    if np.isscalar(eps_list):
-        eps_list = [eps_list]
-    if system == "quartic":
+def _run_kramers_predict(cfg: ExperimentConfig, p: dict):
+    if p["system"] == "quartic":
         pot = quartic_double_well()
         pred = ek_finite(find_critical_point(pot, [-0.9]),
                          find_critical_point(pot, [0.1]), pot)
-    elif system == "ac1d":
-        _require(p, "L")
-        pred = ek_allen_cahn_1d(p["L"], p.get("N"))
-    elif system == "ac2d":
-        _require(p, "L", "N")
+    elif p["system"] == "ac1d":
+        pred = ek_allen_cahn_1d(p["L"], p["N"])
+    elif p["system"] == "ac2d":
         pred = ek_allen_cahn_2d(p["L"], p["N"])
     else:  # ac1d-galerkin
-        _require(p, "L", "N")
         gp = galerkin_potential_1d(p["L"], p["N"])
         mn, sd = galerkin_critical_points_1d(p["L"], p["N"])
         pred = ek_finite(mn, sd, gp)
@@ -379,23 +294,22 @@ def _run_kramers_predict(cfg: ExperimentConfig):
             ("lambda_minus", pred.lambda_minus),
             ("determinant_factor", pred.determinant_factor)]
     rows += [(f"predicted_mean_time_eps={eps}", pred.predict(eps))
-             for eps in eps_list]
+             for eps in p["epsilon"]]
     return ["quantity", "value"], rows, dict(rows)
 
 
-def _run_rate_functional(cfg: ExperimentConfig):
-    p = cfg.parameters
+def _run_rate_functional(cfg: ExperimentConfig, p: dict):
     if "field_jsonl" in p:
         from .rate_functional import load_field_path_jsonl, rate_functional_ac_1d
 
         path = load_field_path_jsonl(p["field_jsonl"])
-        if p.get("L", path.L) != path.L:
+        if p["L"] not in (None, path.L):  # the file's torus, known once read
             raise ShapeMismatch(f"path torus length {path.L} != requested {p['L']}")
         value = rate_functional_ac_1d(path)
         rev = rate_functional_ac_1d(path.reversed())
     else:
         path = load_path_csv(p["path_csv"])
-        pot = _POTENTIALS[p.get("potential", "quartic")]()
+        pot = _POTENTIALS[p["potential"]]()
         value = rate_functional_sde(path, pot)
         rev = rate_functional_sde(path.reversed(), pot)
     rows = [("cost", value), ("cost_reversed", rev),
@@ -403,15 +317,8 @@ def _run_rate_functional(cfg: ExperimentConfig):
     return ["quantity", "value"], rows, dict(rows)
 
 
-def _run_randomwalk(cfg: ExperimentConfig):
-    p = cfg.parameters
-    _require(p, "n_walks", "n_steps")
-    _at_least(p, 2, "n_walks")  # a sample variance
-    _at_least(p, 1, "n_steps")
-    n_walks, n_steps = p["n_walks"], p["n_steps"]
-    s, t = p.get("s", 0.25), p.get("t", 1.0)
-    if not s < t:
-        raise ValueError("parameter s must be below t")
+def _run_randomwalk(cfg: ExperimentConfig, p: dict):
+    n_walks, n_steps, s, t = p["n_walks"], p["n_steps"], p["s"], p["t"]
     w = ensemble_rescaled(n_walks, n_steps, [s, t, 1.0], cfg.seed)
     incr = w[:, 1] - w[:, 0]
     var_emp = float(incr.var(ddof=1))
@@ -427,29 +334,15 @@ def _run_randomwalk(cfg: ExperimentConfig):
     return header, rows, {"ks_pvalue": float(ks.pvalue)}
 
 
-# system -> (ensemble builder, its parameters, defaults under the user's
-# parameters): each eps runs, and is validated as, the matching single-run
-# experiment.  The sweep sets epsilon from its list and reads no d (ac1d: 1).
-_SWEEP_SYSTEMS = {
-    "sde": (_sde_ensemble, _SDE_KEYS,
-            {"dt": 1e-3, "x0": -1.0, "target": 1.0, "delta": 0.2}),
-    "ac1d": (_spde_ensemble, _SPDE_KEYS,
-             {"d": 1, "dt": 2e-3, "t_max": 4000.0, "delta": 0.3}),
-}
-
-
-def _run_arrhenius_sweep(cfg: ExperimentConfig):
-    p = cfg.parameters
-    _require(p, "epsilon_list", "n")
-    ensemble, _, defaults = _SWEEP_SYSTEMS[p.get("system", "sde")]
+def _run_arrhenius_sweep(cfg: ExperimentConfig, p: dict):
+    ensemble = _sde_ensemble if p["system"] == "sde" else _spde_ensemble
     eps_list, n = p["epsilon_list"], p["n"]
-    _require_three_eps(eps_list)  # before any ensemble runs
     # the eps index joins the seed in the entropy, so no (seed, index) pair
     # shares another's streams
     seeds = [int(np.random.SeedSequence([cfg.seed, i]).generate_state(1)[0])
              for i in range(len(eps_list))]
-    workers = [ensemble({**defaults, **p, "epsilon": eps}, seed)[1]
-               for eps, seed in zip(eps_list, seeds)]  # validates every eps first
+    workers = [ensemble({**p, "epsilon": eps, "d": 1}, seed)[1]  # ac1d: d = 1
+               for eps, seed in zip(eps_list, seeds)]  # each checked before any runs
     batches = [(eps, HittingTimeBatch.from_raw(_parallel_raw(worker, n, cfg.threads)))
                for eps, worker in zip(eps_list, workers)]
     fit = arrhenius_fit(batches)
@@ -459,31 +352,6 @@ def _run_arrhenius_sweep(cfg: ExperimentConfig):
     summary = {"slope": fit.slope, "intercept": fit.intercept,
                "r_squared": fit.r_squared}
     return header, rows, summary
-
-
-# rate-functional's input -> the parameters it reads with that input
-_RATE_FUNCTIONAL_MODES = {"path_csv": {"path_csv", "potential"},
-                          "field_jsonl": {"field_jsonl", "L"}}
-
-# experiment -> (runner, the parameters it reads).  Where the set depends on
-# --system it is a map from each system to its set, the default system first.
-_EXPERIMENTS = {
-    "sde-hitting": (_run_sde_hitting, _SDE_KEYS | {"n"}),
-    "spde-hitting": (_run_spde_hitting, _SPDE_KEYS | {"n", "snapshots"}),
-    "ou-check": (_run_ou_check, {"epsilon", "t", "dt", "n", "x0"}),
-    "potential-theory": (_run_potential_theory,
-                         {"epsilon", "potential", "a", "b", "m", "A", "B"}),
-    "determinant": (_run_determinant, {"d", "L", "N"}),
-    "kramers-predict": (_run_kramers_predict, {
-        "quartic": {"epsilon"}, "ac1d": {"L", "N", "epsilon"},
-        "ac2d": {"L", "N", "epsilon"}, "ac1d-galerkin": {"L", "N", "epsilon"}}),
-    "rate-functional": (_run_rate_functional,
-                        set().union(*_RATE_FUNCTIONAL_MODES.values())),
-    "randomwalk": (_run_randomwalk, {"n_walks", "n_steps", "s", "t"}),
-    "arrhenius-sweep": (_run_arrhenius_sweep, {
-        system: keys - {"epsilon", "d"} | {"epsilon_list", "n"}
-        for system, (_, keys, _) in _SWEEP_SYSTEMS.items()}),
-}
 
 
 def _comma_floats(text: str) -> list:
@@ -496,20 +364,99 @@ def _on_off(text: str) -> bool:
     return text == "on"
 
 
-# parameter -> type of its flag; A and B come only from a config file
-_FLAG_TYPES = {
-    "epsilon": float, "dt": float, "t": float, "t_max": float, "x0": float,
-    "target": float, "delta": float, "n": int, "d": int, "L": float, "N": int,
-    "m": int, "a": float, "b": float, "s": float, "start": float,
-    "n_walks": int, "n_steps": int, "potential": str, "system": str,
-    "norm": str, "path_csv": str, "field_jsonl": str, "snapshots": int,
-    "epsilon_list": _comma_floats, "renormalize": _on_off,
+_POSITIVE = (lambda v: v > 0, "parameter {key} must be positive")
+
+
+def _no_less(low: int) -> tuple:
+    return lambda v: v >= low, f"parameter {{key}} must be >= {low}"
+
+
+# parameter -> (the type of its flag, then its domain if it has one: a test
+# of a value, or of each element of a list, and the fault's message).  A and
+# B, config-only pairs, have the type (float, float) and no flag.  The library keeps the checks it
+# makes before any work: d, N, L > 0, m, a, b, A, B, the field's dt < 1, s < 0.
+_PARAMS = {
+    "epsilon": (float, _POSITIVE), "dt": (float, _POSITIVE),
+    "t": (float, _POSITIVE), "t_max": (float, _POSITIVE), "x0": (float,),
+    "target": (float,), "delta": (float, _POSITIVE), "n": (int, _no_less(1)),
+    "d": (int,), "L": (float,), "N": (int,), "m": (int,), "a": (float,),
+    "b": (float,), "s": (float,), "start": (float,),
+    "n_walks": (int, _no_less(2)),  # a sample variance
+    "n_steps": (int, _no_less(1)),
+    "potential": (str, (lambda v: v in _POTENTIALS, "unknown {key} {value!r}")),
+    "system": (str,), "norm": (str,), "path_csv": (str,), "field_jsonl": (str,),
+    "snapshots": (int, _no_less(0)), "epsilon_list": (_comma_floats, _POSITIVE),
+    "renormalize": (_on_off,), "A": ((float, float),), "B": ((float, float),),
+}
+
+# the parameters of the SDE and of the field hitting ensembles besides
+# epsilon (and the field's d): each one's default, or ... where required
+_SDE = {"dt": ..., "x0": ..., "target": ..., "delta": ..., "t_max": None,
+        "potential": "quartic"}
+_FIELD = {"L": ..., "N": ..., "dt": ..., "delta": ..., "t_max": ...,
+          "start": -1.0, "renormalize": None, "target": 1.0}
+
+
+def _normed(row: dict) -> tuple:
+    """row under --norm: s, the Sobolev index, is read with hs only."""
+    return "norm", {"linf": row, "hs": {**row, "s": -0.5}}
+
+
+# a rule: (the keys it reads, a test of their values, the error and message
+# of a failure); it holds wherever its keys are read
+_L_RANGE = (("L",), lambda L: 0 < L < 2 * np.pi, ConfigError,
+            "L must lie in (0, 2*pi)")
+
+# experiment -> (runner, what it reads, its rules).  What it reads is a row,
+# each parameter's default (... where required), or a choice: (the key that
+# picks, {value: what it reads}), the default first.  rate-functional's input picks by which
+# one is given (key None).
+_EXPERIMENTS = {
+    "sde-hitting": (_run_sde_hitting, {"epsilon": ..., **_SDE, "n": ...}, ()),
+    "spde-hitting": (_run_spde_hitting, _normed(
+        {"d": ..., "epsilon": ..., **_FIELD, "n": ..., "snapshots": 0}), (_L_RANGE,)),
+    "ou-check": (_run_ou_check,
+                 {"epsilon": ..., "t": ..., "dt": ..., "n": ..., "x0": 1.0},
+                 ((("n",), lambda n: n >= 2, ConfigError,  # a sample variance
+                   "parameter n must be >= 2"),)),
+    "potential-theory": (_run_potential_theory, {
+        "epsilon": ..., "potential": "quartic", "a": -2.5, "b": 2.5, "m": 1999,
+        "A": (-1.2, -0.8), "B": (0.8, 1.2)}, ()),
+    "determinant": (_run_determinant, {"d": ..., "L": ..., "N": ...}, ()),
+    "kramers-predict": (_run_kramers_predict, ("system", {
+        "quartic": {"epsilon": []}, "ac1d": {"L": ..., "N": None, "epsilon": []},
+        "ac2d": {"L": ..., "N": ..., "epsilon": []},
+        "ac1d-galerkin": {"L": ..., "N": ..., "epsilon": []}}), ()),
+    "rate-functional": (_run_rate_functional, (None, {
+        "path_csv": {"path_csv": ..., "potential": "quartic"},
+        "field_jsonl": {"field_jsonl": ..., "L": None}}), ()),
+    "randomwalk": (_run_randomwalk,
+                   {"n_walks": ..., "n_steps": ..., "s": 0.25, "t": 1.0},
+                   ((("s", "t"), lambda s, t: s < t, ConfigError,
+                     "parameter s must be below t"),)),
+    "arrhenius-sweep": (_run_arrhenius_sweep, ("system", {
+        "sde": {**_SDE, "dt": 1e-3, "x0": -1.0, "target": 1.0, "delta": 0.2,
+                "epsilon_list": ..., "n": ...},
+        "ac1d": _normed({**_FIELD, "dt": 2e-3, "t_max": 4000.0, "delta": 0.3,
+                         "epsilon_list": ..., "n": ...})}),
+        (_L_RANGE, (("epsilon_list",), lambda e: len(set(e)) >= 3,
+                    InsufficientData, "need at least 3 distinct eps values"))),
 }
 
 
+def _reads(node) -> set:
+    """Every parameter a node of _EXPERIMENTS reads, under any choice."""
+    if isinstance(node, dict):
+        return set(node)
+    key, choices = node
+    return {key}.union(*map(_reads, choices.values())) - {None}
+
+
 def _fits(kind, v) -> bool:
-    """Whether config-file value v has the JSON type of a flag of type kind:
-    a bool is neither an integer nor a number, and renormalize takes one."""
+    """Whether config-file value v has the JSON type of a parameter of type
+    kind: a bool is neither an integer nor a number, and renormalize takes one."""
+    if isinstance(kind, tuple):  # a list of that many values of those types
+        return isinstance(v, list) and len(v) == len(kind) and all(map(_fits, kind, v))
     if kind is _comma_floats:
         return isinstance(v, list) and all(_fits(float, x) for x in v)
     if kind is _on_off:
@@ -523,6 +470,56 @@ def _finite(v) -> bool:
     if isinstance(v, (list, tuple)):
         return all(_finite(x) for x in v)
     return not isinstance(v, float) or math.isfinite(v)
+
+
+def _wrong_type(key: str, v) -> ConfigError:
+    return ConfigError(f"parameter {key} has the wrong type: {v!r}")
+
+
+def _parameters(cfg: ExperimentConfig) -> dict:
+    """cfg's parameters checked against the tables, with the row's defaults
+    filled in; raises ConfigError (or a rule's own error) at the first fault."""
+    given, what = cfg.parameters, cfg.experiment
+    _, node, rules = _EXPERIMENTS[cfg.experiment]
+    row = {}
+    while isinstance(node, tuple):
+        key, choices = node
+        if key is None:  # rate-functional's input
+            picked = sorted(choices.keys() & given.keys())
+            if len(picked) != 1:
+                raise ConfigError(f"{what} reads exactly one of {' and '.join(choices)}")
+            node, what = choices[picked[0]], f"{what} --{picked[0]}"
+            continue
+        row[key] = choice = given.get(key, next(iter(choices)))
+        if not _fits(str, choice):
+            raise _wrong_type(key, choice)
+        if choice not in choices:
+            raise ConfigError(f"unknown {key} {choice!r}")
+        node, what = choices[choice], f"{what} --{key} {choice}"
+    row.update(node)
+    unread = sorted(given.keys() - row.keys())
+    if unread:
+        raise ConfigError(f"{what} does not read {', '.join(unread)}")
+    p = dict(row)
+    for key, v in given.items():
+        kind, *domain = _PARAMS[key]
+        many = isinstance(row[key], list)  # kramers-predict's epsilon: one or a list
+        if not (_fits(kind, v) or many and _fits(_comma_floats, v)):
+            raise _wrong_type(key, v)
+        if not _finite(v):  # argparse reads "inf", json.load "Infinity"
+            raise ConfigError(f"parameter {key} must be finite")
+        for holds, fault in domain:
+            bad = [x for x in (v if isinstance(v, list) else [v]) if not holds(x)]
+            if bad:
+                raise ConfigError(fault.format(key=key, value=bad[0]))
+        p[key] = [v] if many and not isinstance(v, list) else v
+    missing = [key for key, default in row.items() if default is ... and key not in given]
+    if missing:
+        raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
+    for keys, holds, error, message in rules:
+        if p.keys() >= set(keys) and not holds(*(p[k] for k in keys)):
+            raise error(message)
+    return p
 
 
 def _report(error: str, message: str) -> None:
@@ -545,17 +542,17 @@ def parse_config(argv) -> ExperimentConfig:
         description="Metastable-dynamics experiments with seeded, "
                     "reproducible Monte Carlo and PDE/determinant oracles.")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, (_, keys) in _EXPERIMENTS.items():
-        if isinstance(keys, dict):
-            keys = {"system"}.union(*keys.values())
+    for name, (_, node, _) in _EXPERIMENTS.items():
+        reads = _reads(node)
         sp = sub.add_parser(name, allow_abbrev=False)
         sp.add_argument("--config", help="JSON file with a parameters map")
         sp.add_argument("--out", default=".")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--threads", type=int)
-        for key in (k for k in _FLAG_TYPES if k in keys):
-            sp.add_argument("--epsilon-list" if key == "epsilon_list" else f"--{key}",
-                            dest=key, type=_FLAG_TYPES[key])
+        for key, (kind, *_) in _PARAMS.items():
+            if key in reads and not isinstance(kind, tuple):  # A, B: no flag
+                sp.add_argument("--epsilon-list" if key == "epsilon_list"
+                                else f"--{key}", dest=key, type=kind)
 
     ns = parser.parse_args(argv)
     params, seed, threads = {}, 0, 1
@@ -578,7 +575,7 @@ def parse_config(argv) -> ExperimentConfig:
         if file_cfg.get("experiment", ns.experiment) != ns.experiment:
             raise ValueError("config file experiment differs from subcommand")
     params.update((k, v) for k, v in vars(ns).items()
-                  if k in _FLAG_TYPES and v is not None)
+                  if k in _PARAMS and v is not None)
     if ns.seed is not None:
         seed = ns.seed
     if ns.threads is not None:
@@ -590,24 +587,26 @@ def parse_config(argv) -> ExperimentConfig:
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute one experiment; returns the process exit code.  The out
-    directory is made before the experiment runs, so an --out that cannot be
-    written exits before anything runs, and a failed run removes the
-    directories it made."""
+    """Execute one experiment; returns the process exit code.  The
+    parameters are checked, then the out directory is made, before the
+    experiment runs, so a parameter fault or an --out that cannot be written
+    exits before anything runs, and a failed run removes the directories it
+    made."""
     t0 = time.perf_counter()
     out = Path(cfg.out)
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
+        p = _parameters(cfg)
         out.mkdir(parents=True, exist_ok=True)
-        header, rows, summary = _EXPERIMENTS[cfg.experiment][0](cfg)
+        header, rows, summary = _EXPERIMENTS[cfg.experiment][0](cfg, p)
         write_results(cfg, header, rows, summary, wall_time=time.perf_counter() - t0)
         return 0
     except AllCensored as exc:
         _report("AllCensored", str(exc))
         code = 3
-    except (OSError, ValueError, TypeError, KeyError, MetastabError) as exc:
-        # TypeError: a config-file value of the wrong JSON type; OSError: an
-        # input file that cannot be read or an --out that cannot be written
+    except (OSError, ValueError, MetastabError) as exc:
+        # OSError: an input file that cannot be read or an --out that cannot
+        # be written
         _report(type(exc).__name__, str(exc))
         code = 2
     for d in made:

@@ -254,7 +254,7 @@ class TestCliRuns:
         assert not out.exists()
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        assert json.loads(err[0]) == {"error": "ValueError", "message": phrase}
+        assert json.loads(err[0]) == {"error": "ConfigError", "message": phrase}
 
     @pytest.mark.parametrize("argv", (
         ["rate-functional", "--path_csv", "missing.csv"],
@@ -300,8 +300,8 @@ class TestCliRuns:
             raise AssertionError("ran before the eps count check")
 
         monkeypatch.setattr(cli, "_parallel_raw", ran)
-        monkeypatch.setitem(cli._SWEEP_SYSTEMS, "sde",
-                            (ran, *cli._SWEEP_SYSTEMS["sde"][1:]))
+        monkeypatch.setitem(cli._EXPERIMENTS, "arrhenius-sweep",
+                            (ran, *cli._EXPERIMENTS["arrhenius-sweep"][1:]))
         out = tmp_path / "out"
         assert main(["arrhenius-sweep", "--epsilon-list", eps_list, "--n", "200",
                      "--out", str(out)]) == 2
@@ -338,7 +338,7 @@ class TestCliRuns:
         assert main(["spde-hitting", *args, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "ValueError", "message": "L must lie in (0, 2*pi)"}
+        assert err == {"error": "ConfigError", "message": "L must lie in (0, 2*pi)"}
 
     def test_determinant_dimension_is_the_truncation_check(self, tmp_path, capsys):
         code = main(["determinant", "--d", "3", "--L", "2", "--N", "8",
@@ -815,6 +815,221 @@ class TestParametersRead:
         payload = json.loads(err[0])
         assert payload["error"] == "ConfigError"
         assert phrase in payload["message"]
+
+
+# (experiment, choice, a parameter map that passes every check, its required
+# keys): the base of each bad case below
+VALID = (
+    ("sde-hitting", "", {
+        "epsilon": 0.3, "dt": 0.002, "x0": -1.0, "target": 1.0, "delta": 0.2,
+        "t_max": 5.0, "potential": "quartic", "n": 4},
+     "epsilon dt x0 target delta n"),
+    ("spde-hitting", "hs", {
+        "d": 1, "L": 2.0, "N": 4, "epsilon": 0.5, "dt": 0.01, "delta": 0.3,
+        "t_max": 5.0, "start": -1.0, "renormalize": False, "target": 1.0,
+        "norm": "hs", "s": -0.5, "n": 4, "snapshots": 2},
+     "d L N epsilon dt delta t_max n"),
+    ("ou-check", "", {"epsilon": 0.1, "t": 0.1, "dt": 0.01, "n": 4, "x0": 1.0},
+     "epsilon t dt n"),
+    ("potential-theory", "", {
+        "epsilon": 0.25, "potential": "quartic", "a": -2.5, "b": 2.5, "m": 99,
+        "A": [-1.2, -0.8], "B": [0.8, 1.2]}, "epsilon"),
+    ("determinant", "", {"d": 1, "L": 2.0, "N": 8}, "d L N"),
+    ("kramers-predict", "quartic", {"system": "quartic", "epsilon": [0.1, 0.2]}, ""),
+    ("kramers-predict", "ac1d", {"system": "ac1d", "L": 2.0, "N": 8,
+                                 "epsilon": 0.1}, "L"),
+    ("kramers-predict", "ac2d", {"system": "ac2d", "L": 2.0, "N": 8,
+                                 "epsilon": 0.1}, "L N"),
+    ("kramers-predict", "ac1d-galerkin", {"system": "ac1d-galerkin", "L": 2.0,
+                                          "N": 4, "epsilon": 0.1}, "L N"),
+    ("rate-functional", "path_csv", {"path_csv": "p.csv", "potential": "quartic"},
+     ""),
+    ("rate-functional", "field_jsonl", {"field_jsonl": "f.jsonl", "L": 2.0}, ""),
+    ("randomwalk", "", {"n_walks": 10, "n_steps": 5, "s": 0.25, "t": 0.5},
+     "n_walks n_steps"),
+    ("arrhenius-sweep", "sde", {
+        "system": "sde", "epsilon_list": [0.3, 0.4, 0.5], "n": 4, "dt": 0.002,
+        "x0": -1.0, "target": 1.0, "delta": 0.2, "t_max": 5.0,
+        "potential": "quartic"}, "epsilon_list n"),
+    ("arrhenius-sweep", "ac1d", {
+        "system": "ac1d", "epsilon_list": [0.5, 0.6, 0.7], "n": 4, "L": 2.0,
+        "N": 4, "dt": 0.01, "delta": 0.3, "t_max": 5.0, "start": -1.0,
+        "renormalize": False, "target": 1.0, "norm": "hs", "s": -0.5},
+     "epsilon_list L N n"),
+)
+
+# JSON values of the wrong type for each parameter's type; a bool is never a
+# number, and A and B are lists of two numbers
+INTS = {"n", "N", "d", "m", "snapshots", "n_walks", "n_steps"}
+STRS = {"potential", "system", "norm", "path_csv", "field_jsonl"}
+WRONG = {"int": (1.5, True, "4"), "float": ("0.3", False, None),
+         "str": (1, True), "bool": ("off", 1), "list": (0.3, [0.3, "0.4"]),
+         "pair": ([False, 0.5], [1], [-1.2, -0.8, 5], {"lo": 0.8}, "A")}
+# values out of each domain, as (value, phrase of the message)
+OUT_OF_DOMAIN = {
+    "epsilon": (0, "parameter epsilon must be positive"),
+    "dt": (-0.1, "parameter dt must be positive"),
+    "t": (0, "parameter t must be positive"),
+    "t_max": (0, "parameter t_max must be positive"),
+    "delta": (-0.2, "parameter delta must be positive"),
+    "n": (0, "parameter n must be >= 1"),
+    "n_walks": (1, "parameter n_walks must be >= 2"),
+    "n_steps": (0, "parameter n_steps must be >= 1"),
+    "snapshots": (-2, "parameter snapshots must be >= 0"),
+    "potential": ("cubic", "unknown potential 'cubic'"),
+    "system": ("nope", "unknown system 'nope'"),
+    "norm": ("l2", "unknown norm 'l2'"),
+    "epsilon_list": ([0.3, 0.4, -0.5], "parameter epsilon_list must be positive"),
+}
+# cross-key rules, and the domain of each element of kramers-predict's list
+RULES = (
+    ("randomwalk", {"s": 0.5, "t": 0.25}, "parameter s must be below t"),
+    ("randomwalk", {"s": 0.5, "t": 0.5}, "parameter s must be below t"),
+    ("ou-check", {"n": 1}, "parameter n must be >= 2"),
+    ("spde-hitting", {"L": 7.0}, "L must lie in (0, 2*pi)"),
+    ("spde-hitting", {"L": -1.0}, "L must lie in (0, 2*pi)"),
+    ("arrhenius-sweep", {"system": "ac1d", "L": 6.3}, "L must lie in (0, 2*pi)"),
+    ("kramers-predict", {"system": "ac1d", "epsilon": [0.1, -1]},
+     "parameter epsilon must be positive"),
+    ("kramers-predict", {"system": "ac1d", "epsilon": [0.1, "0.2"]},
+     "parameter epsilon has the wrong type"),
+    ("sde-hitting", {"bogus": 1}, "sde-hitting does not read bogus"),
+    ("spde-hitting", {"norm": "linf"}, "spde-hitting --norm linf does not read s"),
+    ("rate-functional", {"field_jsonl": "f.jsonl"},
+     "rate-functional reads exactly one of path_csv and field_jsonl"),
+)
+
+
+def no_rows(cfg, p):
+    return ["quantity"], [], None
+
+
+def type_of(key):
+    return ("int" if key in INTS else "str" if key in STRS
+            else "bool" if key == "renormalize" else "list" if key == "epsilon_list"
+            else "pair" if key in ("A", "B") else "float")
+
+
+def table_cases():
+    """(experiment, parameters, phrase of the message) for each key of each
+    row of VALID and each bad value: wrong type, non-finite, out of its
+    domain, missing where required; then the cross-key RULES."""
+    for experiment, choice, valid, required in VALID:
+        at = "-".join(filter(None, (experiment, choice)))
+        for key in valid:
+            kind = type_of(key)
+            for i, v in enumerate(WRONG[kind]):
+                yield pytest.param(experiment, {**valid, key: v},
+                                   f"parameter {key} has the wrong type",
+                                   id=f"{at}-{key}-type{i}")
+            if kind in ("float", "list", "pair"):
+                for v in (float("inf"), float("nan")):
+                    bad = [v, 1.0] if kind in ("list", "pair") else v
+                    yield pytest.param(experiment, {**valid, key: bad},
+                                       f"parameter {key} must be finite",
+                                       id=f"{at}-{key}-{v}")
+            if key in OUT_OF_DOMAIN:
+                v, phrase = OUT_OF_DOMAIN[key]
+                yield pytest.param(experiment, {**valid, key: v}, phrase,
+                                   id=f"{at}-{key}-domain")
+        for key in required.split():
+            yield pytest.param(experiment,
+                               {k: v for k, v in valid.items() if k != key},
+                               f"missing required parameter(s): {key}",
+                               id=f"{at}-{key}-missing")
+    for i, (experiment, change, phrase) in enumerate(RULES):
+        valid = next(v for e, _, v, _ in VALID
+                     if e == experiment and v.get("system") == change.get(
+                         "system", v.get("system")))
+        yield pytest.param(experiment, {**valid, **change}, phrase,
+                           id=f"{experiment}-rule{i}")
+
+
+class TestParameterTable:
+    """Every parameter fault the tables find exits 2 with one JSON line
+    naming ConfigError, before the runner is called or --out is made."""
+
+    @staticmethod
+    def replace_runner(experiment, monkeypatch, runner=None):
+        """Put runner, or one that fails if called, in place of the
+        experiment's; returns the parameter maps it was called with."""
+        seen = []
+
+        def ran(cfg, p):
+            if runner is None:
+                raise AssertionError("the runner ran")
+            seen.append(p)
+            return runner(cfg, p)
+
+        monkeypatch.setitem(cli._EXPERIMENTS, experiment,
+                            (ran, *cli._EXPERIMENTS[experiment][1:]))
+        return seen
+
+    @pytest.mark.parametrize("experiment,params,phrase", table_cases())
+    def test_bad_parameter_is_a_config_error_before_running(
+            self, experiment, params, phrase, tmp_path, capsys, monkeypatch):
+        self.replace_runner(experiment, monkeypatch)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"parameters": params}))
+        out = tmp_path / "out" / "sub"
+        assert main([experiment, "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "ConfigError"
+        assert phrase in payload["message"]
+
+    @pytest.mark.parametrize("argv,phrase", (
+        (["kramers-predict", "--system", "ac1d", "--L", "2", "--epsilon", "0"],
+         "parameter epsilon must be positive"),
+        (["kramers-predict", "--epsilon", "-0.1"],
+         "parameter epsilon must be positive"),
+        (["sde-hitting", *SDE_ARGS[:-1], "0"], "parameter n must be >= 1"),
+        (["spde-hitting", *SPDE_ARGS, "--delta", "-0.2"],
+         "parameter delta must be positive"),
+    ))
+    def test_bad_flag_is_a_config_error_before_running(
+            self, argv, phrase, tmp_path, capsys, monkeypatch):
+        self.replace_runner(argv[0], monkeypatch)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "ConfigError", "message": phrase}
+
+    @pytest.mark.parametrize("experiment,choice,valid,required", VALID,
+                             ids=["-".join(filter(None, row[:2])) for row in VALID])
+    def test_valid_base_reaches_the_runner(self, experiment, choice, valid,
+                                           required, tmp_path, monkeypatch):
+        # so each bad case fails on its bad value, not on its base
+        seen = self.replace_runner(experiment, monkeypatch, no_rows)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"parameters": valid}))
+        assert main([experiment, "--config", str(cfg_file),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert seen[0].items() >= {k: v for k, v in valid.items()
+                                   if k != "epsilon"}.items()
+
+    @pytest.mark.parametrize("argv,defaults", (
+        (["ou-check", "--epsilon", "0.1", "--t", "1", "--dt", "0.01", "--n", "4"],
+         {"x0": 1.0}),
+        (["sde-hitting", *SDE_ARGS], {"t_max": None, "potential": "quartic"}),
+        (["kramers-predict", "--system", "ac1d", "--L", "2", "--epsilon", "0.1"],
+         {"N": None, "epsilon": [0.1]}),  # one eps is a list of one
+        (["kramers-predict"], {"system": "quartic", "epsilon": []}),
+        (["arrhenius-sweep", "--system", "ac1d", "--L", "2", "--N", "4",
+          *SWEEP_ARGS], {"dt": 2e-3, "t_max": 4000.0, "delta": 0.3,
+                         "norm": "linf", "start": -1.0, "target": 1.0}),
+    ))
+    def test_runner_reads_the_defaults_and_the_manifest_the_given(
+            self, argv, defaults, tmp_path, monkeypatch):
+        seen = self.replace_runner(argv[0], monkeypatch, no_rows)
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert seen[0].items() >= defaults.items()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["parameters"] == parse_config(argv).parameters
 
 
 def readme_cli_commands():
