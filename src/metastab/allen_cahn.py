@@ -85,8 +85,6 @@ def galerkin_potential_1d(L: float, N: int) -> Potential:
     quad_diag = np.empty(2 * N + 1)
     quad_diag[0] = nu[0]
     quad_diag[1::2] = quad_diag[2::2] = 2 * nu[1:]
-    # grid values of the coordinate directions, (2N+1, M)
-    basis = colloc.grid(_coords_to_half(np.eye(2 * N + 1), N))
 
     def value(x):
         x = np.asarray(x, float)
@@ -104,6 +102,8 @@ def galerkin_potential_1d(L: float, N: int) -> Potential:
 
     def hessian(x: np.ndarray) -> np.ndarray:
         u = colloc.grid(_coords_to_half(np.asarray(x, float), N))
+        # (2N+1, M) grid values of the coordinate directions: only read here
+        basis = colloc.grid(_coords_to_half(np.eye(2 * N + 1), N))
         return np.diag(quad_diag) + (basis * (3.0 * u**2 * cell)) @ basis.T
 
     return Potential(value=value, gradient_batch=gradient_batch, hessian=hessian)

@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__
 from .allen_cahn import galerkin_critical_points_1d, galerkin_potential_1d
 from .determinants import carleman_det_2d, fredholm_closed_form, fredholm_det_1d
-from .errors import AllCensored, InsufficientData, MetastabError, ShapeMismatch
+from .errors import AllCensored, DomainError, InsufficientData, MetastabError, ShapeMismatch
 from .fields import check_truncation, constant_field
 from .kramers import ek_allen_cahn_1d, ek_allen_cahn_2d, ek_finite
 from .potential_theory import (
@@ -105,6 +105,9 @@ def arrhenius_fit(batches) -> ArrheniusFit:
            for eps, b in batches]
     if len({e for e, _ in pts}) < 3:
         raise InsufficientData("need at least 3 distinct eps values")
+    bad = [(e, t) for e, t in pts if not (t > 0 and math.isfinite(t))]
+    if bad:  # a zero mean: every replica started inside the target
+        raise DomainError(f"mean time {bad[0][1]} at eps {bad[0][0]} has no logarithm")
     x = np.array([1.0 / e for e, _ in pts])
     y = np.log([t for _, t in pts])
     A = np.vstack([x, np.ones_like(x)]).T
@@ -477,8 +480,14 @@ def _wrong_type(key: str, v) -> ConfigError:
 
 
 def _parameters(cfg: ExperimentConfig) -> dict:
-    """cfg's parameters checked against the tables, with the row's defaults
+    """cfg's seed, threads and parameters checked, with the row's defaults
     filled in; raises ConfigError (or a rule's own error) at the first fault."""
+    for key, low in (("seed", 0), ("threads", 1)):  # global, not in _PARAMS
+        v, (holds, fault) = getattr(cfg, key), _no_less(low)
+        if not _fits(int, v):
+            raise _wrong_type(key, v)
+        if not holds(v):
+            raise ConfigError(fault.format(key=key))
     given, what = cfg.parameters, cfg.experiment
     _, node, rules = _EXPERIMENTS[cfg.experiment]
     row = {}
@@ -555,7 +564,7 @@ def parse_config(argv) -> ExperimentConfig:
                                 else f"--{key}", dest=key, type=kind)
 
     ns = parser.parse_args(argv)
-    params, seed, threads = {}, 0, 1
+    file_cfg = {}
     if ns.config:
         with open(ns.config) as f:
             file_cfg = json.load(f)
@@ -566,24 +575,15 @@ def parse_config(argv) -> ExperimentConfig:
                                           "threads"})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        for key in ("seed", "threads"):  # checked like an int parameter
-            if key in file_cfg and not _fits(int, file_cfg[key]):
-                raise ValueError(f"{key} has the wrong type: {file_cfg[key]!r}")
-        params.update(file_cfg.get("parameters", {}))
-        seed = file_cfg.get("seed", seed)
-        threads = file_cfg.get("threads", threads)
         if file_cfg.get("experiment", ns.experiment) != ns.experiment:
             raise ValueError("config file experiment differs from subcommand")
-    params.update((k, v) for k, v in vars(ns).items()
-                  if k in _PARAMS and v is not None)
-    if ns.seed is not None:
-        seed = ns.seed
-    if ns.threads is not None:
-        threads = ns.threads
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    flags = {k: v for k, v in vars(ns).items() if v is not None}
+    params = {**file_cfg.get("parameters", {}),
+              **{k: v for k, v in flags.items() if k in _PARAMS}}
+    # seed and threads: a flag overrides the file, the file the default
+    top = {"seed": 0, "threads": 1, **file_cfg, **flags}
     return ExperimentConfig(experiment=ns.experiment, parameters=params,
-                            seed=seed, threads=threads, out=ns.out)
+                            seed=top["seed"], threads=top["threads"], out=ns.out)
 
 
 def run(cfg: ExperimentConfig) -> int:

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AllCensored, NonFinite
+from .errors import AllCensored, NonFinite, ShapeMismatch
 from .potentials import Potential
 
 # The block rule, in values of 8 bytes (normals, and kept values beside them):
@@ -482,12 +482,16 @@ def hitting_times_raw(run: SdeRun, target_center: np.ndarray, delta: float,
                       n: int, replica_offset: int = 0) -> np.ndarray:
     """First times ||x_t - center|| < delta, one entry per replica (nan =
     censored at the horizon), run on the usable CPUs by run_ranges.
-    Deterministic given (seed, replica indices)."""
+    Deterministic given (seed, replica indices); ShapeMismatch unless the
+    center has the state's dimension."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
     center = np.atleast_1d(np.asarray(target_center, dtype=float))
+    if center.size != run.x0.size:
+        raise ShapeMismatch(f"target has {center.size} coordinates, the state "
+                            f"{run.x0.size}")
 
     def hit(x):  # x: (steps, live, dim)
         diff = (x - center).reshape(-1, center.size)

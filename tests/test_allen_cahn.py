@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,22 @@ class TestGalerkin1D:
             want = quad + (basis * (3.0 * u**2 * (L / M))) @ basis.T
             got = pot.hessian(x)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_value_and_gradient_hold_no_hessian_basis(self):
+        # only hessian reads the (2N+1) x M grid values of the coordinate
+        # directions: at N = 1024 they would take 64 MiB, and the potential
+        # neither builds nor keeps them for value and gradient_batch
+        L, N = 2.0, 1024
+        mn, _ = galerkin_critical_points_1d(L, N)
+        tracemalloc.start()
+        try:
+            pot = galerkin_potential_1d(L, N)
+            pot.value(mn.location)
+            pot.gradient_batch(mn.location)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_assembled_hessian_matches_finite_differences(self, rng):
         L, N = 2.0, 2

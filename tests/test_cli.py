@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from metastab import cli, sde
 from metastab.cli import arrhenius_fit, main, parse_config
-from metastab.errors import InsufficientData
+from metastab.errors import DomainError, InsufficientData
 from metastab.sde import HittingTimeBatch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +48,14 @@ class TestArrheniusFit:
     def test_accepts_plain_floats(self):
         fit = arrhenius_fit([(e, np.exp(0.5 / e)) for e in (0.2, 0.4, 0.8)])
         assert fit.slope == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("bad", (0.0, np.inf))
+    @pytest.mark.parametrize("wrap", (float, batch_with_mean))
+    def test_time_without_a_logarithm_names_its_eps(self, bad, wrap):
+        # log 0 and log inf would fit a nan slope
+        pts = [(0.2, wrap(1.0)), (0.4, wrap(bad)), (0.8, wrap(3.0))]
+        with pytest.raises(DomainError, match=r"mean time (0\.0|inf) at eps 0\.4 "):
+            arrhenius_fit(pts)
 
 
 class TestCliRuns:
@@ -567,6 +576,23 @@ class TestCliRuns:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert 0.0 < summary["slope"] < 1.0
 
+    def test_arrhenius_sweep_of_zero_times_exits_2_without_output(
+            self, tmp_path, capsys):
+        # every replica starts inside the target, so every mean time is 0
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero in np.log
+            code = main(["arrhenius-sweep", "--epsilon-list", "0.3,0.4,0.5",
+                         "--n", "4", "--x0", "1", "--target", "1",
+                         "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "DomainError"
+        assert "at eps 0.3 " in payload["message"]
+
     def test_arrhenius_sweep_seeds_do_not_collide(self, tmp_path):
         # seed 0 at eps index 1 and seed 1000 at eps index 0 once shared a
         # stream block (seed + 1000 * index), so both runs gave eps = 0.6 the
@@ -998,6 +1024,35 @@ class TestParameterTable:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert json.loads(err[0]) == {"error": "ConfigError", "message": phrase}
+
+    @staticmethod
+    def assert_config_error(out, capsys, message):
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "ConfigError", "message": message}
+
+    @pytest.mark.parametrize("experiment,args", (
+        ("sde-hitting", SDE_ARGS), ("determinant", ["--d", "1", "--L", "2", "--N", "8"])))
+    @pytest.mark.parametrize("from_file", (False, True))
+    def test_negative_seed_is_a_config_error_before_running(
+            self, experiment, args, from_file, tmp_path, capsys, monkeypatch):
+        # the seed is global: a top-level config key, not a parameter
+        self.replace_runner(experiment, monkeypatch)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"seed": -1}))
+        seed = ["--config", str(cfg_file)] if from_file else ["--seed", "-1"]
+        out = tmp_path / "out"
+        assert main([experiment, *args, *seed, "--out", str(out)]) == 2
+        self.assert_config_error(out, capsys, "parameter seed must be >= 0")
+
+    def test_zero_threads_is_a_config_error_before_running(
+            self, tmp_path, capsys, monkeypatch):
+        self.replace_runner("determinant", monkeypatch)
+        out = tmp_path / "out"
+        assert cli.run(cli.ExperimentConfig(
+            "determinant", {"d": 1, "L": 2.0, "N": 8}, threads=0, out=str(out))) == 2
+        self.assert_config_error(out, capsys, "parameter threads must be >= 1")
 
     @pytest.mark.parametrize("experiment,choice,valid,required", VALID,
                              ids=["-".join(filter(None, row[:2])) for row in VALID])

@@ -16,7 +16,7 @@ from metastab import (
     sample_hitting_times,
 )
 from metastab import potentials, sde
-from metastab.errors import AllCensored, NonFinite
+from metastab.errors import AllCensored, NonFinite, ShapeMismatch
 from metastab.fields import constant_field
 from metastab.spde import SpdeRun, spde_hitting_times_raw
 from metastab.sde import (
@@ -213,6 +213,19 @@ class TestHittingTimes:
         x[6] = 3.0
         with pytest.warns(RuntimeWarning):
             check(x)
+
+    @pytest.mark.parametrize("dim,target", ((1, [1.0, 0.0]), (2, [1.0])))
+    def test_target_of_another_dimension_rejected(self, dim, target):
+        # a 2-coordinate target broadcast against 1-coordinate states read as
+        # every replica censored; a 1-coordinate one against 2-coordinate
+        # states failed in a reshape
+        pot = potentials.quartic_double_well() if dim == 1 else \
+            potentials.double_well_2d()
+        run = SdeRun(pot, epsilon=0.3, dt=1e-3, x0=[-1.0] + [0.0] * (dim - 1),
+                     seed=1, t_max=20.0)
+        with pytest.raises(ShapeMismatch, match=f"target has {len(target)} "
+                           f"coordinates, the state {dim}"):
+            hitting_times_raw(run, target, 0.2, 8)
 
     def test_partition_invariance(self, quartic):
         # the same replica indices give the same times regardless of batching
