@@ -4,8 +4,9 @@ Every experiment writes ``results.csv`` (LF line endings, '.' decimals, one
 '#' comment line carrying the config hash) plus ``manifest.json`` recording
 the full configuration, seed, package version and wall time.  The hash covers
 only reproducibility-relevant fields (experiment, parameters, seed).
-``--threads k`` runs the replicas of a hitting-time experiment as contiguous
-ranges on k worker processes, at most one a usable CPU (``sde.run_ranges``;
+``--threads k`` runs the replicas of a hitting-time experiment, the endpoints
+of ``ou-check`` and the walks of ``randomwalk`` as contiguous ranges on k
+worker processes, at most one a usable CPU (``sde.run_ranges``;
 ``--threads 1``, the default, is this process alone); outputs are
 byte-identical across its values.
 
@@ -52,7 +53,7 @@ from .potential_theory import (
     start_node,
 )
 from .potentials import find_critical_point, quadratic_well, quartic_double_well
-from .randomwalk import ensemble_rescaled
+from .randomwalk import _walk_ranges
 from .rate_functional import load_path_csv, rate_functional_sde
 from .sde import (
     HittingTimeBatch,
@@ -222,7 +223,8 @@ def _run_ou_check(cfg: ExperimentConfig, p: dict):
     eps, t, x0 = p["epsilon"], p["t"], p["x0"]
     run = SdeRun(potential=quadratic_well(), epsilon=eps, dt=p["dt"],
                  x0=[x0], seed=cfg.seed)
-    xs = sample_endpoints(run, t, p["n"])[:, 0]
+    xs = _parallel_raw(lambda offset, count: sample_endpoints(run, t, count, offset),
+                       p["n"], cfg.threads)[:, 0]
     mean_th, var_th = ou_mean_var(x0, t, eps)
     mean_emp, var_emp = float(xs.mean()), float(xs.var(ddof=1))
     se_mean = float(xs.std(ddof=1) / np.sqrt(xs.size))
@@ -322,7 +324,8 @@ def _run_rate_functional(cfg: ExperimentConfig, p: dict):
 
 def _run_randomwalk(cfg: ExperimentConfig, p: dict):
     n_walks, n_steps, s, t = p["n_walks"], p["n_steps"], p["s"], p["t"]
-    w = ensemble_rescaled(n_walks, n_steps, [s, t, 1.0], cfg.seed)
+    w = _parallel_raw(_walk_ranges(n_steps, [s, t, 1.0], cfg.seed), n_walks,
+                      cfg.threads)
     incr = w[:, 1] - w[:, 0]
     var_emp = float(incr.var(ddof=1))
     se = var_emp * np.sqrt(2.0 / (n_walks - 1))
@@ -410,6 +413,14 @@ def _normed(row: dict) -> tuple:
 _L_RANGE = (("L",), lambda L: 0 < L < 2 * np.pi, ConfigError,
             "L must lie in (0, 2*pi)")
 
+
+def _whole_steps(t: float, dt: float) -> bool:
+    """Whether t / dt is a whole number k >= 1 of steps, to within 4 ulps of
+    k (as randomwalk reads n t): the engine runs round(t / dt) steps."""
+    k = np.rint(t / dt)
+    return bool(1 <= k < np.inf and abs(t / dt - k) <= 4 * np.spacing(k))
+
+
 # experiment -> (runner, what it reads, its rules).  What it reads is a row,
 # each parameter's default (... where required), or a choice: (the key that
 # picks, {value: what it reads}), the default first.  rate-functional's input picks by which
@@ -421,7 +432,9 @@ _EXPERIMENTS = {
     "ou-check": (_run_ou_check,
                  {"epsilon": ..., "t": ..., "dt": ..., "n": ..., "x0": 1.0},
                  ((("n",), lambda n: n >= 2, ConfigError,  # a sample variance
-                   "parameter n must be >= 2"),)),
+                   "parameter n must be >= 2"),
+                  (("t", "dt"), _whole_steps, ConfigError,  # the law is read at t
+                   "parameter t must be a whole number of dt steps"))),
     "potential-theory": (_run_potential_theory, {
         "epsilon": ..., "potential": "quartic", "a": -2.5, "b": 2.5, "m": 1999,
         "A": (-1.2, -0.8), "B": (0.8, 1.2)}, ()),

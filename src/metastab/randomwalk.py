@@ -59,29 +59,40 @@ def diffusive_rescale(path: WalkPath, n: int, t_grid: np.ndarray) -> np.ndarray:
     return path.positions[idx] / np.sqrt(n)
 
 
+def _walk_ranges(n: int, t_grid, seed: int):
+    """worker(offset, count) for sde.run_ranges: the rescaled positions of
+    walks offset, offset + 1, .. at t_grid, run one at a time through one
+    buffer of up-step counts, read at the requested steps, so a range's
+    memory is one walk's steps."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    t = np.asarray(t_grid, dtype=float)
+    idx = _step_index(n, t)
+    if np.any(t < 0):
+        raise OutOfRange("negative times requested")
+
+    def walks(offset, count):
+        # ups[k]: the up-steps among a walk's first k
+        ups = np.zeros(int(np.max(idx, initial=0)) + 1, dtype=np.int64)
+        ups_at = np.empty((count, t.size), dtype=np.int64)
+        for i in range(count):
+            rng = sde.replica_rng(seed, offset + i)
+            np.cumsum(rng.integers(0, 2, size=ups.size - 1, dtype=np.int8),
+                      dtype=np.int64, out=ups[1:])
+            np.take(ups, idx, out=ups_at[i])
+        return (2 * ups_at - idx) / np.sqrt(n)  # S_k = 2 #ups_k - k
+
+    return walks
+
+
 def ensemble_rescaled(n_walks: int, n: int, t_grid: np.ndarray,
                       seed: int) -> np.ndarray:
     """Rescaled positions for an ensemble, shape (n_walks, len(t_grid)).
 
     Each walk draws from its own (seed, walk_index) stream, so the ensemble
-    is reproducible under any execution order.  Walks run one at a time
-    through one buffer of up-step counts, read at the requested steps, so
-    memory is one walk's steps and does not grow with n_walks.
+    is reproducible under any execution order; the walks run as contiguous
+    ranges on the usable CPUs (sde.run_ranges, _walk_ranges).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if n_walks < 0:
         raise ValueError("n_walks must be >= 0")
-    t = np.asarray(t_grid, dtype=float)
-    idx = _step_index(n, t)
-    if np.any(t < 0):
-        raise OutOfRange("negative times requested")
-    # ups[k]: the up-steps among a walk's first k
-    ups = np.zeros(int(np.max(idx, initial=0)) + 1, dtype=np.int64)
-    ups_at = np.empty((n_walks, t.size), dtype=np.int64)
-    for i in range(n_walks):
-        rng = sde.replica_rng(seed, i)
-        np.cumsum(rng.integers(0, 2, size=ups.size - 1, dtype=np.int8),
-                  dtype=np.int64, out=ups[1:])
-        np.take(ups, idx, out=ups_at[i])
-    return (2 * ups_at - idx) / np.sqrt(n)  # S_k = 2 #ups_k - k
+    return sde.run_ranges(_walk_ranges(n, t_grid, seed), n_walks)

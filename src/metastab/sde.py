@@ -4,9 +4,10 @@ Every Monte Carlo replica owns a counter-based RNG stream derived from
 (seed_base, replica_index), so ensembles are reproducible under any parallel
 schedule; aggregation is ordered by replica index.  run_ranges is the one
 replica scheduler: it cuts an ensemble into contiguous ranges, one per
-worker process, this process and forked children (hitting ensembles here and
-in spde on every usable CPU, the CLI's on --threads workers; inline in a
-process that runs other threads).
+worker process, this process and forked children.  Every replica ensemble
+runs on it: hitting times and endpoints here, field hitting and the noise
+check in spde and the walks of randomwalk on every usable CPU, and the CLI's
+on --threads workers; inline in a process that runs other threads.
 _first_passage is the one loop, here and in spde, that advances states over
 time.  It draws their noise step-major in blocks set by one rule
 (_block_steps) into one buffer per call, steps the live replicas across a
@@ -373,7 +374,9 @@ def run_ranges(worker, n: int, workers: Optional[int] = None) -> np.ndarray:
     one range inside a range (ranges do not nest), where os.fork is missing
     and while another thread is alive, whose locks a fork could copy held.
     Each replica's (seed, index) stream makes the result independent of the
-    cut, and each range holds its own noise blocks."""
+    cut where a replica's arithmetic does not depend on its neighbours (the
+    noise check's BLAS product does: it cuts at groups), and each range
+    holds its own noise blocks and buffers."""
     global _in_range
     if _in_range or not hasattr(os, "fork") or threading.active_count() > 1:
         return worker(0, n)
@@ -454,17 +457,24 @@ def _receive(pipe):
 
 def sample_endpoints(run: SdeRun, t: float, n: int,
                      replica_offset: int = 0) -> np.ndarray:
-    """States of n independent replicas at time t, shape (n, dim), run one
-    range of at most _BLOCK_NORMALS // _MIN_DRAW (2048) after another, so
-    noise blocks stay within the engine's budget at any n."""
+    """States of n independent replicas after round(t / dt) steps, at time
+    round(t / dt) dt, shape (n, dim), run on the usable CPUs by run_ranges.
+    A range runs its replicas in engine calls of at most
+    _BLOCK_NORMALS // _MIN_DRAW (2048), one after another, so its noise
+    blocks stay within the engine's budget at any n."""
     if n < 0:
         raise ValueError("n must be >= 0")
     n_steps, callbacks = int(round(t / run.dt)), _sde_callbacks(run)
     size = _BLOCK_NORMALS // _MIN_DRAW
-    return np.concatenate([
-        _first_passage(run.x0, run.seed, replica_offset + offset, min(size, n - offset),
-                       run.dt, n_steps, record=[n_steps], **callbacks)[1][0]
-        for offset in range(0, max(n, 1), size)])  # n = 0: one empty range
+
+    def endpoints(offset, count):
+        return np.concatenate([
+            _first_passage(run.x0, run.seed, replica_offset + offset + a,
+                           min(size, count - a), run.dt, n_steps,
+                           record=[n_steps], **callbacks)[1][0]
+            for a in range(0, max(count, 1), size)])  # count = 0: one empty call
+
+    return run_ranges(endpoints, n)
 
 
 def _stability_check(run: SdeRun, x: np.ndarray) -> bool:

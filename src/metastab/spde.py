@@ -25,7 +25,8 @@ the engine, not step() or its callers here, raises NonFinite once a block
 leaves a surviving state overflowed.  Trajectories, snapshots and the
 noiseless flow are one replica that records what its caller reads at the
 steps it names, and the noise check is an ensemble whose states are
-accumulated pairings, recorded at each horizon.  Hitting keeps each step's
+accumulated pairings, recorded at each horizon; like hitting, it runs its
+replicas as sde.run_ranges ranges.  Hitting keeps each step's
 fields.distance_to_constant, and its hit test compares a block of them with
 delta at once.  A run reads (d, L, N) off its initial field; its counterterm
 needs 0 < L < 2 pi.
@@ -46,6 +47,16 @@ from .determinants import counterterm_trace
 from .errors import DomainError
 from .fields import SpectralField
 from .sde import HittingTimeBatch, _draw_noise, _first_passage, run_ranges
+
+# The noise check pairs noise with its sets by BLAS GEMMs, a column a
+# replica, and a GEMM rounds a column by its place among its kernel's groups
+# of columns (4 in OpenBLAS 0.3.31's x86-64 zgemm) and, on several threads,
+# by their split (a 3 x 64 x 561 GEMM gave other bits on 2 threads than on
+# 1, a 3 x 64 x 153 one did not).  Ranges of whole groups of _PAIR_GROUP
+# replicas and _paired's GEMMs of at most about _PAIR_VALUES values give each
+# replica the bits of one single-threaded GEMM over all of them, and keep a
+# range's idle BLAS threads from spinning beside another range's process.
+_PAIR_GROUP, _PAIR_VALUES = 8, 1 << 12
 
 
 @dataclass(frozen=True)
@@ -219,6 +230,17 @@ def _indicator_coeffs(d: int, L: float, N: int, interval_per_axis) -> np.ndarray
     return np.where(k == 0, ax[0].real / np.sqrt(L), ax[0] / np.sqrt(L))
 
 
+def _paired(pair_rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Re(pair_rows @ flat.T).T with the bits of one single-threaded GEMM,
+    for rows of flat that start at a multiple of _PAIR_GROUP: GEMMs of whole
+    groups of rows and at most about _PAIR_VALUES values, the last taking
+    the rest (never one row, which numpy hands to another BLAS routine)."""
+    width = _PAIR_GROUP * max(1, _PAIR_VALUES // (_PAIR_GROUP * flat.shape[1]))
+    cuts = [*range(0, max(len(flat) - _PAIR_GROUP, 1), width), len(flat)]
+    return np.real(np.concatenate([pair_rows @ flat[a:b].T
+                                   for a, b in zip(cuts, cuts[1:])], axis=1)).T
+
+
 def noise_coefficient_check(run: SpdeRun, T_values: Sequence[float] = (0.5, 1.0),
                             n: int = 2000) -> NoiseCheckReport:
     """Verify the white-noise isometry on indicator functions.
@@ -227,7 +249,9 @@ def noise_coefficient_check(run: SpdeRun, T_values: Sequence[float] = (0.5, 1.0)
     T, n replicas accumulate the pairing of the discrete noise with
     1_{[0,T] x A}; its variance must equal T times the squared L^2 norm of
     the truncated indicator (continuum limit: T * |A|).  The last two boxes
-    are disjoint, so their pairings at the last T are uncorrelated.
+    are disjoint, so their pairings at the last T are uncorrelated.  The
+    replicas run on the usable CPUs (sde.run_ranges), in ranges of whole
+    groups of _PAIR_GROUP (8).
     """
     if n < 2:
         raise ValueError("n must be >= 2 for a sample variance")
@@ -244,13 +268,18 @@ def noise_coefficient_check(run: SpdeRun, T_values: Sequence[float] = (0.5, 1.0)
     n_steps_per_T = [int(round(T / run.dt)) for T in T_values]
 
     def step(acc, eta, _aux):  # a replica's state: its pairing with each set
-        flat = st.mode_noise(eta).reshape(n, -1)
-        return acc + (np.sqrt(run.dt) * np.real(pair_rows @ flat.T)).T, None
+        flat = st.mode_noise(eta).reshape(len(eta), -1)
+        return acc + np.sqrt(run.dt) * _paired(pair_rows, flat), None
 
-    _, accs = _first_passage(np.zeros(len(sets)), run.seed, 0, n, run.dt,
-                             max(n_steps_per_T), st.noise_shape, step,
-                             record=n_steps_per_T, keep=lambda acc, _aux: acc)
-    pair_sums = np.ascontiguousarray(accs.transpose(2, 0, 1))  # (sets, T, n)
+    def pairings(offset, count):  # groups offset, ..: (replicas, T, sets)
+        a, b = offset * _PAIR_GROUP, min(n, (offset + count) * _PAIR_GROUP)
+        return _first_passage(np.zeros(len(sets)), run.seed, a, b - a, run.dt,
+                              max(n_steps_per_T), st.noise_shape, step,
+                              record=n_steps_per_T,
+                              keep=lambda acc, _aux: acc)[1].swapaxes(0, 1)
+
+    pair_sums = run_ranges(pairings, -(-n // _PAIR_GROUP))  # (n, T, sets)
+    pair_sums = np.ascontiguousarray(pair_sums.transpose(2, 1, 0))  # (sets, T, n)
 
     emp = pair_sums.var(axis=2, ddof=1)
     stderr = emp * np.sqrt(2.0 / (n - 1))

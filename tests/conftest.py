@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,22 @@ def one_worker(monkeypatch):
     """Runs every replica range in this process, where recorders of engine
     calls can see them: a forked range's calls stay in its child."""
     monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Three usable CPUs, and the pids of the children forked here."""
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 3)
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
 
 
 @pytest.fixture

@@ -250,14 +250,19 @@ class TestCliRuns:
                         "--t", "0.25"], "parameter s must be below t"),
         ("randomwalk", ["--n_walks", "10", "--n_steps", "5", "--s", "0.5",
                         "--t", "0.5"], "parameter s must be below t"),
+        # the engine would run 2 steps and 10 (or 11) where the law is read
+        # at 1.5 and 10.5
+        ("ou-check", ["--epsilon", "0.1", "--t", "0.0015", "--dt", "0.001",
+                      "--n", "100000"], "parameter t must be a whole number of dt steps"),
+        ("ou-check", ["--epsilon", "0.1", "--t", "0.0105", "--dt", "0.001",
+                      "--n", "100000"], "parameter t must be a whole number of dt steps"),
     ))
     def test_out_of_range_parameter_exits_2_before_running(
             self, experiment, args, phrase, tmp_path, capsys, monkeypatch):
         def ran(*_args, **_kw):
             raise AssertionError("ran before the range check")
 
-        monkeypatch.setattr(cli, "_parallel_raw", ran)
-        monkeypatch.setattr(cli, "ensemble_rescaled", ran)
+        monkeypatch.setattr(cli, "_parallel_raw", ran)  # randomwalk's runner too
         out = tmp_path / "out"
         assert main([experiment, *args, "--out", str(out)]) == 2
         assert not out.exists()
@@ -480,6 +485,19 @@ class TestCliRuns:
         assert manifest["parameters"]["N"] == 128
         assert manifest["seed"] == 3
 
+    @pytest.mark.parametrize("t, dt", (
+        (0.7, 0.001),  # 699.9999999999999 steps: 700
+        (0.35, 0.001),  # 349.99999999999994 steps: 350
+        (0.07, 0.01),  # 7.000000000000001 steps: 7
+        (0.002, 0.001),
+    ))
+    def test_ou_check_takes_t_within_ulps_of_whole_steps(self, t, dt, tmp_path):
+        code = main(["ou-check", "--epsilon", "0.1", "--t", str(t), "--dt", str(dt),
+                     "--n", "4000", "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["all_passed"] is True
+
     def test_ou_check(self, tmp_path):
         code = main(["ou-check", "--epsilon", "0.1", "--t", "1.0",
                      "--dt", "0.001", "--n", "4000", "--out", str(tmp_path)])
@@ -694,6 +712,24 @@ class TestReproducibility:
             assert code == 0
             outs[threads] = (d / "results.csv").read_bytes()
         assert outs[1] == outs[3]
+
+    @pytest.mark.parametrize("argv", (
+        ["ou-check", "--epsilon", "0.1", "--t", "0.1", "--dt", "0.01",
+         "--n", "4000", "--seed", "3"],
+        ["randomwalk", "--n_walks", "400", "--n_steps", "100", "--seed", "3"],
+    ), ids=["ou-check", "randomwalk"])
+    def test_checks_fork_only_past_one_thread(self, argv, forks, tmp_path):
+        # --threads 1 is this process alone, library default or not;
+        # --threads 2 forks one worker and writes the same bytes
+        outs = []
+        for threads, count in ((1, 0), (2, 1)):
+            d = tmp_path / f"t{threads}"
+            assert main([*argv, "--threads", str(threads), "--out", str(d)]) == 0
+            assert len(forks) == count
+            outs.append((d / "results.csv").read_bytes())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("n,threads,usable,ranges", (
         (100, 1, 4, [(0, 100)]),
@@ -912,6 +948,8 @@ RULES = (
     ("randomwalk", {"s": 0.5, "t": 0.25}, "parameter s must be below t"),
     ("randomwalk", {"s": 0.5, "t": 0.5}, "parameter s must be below t"),
     ("ou-check", {"n": 1}, "parameter n must be >= 2"),
+    ("ou-check", {"t": 0.015}, "parameter t must be a whole number of dt steps"),
+    ("ou-check", {"t": 0.004}, "parameter t must be a whole number of dt steps"),
     ("spde-hitting", {"L": 7.0}, "L must lie in (0, 2*pi)"),
     ("spde-hitting", {"L": -1.0}, "L must lie in (0, 2*pi)"),
     ("arrhenius-sweep", {"system": "ac1d", "L": 6.3}, "L must lie in (0, 2*pi)"),

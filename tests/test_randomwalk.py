@@ -108,9 +108,10 @@ class TestBrownianLimit:
 
 
 class TestWalkByWalk:
-    def test_ensemble_memory_is_one_walks_worth(self):
+    def test_ensemble_memory_is_one_walks_worth(self, one_worker):
         # 500 walks of 20000 steps would hold 90 MB of int8 steps and int64
         # sums at once; walk by walk, one walk's up-step counts take 160 kB
+        # (one range, in this process, where tracemalloc sees it)
         tracemalloc.start()
         try:
             ensemble_rescaled(500, 20000, [1.0], seed=3)

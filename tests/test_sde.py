@@ -9,16 +9,17 @@ import pytest
 from metastab import (
     SdeRun,
     detailed_balance_residual,
+    ensemble_rescaled,
     ou_density,
     ou_fokker_planck_residual,
     quadratic_well,
     sample_endpoints,
     sample_hitting_times,
 )
-from metastab import potentials, sde
+from metastab import potentials, sde, spde
 from metastab.errors import AllCensored, NonFinite, ShapeMismatch
 from metastab.fields import constant_field
-from metastab.spde import SpdeRun, spde_hitting_times_raw
+from metastab.spde import SpdeRun, noise_coefficient_check, spde_hitting_times_raw
 from metastab.sde import (
     _block_steps,
     _first_passage,
@@ -482,10 +483,11 @@ class TestBlockRule:
         hitting_times_raw(run, [1.0], 0.2, 2000)
         assert sizes and max(sizes) <= 8 << 20
 
-    def test_endpoint_ranges_fit_in_8_mib(self, quartic, monkeypatch):
-        # 5000 replicas run as three ranges of at most 2048, each in 600-step
-        # blocks of 7.6 MiB, where one range would map 512-step blocks of
-        # 19.5 MiB; a replica's endpoint does not depend on its range
+    def test_endpoint_ranges_fit_in_8_mib(self, quartic, monkeypatch, one_worker):
+        # 5000 replicas in one range run as three engine calls of at most
+        # 2048, each in 600-step blocks of 7.6 MiB, where one call would map
+        # 512-step blocks of 19.5 MiB; a replica's endpoint does not depend
+        # on its call
         run = SdeRun(quartic, epsilon=0.25, dt=1e-3, x0=[-1.0], seed=5)
         sizes = []
         mapped = sde._noise_buffer
@@ -525,6 +527,23 @@ class TestDrawNoise:
             assert np.array_equal(more[:, r], own[steps:])
 
 
+def _pairings(n):
+    """The pairings of n replicas in noise_coefficient_check, as its one
+    run_ranges call returns them."""
+    seen = []
+
+    def recording(worker, count):
+        seen.append(sde.run_ranges(worker, count))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spde, "run_ranges", recording)
+        noise_coefficient_check(
+            SpdeRun(constant_field(1, 2.0, 4, 0.0), epsilon=0.2, dt=0.05,
+                    t_max=1.0, seed=6), T_values=(0.5, 1.0), n=n)
+    return seen[0]
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -534,21 +553,6 @@ def _no_child_left():
 class TestRunRanges:
     """Replica ranges forked from this process: the arrays of one worker,
     a child's exceptions and warnings at the caller, no child left over."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Three usable CPUs, and the pids of the children forked here."""
-        monkeypatch.setattr(sde, "_usable_cpus", lambda: 3)
-        pids, fork = [], os.fork
-
-        def recording():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", recording)
-        return pids
 
     @pytest.mark.parametrize("call", [
         lambda: hitting_times_raw(
@@ -569,6 +573,27 @@ class TestRunRanges:
         assert len(forks) == 2
         assert np.isfinite(one).sum() >= 10 and np.isnan(one).sum() >= 1
         assert np.array_equal(forked, one, equal_nan=True)
+
+    @pytest.mark.parametrize("call", [
+        lambda: sample_endpoints(
+            SdeRun(quadratic_well(), epsilon=0.5, dt=1e-3, x0=[1.0], seed=11),
+            0.2, 96, replica_offset=5),
+        lambda: ensemble_rescaled(96, 50, [0.0, 0.3, 1.0], seed=6),
+        # 774 replicas in groups of 8: ranges cut at replicas 256 and 512
+        # (384 at 2 CPUs), where an even cut at 258 or 387 would change the
+        # bits of the pairings' BLAS product
+        lambda: _pairings(774),
+    ], ids=["endpoints", "walks", "noise_check"])
+    def test_ensemble_arrays_are_one_workers(self, call, forks, monkeypatch):
+        forked = call()
+        assert len(forks) == 2 and _no_child_left()
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+        halves = call()
+        assert len(forks) == 3 and _no_child_left()
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
+        one = call()
+        assert len(forks) == 3
+        assert np.array_equal(forked, one) and np.array_equal(halves, one)
 
     @staticmethod
     def _children_run(run, good):

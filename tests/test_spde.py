@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from metastab.fields import (
 from metastab import sde
 from metastab.sde import _draw_noise, replica_rng
 from metastab.spde import (
+    _paired,
     _Stepper,
     draw_mode_noise,
     export_snapshot_csv,
@@ -359,6 +364,41 @@ class TestNoiseCovariance:
     def test_needs_two_replicas(self):
         with pytest.raises(ValueError):
             noise_coefficient_check(make_run(), n=1)
+
+    @pytest.mark.parametrize("modes, live", [
+        (5, 2), (5, 9), (5, 816), (5, 817), (5, 1633),  # 816 columns a GEMM
+        (45, 91), (45, 97),  # 88 columns a GEMM
+    ])
+    def test_pairings_have_one_gemms_bits(self, modes, live, rng):
+        # the chunked GEMMs give each column the bits of one GEMM over all
+        # of them; a last GEMM of one column (817 = 816 + 1) would not
+        pair_rows = rng.standard_normal((3, modes)) + 1j * rng.standard_normal((3, modes))
+        flat = rng.standard_normal((live, modes)) + 1j * rng.standard_normal((live, modes))
+        assert np.array_equal(_paired(pair_rows, flat), np.real(pair_rows @ flat.T).T)
+
+    def test_pairings_do_not_depend_on_blas_threads(self):
+        # d=2, N=16: one GEMM over 400 replicas runs on several OpenBLAS
+        # threads, whose split of the columns changes the pairings' last bits
+        code = (
+            "import hashlib\n"
+            "from metastab import constant_field, sde, spde\n"
+            "seen = []\n"
+            "ranges = spde.run_ranges\n"
+            "spde.run_ranges = lambda w, n: seen.append(ranges(w, n)) or seen[-1]\n"
+            "spde.noise_coefficient_check(spde.SpdeRun(constant_field(2, 1.5, 16, 0.0),"
+            " epsilon=0.2, dt=0.02, t_max=1.0, seed=11), T_values=(0.2,), n=400)\n"
+            "print(hashlib.sha256(seen[0].tobytes()).hexdigest())\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        digests = set()
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1
 
     def test_2d_full_torus(self):
         run = make_run(d=2, L=1.5, N=4, eps=0.2, dt=0.02, start=0.0, seed=11)
