@@ -374,9 +374,8 @@ def run_ranges(worker, n: int, workers: Optional[int] = None) -> np.ndarray:
     one range inside a range (ranges do not nest), where os.fork is missing
     and while another thread is alive, whose locks a fork could copy held.
     Each replica's (seed, index) stream makes the result independent of the
-    cut where a replica's arithmetic does not depend on its neighbours (the
-    noise check's BLAS product does: it cuts at groups), and each range
-    holds its own noise blocks and buffers."""
+    cut where a replica's arithmetic does not depend on its neighbours, and
+    each range holds its own noise blocks and buffers."""
     global _in_range
     if _in_range or not hasattr(os, "fork") or threading.active_count() > 1:
         return worker(0, n)

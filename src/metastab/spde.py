@@ -24,9 +24,10 @@ step-major and carries each state's grid as the aux step() takes and returns;
 the engine, not step() or its callers here, raises NonFinite once a block
 leaves a surviving state overflowed.  Trajectories, snapshots and the
 noiseless flow are one replica that records what its caller reads at the
-steps it names, and the noise check is an ensemble whose states are
-accumulated pairings, recorded at each horizon; like hitting, it runs its
-replicas as sde.run_ranges ranges.  Hitting keeps each step's
+steps it names.  The noise check reads the white-noise isometry off
+mode_noise as an exact identity; its Monte Carlo is an ensemble whose states
+are the running sums of their normals, recorded at each horizon, and like
+hitting it runs as sde.run_ranges ranges.  Hitting keeps each step's
 fields.distance_to_constant, and its hit test compares a block of them with
 delta at once.  A run reads (d, L, N) off its initial field; its counterterm
 needs 0 < L < 2 pi.
@@ -47,16 +48,6 @@ from .determinants import counterterm_trace
 from .errors import DomainError
 from .fields import SpectralField
 from .sde import HittingTimeBatch, _draw_noise, _first_passage, run_ranges
-
-# The noise check pairs noise with its sets by BLAS GEMMs, a column a
-# replica, and a GEMM rounds a column by its place among its kernel's groups
-# of columns (4 in OpenBLAS 0.3.31's x86-64 zgemm) and, on several threads,
-# by their split (a 3 x 64 x 561 GEMM gave other bits on 2 threads than on
-# 1, a 3 x 64 x 153 one did not).  Ranges of whole groups of _PAIR_GROUP
-# replicas and _paired's GEMMs of at most about _PAIR_VALUES values give each
-# replica the bits of one single-threaded GEMM over all of them, and keep a
-# range's idle BLAS threads from spinning beside another range's process.
-_PAIR_GROUP, _PAIR_VALUES = 8, 1 << 12
 
 
 @dataclass(frozen=True)
@@ -206,7 +197,7 @@ def spatial_mean_trajectory(run: SpdeRun, t_final: float) -> tuple[np.ndarray, n
 
 @dataclass(frozen=True)
 class NoiseCheckReport:
-    """Empirical variances of noise pairings with space-time indicator sets."""
+    """The white-noise isometry on indicator sets: exact, and sampled."""
 
     sets: tuple
     T_values: tuple
@@ -214,7 +205,9 @@ class NoiseCheckReport:
     predicted_var: np.ndarray  # truncated prediction T * sum |a_k|^2
     continuum_var: np.ndarray  # T * volume(A)
     var_stderr: np.ndarray
-    pair_covariance: float  # the last two boxes at the last T
+    isometry_residual: np.ndarray  # (n_sets,) |g|^2 / sum |a_k|^2 - 1
+    pair_correlation: float  # sample, the last two boxes at the last T
+    exact_pair_correlation: float  # g_1 . g_2 / (|g_1| |g_2|)
     pair_tol: float
 
 
@@ -230,28 +223,19 @@ def _indicator_coeffs(d: int, L: float, N: int, interval_per_axis) -> np.ndarray
     return np.where(k == 0, ax[0].real / np.sqrt(L), ax[0] / np.sqrt(L))
 
 
-def _paired(pair_rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Re(pair_rows @ flat.T).T with the bits of one single-threaded GEMM,
-    for rows of flat that start at a multiple of _PAIR_GROUP: GEMMs of whole
-    groups of rows and at most about _PAIR_VALUES values, the last taking
-    the rest (never one row, which numpy hands to another BLAS routine)."""
-    width = _PAIR_GROUP * max(1, _PAIR_VALUES // (_PAIR_GROUP * flat.shape[1]))
-    cuts = [*range(0, max(len(flat) - _PAIR_GROUP, 1), width), len(flat)]
-    return np.real(np.concatenate([pair_rows @ flat[a:b].T
-                                   for a, b in zip(cuts, cuts[1:])], axis=1)).T
-
-
 def noise_coefficient_check(run: SpdeRun, T_values: Sequence[float] = (0.5, 1.0),
                             n: int = 2000) -> NoiseCheckReport:
     """Verify the white-noise isometry on indicator functions.
 
-    For each box A of [0, L]^d, [0, L/2]^d and [L/2, L]^d and each horizon
-    T, n replicas accumulate the pairing of the discrete noise with
-    1_{[0,T] x A}; its variance must equal T times the squared L^2 norm of
-    the truncated indicator (continuum limit: T * |A|).  The last two boxes
-    are disjoint, so their pairings at the last T are uncorrelated.  The
-    replicas run on the usable CPUs (sde.run_ranges), in ranges of whole
-    groups of _PAIR_GROUP (8).
+    For each box A of [0, L]^d, [0, L/2]^d and [L/2, L]^d a step's noise,
+    linear in its normals eta, pairs with 1_A as g . eta.  The isometry,
+    E <xi, 1_{[0,T] x A}>^2 = T times the squared L^2 norm of the truncated
+    indicator (continuum: T |A|), is then |g|^2 = sum_k |a_k|^2 exactly;
+    the disjoint last two boxes' pairings have correlation g_1 . g_2 /
+    (|g_1| |g_2|).  A Monte Carlo checks that the engine feeds each replica
+    iid normals: the states of n replicas sum their normals, and their
+    pairings at each horizon T, sqrt(dt) sums . g, are an elementwise product
+    and a row sum, so sde.run_ranges cuts the replicas anywhere.
     """
     if n < 2:
         raise ValueError("n must be >= 2 for a sample variance")
@@ -263,34 +247,45 @@ def noise_coefficient_check(run: SpdeRun, T_values: Sequence[float] = (0.5, 1.0)
     # k_last > 0 columns stand for their mirrors too
     pair_rows = coeffs[..., :N + 1].conj()
     pair_rows[..., 1:] *= 2
-    pair_rows = pair_rows.reshape(len(sets), -1)
+    pair_rows = pair_rows.reshape(len(sets), 1, -1)
+    # g . eta = Re sum_k pair_rows_k mode_noise(eta)_k for any normals eta,
+    # built from chunks of unit normals: a dense basis at d=2, N=32 takes 1.7 GB
+    size = st.n_modes ** d
+    g = np.empty((len(sets), size))
+    for a in range(0, size, 64):
+        unit = np.eye(min(64, size - a), size, a).reshape((-1,) + st.noise_shape)
+        flat = st.mode_noise(unit).reshape(len(unit), -1)
+        g[:, a:a + len(unit)] = np.real((flat * pair_rows).sum(-1))
     T_values = tuple(float(T) for T in T_values)
     n_steps_per_T = [int(round(T / run.dt)) for T in T_values]
 
-    def step(acc, eta, _aux):  # a replica's state: its pairing with each set
-        flat = st.mode_noise(eta).reshape(len(eta), -1)
-        return acc + np.sqrt(run.dt) * _paired(pair_rows, flat), None
+    def pairings(offset, count):  # replicas offset, ..: (count, T, sets)
+        sums = _first_passage(  # a replica's state: the sum of its normals
+            np.zeros(st.noise_shape), run.seed, offset, count, run.dt,
+            max(n_steps_per_T), st.noise_shape,
+            lambda x, noise, _aux: (np.add(x, noise, out=noise), None),
+            record=n_steps_per_T)[1]
+        sums = sums.reshape(sums.shape[:2] + (-1,))
+        return np.sqrt(run.dt) * np.stack([(sums * row).sum(-1) for row in g],
+                                          axis=-1).swapaxes(0, 1)
 
-    def pairings(offset, count):  # groups offset, ..: (replicas, T, sets)
-        a, b = offset * _PAIR_GROUP, min(n, (offset + count) * _PAIR_GROUP)
-        return _first_passage(np.zeros(len(sets)), run.seed, a, b - a, run.dt,
-                              max(n_steps_per_T), st.noise_shape, step,
-                              record=n_steps_per_T,
-                              keep=lambda acc, _aux: acc)[1].swapaxes(0, 1)
-
-    pair_sums = run_ranges(pairings, -(-n // _PAIR_GROUP))  # (n, T, sets)
+    pair_sums = run_ranges(pairings, n)  # (n, T, sets)
     pair_sums = np.ascontiguousarray(pair_sums.transpose(2, 1, 0))  # (sets, T, n)
 
     emp = pair_sums.var(axis=2, ddof=1)
     stderr = emp * np.sqrt(2.0 / (n - 1))
-    norm_sq = [float(np.sum(np.abs(c) ** 2)) for c in coeffs]
+    norm_sq = np.sum(np.abs(coeffs.reshape(len(sets), -1)) ** 2, axis=1)
+    g_sq = np.sum(g * g, axis=1)
     vol = [np.prod([hi - lo for (lo, hi) in s]) for s in sets]
     pred, cont = np.outer(norm_sq, T_values), np.outer(vol, T_values)
-    cov = float(np.corrcoef(pair_sums[1, -1], pair_sums[2, -1])[0, 1])
+    corr = float(np.corrcoef(pair_sums[1, -1], pair_sums[2, -1])[0, 1])
+    exact = float(np.sum(g[1] * g[2]) / np.sqrt(g_sq[1] * g_sq[2]))
     return NoiseCheckReport(sets=tuple(map(tuple, sets)), T_values=T_values,
                             empirical_var=emp, predicted_var=pred,
                             continuum_var=cont, var_stderr=stderr,
-                            pair_covariance=cov, pair_tol=3.0 / np.sqrt(n))
+                            isometry_residual=g_sq / norm_sq - 1.0,
+                            pair_correlation=corr, exact_pair_correlation=exact,
+                            pair_tol=3.0 / np.sqrt(n))
 
 
 # ---------------------------------------------------------------------------

@@ -579,9 +579,7 @@ class TestRunRanges:
             SdeRun(quadratic_well(), epsilon=0.5, dt=1e-3, x0=[1.0], seed=11),
             0.2, 96, replica_offset=5),
         lambda: ensemble_rescaled(96, 50, [0.0, 0.3, 1.0], seed=6),
-        # 774 replicas in groups of 8: ranges cut at replicas 256 and 512
-        # (384 at 2 CPUs), where an even cut at 258 or 387 would change the
-        # bits of the pairings' BLAS product
+        # 774 replicas: ranges cut at replicas 258 and 516 (387 at 2 CPUs)
         lambda: _pairings(774),
     ], ids=["endpoints", "walks", "noise_check"])
     def test_ensemble_arrays_are_one_workers(self, call, forks, monkeypatch):

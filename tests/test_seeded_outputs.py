@@ -62,7 +62,7 @@ def _field(d, L, N, start, eps, dt, seed, t_max=1.0, f0=None):
 def _noise_check():
     rep = noise_coefficient_check(_field(1, 2.0, 4, 0.0, 0.2, 0.02, 6),
                                   T_values=(0.5, 1.0), n=200)
-    return rep.empirical_var, rep.pair_covariance
+    return rep.empirical_var, rep.pair_correlation
 
 
 SDE_ENTRIES = {
@@ -170,7 +170,7 @@ RECORDED = {
     "deterministic_d2":
         "246ee239e293a96326f41d3788c59ef1aefbb714efbea1a139e43195f6c2a66b",
     "noise_check":
-        "3b219173f776835fd0f182bc09535764809481050c7217d9f5aea616c329de76",
+        "6012b754581907ee47d381cf2cea3e6ea1242a9a61f11447527a038b8a3f02aa",
     "hitting_galerkin_N2":
         "91af261320e80cc7dd1b7914deaea217469c12c475092417848d2a0d6da0766f",
     "snap_0000.csv":

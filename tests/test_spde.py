@@ -34,7 +34,6 @@ from metastab.fields import (
 from metastab import sde
 from metastab.sde import _draw_noise, replica_rng
 from metastab.spde import (
-    _paired,
     _Stepper,
     draw_mode_noise,
     export_snapshot_csv,
@@ -158,20 +157,28 @@ def _mirror(a, d):
     return a
 
 
+def _wick_trace(L, N):
+    """C_N = L^-2 sum over |k|_inf <= N of 1 / nu_k, nu_k = (2 pi |k| / L)^2 - 1."""
+    k = 2 * np.pi * np.arange(-N, N + 1) / L
+    return np.sum(1.0 / (k[:, None] ** 2 + k[None, :] ** 2 - 1.0)) / L**2
+
+
 def _reference_step(st, c, normals):
     """One d=2 step by complex FFTs of the full band, cubed by pow, with the
-    mode noise fftn(normals) / (2N+1)."""
-    M, L, dt = st.M, st.L, st.run.dt
-    rows = np.ix_(*(mode_wavenumbers(st.N) % M,) * 2)
+    mode noise sqrt(2 eps dt) fftn(normals) / (2N+1) and, if renormalized,
+    the counterterm 3 eps C_N, both from the run, not the stepper."""
+    run = st.run
+    M, L, N, dt = st.M, st.L, st.N, run.dt
+    rows = np.ix_(*(mode_wavenumbers(N) % M,) * 2)
     big = np.zeros((M, M), dtype=complex)
     big[rows] = c
     u = np.fft.ifft2(big).real * (M**2 / L)
     drift = -np.fft.fft2(u**3)[rows] * (L / M**2)
-    if st.counter:
-        drift = drift + st.counter * c
-    eta = np.fft.fftn(normals) / st.n_modes
-    denom = 1.0 - dt * (1.0 - squared_wavenumber_grid(2, L, st.N))
-    return (c + dt * drift + st.noise_amp * eta) / denom
+    if run.renormalize_resolved:
+        drift = drift + 3 * run.epsilon * _wick_trace(L, N) * c
+    eta = np.fft.fftn(normals) / (2 * N + 1)
+    denom = 1.0 - dt * (1.0 - squared_wavenumber_grid(2, L, N))
+    return (c + dt * drift + np.sqrt(2 * run.epsilon * dt) * eta) / denom
 
 
 class TestRealTransforms:
@@ -348,10 +355,24 @@ class TestNoiseCovariance:
             assert rep.predicted_var[row, 0] == pytest.approx(
                 rep.continuum_var[row, 0], rel=0.1)
 
-    def test_disjoint_boxes_uncorrelated(self):
+    def test_disjoint_boxes_correlation_is_the_models(self):
+        # truncated at N=8 the disjoint boxes' pairings are correlated 0.026,
+        # half the 3 / sqrt(n) band: centred on 0 the test would fail at
+        # about 6% of seeds
         run = make_run(N=8, eps=0.3, dt=0.01, start=0.0, seed=9)
         rep = noise_coefficient_check(run, T_values=(1.0,), n=3000)
-        assert abs(rep.pair_covariance) < rep.pair_tol
+        assert rep.exact_pair_correlation == pytest.approx(0.0259, abs=1e-4)
+        assert abs(rep.pair_correlation - rep.exact_pair_correlation) < rep.pair_tol
+
+    @pytest.mark.parametrize("N", (1, 4, 16))
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_isometry_is_exact(self, d, N):
+        # |g|^2 = sum_k |a_k|^2: the mode noise has unit variance per real
+        # degree of freedom, to rounding
+        run = make_run(d=d, L=1.5, N=N, eps=0.2, dt=0.01, start=0.0)
+        rep = noise_coefficient_check(run, T_values=(run.dt,), n=2)
+        assert rep.isometry_residual.shape == (3,)
+        assert np.max(np.abs(rep.isometry_residual)) < 1e-12
 
     def test_variance_linear_in_horizon(self):
         run = make_run(N=6, eps=0.3, dt=0.01, start=0.0, seed=10)
@@ -365,20 +386,10 @@ class TestNoiseCovariance:
         with pytest.raises(ValueError):
             noise_coefficient_check(make_run(), n=1)
 
-    @pytest.mark.parametrize("modes, live", [
-        (5, 2), (5, 9), (5, 816), (5, 817), (5, 1633),  # 816 columns a GEMM
-        (45, 91), (45, 97),  # 88 columns a GEMM
-    ])
-    def test_pairings_have_one_gemms_bits(self, modes, live, rng):
-        # the chunked GEMMs give each column the bits of one GEMM over all
-        # of them; a last GEMM of one column (817 = 816 + 1) would not
-        pair_rows = rng.standard_normal((3, modes)) + 1j * rng.standard_normal((3, modes))
-        flat = rng.standard_normal((live, modes)) + 1j * rng.standard_normal((live, modes))
-        assert np.array_equal(_paired(pair_rows, flat), np.real(pair_rows @ flat.T).T)
-
     def test_pairings_do_not_depend_on_blas_threads(self):
-        # d=2, N=16: one GEMM over 400 replicas runs on several OpenBLAS
-        # threads, whose split of the columns changes the pairings' last bits
+        # d=2, N=16 and 400 replicas, where a BLAS product over the replicas
+        # would run on several OpenBLAS threads, whose split of its columns
+        # moves their last bits: the pairings' bits must not follow it
         code = (
             "import hashlib\n"
             "from metastab import constant_field, sde, spde\n"
@@ -629,6 +640,20 @@ class TestRenormalizationFlags:
         run = make_run(d=1)
         assert run.renormalize_resolved is False
         assert _Stepper(run).counter == 0.0
+
+    def test_noiseless_mode_decays_at_the_wick_rate(self):
+        # without the cubic and the noise, mode (1, 0) decays like
+        # exp(-(nu_1 - 3 eps C_N) t); at L=2 the step's O(dt) error would
+        # already be 4%, so L=5
+        L, N, eps, dt, T = 5.0, 8, 0.3, 1e-3, 2.0
+        coeffs = np.zeros((2 * N + 1,) * 2, dtype=complex)
+        coeffs[1, 0] = coeffs[-1, 0] = 0.1
+        run = SpdeRun(field0=SpectralField(2, L, N, coeffs), epsilon=eps, dt=dt,
+                      t_max=T, seed=0, drop_cubic=True, renormalize=True)
+        _, snaps = integrate_deterministic(run, T, record_every=10**9)
+        nu_1 = (2 * np.pi / L) ** 2 - 1.0
+        want = 0.1 * np.exp(-(nu_1 - 3 * eps * _wick_trace(L, N)) * T)
+        assert snaps[-1][1, 0].real == pytest.approx(want, rel=1e-3)
 
 
 @pytest.mark.slow
