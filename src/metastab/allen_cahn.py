@@ -54,11 +54,13 @@ def renormalized_energy_gap(L: float, N: int, eps: float) -> float:
 # ---------------------------------------------------------------------------
 # Real-coordinate view of the truncated d=1 functional.
 #
-# Coordinates are (a_0, u_1, v_1, ..., u_N, v_N) with c_0 = a_0 and
-# c_k = u_k + i v_k for k >= 1 (c_{-k} follows by conjugation), dimension
-# 2N+1.  At the constant stationary fields the Hessian is diagonal in these
-# coordinates, which gives the truncated transition-rate prefactor in closed
-# form for any cutoff.
+# Coordinates are (a, p_1, q_1, ..., p_N, q_N) with c_0 = a and
+# c_k = (p_k + i q_k) / sqrt(2) for k >= 1 (c_{-k} follows by conjugation),
+# dimension 2N+1: orthonormal in L^2, so the quadratic form is diagonal with
+# the field's nu_k and Euler-Maruyama on the potential is the truncated
+# field's SDE.  At the constant stationary fields the Hessian is diagonal too,
+# which gives the truncated transition-rate prefactor in closed form for any
+# cutoff.
 # ---------------------------------------------------------------------------
 
 
@@ -66,7 +68,7 @@ def _coords_to_half(x: np.ndarray, N: int) -> np.ndarray:
     """Half bands (..., N+1) of real coordinates (..., 2N+1)."""
     half = np.zeros(x.shape[:-1] + (N + 1,), dtype=complex)
     half[..., 0] = x[..., 0]
-    half[..., 1:] = x[..., 1::2] + 1j * x[..., 2::2]
+    half[..., 1:] = np.sqrt(0.5) * (x[..., 1::2] + 1j * x[..., 2::2])
     return half
 
 
@@ -82,9 +84,7 @@ def galerkin_potential_1d(L: float, N: int) -> Potential:
     colloc = fields.BandGrid(1, L, N, fields.dealiased_grid_size(N))
     cell = L / colloc.M
     nu = fields.squared_wavenumber_grid(1, L, N)[:N + 1] - 1.0
-    quad_diag = np.empty(2 * N + 1)
-    quad_diag[0] = nu[0]
-    quad_diag[1::2] = quad_diag[2::2] = 2 * nu[1:]
+    quad_diag = np.repeat(nu, 2)[1:]  # nu_0, nu_1, nu_1, ..., nu_N, nu_N
 
     def value(x):
         x = np.asarray(x, float)
@@ -96,9 +96,9 @@ def galerkin_potential_1d(L: float, N: int) -> Potential:
         half = _coords_to_half(np.asarray(x, float), N)
         u = colloc.grid(half)
         g = nu * half + colloc.project(u * u * u)
-        # (u_k, v_k) is c_k's real view, and carries c_{-k} too: twice g_k
-        return np.concatenate((g[..., :1].real, 2 * g[..., 1:].view(float)),
-                              axis=-1)
+        # (p_k, q_k) moves c_k and c_{-k} by 1/sqrt(2) each
+        return np.concatenate(
+            (g[..., :1].real, np.sqrt(2) * g[..., 1:].view(float)), axis=-1)
 
     def hessian(x: np.ndarray) -> np.ndarray:
         u = colloc.grid(_coords_to_half(np.asarray(x, float), N))
@@ -112,22 +112,20 @@ def galerkin_potential_1d(L: float, N: int) -> Potential:
 def galerkin_critical_points_1d(L: float, N: int) -> tuple[CriticalPoint, CriticalPoint]:
     """(minimum at phi = -1, saddle at phi = 0) of the truncated functional.
 
-    Eigenvalues are the diagonal Hessian entries in the real coordinates:
-    nu_0 and 2 nu_k (doubled) at the saddle, shifted by +3 at the minimum.
+    Eigenvalues are the diagonal Hessian entries in the real coordinates, the
+    band's nu_k at the saddle and nu_k + 3 at the minimum.
     """
     fields.check_truncation(1, L, N)
-    nu_pos = fields.squared_wavenumber_grid(1, L, N)[1:N + 1] - 1.0
-    saddle_eigs = np.concatenate(([-1.0], np.repeat(2 * nu_pos, 2)))
-    min_eigs = np.concatenate(([2.0], np.repeat(2 * (nu_pos + 3.0), 2)))
+    saddle_eigs = np.sort(fields.squared_wavenumber_grid(1, L, N) - 1.0)
 
     min_loc = np.zeros(2 * N + 1)
     min_loc[0] = -np.sqrt(L)
     saddle_loc = np.zeros(2 * N + 1)
 
     minimum = CriticalPoint(location=min_loc, kind="minimum",
-                            hessian_eigenvalues=np.sort(min_eigs),
+                            hessian_eigenvalues=saddle_eigs + 3.0,
                             lambda_minus=None)
     saddle = CriticalPoint(location=saddle_loc, kind="saddle",
-                           hessian_eigenvalues=np.sort(saddle_eigs),
+                           hessian_eigenvalues=saddle_eigs,
                            lambda_minus=-1.0)
     return minimum, saddle

@@ -165,7 +165,10 @@ def require_conjugate_symmetric(coeffs: np.ndarray, d: int) -> None:
 
 
 def field_from_grid(d: int, L: float, N: int, values: np.ndarray) -> SpectralField:
-    """Project real grid values (shape M^d, M >= 2N+1) onto the retained band."""
+    """Project real grid values (shape (M,) * d, M >= 2N+1) onto the retained
+    band; ShapeMismatch for any other shape."""
+    if values.ndim != d or values.shape != values.shape[:1] * d:
+        raise ShapeMismatch(f"grid values of shape {values.shape} are not (M,) * {d}")
     half = BandGrid(d, L, N, values.shape[0]).project(values)
     return SpectralField(d, L, N, full_band(half, d))
 

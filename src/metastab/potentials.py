@@ -120,19 +120,18 @@ def find_critical_point(p: Potential, guess, max_iter: int = 100,
     below _GRADIENT_TOL, classified by Hessian signs.
 
     Fails loudly (NoConvergence / DegenerateHessian) instead of returning a
-    degenerate or unconverged point.
+    degenerate or unconverged point: on an exactly singular Newton step, or on
+    a converged point that classify_hessian's eigenvalue floor rejects.
     """
     x = np.atleast_1d(np.asarray(guess, dtype=float)).copy()
     for _ in range(max_iter):
         g = p.gradient_batch(x)
         if np.linalg.norm(g) < _GRADIENT_TOL:
             break
-        H = p.hessian(x)
-        if abs(np.linalg.det(H)) < degenerate_tol:
-            raise DegenerateHessian(
-                f"|det Hess| < {degenerate_tol} at iterate {x}"
-            )
-        x = x - np.linalg.solve(H, g)
+        try:
+            x = x - np.linalg.solve(p.hessian(x), g)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateHessian(f"singular Hessian at iterate {x}") from exc
         if not np.all(np.isfinite(x)):
             raise NoConvergence("Newton iterate diverged to non-finite values")
     else:

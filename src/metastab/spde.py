@@ -200,7 +200,7 @@ class NoiseCheckReport:
     """The white-noise isometry on indicator sets: exact, and sampled."""
 
     sets: tuple
-    T_values: tuple
+    T_values: tuple  # the simulated horizons k dt, k = round(T / dt) >= 1
     empirical_var: np.ndarray  # (n_sets, n_T)
     predicted_var: np.ndarray  # truncated prediction T * sum |a_k|^2
     continuum_var: np.ndarray  # T * volume(A)
@@ -235,10 +235,17 @@ def noise_coefficient_check(run: SpdeRun, T_values: Sequence[float] = (0.5, 1.0)
     (|g_1| |g_2|).  A Monte Carlo checks that the engine feeds each replica
     iid normals: the states of n replicas sum their normals, and their
     pairings at each horizon T, sqrt(dt) sums . g, are an elementwise product
-    and a row sum, so sde.run_ranges cuts the replicas anywhere.
+    and a row sum, so sde.run_ranges cuts the replicas anywhere.  Each T runs
+    k = round(T / dt) >= 1 steps, and is reported and predicted at k dt.
     """
     if n < 2:
         raise ValueError("n must be >= 2 for a sample variance")
+    n_steps_per_T = [int(round(float(T) / run.dt)) for T in T_values]
+    if not n_steps_per_T:
+        raise ValueError("T_values is empty: the check needs a horizon")
+    for T, k in zip(T_values, n_steps_per_T):
+        if k < 1:
+            raise ValueError(f"T = {T} rounds to {k} steps of dt = {run.dt}")
     st = _Stepper(run)
     d, L, N = st.d, st.L, st.N
     sets = [((0.0, L),) * d, ((0.0, L / 2),) * d, ((L / 2, L),) * d]
@@ -256,8 +263,7 @@ def noise_coefficient_check(run: SpdeRun, T_values: Sequence[float] = (0.5, 1.0)
         unit = np.eye(min(64, size - a), size, a).reshape((-1,) + st.noise_shape)
         flat = st.mode_noise(unit).reshape(len(unit), -1)
         g[:, a:a + len(unit)] = np.real((flat * pair_rows).sum(-1))
-    T_values = tuple(float(T) for T in T_values)
-    n_steps_per_T = [int(round(T / run.dt)) for T in T_values]
+    T_values = tuple(k * run.dt for k in n_steps_per_T)  # the simulated horizons
 
     def pairings(offset, count):  # replicas offset, ..: (count, T, sets)
         sums = _first_passage(  # a replica's state: the sum of its normals

@@ -21,6 +21,7 @@ from metastab.errors import ShapeMismatch
 from metastab.fields import dealiased_grid_size, grid_values, translated
 from metastab.potential_theory import Grid1D, solve_poisson
 from metastab.potentials import numerical_hessian
+from metastab.sde import integrate_path
 
 
 def quadrature_energy(f, L, M=8192):
@@ -176,6 +177,15 @@ class TestGalerkin1D:
         hess = galerkin_potential_1d(L, N).hessian(np.zeros(2 * N + 1))
         assert np.array_equal(sd.hessian_eigenvalues, np.sort(np.diag(hess)))
 
+    @pytest.mark.parametrize("L, N", [(2.0, 2), (0.7, 64)])
+    def test_eigenvalues_are_the_fields_band(self, L, N):
+        # nu_k = (2 pi k / L)^2 - 1 over |k| <= N at the saddle and nu_k + 3
+        # at the minimum: each k != 0 twice, as in the field, not doubled
+        mn, sd = galerkin_critical_points_1d(L, N)
+        nu = np.sort((2 * np.pi * np.arange(-N, N + 1) / L) ** 2 - 1.0)
+        assert np.allclose(sd.hessian_eigenvalues, nu, rtol=1e-14, atol=0)
+        assert np.allclose(mn.hessian_eigenvalues, nu + 3.0, rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("L, N", [(-2.0, 3), (0.0, 2), (2.0, -1)])
     def test_critical_points_reject_bad_truncation(self, L, N):
         with pytest.raises(ValueError):
@@ -183,20 +193,22 @@ class TestGalerkin1D:
 
     @pytest.mark.parametrize("N", (1, 8))
     def test_hessian_matches_dense_cos_sin_basis(self, N, rng):
-        # reference: grid values of the coordinate directions built from
-        # cos/sin rows, a_0 -> L^{-1/2}, u_k -> 2 L^{-1/2} cos and
-        # v_k -> -2 L^{-1/2} sin; at non-constant x a sign error in the sin
-        # rows no longer cancels
+        # reference: grid values of the orthonormal coordinate directions
+        # built from cos/sin rows, a -> L^{-1/2}, p_k -> sqrt(2) L^{-1/2} cos
+        # and q_k -> -sqrt(2) L^{-1/2} sin; at non-constant x a sign error in
+        # the sin rows no longer cancels
         L = 2.0
         M = dealiased_grid_size(N)
         x_grid = np.arange(M) * (L / M)
         basis = np.zeros((2 * N + 1, M))
         basis[0] = L ** (-0.5)
         for k in range(1, N + 1):
-            basis[2 * k - 1] = 2 * L ** (-0.5) * np.cos(2 * np.pi * k * x_grid / L)
-            basis[2 * k] = -2 * L ** (-0.5) * np.sin(2 * np.pi * k * x_grid / L)
+            basis[2 * k - 1] = np.sqrt(2 / L) * np.cos(2 * np.pi * k * x_grid / L)
+            basis[2 * k] = -np.sqrt(2 / L) * np.sin(2 * np.pi * k * x_grid / L)
+        # orthonormal rows: the trapezoid Gram matrix is the identity
+        assert np.allclose(basis @ basis.T * (L / M), np.eye(2 * N + 1), atol=1e-13)
         nu = (2 * np.pi * np.arange(N + 1) / L) ** 2 - 1.0
-        quad = np.diag(np.concatenate(([nu[0]], np.repeat(2 * nu[1:], 2))))
+        quad = np.diag(np.concatenate(([nu[0]], np.repeat(nu[1:], 2))))
         pot = galerkin_potential_1d(L, N)
         for _ in range(3):
             x = rng.standard_normal(2 * N + 1) * 0.5
@@ -252,28 +264,49 @@ class TestGalerkin1D:
     @pytest.mark.parametrize("N", (0, 3))
     def test_value_and_gradient_match_the_field_energy(self, N, rng):
         # the coordinates' own formulas against the field energy on the field
-        # they name: c_0 = a_0, c_k = u_k + i v_k, c_{-k} = conj(c_k)
+        # they name: c_0 = a, c_k = (p_k + i q_k) / sqrt(2), c_{-k} = conj(c_k);
+        # by the chain rule dV/dp_k = sqrt(2) Re g_k and dV/dq_k = sqrt(2) Im g_k
         L = 2.0
         pot = galerkin_potential_1d(L, N)
         x = rng.standard_normal(2 * N + 1) * 0.5
         c = np.zeros(2 * N + 1, dtype=complex)
         c[0] = x[0]
-        c[1:N + 1] = x[1::2] + 1j * x[2::2]
+        c[1:N + 1] = (x[1::2] + 1j * x[2::2]) / np.sqrt(2)
         c[N + 1:] = c[N:0:-1].conj()
         phi = SpectralField(1, L, N, c)
         g = allen_cahn_gradient(phi)
         want = np.empty(2 * N + 1)
         want[0] = g[0].real
-        want[1::2], want[2::2] = 2 * g[1:N + 1].real, 2 * g[1:N + 1].imag
+        want[1::2] = np.sqrt(2) * g[1:N + 1].real
+        want[2::2] = np.sqrt(2) * g[1:N + 1].imag
         assert pot.value(x) == pytest.approx(allen_cahn_energy(phi), rel=1e-13)
         assert np.allclose(pot.gradient_batch(x), want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("L, N, k, T", [(2.0, 2, 1, 0.5), (5.0, 4, 2, 1.0)])
+    def test_euler_flow_relaxes_each_mode_at_the_fields_rate(self, L, N, k, T):
+        # noiseless Euler-Maruyama from the -1 well with p_k moved by 1e-6:
+        # the mode's linearised rate is the field's own nu_k + 3, so after n
+        # steps it has shrunk by (1 - dt (nu_k + 3))^n, to the cubic's
+        # O(1e-6) correction
+        dt = 1e-4
+        pot = galerkin_potential_1d(L, N)
+        mn, _ = galerkin_critical_points_1d(L, N)
+        x0 = mn.location.copy()
+        x0[2 * k - 1] += 1e-6
+        run = SdeRun(pot, epsilon=0.0, dt=dt, x0=x0, seed=0)
+        n = int(round(T / dt))
+        p_k = integrate_path(run, T)[2 * k - 1]
+        nu_k = (2 * np.pi * k / L) ** 2 - 1.0
+        want = 1e-6 * (1 - dt * (nu_k + 3.0)) ** n
+        assert p_k == pytest.approx(want, rel=1e-6)
 
     def test_engine_hitting_time_at_N0_matches_the_poisson_solve(self):
         # At N = 0 the one coordinate is the mean mode c_0 = sqrt(L) u, and
         # Euler-Maruyama on it is the field's N = 0 law: the exact mean
         # time from solve_poisson on the same potential gates the engine run.
-        # Not for N >= 1: with identity mobility the transverse coordinates
-        # relax at 2 nu_k, the field's c_k at nu_k.
+        # The coordinates are orthonormal at every N, so Euler-Maruyama is the
+        # truncated field's SDE at every N (see the Euler flow test above);
+        # solve_poisson needs the one-dimensional N = 0 potential.
         L, eps = 2.0, 0.4
         r = np.sqrt(L)
         pot = galerkin_potential_1d(L, 0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,17 @@ def test_grid_too_coarse_for_the_band():
             grid_values(f, M)
         with pytest.raises(ShapeMismatch, match="too coarse"):
             linf_distance_to_constant(f, 0.0, M)
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (7, 5), (9, 3), (5,), ()])
+def test_grid_values_must_be_square(shape):
+    # at d=2, N=2, L=2 a constant-1 grid has c_0 = L = 2 on any (M, M) grid
+    # with M >= 5; read off its first axis alone, (5, 7) gave 2.8, (7, 5)
+    # 1.43, (9, 3) numpy's broadcast error, (5,) an IndexError and so did
+    # (), what field_from_function passes on for a scalar-valued f
+    assert field_from_grid(2, 2.0, 2, np.ones((5, 5))).coeffs[0, 0] == pytest.approx(2.0)
+    with pytest.raises(ShapeMismatch, match=re.escape(f"shape {shape} ")):
+        field_from_grid(2, 2.0, 2, np.ones(shape))
 
 
 def test_conjugate_symmetry_enforced(rng):

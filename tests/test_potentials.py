@@ -119,6 +119,31 @@ class TestFindCriticalPoint:
         with pytest.raises(DegenerateHessian):
             find_critical_point(flat, [0.5], degenerate_tol=1e-4)
 
+    def test_many_dimensional_well_converges(self):
+        # V = |x|^2 / 4 in 40 dimensions: every eigenvalue is 0.5, a
+        # nondegenerate minimum, though det Hess = 0.5^40 = 9.1e-13
+        well = Potential(
+            value=lambda x: 0.25 * np.sum(np.square(x), axis=-1),
+            gradient_batch=lambda x: 0.5 * np.asarray(x, dtype=float),
+            hessian=lambda x: 0.5 * np.eye(40),
+        )
+        cp = find_critical_point(well, np.full(40, 0.3))
+        assert cp.kind == "minimum"
+        assert np.max(np.abs(cp.location)) < 1e-12
+        assert np.array_equal(cp.hessian_eigenvalues, np.full(40, 0.5))
+
+    def test_singular_newton_step_raises(self):
+        # V(x, y) = x + y^2/2 has no critical point and the singular Hessian
+        # diag(0, 1) everywhere: the solve's LinAlgError is a DegenerateHessian
+        ramp = Potential(
+            value=lambda p: np.asarray(p)[..., 0] + np.asarray(p)[..., 1] ** 2 / 2,
+            gradient_batch=lambda p: np.stack(
+                [np.ones_like(np.asarray(p)[..., 0]), np.asarray(p)[..., 1]], axis=-1),
+            hessian=lambda p: np.diag([0.0, 1.0]),
+        )
+        with pytest.raises(DegenerateHessian, match="singular Hessian"):
+            find_critical_point(ramp, [0.0, 1.0])
+
     def test_no_convergence_raises(self):
         # gradient never vanishes, Newton has no target
         tilted = Potential(

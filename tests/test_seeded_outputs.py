@@ -107,7 +107,9 @@ FIELD_ENTRIES = {
                f0=random_field(2, 1.5, 4, np.random.default_rng(4), 0.5)),
         0.1, record_every=5),
     "noise_check": _noise_check,
-    # the Galerkin field as a 5-dimensional SDE (N = 2, L = 2), from -1 to +1
+    # the truncated field (N = 2, L = 2) as a 5-dimensional SDE in its
+    # orthonormal coordinates, from -1 to +1: Euler-Maruyama on the Galerkin
+    # potential is the field's own truncated dynamics
     "hitting_galerkin_N2": lambda: hitting_times_raw(
         SdeRun(galerkin_potential_1d(2.0, 2), epsilon=0.4, dt=2e-3,
                x0=[-np.sqrt(2), 0, 0, 0, 0], seed=7, t_max=3.0),
@@ -172,7 +174,7 @@ RECORDED = {
     "noise_check":
         "6012b754581907ee47d381cf2cea3e6ea1242a9a61f11447527a038b8a3f02aa",
     "hitting_galerkin_N2":
-        "91af261320e80cc7dd1b7914deaea217469c12c475092417848d2a0d6da0766f",
+        "56c6f7469981675f06fb3a435c6558dabe2dc32f8530955bf42b028b29d20f39",
     "snap_0000.csv":
         "ee8a7b021ea6bdfbb5693af907dbb3f3e26b1c120f781acf9068ea4babb50079",
     "snap_0001.csv":
@@ -196,7 +198,7 @@ RECORDED = {
     "kramers-ac2d":
         "d0fa8eef964f8a0baa4f6dafc66a7b0a73910b5b89fca441da7bd7a0b574eb29",
     "kramers-ac1d-galerkin":
-        "bac004b3fcd6dac04a7b7ff6ffaa5740ffe08935a6927a351c01aa94d22a781f",
+        "c11fdffaff32efa0a801b60afcabbf2709d16b2716afe2c903bf47c4bd225aba",
 }
 
 

@@ -382,6 +382,27 @@ class TestNoiseCovariance:
         slope = np.polyfit(T, v, 1)[0]
         assert slope / 2.0 == pytest.approx(1.0, abs=0.05)  # L^d = 2
 
+    def test_horizons_between_steps_are_predicted_where_simulated(self):
+        # T = 0.015 runs round(1.5) = 2 steps of dt = 0.01: predicted at T the
+        # variance ratio read 1.27-1.35 (z = 9.6-11.6), at the simulated 0.02
+        # it is within 3 standard errors
+        run = make_run(N=4, eps=0.2, dt=0.01, start=0.0, seed=5)
+        rep = noise_coefficient_check(run, T_values=(0.015, 0.5), n=4000)
+        assert rep.T_values == (2 * 0.01, 50 * 0.01)
+        assert np.allclose(rep.predicted_var[:, 0] / rep.predicted_var[:, 1],
+                           0.02 / 0.5, rtol=1e-14, atol=0)
+        assert np.all(np.abs(rep.empirical_var - rep.predicted_var)
+                      < 3 * rep.var_stderr)
+
+    @pytest.mark.parametrize("T_values, message", [
+        ((0.004,), "T = 0.004 rounds to 0 steps"),
+        ((0.5, -1.0), "T = -1.0 rounds to -100 steps"),
+        ((), "T_values is empty")])
+    def test_horizons_must_run_a_step(self, T_values, message):
+        run = make_run(N=4, eps=0.2, dt=0.01, start=0.0, seed=5)
+        with pytest.raises(ValueError, match=message):
+            noise_coefficient_check(run, T_values=T_values, n=2)
+
     def test_needs_two_replicas(self):
         with pytest.raises(ValueError):
             noise_coefficient_check(make_run(), n=1)
