@@ -9,6 +9,14 @@ e^{-Tr} factor of the Carleman-Fredholm determinant mode by mode.
 Products are accumulated as (sign, log-magnitude) pairs so that 2D products
 over (2N+1)^2 modes never overflow, and so that regrouped reductions can be
 compared at machine precision.
+
+Every band sum (the two determinants, the resolvent trace and the plain d=2
+log-product of kramers.compensation_residual) goes through _band_sum.  It
+reads the 1-D k^2 of fields.squared_wavenumber_grid, forms nu_k a block of
+band rows at a time (at most _BLOCK_VALUES values, so its temporaries stay
+small at any N), writes each mode's term into one preallocated band-shaped
+array and sums that array once.  Summing per block instead would regroup
+np.sum's pairwise reduction and move the last bits of every result.
 """
 
 from __future__ import annotations
@@ -51,27 +59,62 @@ def _check_domain(L: float) -> None:
         )
 
 
-def _eigenvalues(d: int, L: float, N: int) -> np.ndarray:
-    """nu_k over the band max|k_i| <= N that the field stepper advances."""
+_BLOCK_VALUES = 2**13  # band values per block of rows in _band_sum
+
+
+def _band_sum(d: int, L: float, N: int, term) -> tuple[float, int]:
+    """np.sum of term over the band max|k_i| <= N that the field stepper
+    advances, and the count of its negative factors.
+
+    term(nu, out) writes one block's terms into out (the block's rows of the
+    band, FFT order) from nu_k = k_i^2 + k_j^2 - 1 (d=2) or k^2 - 1 (d=1),
+    which it may overwrite, and returns the block's count of negative factors.
+    """
     fields.check_truncation(d, L, N)
-    return fields.squared_wavenumber_grid(d, L, N) - 1.0
+    ksq = fields.squared_wavenumber_grid(1, L, N)
+    band = np.empty((ksq.size,) * d)
+    rows = _BLOCK_VALUES if d == 1 else max(1, _BLOCK_VALUES // ksq.size)
+    negatives = 0
+    for i in range(0, ksq.size, rows):
+        if d == 1:
+            nu = ksq[i:i + rows] - 1.0
+        else:
+            nu = ksq[i:i + rows, None] + ksq
+            nu -= 1.0
+        negatives += term(nu, band[i:i + rows])
+    return float(np.sum(band)), negatives
+
+
+def _log_factors(nu: np.ndarray, out: np.ndarray, regularize: bool) -> int:
+    """log|1 + x_k|, x_k = 3/nu_k, into out, minus x_k when regularize (the
+    Carleman-Fredholm e^{-x_k}); returns the count of negative 1 + x_k."""
+    x = np.divide(3.0, nu, out=nu)
+    factors = 1.0 + x
+    negatives = np.count_nonzero(factors < 0)
+    np.log(np.abs(factors, out=factors), out=out)
+    if regularize:
+        out -= x
+    return negatives
+
+
+def _reciprocals(nu: np.ndarray, out: np.ndarray) -> int:
+    """1/nu_k into out; there are no factors, so none is negative."""
+    np.divide(1.0, nu, out=out)
+    return 0
 
 
 def _determinant(d: int, L: float, N: int) -> DeterminantResult:
     """prod (1 + x_k), x_k = 3/nu_k, over the band; in d=2 each factor also
     carries e^{-x_k}, which removes the trace divergence."""
     _check_domain(L)
-    x = 3.0 / _eigenvalues(d, L, N)
-    factors = 1.0 + x
-    log_terms = np.log(np.abs(factors))
+    log_abs, negatives = _band_sum(
+        d, L, N, lambda nu, out: _log_factors(nu, out, d == 2))
     a = L / (2 * np.pi)  # < 1, so nu_k > 0 for all k != 0
     if d == 1:
         tail = 3.0 * a * np.log((N + a) / (N - a)) if N >= 1 else np.inf
     else:
-        log_terms -= x  # fused per-mode reduction
         tail = 4.5 * a**4 * np.pi / (N**2 - a**2) if N >= 1 else np.inf
-    sign = -1 if np.count_nonzero(factors < 0) % 2 else 1
-    return DeterminantResult(log_abs=float(np.sum(log_terms)), sign=sign,
+    return DeterminantResult(log_abs=log_abs, sign=-1 if negatives % 2 else 1,
                              tail_estimate=tail)
 
 
@@ -102,7 +145,7 @@ def carleman_det_2d(L: float, N: int) -> DeterminantResult:
 
 def resolvent_trace(d: int, L: float, N: int) -> float:
     """Tr(P_N (-Lap - 1)^{-1}) = sum over the retained band of 1/nu_k."""
-    return float(np.sum(1.0 / _eigenvalues(d, L, N)))
+    return _band_sum(d, L, N, _reciprocals)[0]
 
 
 def counterterm_trace(L: float, N: int) -> float:

@@ -13,7 +13,9 @@ check_truncation is the one check of (d, L, N); the rest reads the field's.
 squared_wavenumber_grid is the one source of (2 pi |k| / L)^2: the stepper's
 divisors, the energy, the Galerkin potential and its critical points, the
 H^s weights, and (minus one, as nu_k) the determinants and the Wick
-counterterm all read it, so they share one band in one order.
+counterterm all read it, so they share one band in one order; the
+determinants read its d=1 values and form the d=2 rows k_i^2 + k_j^2
+themselves, a block of rows at a time.
 distance_to_constant is the one distance to a constant, hitting times' too.
 """
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .allen_cahn import renormalized_energy_gap
 from .determinants import (
-    _eigenvalues,
+    _band_sum,
+    _log_factors,
     carleman_det_2d,
     fredholm_closed_form,
     fredholm_det_1d,
@@ -136,7 +137,7 @@ def compensation_residual(L: float, N: int, eps: float) -> float:
     The counterterm and the exponential regularization cancel exactly, so the
     two log mean times agree up to floating-point regrouping.
     """
-    log_plain = float(np.sum(np.log(np.abs(1.0 + 3.0 / _eigenvalues(2, L, N)))))
+    log_plain = _band_sum(2, L, N, lambda nu, out: _log_factors(nu, out, False))[0]
     gap = renormalized_energy_gap(L, N, eps)
     log_route_a = np.log(2 * np.pi) - 0.5 * log_plain + gap / eps
 

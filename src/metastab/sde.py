@@ -19,6 +19,7 @@ values come back.  The engine looks at the start states too (step 0), so a
 replica that starts in the target hits at time 0; replicas are compacted once
 per block, and the engine then raises NonFinite if a surviving state has
 overflowed, the one overflow check of every run here and in spde.
+steps_in is the one conversion of a duration into a number of steps.
 """
 
 from __future__ import annotations
@@ -72,8 +73,12 @@ class SdeRun:
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
+        if not np.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if not np.isfinite(self.dt):
+            raise ValueError("dt must be finite")
         if self.t_max is not None and not self.t_max > 0:
             raise ValueError("t_max must be positive")
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
@@ -122,12 +127,23 @@ def replica_rng(seed_base: int, replica_index: int) -> np.random.Generator:
     )
 
 
+def steps_in(duration: float, name: str, dt: float) -> int:
+    """round(duration / dt), the steps of dt a duration spans; ValueError
+    naming the duration unless that is a finite number.  A negative count is
+    left to the engine, which refuses it."""
+    steps = duration / dt
+    if not np.isfinite(steps):
+        raise ValueError(f"{name} = {duration} is not a finite number of "
+                         f"steps of dt = {dt}")
+    return int(round(steps))
+
+
 def integrate_path(run: SdeRun, t_final: float, record: bool = False):
     """Single-trajectory integration up to t_final on replica 0's stream.
 
     Returns the final state, or (times, states) when record is set.
     """
-    n_steps = int(round(t_final / run.dt))
+    n_steps = steps_in(t_final, "t_final", run.dt)
     steps = np.arange(n_steps + 1) if record else [n_steps]
     path = _first_passage(run.x0, run.seed, 0, 1, run.dt, n_steps, record=steps,
                           **_sde_callbacks(run))[1][:, 0]
@@ -463,7 +479,7 @@ def sample_endpoints(run: SdeRun, t: float, n: int,
     blocks stay within the engine's budget at any n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    n_steps, callbacks = int(round(t / run.dt)), _sde_callbacks(run)
+    n_steps, callbacks = steps_in(t, "t", run.dt), _sde_callbacks(run)
     size = _BLOCK_NORMALS // _MIN_DRAW
 
     def endpoints(offset, count):
@@ -493,7 +509,7 @@ def hitting_times_raw(run: SdeRun, target_center: np.ndarray, delta: float,
     censored at the horizon), run on the usable CPUs by run_ranges.
     Deterministic given (seed, replica indices); ShapeMismatch unless the
     center has the state's dimension."""
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -507,7 +523,8 @@ def hitting_times_raw(run: SdeRun, target_center: np.ndarray, delta: float,
         dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # as np.linalg.norm
         return (dist < delta).reshape(x.shape[:2])
 
-    max_steps, callbacks = int(round(run.horizon / run.dt)), _sde_callbacks(run)
+    max_steps = steps_in(run.horizon, "t_max", run.dt)
+    callbacks = _sde_callbacks(run)
     return run_ranges(lambda offset, count: _first_passage(
         run.x0, run.seed, replica_offset + offset, count, run.dt, max_steps,
         hit=hit, **callbacks)[0], n)

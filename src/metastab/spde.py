@@ -47,7 +47,7 @@ from . import fields
 from .determinants import counterterm_trace
 from .errors import DomainError
 from .fields import SpectralField
-from .sde import HittingTimeBatch, _draw_noise, _first_passage, run_ranges
+from .sde import HittingTimeBatch, _draw_noise, _first_passage, run_ranges, steps_in
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,12 @@ class SpdeRun:
         if self.dt >= 1:
             raise DomainError(f"dt = {self.dt} must be below 1: the implicit "
                               "step divides the mean mode by 1 - dt")
+        if not np.isfinite(self.dt):
+            raise ValueError("dt must be finite")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
+        if not np.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
         if self.renormalize and self.field0.d == 1:
             raise DomainError("the Wick counterterm is defined only in d=2")
         if self.renormalize is False and self.field0.d == 2:
@@ -175,7 +179,7 @@ def integrate_deterministic(run: SpdeRun, t_final: float,
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     st = _Stepper(run)
-    n_steps = int(round(t_final / run.dt))
+    n_steps = steps_in(t_final, "t_final", run.dt)
     steps = np.union1d(np.arange(0, n_steps + 1, record_every), n_steps)
     snaps = _one_replica(st, steps, 0, lambda c: c, noisy=False)
     return steps * run.dt, fields.full_band(snaps, st.d)
@@ -184,7 +188,7 @@ def integrate_deterministic(run: SpdeRun, t_final: float,
 def spatial_mean_trajectory(run: SpdeRun, t_final: float) -> tuple[np.ndarray, np.ndarray]:
     """Times and spatially-averaged field of one noisy trajectory."""
     st = _Stepper(run)
-    n_steps = int(round(t_final / run.dt))
+    n_steps = steps_in(t_final, "t_final", run.dt)
     steps = np.append(np.arange(n_steps), n_steps)  # 0 .. n_steps, or a negative n_steps
     means = _one_replica(st, steps, 0, lambda c: c[(Ellipsis,) + (0,) * st.d].real)
     return steps * run.dt, means * st.L ** (-st.d / 2.0)
@@ -240,7 +244,7 @@ def noise_coefficient_check(run: SpdeRun, T_values: Sequence[float] = (0.5, 1.0)
     """
     if n < 2:
         raise ValueError("n must be >= 2 for a sample variance")
-    n_steps_per_T = [int(round(float(T) / run.dt)) for T in T_values]
+    n_steps_per_T = [steps_in(float(T), "T", run.dt) for T in T_values]
     if not n_steps_per_T:
         raise ValueError("T_values is empty: the check needs a horizon")
     for T, k in zip(T_values, n_steps_per_T):
@@ -309,7 +313,7 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
     One nan per censored replica; deterministic given (seed, replica index).
     The replicas run on the usable CPUs (sde.run_ranges).
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -318,7 +322,7 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
     st = _Stepper(run)
     distances = fields.distance_to_constant(st.d, st.L, st.N, target, norm, s)
     c0 = run.field0.coeffs[..., :st.N + 1]
-    u0, max_steps = st.colloc.grid(c0), int(round(run.t_max / run.dt))
+    u0, max_steps = st.colloc.grid(c0), steps_in(run.t_max, "t_max", run.dt)
     return run_ranges(lambda offset, count: _first_passage(
         c0, run.seed, replica_offset + offset, count, run.dt, max_steps,
         st.noise_shape, st.step, hit=lambda dist: dist < delta, aux0=u0,
@@ -363,7 +367,7 @@ def record_snapshots(run: SpdeRun, snapshot_times, out_dir,
     marks = []  # (step, time) of each snapshot, in time order
     last, t_now = 0, 0.0
     for t in times:
-        n_steps = max(0, int(round((t - t_now) / run.dt)))
+        n_steps = max(0, steps_in(t - t_now, "snapshot time", run.dt))
         last += n_steps
         t_now += n_steps * run.dt
         marks.append((last, t_now))

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,3 +204,48 @@ def test_counterterm_rejects_L_outside_zero_two_pi(L):
 def test_resolvent_trace_beyond_two_pi_is_finite():
     # no nu_k vanishes at L = 7; only the determinants need L < 2 pi
     assert np.isfinite(resolvent_trace(2, 7, 4))
+
+
+# d=2, N=300 spans several blocks of band rows, and d=1, N=5000 two blocks
+BAND_CASES = [(d, L, N) for d in (1, 2) for L in (0.5, 2.0, 6.0)
+              for N in (0, 1, 7, 64, 300)] + [(1, L, 5000) for L in (0.5, 2.0, 6.0)]
+
+
+@pytest.mark.parametrize("d, L, N", BAND_CASES)
+def test_band_sums_match_one_full_band_sum(d, L, N):
+    # the reference: each sum as one expression over the whole band, summed
+    # once; the band is filled a block of rows at a time, bit for bit
+    nu = eigenvalues(d, L, N)
+    x = 3.0 / nu
+    factors = 1.0 + x
+    log_terms = np.log(np.abs(factors))
+    if d == 2:
+        log_terms -= x
+    log_abs = float(np.sum(log_terms))
+    det = fredholm_det_1d(L, N) if d == 1 else carleman_det_2d(L, N)
+    assert det.log_abs == log_abs
+    assert det.sign == (-1 if np.count_nonzero(factors < 0) % 2 else 1)
+    trace = float(np.sum(1.0 / nu))
+    assert resolvent_trace(d, L, N) == trace
+    if d == 2:
+        assert counterterm_trace(L, N) == trace / L**2
+        eps = 0.3
+        log_plain = float(np.sum(np.log(np.abs(factors))))
+        gap = L**2 / 4.0 + 1.5 * L**2 * eps * (trace / L**2)
+        route_a = np.log(2 * np.pi) - 0.5 * log_plain + gap / eps
+        route_b = np.log(2 * np.pi) - 0.5 * log_abs + (L**2 / 4.0) / eps
+        assert compensation_residual(L, N, eps) == \
+            abs(route_a - route_b) / max(1.0, abs(route_b))
+
+
+def test_carleman_holds_one_band_of_memory():
+    # one band-sized array of 8-byte terms plus small blocks of rows; the
+    # full-band expressions held about five bands at once
+    carleman_det_2d(2.0, 512)
+    tracemalloc.start()
+    try:
+        carleman_det_2d(2.0, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * 1025**2

@@ -736,6 +736,9 @@ class TestHittingTimeStatistics:
         assert chi2 < stats.chi2.ppf(0.95, dof)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def _run(quartic, **kw):
     return SdeRun(quartic, **{"epsilon": 0.3, "dt": 1e-3, "x0": [-1.0], "seed": 0, **kw})
 
@@ -744,10 +747,33 @@ def _run(quartic, **kw):
     (lambda q: _run(q, dt=0.0), ValueError, "dt must be positive"),
     (lambda q: _run(q, dt=-1e-3), ValueError, "dt must be positive"),
     (lambda q: _run(q, epsilon=-0.1), ValueError, "epsilon must be nonnegative"),
+    (lambda q: _run(q, dt=NAN), ValueError, "dt must be finite"),
+    (lambda q: _run(q, dt=INF), ValueError, "dt must be finite"),
+    (lambda q: _run(q, dt=-INF), ValueError, "dt must be positive"),
+    (lambda q: _run(q, epsilon=NAN), ValueError, "epsilon must be finite"),
+    (lambda q: _run(q, epsilon=INF), ValueError, "epsilon must be finite"),
+    (lambda q: _run(q, t_max=NAN), ValueError, "t_max must be positive"),
     (lambda q: hitting_times_raw(_run(q), [1.0], 0.0, 4), ValueError,
      "delta must be positive"),
     (lambda q: hitting_times_raw(_run(q), [1.0], -0.2, 4), ValueError,
      "delta must be positive"),
+    (lambda q: hitting_times_raw(_run(q), [1.0], NAN, 4), ValueError,
+     "delta must be positive"),
+    # a duration that is not a finite number of steps is refused by name
+    (lambda q: hitting_times_raw(_run(q, t_max=INF), [1.0], 0.2, 4), ValueError,
+     "t_max = inf is not a finite number of steps of dt = 0.001"),
+    (lambda q: sample_endpoints(_run(q), NAN, 3), ValueError,
+     "t = nan is not a finite number of steps of dt = 0.001"),
+    (lambda q: sample_endpoints(_run(q), INF, 3), ValueError,
+     "t = inf is not a finite number of steps of dt = 0.001"),
+    (lambda q: sample_endpoints(_run(q), -INF, 3), ValueError,
+     "t = -inf is not a finite number of steps of dt = 0.001"),
+    (lambda q: integrate_path(_run(q), NAN), ValueError,
+     "t_final = nan is not a finite number of steps of dt = 0.001"),
+    (lambda q: integrate_path(_run(q), INF, record=True), ValueError,
+     "t_final = inf is not a finite number of steps of dt = 0.001"),
+    (lambda q: integrate_path(_run(q, dt=1e-300), 1e10), ValueError,
+     "t_final = 10000000000.0 is not a finite number of steps of dt = 1e-300"),
     (lambda q: ou_density(0.0, 0.5, 0.0, 0.3), ValueError, "t and eps must be positive"),
     (lambda q: ou_density(0.0, 0.5, -1.0, 0.3), ValueError, "t and eps must be positive"),
     # one answer to a negative duration, from the engine

@@ -44,6 +44,9 @@ from metastab.spde import (
 )
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def make_run(d=1, L=2.0, N=8, eps=0.2, dt=1e-3, t_max=10.0, seed=0, start=-1.0,
              **kw):
     return SpdeRun(field0=constant_field(d, L, N, start), epsilon=eps, dt=dt,
@@ -793,10 +796,34 @@ def test_record_snapshots_reject_a_negative_time(tmp_path):
     (lambda: make_run(dt=0.0), ValueError, "dt must be positive"),
     (lambda: make_run(dt=-1e-3), ValueError, "dt must be positive"),
     (lambda: make_run(eps=-0.1), ValueError, "epsilon must be nonnegative"),
+    (lambda: make_run(dt=NAN), ValueError, "dt must be finite"),
+    (lambda: make_run(dt=INF), DomainError,
+     "dt = inf must be below 1: the implicit step divides the mean mode by 1 - dt"),
+    (lambda: make_run(eps=NAN), ValueError, "epsilon must be finite"),
+    (lambda: make_run(eps=INF), ValueError, "epsilon must be finite"),
     (lambda: spde_hitting_times_raw(make_run(), 1.0, 0.0), ValueError,
      "delta must be positive"),
     (lambda: spde_hitting_times_raw(make_run(), 1.0, -0.3), ValueError,
      "delta must be positive"),
+    (lambda: spde_hitting_times_raw(make_run(), 1.0, NAN, n=2), ValueError,
+     "delta must be positive"),
+    # a duration that is not a finite number of steps is refused by name
+    (lambda: spde_hitting_times_raw(make_run(t_max=NAN), 1.0, 0.3), ValueError,
+     "t_max = nan is not a finite number of steps of dt = 0.001"),
+    (lambda: spde_hitting_times_raw(make_run(t_max=INF), 1.0, 0.3), ValueError,
+     "t_max = inf is not a finite number of steps of dt = 0.001"),
+    (lambda: integrate_deterministic(make_run(), NAN), ValueError,
+     "t_final = nan is not a finite number of steps of dt = 0.001"),
+    (lambda: integrate_deterministic(make_run(), INF, record_every=7), ValueError,
+     "t_final = inf is not a finite number of steps of dt = 0.001"),
+    (lambda: spatial_mean_trajectory(make_run(), NAN), ValueError,
+     "t_final = nan is not a finite number of steps of dt = 0.001"),
+    (lambda: spatial_mean_trajectory(make_run(), INF), ValueError,
+     "t_final = inf is not a finite number of steps of dt = 0.001"),
+    (lambda: noise_coefficient_check(make_run(), T_values=(0.5, NAN), n=2),
+     ValueError, "T = nan is not a finite number of steps of dt = 0.001"),
+    (lambda: noise_coefficient_check(make_run(), T_values=(INF,), n=2),
+     ValueError, "T = inf is not a finite number of steps of dt = 0.001"),
     # one answer to a negative duration, from the engine
     (lambda: spde_hitting_times_raw(make_run(t_max=-1.0), 1.0, 0.3), ValueError,
      "a run of -1000 steps: the duration must be nonnegative"),
@@ -816,6 +843,16 @@ def test_bad_inputs_raise(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("t", (NAN, INF))
+def test_record_snapshots_reject_a_non_finite_time(tmp_path, t):
+    with pytest.raises(ValueError) as info:
+        record_snapshots(make_run(), [0.05, t], str(tmp_path / "snaps"))
+    assert type(info.value) is ValueError
+    assert str(info.value) == \
+        f"snapshot time = {t} is not a finite number of steps of dt = 0.001"
+    assert not (tmp_path / "snaps").exists()
 
 
 def test_zero_duration_gives_the_start_state():
