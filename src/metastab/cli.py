@@ -193,7 +193,7 @@ def _spde_ensemble(p: dict, seed: int):
 
 def _hitting_results(raw: np.ndarray):
     """Header, rows and summary of one ensemble's hitting times."""
-    batch = HittingTimeBatch.from_raw(raw)
+    batch = HittingTimeBatch(raw)
     rows = [(i, 0.0 if np.isnan(t) else t, bool(np.isnan(t)))
             for i, t in enumerate(raw)]
     summary = {"mean": batch.mean, "stderr": batch.stderr,
@@ -211,8 +211,7 @@ def _run_spde_hitting(cfg: ExperimentConfig, p: dict):
     raw = _parallel_raw(worker, p["n"], cfg.threads)
     results = _hitting_results(raw)
     if p["snapshots"]:
-        horizon = min(p["t_max"], float(np.nanmax(raw)) if np.isfinite(raw).any()
-                      else p["t_max"])
+        horizon = min(p["t_max"], float(np.nanmax(raw)))  # a replica hit, or AllCensored
         times = np.linspace(0.0, horizon, p["snapshots"])
         record_snapshots(run, times, str(Path(cfg.out) / "snapshots"),
                          replica_index=p["n"])
@@ -349,7 +348,7 @@ def _run_arrhenius_sweep(cfg: ExperimentConfig, p: dict):
              for i in range(len(eps_list))]
     workers = [ensemble({**p, "epsilon": eps, "d": 1}, seed)[1]  # ac1d: d = 1
                for eps, seed in zip(eps_list, seeds)]  # each checked before any runs
-    batches = [(eps, HittingTimeBatch.from_raw(_parallel_raw(worker, n, cfg.threads)))
+    batches = [(eps, HittingTimeBatch(_parallel_raw(worker, n, cfg.threads)))
                for eps, worker in zip(eps_list, workers)]
     fit = arrhenius_fit(batches)
     header = ["epsilon", "mean_tau", "stderr", "n_censored"]

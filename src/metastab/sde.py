@@ -4,22 +4,23 @@ Every Monte Carlo replica owns a counter-based RNG stream derived from
 (seed_base, replica_index), so ensembles are reproducible under any parallel
 schedule; aggregation is ordered by replica index.  run_ranges is the one
 replica scheduler: it cuts an ensemble into contiguous ranges, one per
-worker process, this process and forked children.  Every replica ensemble
-runs on it: hitting times and endpoints here, field hitting and the noise
-check in spde and the walks of randomwalk on every usable CPU, and the CLI's
-on --threads workers; inline in a process that runs other threads.
+worker process, this process and forked children (inline in a process that
+runs other threads).  Every replica ensemble here, in spde and in randomwalk
+runs on it, on every usable CPU or the CLI's --threads workers.
 _first_passage is the one loop, here and in spde, that advances states over
 time.  It draws their noise step-major in blocks set by one rule
 (_block_steps) into one buffer per call, steps the live replicas across a
 block and keeps what the caller's keep(states, aux) takes of each step (the
-SDE keeps its states, written into the noise rows they used).  Callers say two
-things about the kept values: a hit test hit(kept), a mask over kept rows that
-stops each replica at its first hit, and the steps to record, whose kept
-values come back.  The engine looks at the start states too (step 0), so a
-replica that starts in the target hits at time 0; replicas are compacted once
-per block, and the engine then raises NonFinite if a surviving state has
-overflowed, the one overflow check of every run here and in spde.
-steps_in is the one conversion of a duration into a number of steps.
+SDE keeps its states, written into the noise rows they used).  Callers say
+two things about the kept values: a hit test hit(kept), which stops each
+replica at its first hit, the start (step 0) included, and the steps to
+record, whose kept values come back.  Replicas are compacted once per block,
+and the engine then raises NonFinite if a surviving state has overflowed,
+the one overflow check of every run here and in spde.  _hitting_times is the
+one hitting entry, of SDE and field ensembles alike: its hit test is
+distance(kept) < delta, and a HittingTimeBatch is its raw times.  check_run
+is the one rule SdeRun and spde.SpdeRun are built under, and steps_in the
+one conversion of a duration into a number of steps.
 """
 
 from __future__ import annotations
@@ -71,53 +72,68 @@ class SdeRun:
     t_max: Optional[float] = None  # default horizon: 1e6 steps
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if not np.isfinite(self.epsilon):
-            raise ValueError("epsilon must be finite")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if not np.isfinite(self.dt):
-            raise ValueError("dt must be finite")
-        if self.t_max is not None and not self.t_max > 0:
-            raise ValueError("t_max must be positive")
-        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
+        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+        if x0.ndim != 1 or x0.size == 0:
+            raise ShapeMismatch(f"x0 has shape {x0.shape}, not one point")
+        check_run(self.epsilon, self.dt, self.t_max, x0, "x0")
+        object.__setattr__(self, "x0", x0)
 
     @property
     def horizon(self) -> float:
         return 1e6 * self.dt if self.t_max is None else self.t_max
 
 
+def check_run(epsilon: float, dt: float, t_max: Optional[float],
+              start: np.ndarray, name: str) -> None:
+    """The rule SdeRun and spde.SpdeRun are built under: ValueError unless
+    epsilon >= 0, dt > 0 and a given t_max > 0 are finite, and so is start."""
+    faults = ((epsilon < 0, "epsilon must be nonnegative"),
+              (not np.isfinite(epsilon), "epsilon must be finite"),
+              (dt <= 0, "dt must be positive"),
+              (not np.isfinite(dt), "dt must be finite"),
+              (t_max is not None and not t_max > 0, "t_max must be positive"),
+              (t_max is not None and not np.isfinite(t_max), "t_max must be finite"),
+              (not np.all(np.isfinite(start)), f"{name} must be finite"))
+    for fault, message in faults:  # the first fault, in this order
+        if fault:
+            raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class HittingTimeBatch:
-    """Seeded sample of first-hitting times with summary statistics.
+    """Seeded first-hitting times, one raw entry per replica (nan marks
+    censoring at the horizon); samples, the hits in replica order, and the
+    statistics are read off it.  AllCensored unless some replica hit."""
 
-    samples holds the uncensored hitting times ordered by replica index;
-    raw keeps one entry per replica (nan marks censoring at the horizon).
-    """
-
-    samples: np.ndarray
-    n_attempted: int
-    n_censored: int
-    mean: float
-    stderr: float
     raw: np.ndarray
 
-    @staticmethod
-    def from_raw(raw: np.ndarray) -> "HittingTimeBatch":
-        raw = np.asarray(raw, dtype=float)
-        samples = raw[np.isfinite(raw)]
-        n_censored = int(raw.size - samples.size)
-        if samples.size == 0:
-            raise AllCensored(
-                f"all {raw.size} replicas were censored at the horizon; "
-                "the noise intensity is too small for this time budget"
-            )
-        mean = float(np.mean(samples))
-        stderr = float(np.std(samples, ddof=1) / np.sqrt(samples.size)) if samples.size > 1 else np.inf
-        return HittingTimeBatch(samples=samples, n_attempted=raw.size,
-                                n_censored=n_censored, mean=mean, stderr=stderr,
-                                raw=raw)
+    def __post_init__(self):
+        object.__setattr__(self, "raw", np.asarray(self.raw, dtype=float))
+        if self.samples.size == 0:
+            raise AllCensored(f"all {self.raw.size} replicas were censored at the "
+                              "horizon; the noise intensity is too small for "
+                              "this time budget")
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self.raw[np.isfinite(self.raw)]
+
+    @property
+    def n_attempted(self) -> int:
+        return self.raw.size
+
+    @property
+    def n_censored(self) -> int:
+        return int(self.raw.size - self.samples.size)
+
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.samples))
+
+    @property
+    def stderr(self) -> float:
+        hits = self.samples
+        return float(np.std(hits, ddof=1) / np.sqrt(hits.size)) if hits.size > 1 else np.inf
 
 
 def replica_rng(seed_base: int, replica_index: int) -> np.random.Generator:
@@ -357,12 +373,16 @@ def _sde_callbacks(run: SdeRun) -> dict:
 
     warned = False
 
-    def check(x):
+    def check(x):  # dt should stay below 1/max |Hessian eigenvalue| at 4 survivors
         nonlocal warned
-        if not warned and not _stability_check(run, x):
-            warnings.warn("dt exceeds 1/max Hessian eigenvalue along trajectory",
-                          RuntimeWarning)
-            warned = True
+        for row in () if warned else x[:: max(1, len(x) // 4)][:4]:
+            eigs = np.linalg.eigvalsh(np.atleast_2d(run.potential.hessian(row)))
+            lam = float(np.max(np.abs(eigs)))
+            if lam > 0 and run.dt >= 1.0 / lam:
+                warnings.warn("dt exceeds 1/max Hessian eigenvalue along trajectory",
+                              RuntimeWarning)
+                warned = True
+                break
 
     return dict(shape=(run.x0.size,), scale=np.sqrt(2 * run.epsilon * run.dt),
                 step=step, check=check)
@@ -492,50 +512,45 @@ def sample_endpoints(run: SdeRun, t: float, n: int,
     return run_ranges(endpoints, n)
 
 
-def _stability_check(run: SdeRun, x: np.ndarray) -> bool:
-    """dt should stay below 1/max-eigenvalue of the Hessian at visited states."""
-    sample = x[:: max(1, len(x) // 4)][:4]
-    for row in sample:
-        eigs = np.linalg.eigvalsh(np.atleast_2d(run.potential.hessian(row)))
-        lam = float(np.max(np.abs(eigs)))
-        if lam > 0 and run.dt >= 1.0 / lam:
-            return False
-    return True
-
-
-def hitting_times_raw(run: SdeRun, target_center: np.ndarray, delta: float,
-                      n: int, replica_offset: int = 0) -> np.ndarray:
-    """First times ||x_t - center|| < delta, one entry per replica (nan =
-    censored at the horizon), run on the usable CPUs by run_ranges.
-    Deterministic given (seed, replica indices); ShapeMismatch unless the
-    center has the state's dimension."""
+def _hitting_times(run, start: np.ndarray, horizon: float, distance,
+                   delta: float, n: int, replica_offset: int,
+                   **engine) -> np.ndarray:
+    """The first times distance(kept) < delta of n replicas of run from
+    start, nan if censored at the horizon, on the usable CPUs by run_ranges;
+    engine holds _first_passage's keywords that say what kept is."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
+    max_steps = steps_in(horizon, "t_max", run.dt)
+    return run_ranges(lambda offset, count: _first_passage(
+        start, run.seed, replica_offset + offset, count, run.dt, max_steps,
+        hit=lambda kept: distance(kept) < delta, **engine)[0], n)
+
+
+def hitting_times_raw(run: SdeRun, target_center: np.ndarray, delta: float,
+                      n: int, replica_offset: int = 0) -> np.ndarray:
+    """First times ||x_t - center|| < delta, nan if censored at the horizon,
+    deterministic given (seed, replica indices); ShapeMismatch unless the
+    center has the state's dimension, ValueError unless it is finite."""
     center = np.atleast_1d(np.asarray(target_center, dtype=float))
     if center.size != run.x0.size:
         raise ShapeMismatch(f"target has {center.size} coordinates, the state "
                             f"{run.x0.size}")
+    if not np.all(np.isfinite(center)):
+        raise ValueError("target_center must be finite")
 
-    def hit(x):  # x: (steps, live, dim)
-        diff = (x - center).reshape(-1, center.size)
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # as np.linalg.norm
-        return (dist < delta).reshape(x.shape[:2])
+    def distance(x):  # x: (steps, live, dim)
+        diff = x - center
+        return np.sqrt(np.add.reduce(diff * diff, axis=-1))  # as np.linalg.norm
 
-    max_steps = steps_in(run.horizon, "t_max", run.dt)
-    callbacks = _sde_callbacks(run)
-    return run_ranges(lambda offset, count: _first_passage(
-        run.x0, run.seed, replica_offset + offset, count, run.dt, max_steps,
-        hit=hit, **callbacks)[0], n)
+    return _hitting_times(run, run.x0, run.horizon, distance, delta, n,
+                          replica_offset, **_sde_callbacks(run))
 
 
 def sample_hitting_times(run: SdeRun, target_center, delta: float, n: int,
                          replica_offset: int = 0) -> HittingTimeBatch:
-    """n seeded replicas of the first-hitting time of the delta-ball.
-
-    Censored replicas are excluded from the mean but reported; raises
-    AllCensored when no replica reaches the target.
-    """
-    raw = hitting_times_raw(run, target_center, delta, n, replica_offset)
-    return HittingTimeBatch.from_raw(raw)
+    """n seeded replicas of the first-hitting time of the delta-ball, as a
+    HittingTimeBatch: AllCensored unless some replica reaches the target."""
+    return HittingTimeBatch(hitting_times_raw(run, target_center, delta, n,
+                                              replica_offset))

@@ -27,10 +27,10 @@ noiseless flow are one replica that records what its caller reads at the
 steps it names.  The noise check reads the white-noise isometry off
 mode_noise as an exact identity; its Monte Carlo is an ensemble whose states
 are the running sums of their normals, recorded at each horizon, and like
-hitting it runs as sde.run_ranges ranges.  Hitting keeps each step's
-fields.distance_to_constant, and its hit test compares a block of them with
-delta at once.  A run reads (d, L, N) off its initial field; its counterterm
-needs 0 < L < 2 pi.
+hitting it runs as sde.run_ranges ranges.  Hitting runs on sde's one
+hitting entry, keeping each step's fields.distance_to_constant as the
+distance it compares with delta.  A run is built under sde.check_run, reads
+(d, L, N) off its initial field, and its counterterm needs 0 < L < 2 pi.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from . import fields
 from .determinants import counterterm_trace
 from .errors import DomainError
 from .fields import SpectralField
-from .sde import HittingTimeBatch, _draw_noise, _first_passage, run_ranges, steps_in
+from .sde import (HittingTimeBatch, _draw_noise, _first_passage, _hitting_times,
+                  check_run, run_ranges, steps_in)
 
 
 @dataclass(frozen=True)
@@ -63,20 +64,13 @@ class SpdeRun:
     drop_cubic: bool = False  # diagnostic: exact per-mode OU dynamics
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         # The implicit step divides mode k by 1 - dt mu_k, and mu_0 = 1 is
         # the largest mu_k: at dt = 1 the mean mode's divisor is zero, and
         # above it the divisor is negative, so the mean flips sign each step.
         if self.dt >= 1:
             raise DomainError(f"dt = {self.dt} must be below 1: the implicit "
                               "step divides the mean mode by 1 - dt")
-        if not np.isfinite(self.dt):
-            raise ValueError("dt must be finite")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if not np.isfinite(self.epsilon):
-            raise ValueError("epsilon must be finite")
+        check_run(self.epsilon, self.dt, self.t_max, self.field0.coeffs, "field0")
         if self.renormalize and self.field0.d == 1:
             raise DomainError("the Wick counterterm is defined only in d=2")
         if self.renormalize is False and self.field0.d == 2:
@@ -311,31 +305,28 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
     norm = "linf" measures on the collocation grid; norm = "hs" uses the
     Fourier-weighted Sobolev norm with index s < 0 (fields.distance_to_constant).
     One nan per censored replica; deterministic given (seed, replica index).
-    The replicas run on the usable CPUs (sde.run_ranges).
+    The replicas run on the usable CPUs (sde.run_ranges); ValueError unless
+    target is finite.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not np.isfinite(target):
+        raise ValueError("target must be finite")
     if norm == "hs" and s >= 0:
         raise DomainError("the Sobolev hitting norm requires s < 0")
     st = _Stepper(run)
-    distances = fields.distance_to_constant(st.d, st.L, st.N, target, norm, s)
     c0 = run.field0.coeffs[..., :st.N + 1]
-    u0, max_steps = st.colloc.grid(c0), steps_in(run.t_max, "t_max", run.dt)
-    return run_ranges(lambda offset, count: _first_passage(
-        c0, run.seed, replica_offset + offset, count, run.dt, max_steps,
-        st.noise_shape, st.step, hit=lambda dist: dist < delta, aux0=u0,
-        keep=distances)[0], n)
+    return _hitting_times(run, c0, run.t_max, lambda dist: dist, delta, n,
+                          replica_offset, shape=st.noise_shape, step=st.step,
+                          aux0=st.colloc.grid(c0),
+                          keep=fields.distance_to_constant(st.d, st.L, st.N,
+                                                           target, norm, s))
 
 
 def sample_spde_hitting_times(run: SpdeRun, target: float, delta: float,
                               norm: str = "linf", s: float = -0.5,
                               n: int = 1, replica_offset: int = 0) -> HittingTimeBatch:
     """Seeded ensemble of field first-hitting times (see spde_hitting_times_raw)."""
-    raw = spde_hitting_times_raw(run, target, delta, norm=norm, s=s, n=n,
-                                 replica_offset=replica_offset)
-    return HittingTimeBatch.from_raw(raw)
+    return HittingTimeBatch(spde_hitting_times_raw(
+        run, target, delta, norm=norm, s=s, n=n, replica_offset=replica_offset))
 
 
 # ---------------------------------------------------------------------------

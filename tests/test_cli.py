@@ -25,9 +25,10 @@ SPDE_ARGS = ["--d", "1", "--L", "2", "--N", "4", "--epsilon", "0.5", "--dt",
 
 
 def batch_with_mean(mean):
-    samples = np.array([mean])
-    return HittingTimeBatch(samples=samples, n_attempted=1, n_censored=0,
-                            mean=float(mean), stderr=0.0, raw=samples)
+    """A batch of one hit at time mean; a batch's mean is infinite only where
+    its sum overflows, as for two hits at the largest float."""
+    return HittingTimeBatch(np.full(2, np.finfo(float).max) if mean == np.inf
+                            else [mean])
 
 
 class TestArrheniusFit:
@@ -49,6 +50,7 @@ class TestArrheniusFit:
         fit = arrhenius_fit([(e, np.exp(0.5 / e)) for e in (0.2, 0.4, 0.8)])
         assert fit.slope == pytest.approx(0.5)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", (0.0, np.inf))
     @pytest.mark.parametrize("wrap", (float, batch_with_mean))
     def test_time_without_a_logarithm_names_its_eps(self, bad, wrap):
@@ -1152,6 +1154,17 @@ class TestReadme:
         experiment = json.loads(example)["experiment"]
         cfg = parse_config([experiment, "--config", str(cfg_file)])
         assert cfg.parameters == json.loads(example)["parameters"]
+
+    def test_library_sketch_runs(self, capsys):
+        # it builds runs and batches, so a change to either cannot leave it stale
+        block = re.search(r"## Library sketch\n.*?```python\n(.*?)```",
+                          README.read_text(), re.S).group(1)
+        names = {}
+        exec(compile(block, "README.md", "exec"), names)
+        assert isinstance(names["batch"], HittingTimeBatch)
+        assert names["batch"].n_attempted == 1000
+        mean, predicted = map(float, capsys.readouterr().out.split())
+        assert abs(np.log(mean / predicted)) < 0.5
 
 
 def scipy_modules_loaded_by(code):

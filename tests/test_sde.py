@@ -753,15 +753,35 @@ def _run(quartic, **kw):
     (lambda q: _run(q, epsilon=NAN), ValueError, "epsilon must be finite"),
     (lambda q: _run(q, epsilon=INF), ValueError, "epsilon must be finite"),
     (lambda q: _run(q, t_max=NAN), ValueError, "t_max must be positive"),
+    (lambda q: _run(q, t_max=-1.0), ValueError, "t_max must be positive"),
+    (lambda q: _run(q, t_max=INF), ValueError, "t_max must be finite"),
+    # a start state is one finite point
+    (lambda q: _run(q, x0=[]), ShapeMismatch, "x0 has shape (0,), not one point"),
+    (lambda q: _run(q, x0=[[-1.0, 0.0]]), ShapeMismatch,
+     "x0 has shape (1, 2), not one point"),
+    (lambda q: _run(q, x0=[NAN, 0.0]), ValueError, "x0 must be finite"),
+    (lambda q: _run(q, x0=[-INF]), ValueError, "x0 must be finite"),
+    # the target too, refused by name before any replica runs
+    (lambda q: hitting_times_raw(_run(q), [NAN], 0.2, 4), ValueError,
+     "target_center must be finite"),
+    (lambda q: hitting_times_raw(_run(q), INF, 0.2, 4), ValueError,
+     "target_center must be finite"),
+    (lambda q: sample_hitting_times(_run(q), [NAN], 0.2, 4), ValueError,
+     "target_center must be finite"),
+    (lambda q: hitting_times_raw(_run(q), [1.0, 0.0], 0.2, 4), ShapeMismatch,
+     "target has 2 coordinates, the state 1"),
     (lambda q: hitting_times_raw(_run(q), [1.0], 0.0, 4), ValueError,
      "delta must be positive"),
     (lambda q: hitting_times_raw(_run(q), [1.0], -0.2, 4), ValueError,
      "delta must be positive"),
     (lambda q: hitting_times_raw(_run(q), [1.0], NAN, 4), ValueError,
      "delta must be positive"),
-    # a duration that is not a finite number of steps is refused by name
+    # an infinite horizon is refused when the run is built
     (lambda q: hitting_times_raw(_run(q, t_max=INF), [1.0], 0.2, 4), ValueError,
-     "t_max = inf is not a finite number of steps of dt = 0.001"),
+     "t_max must be finite"),
+    # a duration that is not a finite number of steps is refused by name
+    (lambda q: hitting_times_raw(_run(q, dt=1e-300, t_max=1e10), [1.0], 0.2, 4),
+     ValueError, "t_max = 10000000000.0 is not a finite number of steps of dt = 1e-300"),
     (lambda q: sample_endpoints(_run(q), NAN, 3), ValueError,
      "t = nan is not a finite number of steps of dt = 0.001"),
     (lambda q: sample_endpoints(_run(q), INF, 3), ValueError,
@@ -790,6 +810,18 @@ def test_bad_inputs_raise(quartic, call, error, message):
         call(quartic)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: hitting_times_raw(_run(q), [NAN], 0.2, 128),
+    lambda q: spde_hitting_times_raw(
+        SpdeRun(constant_field(1, 2.0, 4, -1.0), 0.5, 1e-2, 10.0, 0), NAN, 0.3,
+        n=128),
+], ids=["sde", "field"])
+def test_a_non_finite_target_is_refused_before_any_fork(quartic, forks, call):
+    with pytest.raises(ValueError, match="target(_center)? must be finite"):
+        call(quartic)
+    assert forks == []
 
 
 def test_zero_duration_gives_the_start_states(quartic):

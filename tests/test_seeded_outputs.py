@@ -1,6 +1,7 @@
 """Seeded outputs as a contract: sha256 digests of hitting arrays, endpoints,
 paths, field trajectories, snapshot files and CLI results.csv bytes, the
-oracles' (1D solver, determinants, rate laws) included.
+oracles' (1D solver, determinants, rate laws) included, and the summary.json
+bytes of the two hitting experiments, which pin their batches' statistics.
 
 A refactor that claims bit-identical outputs must pass these unchanged.  The
 SDE, field, snapshot and CLI entries also run under tiny noise blocks and
@@ -10,6 +11,10 @@ field entries run numpy FFTs, whose last bits may differ between numpy
 releases, so they skip on a numpy other than the one the digests were taken
 with; the SDE entries use only numpy's Generator streams and arithmetic and
 always run.
+
+PYTHONPATH=src python tests/test_seeded_outputs.py prints each entry's
+current digest beside its recorded one and names the entries that moved
+(exit status 1 if any did), so a change that must re-record can list them.
 """
 
 import hashlib
@@ -138,6 +143,10 @@ CLI_ENTRIES = {
                      "--N", "32", "--epsilon", "0.4"],
     "kramers-ac1d-galerkin": ["kramers-predict", "--system", "ac1d-galerkin",
                               "--L", "2", "--N", "4", "--epsilon", "0.4"],
+    # censoring in every row: the batch's mean, stderr and n_censored
+    "arrhenius-sweep-sde": ["arrhenius-sweep", "--system", "sde",
+                            "--epsilon-list", "0.5,0.6,0.7", "--n", "8",
+                            "--t_max", "6", "--seed", "5"],
 }
 
 RECORDED = {
@@ -199,6 +208,12 @@ RECORDED = {
         "d0fa8eef964f8a0baa4f6dafc66a7b0a73910b5b89fca441da7bd7a0b574eb29",
     "kramers-ac1d-galerkin":
         "c11fdffaff32efa0a801b60afcabbf2709d16b2716afe2c903bf47c4bd225aba",
+    "arrhenius-sweep-sde":
+        "ff3fabd6a55eee94296af181dbcb9fc3d1d66254e708e0bb2678758593b70cb3",
+    "sde-hitting:summary.json":
+        "7c80fb3f33e2e452947b8aa835e89051186d10172ce01302c11e54cff46371c7",
+    "spde-hitting-d2-hs:summary.json":
+        "0d92291610508f4ddc4816f47da3691f2eadebb0adf59f32eb26b51d86add64b",
 }
 
 
@@ -228,16 +243,23 @@ def _write_snapshots(out):
                      str(out), replica_index=2)
 
 
-def _cli_digest(name, out):
+def _cli_digest(name, out, file="results.csv"):
     assert main(CLI_ENTRIES[name] + ["--out", str(out)]) == 0
-    return _digest((out / "results.csv").read_bytes())
+    return _digest((out / file).read_bytes())
 
 
-CLI_NAMES = ["sde-hitting", pytest.param("spde-hitting-d2-hs", marks=needs_fft),
-             "potential-theory", "determinant-d2", "kramers-quartic",
-             "kramers-ac1d", "kramers-ac2d",
-             # the Galerkin energy runs BandGrid's FFTs
-             pytest.param("kramers-ac1d-galerkin", marks=needs_fft)]
+def _fft_marked(names):
+    """names, those whose runs take BandGrid's FFTs (the field runs and the
+    Galerkin energy) marked needs_fft."""
+    fft = {"spde-hitting-d2-hs", "kramers-ac1d-galerkin"}
+    return [pytest.param(name, marks=needs_fft) if name in fft else name
+            for name in names]
+
+
+CLI_NAMES = _fft_marked(CLI_ENTRIES)
+# the hitting batches' mean, stderr, n_attempted and n_censored, recorded as
+# "<entry>:summary.json"
+SUMMARY_NAMES = _fft_marked(["sde-hitting", "spde-hitting-d2-hs"])
 
 
 @pytest.mark.parametrize("name", SDE_ENTRIES)
@@ -269,6 +291,12 @@ def test_cli_results_csv(name, tmp_path):
     assert _cli_digest(name, tmp_path) == RECORDED[name]
 
 
+@pytest.mark.parametrize("name", SUMMARY_NAMES)
+def test_cli_summary_json(name, tmp_path):
+    assert (_cli_digest(name, tmp_path, "summary.json")
+            == RECORDED[f"{name}:summary.json"])
+
+
 class TestTinyBlocks:
     """Every recorded output again, with its steps split into tiny blocks."""
 
@@ -290,3 +318,42 @@ class TestTinyBlocks:
     @pytest.mark.parametrize("name", CLI_NAMES)
     def test_cli_results_csv(self, name, tiny_blocks, tmp_path):
         assert _cli_digest(name, tmp_path) == RECORDED[name]
+
+    @pytest.mark.parametrize("name", SUMMARY_NAMES)
+    def test_cli_summary_json(self, name, tiny_blocks, tmp_path):
+        assert (_cli_digest(name, tmp_path, "summary.json")
+                == RECORDED[f"{name}:summary.json"])
+
+
+def current_digests(out) -> dict:
+    """Every RECORDED entry's digest as the code now computes it, plainly
+    (no tiny blocks), with snapshot and CLI files written under out."""
+    digests = {name: _sde_digest(name) for name in SDE_ENTRIES}
+    digests.update((name, _digest(*_parts(FIELD_ENTRIES[name]())))
+                   for name in FIELD_ENTRIES)
+    _write_snapshots(out / "snapshots")
+    digests.update((name, _digest((out / "snapshots" / name).read_bytes()))
+                   for name in SNAPSHOT_FILES)
+    for name in RECORDED.keys() - digests.keys():  # "<entry>" or "<entry>:<file>"
+        entry, _, file = name.partition(":")
+        digests[name] = _cli_digest(entry, out / name.replace(":", "-"),
+                                    file or "results.csv")
+    return {name: digests[name] for name in RECORDED}
+
+
+if __name__ == "__main__":  # see the module docstring
+    import sys
+    import tempfile
+    from pathlib import Path
+
+    if np.__version__ != FFT_NUMPY:
+        print(f"numpy {np.__version__}: the field digests were taken with "
+              f"numpy {FFT_NUMPY}")
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = current_digests(Path(tmp))
+    moved = [name for name, digest in digests.items() if digest != RECORDED[name]]
+    for name, digest in digests.items():
+        print(f"{name:32} {digest}  {'MOVED' if name in moved else 'same'}\n"
+              f"{'':32} {RECORDED[name] or '(not recorded)'}")
+    print(f"moved: {', '.join(moved)}" if moved else "no entry moved")
+    sys.exit(1 if moved else 0)

@@ -801,17 +801,41 @@ def test_record_snapshots_reject_a_negative_time(tmp_path):
      "dt = inf must be below 1: the implicit step divides the mean mode by 1 - dt"),
     (lambda: make_run(eps=NAN), ValueError, "epsilon must be finite"),
     (lambda: make_run(eps=INF), ValueError, "epsilon must be finite"),
+    (lambda: make_run(t_max=NAN), ValueError, "t_max must be positive"),
+    (lambda: make_run(t_max=-INF), ValueError, "t_max must be positive"),
+    (lambda: make_run(t_max=INF), ValueError, "t_max must be finite"),
+    # a start field is finite
+    (lambda: SpdeRun(constant_field(1, 2.0, 4, NAN), 0.2, 1e-3, 10.0, 0),
+     ValueError, "field0 must be finite"),
+    (lambda: make_run(d=2, N=2, start=INF), ValueError, "field0 must be finite"),
+    # the target too, refused by name before any replica runs, under both norms
+    (lambda: spde_hitting_times_raw(make_run(), NAN, 0.3), ValueError,
+     "target must be finite"),
+    (lambda: spde_hitting_times_raw(make_run(), INF, 0.3), ValueError,
+     "target must be finite"),
+    (lambda: spde_hitting_times_raw(make_run(), -INF, 0.3, norm="hs"), ValueError,
+     "target must be finite"),
+    (lambda: spde_hitting_times_raw(make_run(d=2, N=2), NAN, 0.3, norm="hs"),
+     ValueError, "target must be finite"),
+    (lambda: sample_spde_hitting_times(make_run(), NAN, 0.3, n=2), ValueError,
+     "target must be finite"),
     (lambda: spde_hitting_times_raw(make_run(), 1.0, 0.0), ValueError,
      "delta must be positive"),
     (lambda: spde_hitting_times_raw(make_run(), 1.0, -0.3), ValueError,
      "delta must be positive"),
     (lambda: spde_hitting_times_raw(make_run(), 1.0, NAN, n=2), ValueError,
      "delta must be positive"),
-    # a duration that is not a finite number of steps is refused by name
+    # a horizon that is not a positive finite number is refused when the run
+    # is built
     (lambda: spde_hitting_times_raw(make_run(t_max=NAN), 1.0, 0.3), ValueError,
-     "t_max = nan is not a finite number of steps of dt = 0.001"),
+     "t_max must be positive"),
     (lambda: spde_hitting_times_raw(make_run(t_max=INF), 1.0, 0.3), ValueError,
-     "t_max = inf is not a finite number of steps of dt = 0.001"),
+     "t_max must be finite"),
+    (lambda: spde_hitting_times_raw(make_run(t_max=-1.0), 1.0, 0.3), ValueError,
+     "t_max must be positive"),
+    # a duration that is not a finite number of steps is refused by name
+    (lambda: spde_hitting_times_raw(make_run(dt=1e-300, t_max=1e10), 1.0, 0.3),
+     ValueError, "t_max = 10000000000.0 is not a finite number of steps of dt = 1e-300"),
     (lambda: integrate_deterministic(make_run(), NAN), ValueError,
      "t_final = nan is not a finite number of steps of dt = 0.001"),
     (lambda: integrate_deterministic(make_run(), INF, record_every=7), ValueError,
@@ -825,8 +849,6 @@ def test_record_snapshots_reject_a_negative_time(tmp_path):
     (lambda: noise_coefficient_check(make_run(), T_values=(INF,), n=2),
      ValueError, "T = inf is not a finite number of steps of dt = 0.001"),
     # one answer to a negative duration, from the engine
-    (lambda: spde_hitting_times_raw(make_run(t_max=-1.0), 1.0, 0.3), ValueError,
-     "a run of -1000 steps: the duration must be nonnegative"),
     (lambda: integrate_deterministic(make_run(), -1.0), ValueError,
      "a run of -1000 steps: the duration must be nonnegative"),
     (lambda: integrate_deterministic(make_run(), -1.0, record_every=7), ValueError,
