@@ -8,8 +8,9 @@ along each axis.  :class:`BandGrid`, the one band<->grid map (real FFTs of
 the k_last >= 0 half band), serves grid_values, field_from_grid, the d=1
 Galerkin Hessian and the field stepper, which carries that half band;
 full_band() mirrors it back.
-require_conjugate_symmetric checks c[-k] = conj(c[k]) on bands themselves.
-check_truncation is the one check of (d, L, N); the rest reads the field's.
+check_band, the one band rule (check_truncation, the band's shape and
+c[-k] = conj(c[k])), runs when a SpectralField or rate_functional.FieldPath is
+built and nowhere else: every other function reads bands that passed it.
 squared_wavenumber_grid is the one source of (2 pi |k| / L)^2: the stepper's
 divisors, the energy, the Galerkin potential and its critical points, the
 H^s weights, and (minus one, as nu_k) the determinants and the Wick
@@ -40,6 +41,26 @@ def check_truncation(d: int, L: float, N: int) -> None:
         raise DomainError("torus side length must be positive")
 
 
+def check_band(d: int, L: float, N: int, coeffs, lead=()) -> np.ndarray:
+    """The band rule: check_truncation(d, L, N), then ShapeMismatch unless
+    coeffs has shape lead + (2N+1,)*d and c[-k] = conj(c[k]) over the last d
+    axes within REALNESS_TOL times max(1, max |c|).  Returns a read-only copy."""
+    check_truncation(d, L, N)
+    coeffs = np.array(coeffs)
+    expected = tuple(lead) + (2 * N + 1,) * d
+    if coeffs.shape != expected:
+        raise ShapeMismatch(
+            f"coefficient array has shape {coeffs.shape}, expected {expected}")
+    neg = -np.arange(2 * N + 1) % (2 * N + 1)  # index of -k in FFT order
+    mirror = coeffs[..., neg] if d == 1 else coeffs[..., neg[:, None], neg]
+    scale = max(1.0, float(np.max(np.abs(coeffs))))
+    with np.errstate(invalid="ignore"):  # a non-finite band is the run's to refuse
+        if np.max(np.abs(coeffs - mirror.conj())) > REALNESS_TOL * scale:
+            raise ShapeMismatch("field coefficients violate conjugate symmetry")
+    coeffs.flags.writeable = False
+    return coeffs
+
+
 def mode_wavenumbers(N: int) -> np.ndarray:
     """Integer wavenumbers in FFT order for a (2N+1)-point axis."""
     n = 2 * N + 1
@@ -59,8 +80,8 @@ def dealiased_grid_size(N: int) -> int:
 class SpectralField:
     """Truncated real field on the torus of side L in dimension d.
 
-    coeffs has shape (2N+1,)*d, complex, FFT mode ordering, and satisfies
-    conjugate symmetry coeffs[-k] = conj(coeffs[k]) so grid values are real.
+    coeffs has shape (2N+1,)*d, FFT mode ordering, and c[-k] = conj(c[k]) so
+    grid values are real: a read-only copy that passed check_band when built.
     """
 
     d: int
@@ -69,12 +90,8 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        check_truncation(self.d, self.L, self.N)
-        expected = (2 * self.N + 1,) * self.d
-        if self.coeffs.shape != expected:
-            raise ShapeMismatch(
-                f"coefficient array has shape {self.coeffs.shape}, expected {expected}"
-            )
+        object.__setattr__(self, "coeffs",
+                           check_band(self.d, self.L, self.N, self.coeffs))
 
     def require_compatible(self, other: "SpectralField") -> None:
         if (self.d, self.L, self.N) != (other.d, other.L, other.N):
@@ -147,23 +164,10 @@ def full_band(half: np.ndarray, d: int) -> np.ndarray:
 
 def grid_values(field: SpectralField, M: int | None = None) -> np.ndarray:
     """Evaluate the field on the uniform M^d collocation grid (real array);
-    ShapeMismatch if M < 2N+1 or if the band is not conjugate-symmetric within
-    REALNESS_TOL relative to its largest coefficient."""
+    ShapeMismatch if M < 2N+1."""
     if M is None:
         M = dealiased_grid_size(field.N)
-    require_conjugate_symmetric(field.coeffs, field.d)
     return BandGrid(field.d, field.L, field.N, M).grid(field.coeffs)
-
-
-def require_conjugate_symmetric(coeffs: np.ndarray, d: int) -> None:
-    """ShapeMismatch unless bands (..., 2N+1[, 2N+1]) satisfy c[-k] = conj(c[k])
-    over their last d axes within REALNESS_TOL times max(1, max |c|)."""
-    n = coeffs.shape[-1]
-    neg = -np.arange(n) % n  # index of -k in FFT order
-    mirror = coeffs[..., neg] if d == 1 else coeffs[..., neg[:, None], neg]
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if np.max(np.abs(coeffs - mirror.conj())) > REALNESS_TOL * scale:
-        raise ShapeMismatch("field coefficients violate conjugate symmetry")
 
 
 def field_from_grid(d: int, L: float, N: int, values: np.ndarray) -> SpectralField:
@@ -255,9 +259,7 @@ def hs_norm(field: SpectralField, s: float) -> float:
 
 
 def hs_distance_to_constant(field: SpectralField, c: float, s: float) -> float:
-    """H^s distance to the constant c (see distance_to_constant); ShapeMismatch
-    unless the band is conjugate-symmetric, which its half band cannot show."""
-    require_conjugate_symmetric(field.coeffs, field.d)
+    """H^s distance to the constant c (see distance_to_constant)."""
     dist = distance_to_constant(field.d, field.L, field.N, c, "hs", s)
     return float(dist(field.coeffs[None, ..., :field.N + 1], None)[0])
 

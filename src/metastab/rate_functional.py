@@ -6,6 +6,9 @@ are centered, O(dt^2) differences about the cell midpoint) and the gradient
 is evaluated at the midpoint state.  Zero exactly on constant critical-point
 paths, O(dt^2) on gradient-flow paths, and reversal adds twice the potential
 difference of the endpoints.
+
+Both paths share one times rule; a FieldPath runs fields.check_band, the band
+rule, when built, as SpectralField does, and nothing else runs it.
 """
 
 from __future__ import annotations
@@ -29,15 +32,8 @@ class DiscretePath:
     points: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
         x = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if t.size < 2:
-            raise DegeneratePath("a path needs at least 2 nodes")
-        if np.any(np.diff(t) <= 0):
-            raise DegeneratePath("times must be strictly increasing")
-        if x.shape[0] != t.size:
-            raise ShapeMismatch("times and points disagree in length")
-        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "times", _check_times(self.times, x.shape, "points"))
         object.__setattr__(self, "points", x)
 
     def reversed(self) -> "DiscretePath":
@@ -47,7 +43,7 @@ class DiscretePath:
 
 @dataclass(frozen=True)
 class FieldPath:
-    """Path of truncated torus fields: times (n_t,), coeffs (n_t, 2N+1) for d=1."""
+    """Path of torus fields: times (n_t,), a read-only (n_t,) + band stack."""
 
     times: np.ndarray
     d: int
@@ -56,13 +52,9 @@ class FieldPath:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.size < 2:
-            raise DegeneratePath("a path needs at least 2 nodes")
-        if np.any(np.diff(t) <= 0):
-            raise DegeneratePath("times must be strictly increasing")
-        if self.coeffs.shape[0] != t.size:
-            raise ShapeMismatch("times and snapshots disagree in length")
+        t = _check_times(self.times, np.shape(self.coeffs), "snapshots")
+        object.__setattr__(self, "coeffs", fields.check_band(
+            self.d, self.L, self.N, self.coeffs, lead=t.shape))
         object.__setattr__(self, "times", t)
 
     def field(self, i: int) -> SpectralField:
@@ -72,6 +64,18 @@ class FieldPath:
         t = self.times
         return FieldPath(times=t[-1] - t[::-1], d=self.d, L=self.L, N=self.N,
                          coeffs=self.coeffs[::-1])
+
+
+def _check_times(times, shape: tuple, name: str) -> np.ndarray:
+    """The times rule: 2 or more, strictly increasing, and shape[0] of them."""
+    t = np.asarray(times, dtype=float)
+    if t.size < 2:
+        raise DegeneratePath("a path needs at least 2 nodes")
+    if np.any(np.diff(t) <= 0):
+        raise DegeneratePath("times must be strictly increasing")
+    if shape[:1] != t.shape:
+        raise ShapeMismatch(f"times and {name} disagree in length")
+    return t
 
 
 def path_from_states(times, states) -> DiscretePath:
@@ -95,14 +99,11 @@ def rate_functional_ac_1d(path: FieldPath) -> float:
     Integrand: (d_t gamma - d_xx gamma - gamma + gamma^3)^2, quadrature
     midpoint in time; the spatial integral of the squared residual is exact
     for band-limited snapshots because the residual (modes up to 3N) is
-    evaluated on a grid with more than 6N points.  ShapeMismatch if the path
-    is not d=1, or if a snapshot violates conjugate symmetry by more than
-    REALNESS_TOL relative to the largest coefficient.
+    evaluated on a grid with more than 6N points.  ShapeMismatch unless d=1.
     """
     if path.d != 1:
         raise ShapeMismatch("this functional is defined for d=1 field paths")
     L, N, c, dt = path.L, path.N, path.coeffs, np.diff(path.times)
-    fields.require_conjugate_symmetric(c, 1)
     ksq = fields.squared_wavenumber_grid(1, L, N)
     mid = 0.5 * (c[:-1] + c[1:])
     # linear part of the residual in coefficients: d_t + (k^2 - 1) phi

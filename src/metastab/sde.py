@@ -76,6 +76,13 @@ class SdeRun:
         if x0.ndim != 1 or x0.size == 0:
             raise ShapeMismatch(f"x0 has shape {x0.shape}, not one point")
         check_run(self.epsilon, self.dt, self.t_max, x0, "x0")
+        try:  # one gradient call: the potential must take this point
+            shape = np.shape(self.potential.gradient_batch(x0))
+        except (IndexError, ValueError):
+            shape = None
+        if shape != x0.shape:
+            raise ShapeMismatch(f"x0 of shape {x0.shape} is not a point the "
+                                "potential's gradient takes")
         object.__setattr__(self, "x0", x0)
 
     @property

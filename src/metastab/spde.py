@@ -30,7 +30,8 @@ are the running sums of their normals, recorded at each horizon, and like
 hitting it runs as sde.run_ranges ranges.  Hitting runs on sde's one
 hitting entry, keeping each step's fields.distance_to_constant as the
 distance it compares with delta.  A run is built under sde.check_run, reads
-(d, L, N) off its initial field, and its counterterm needs 0 < L < 2 pi.
+(d, L, N) off its initial field, a band that passed fields.check_band when
+that field was built, and its counterterm needs 0 < L < 2 pi.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class SpdeRun:
     dt: float
     t_max: float
     seed: int
-    renormalize: Optional[bool] = None  # default: on for d=2, off for d=1
+    renormalize: Optional[bool] = None  # None: on for d=2, off for d=1, set when built
     drop_cubic: bool = False  # diagnostic: exact per-mode OU dynamics
 
     def __post_init__(self):
@@ -77,12 +78,8 @@ class SpdeRun:
             warnings.warn("running the d=2 field without renormalization: "
                           "statistics will not converge as N grows",
                           RuntimeWarning)
-
-    @property
-    def renormalize_resolved(self) -> bool:
         if self.renormalize is None:
-            return self.field0.d == 2
-        return self.renormalize
+            object.__setattr__(self, "renormalize", self.field0.d == 2)
 
 
 class _Stepper:
@@ -100,7 +97,7 @@ class _Stepper:
         mu = 1.0 - ksq
         self.denom = 1.0 - run.dt * mu
         self.counter = 0.0
-        if run.renormalize_resolved:
+        if run.renormalize:
             self.counter = 3.0 * run.epsilon * counterterm_trace(self.L, self.N)
         self.noise_amp = np.sqrt(2.0 * run.epsilon * run.dt)
         self.colloc = fields.BandGrid(self.d, self.L, self.N, self.M)
@@ -347,28 +344,23 @@ def record_snapshots(run: SpdeRun, snapshot_times, out_dir,
                      replica_index: int = 0) -> list:
     """Simulate one noisy trajectory and export field snapshots.
 
-    Writes snap_<i>.csv grid files at the requested times plus
-    trajectory.jsonl with one summary line (t, spatial mean, min, max) per
-    snapshot, after the run; returns the written paths.
+    Writes snap_<i>.csv grid files at the requested times, in time order,
+    plus trajectory.jsonl with one summary line (t, spatial mean, min, max)
+    per snapshot, after the run; returns the written paths.  A time t is
+    taken at k = round(t / dt) steps (sde.steps_in) and reported as k dt.
     """
     times = sorted(float(t) for t in snapshot_times)
     if times and times[0] < 0:
         raise ValueError(f"snapshot time {times[0]} is negative")
+    steps = [steps_in(t, "snapshot time", run.dt) for t in times]
     st = _Stepper(run)
-    marks = []  # (step, time) of each snapshot, in time order
-    last, t_now = 0, 0.0
-    for t in times:
-        n_steps = max(0, steps_in(t - t_now, "snapshot time", run.dt))
-        last += n_steps
-        t_now += n_steps * run.dt
-        marks.append((last, t_now))
-    snaps = _one_replica(st, [k for k, _ in marks], replica_index, lambda c: c)
+    snaps = _one_replica(st, steps, replica_index, lambda c: c)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     jsonl = os.path.join(out_dir, "trajectory.jsonl")
     with open(jsonl, "w") as summary:
-        for i, (c, (_, t)) in enumerate(zip(snaps, marks)):
-            path = os.path.join(out_dir, f"snap_{i:04d}.csv")
+        for i, (c, k) in enumerate(zip(snaps, steps)):
+            path, t = os.path.join(out_dir, f"snap_{i:04d}.csv"), k * run.dt
             vals = export_snapshot_csv(
                 SpectralField(st.d, st.L, st.N, fields.full_band(c, st.d)), t, path)
             summary.write(json.dumps({"t": t, "mean": float(vals.mean()),

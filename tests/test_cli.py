@@ -581,6 +581,21 @@ class TestCliRuns:
         assert payload["error"] == "ShapeMismatch"
         assert "2.0 != requested 3.0" in payload["message"]
 
+    def test_rate_functional_refuses_a_path_on_no_torus(self, tmp_path, capsys):
+        # the band rule runs when the path is read: exit 2, one JSON line
+        f = tmp_path / "path.jsonl"
+        f.write_text("".join(
+            json.dumps({"t": t, "d": 1, "L": -2.0, "N": 1, "re": [0.0] * 3,
+                        "im": [0.0] * 3}) + "\n" for t in (0.0, 0.1)))
+        out = tmp_path / "out"
+        assert main(["rate-functional", "--field_jsonl", str(f),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "DomainError",
+                                      "message": "torus side length must be positive"}
+
     def test_randomwalk_experiment(self, tmp_path):
         code = main(["randomwalk", "--n_walks", "3000", "--n_steps", "2000",
                      "--seed", "5", "--out", str(tmp_path)])

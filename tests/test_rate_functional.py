@@ -11,7 +11,7 @@ from metastab import (
     rate_functional_ac_1d,
     rate_functional_sde,
 )
-from metastab.errors import DegeneratePath, ShapeMismatch
+from metastab.errors import DegeneratePath, DomainError, ShapeMismatch
 from metastab.fields import SpectralField
 from metastab.rate_functional import (
     load_field_path_jsonl,
@@ -151,9 +151,8 @@ class TestFieldCost:
         c = constant_field(1, self.L, self.N, 0.0).coeffs
         bad = c.copy()
         bad[1] = 0.1  # c[-1] stays 0, so c[-1] != conj(c[1])
-        path = self._field_path([c, c, bad, c], 0.1)
         with pytest.raises(ShapeMismatch):
-            rate_functional_ac_1d(path)
+            self._field_path([c, c, bad, c], 0.1)
 
 
 class TestPathIO:
@@ -180,9 +179,9 @@ class TestPathIO:
         assert np.allclose(loaded.times, path.times)
 
 
-def _field_path(times, n_coeffs, d=1):
-    return FieldPath(times=np.asarray(times, float), d=d, L=2.0, N=2,
-                     coeffs=np.zeros((n_coeffs,) + (5,) * d, dtype=complex))
+def _field_path(times, n_coeffs, d=1, L=2.0, band=(5,)):
+    return FieldPath(times=np.asarray(times, float), d=d, L=L, N=2,
+                     coeffs=np.zeros((n_coeffs,) + band * d, dtype=complex))
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -199,6 +198,19 @@ def _field_path(times, n_coeffs, d=1):
      "times and snapshots disagree in length"),
     (lambda: rate_functional_ac_1d(_field_path([0.0, 0.5], 2, d=2)), ShapeMismatch,
      "this functional is defined for d=1 field paths"),
+    # the band rule, run when the path is built
+    (lambda: _field_path([0.0, 0.5], 2, L=-2.0), DomainError,
+     "torus side length must be positive"),
+    (lambda: _field_path([0.0, 0.5], 2, L=0.0), DomainError,
+     "torus side length must be positive"),
+    (lambda: _field_path([0.0, 0.5], 2, d=3), DomainError,
+     "only d=1 and d=2 are supported"),
+    (lambda: _field_path([0.0, 0.5], 2, band=(7,)), ShapeMismatch,
+     "coefficient array has shape (2, 7), expected (2, 5)"),
+    (lambda: _field_path([0.0, 0.5], 2, d=2, band=(7,)), ShapeMismatch,
+     "coefficient array has shape (2, 7, 7), expected (2, 5, 5)"),
+    (lambda: _field_path([0.0, 0.5], 2, band=(5, 5)), ShapeMismatch,
+     "coefficient array has shape (2, 5, 5), expected (2, 5)"),
 ])
 def test_path_checks(call, error, message):
     with pytest.raises(error) as info:

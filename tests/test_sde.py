@@ -16,7 +16,7 @@ from metastab import (
     sample_endpoints,
     sample_hitting_times,
 )
-from metastab import potentials, sde, spde
+from metastab import galerkin_potential_1d, potentials, sde, spde
 from metastab.errors import AllCensored, NonFinite, ShapeMismatch
 from metastab.fields import constant_field
 from metastab.spde import SpdeRun, noise_coefficient_check, spde_hitting_times_raw
@@ -761,6 +761,13 @@ def _run(quartic, **kw):
      "x0 has shape (1, 2), not one point"),
     (lambda q: _run(q, x0=[NAN, 0.0]), ValueError, "x0 must be finite"),
     (lambda q: _run(q, x0=[-INF]), ValueError, "x0 must be finite"),
+    # an x0 the potential's gradient cannot take, refused when the run is built
+    (lambda q: _run(potentials.double_well_2d(), x0=[-1.0]), ShapeMismatch,
+     "x0 of shape (1,) is not a point the potential's gradient takes"),
+    (lambda q: _run(potentials.double_well_2d(), x0=[-1.0, 0.0, 0.0]), ShapeMismatch,
+     "x0 of shape (3,) is not a point the potential's gradient takes"),
+    (lambda q: _run(galerkin_potential_1d(2.0, 2), x0=[-1.0, 0.0]), ShapeMismatch,
+     "x0 of shape (2,) is not a point the potential's gradient takes"),
     # the target too, refused by name before any replica runs
     (lambda q: hitting_times_raw(_run(q), [NAN], 0.2, 4), ValueError,
      "target_center must be finite"),

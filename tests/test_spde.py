@@ -22,7 +22,7 @@ from metastab import (
     solve_poisson,
     spde,
 )
-from metastab.errors import AllCensored, DomainError, NonFinite
+from metastab.errors import AllCensored, DomainError, NonFinite, ShapeMismatch
 from metastab.fields import (
     BandGrid,
     SpectralField,
@@ -177,7 +177,7 @@ def _reference_step(st, c, normals):
     big[rows] = c
     u = np.fft.ifft2(big).real * (M**2 / L)
     drift = -np.fft.fft2(u**3)[rows] * (L / M**2)
-    if run.renormalize_resolved:
+    if run.renormalize:
         drift = drift + 3 * run.epsilon * _wick_trace(L, N) * c
     eta = np.fft.fftn(normals) / (2 * N + 1)
     denom = 1.0 - dt * (1.0 - squared_wavenumber_grid(2, L, N))
@@ -657,12 +657,12 @@ class TestRenormalizationFlags:
 
     def test_d2_default_is_renormalized(self):
         run = make_run(d=2, L=1.5, N=4)
-        assert run.renormalize_resolved is True
+        assert run.renormalize is True
         assert _Stepper(run).counter != 0.0
 
     def test_d1_default_is_bare(self):
         run = make_run(d=1)
-        assert run.renormalize_resolved is False
+        assert run.renormalize is False
         assert _Stepper(run).counter == 0.0
 
     def test_noiseless_mode_decays_at_the_wick_rate(self):
@@ -784,6 +784,22 @@ def test_record_snapshots_write_nothing_when_the_run_raises(tmp_path):
     assert not (tmp_path / "snaps").exists()
 
 
+def test_record_snapshots_take_each_time_at_its_own_step_count(tmp_path):
+    # round(t / dt) steps for each time, reported as k dt, whatever the times
+    # before it: 0.0035 is 4 steps (3.5 rounds to even), not 1 + round(2.5)
+    run = make_run(N=4)
+    record_snapshots(run, [0.0035, 0.0012, 0.0006], str(tmp_path / "a"))
+    record_snapshots(run, [0.004], str(tmp_path / "b"))
+    rows = [json.loads(line) for line in
+            (tmp_path / "a" / "trajectory.jsonl").read_text().splitlines()]
+    assert [row["t"] for row in rows] == [1 * run.dt, 1 * run.dt, 4 * run.dt]
+
+    def snap(name):
+        return np.loadtxt(tmp_path / name, delimiter=",")
+    assert np.array_equal(snap("a/snap_0000.csv"), snap("a/snap_0001.csv"))
+    assert np.array_equal(snap("a/snap_0002.csv"), snap("b/snap_0000.csv"))
+
+
 def test_record_snapshots_reject_a_negative_time(tmp_path):
     with pytest.raises(ValueError) as info:
         record_snapshots(make_run(), [0.05, -1.0], str(tmp_path / "snaps"))
@@ -808,6 +824,12 @@ def test_record_snapshots_reject_a_negative_time(tmp_path):
     (lambda: SpdeRun(constant_field(1, 2.0, 4, NAN), 0.2, 1e-3, 10.0, 0),
      ValueError, "field0 must be finite"),
     (lambda: make_run(d=2, N=2, start=INF), ValueError, "field0 must be finite"),
+    # and real: c_1 = 0.3i with c_{-1} = 0 is refused with its field, where
+    # the stepper's half band would have started from c_{-1} = -0.3i
+    (lambda: SpdeRun(SpectralField(1, 2.0, 8,
+                                   np.where(mode_wavenumbers(8) == 1, 0.3j, 0)),
+                     epsilon=0.2, dt=1e-3, t_max=10.0, seed=0), ShapeMismatch,
+     "field coefficients violate conjugate symmetry"),
     # the target too, refused by name before any replica runs, under both norms
     (lambda: spde_hitting_times_raw(make_run(), NAN, 0.3), ValueError,
      "target must be finite"),
