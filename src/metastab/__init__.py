@@ -57,7 +57,7 @@ from .potentials import (
     quadratic_well,
     quartic_double_well,
 )
-from .randomwalk import WalkPath, diffusive_rescale, ensemble_rescaled, walk
+from .randomwalk import ensemble_rescaled
 from .rate_functional import (
     DiscretePath,
     FieldPath,

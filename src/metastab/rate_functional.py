@@ -149,21 +149,33 @@ def save_field_path_jsonl(path: FieldPath, filename: str) -> None:
             f.write(json.dumps(row) + "\n")
 
 
+def _field_row(line: str, i: int) -> dict:
+    """The row rule: row i is a JSON object (else ValueError) holding t, d, L,
+    N, re and im (ValueError naming the first it lacks), with (2N+1)^d values
+    in re and in im (ShapeMismatch naming the one that has not)."""
+    row = json.loads(line)
+    if not isinstance(row, dict):
+        raise ValueError(f"row {i} is not a JSON object")
+    for key in ("t", "d", "L", "N", "re", "im"):
+        if key not in row:
+            raise ValueError(f"row {i} has no {key!r}")
+    size = (2 * row["N"] + 1) ** row["d"]
+    for key in ("re", "im"):
+        if np.size(row[key]) != size:
+            raise ShapeMismatch(f"row {i} has {np.size(row[key])} {key} values, "
+                                f"not (2N+1)^d = {size}")
+    return row
+
+
 def load_field_path_jsonl(filename: str) -> FieldPath:
-    times = []
-    snaps = []
-    meta = None
     with open(filename) as f:
-        for line in f:
-            row = json.loads(line)
-            if meta is None:
-                meta = (row["d"], row["L"], row["N"])
-            elif meta != (row["d"], row["L"], row["N"]):
-                raise ShapeMismatch("snapshots with inconsistent (d, L, N)")
-            times.append(row["t"])
-            shape = (2 * row["N"] + 1,) * row["d"]
-            snaps.append((np.array(row["re"]) + 1j * np.array(row["im"])).reshape(shape))
-    if meta is None:
+        rows = [_field_row(line, i) for i, line in enumerate(f, 1)]
+    if not rows:
         raise DegeneratePath("empty snapshot file")
-    d, L, N = meta
-    return FieldPath(times=np.array(times), d=d, L=L, N=N, coeffs=np.array(snaps))
+    d, L, N = (rows[0][key] for key in "dLN")
+    if any((row["d"], row["L"], row["N"]) != (d, L, N) for row in rows):
+        raise ShapeMismatch("snapshots with inconsistent (d, L, N)")
+    snaps = [(np.array(row["re"]) + 1j * np.array(row["im"])).reshape((2 * N + 1,) * d)
+             for row in rows]
+    return FieldPath(times=np.array([row["t"] for row in rows]), d=d, L=L, N=N,
+                     coeffs=np.array(snaps))

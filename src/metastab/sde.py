@@ -8,19 +8,18 @@ worker process, this process and forked children (inline in a process that
 runs other threads).  Every replica ensemble here, in spde and in randomwalk
 runs on it, on every usable CPU or the CLI's --threads workers.
 _first_passage is the one loop, here and in spde, that advances states over
-time.  It draws their noise step-major in blocks set by one rule
-(_block_steps) into one buffer per call, steps the live replicas across a
-block and keeps what the caller's keep(states, aux) takes of each step (the
-SDE keeps its states, written into the noise rows they used).  Callers say
-two things about the kept values: a hit test hit(kept), which stops each
-replica at its first hit, the start (step 0) included, and the steps to
-record, whose kept values come back.  Replicas are compacted once per block,
-and the engine then raises NonFinite if a surviving state has overflowed,
-the one overflow check of every run here and in spde.  _hitting_times is the
-one hitting entry, of SDE and field ensembles alike: its hit test is
-distance(kept) < delta, and a HittingTimeBatch is its raw times.  check_run
-is the one rule SdeRun and spde.SpdeRun are built under, and steps_in the
-one conversion of a duration into a number of steps.
+time.  Callers hand it a Dynamics (the step, its noise and what it keeps of
+each step: the SDE keeps its states, in the noise rows they used), the
+start, a hit test hit(kept), which stops each replica at its first hit, step
+0 included, and the steps to record, whose kept values come back.  It draws
+noise step-major in blocks set by one rule (_block_steps) into one buffer
+per call, compacts replicas once per block and then raises NonFinite if a
+survivor has overflowed, the one overflow check of every run here and in
+spde.  _one_replica is the one single-trajectory run, here and in spde, and
+_hitting_times the one hitting entry, of SDE and field ensembles alike: its
+hit test is distance(kept) < delta, and a HittingTimeBatch is its raw times.
+check_run is the one rule SdeRun and spde.SpdeRun are built under, and
+steps_in the one conversion of a duration into a number of steps.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import pickle
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -167,10 +166,19 @@ def integrate_path(run: SdeRun, t_final: float, record: bool = False):
     Returns the final state, or (times, states) when record is set.
     """
     n_steps = steps_in(t_final, "t_final", run.dt)
-    steps = np.arange(n_steps + 1) if record else [n_steps]
-    path = _first_passage(run.x0, run.seed, 0, 1, run.dt, n_steps, record=steps,
-                          **_sde_callbacks(run))[1][:, 0]
+    steps = np.append(np.arange(n_steps), n_steps) if record else [n_steps]
+    path = _one_replica(_sde_dynamics(run), run.x0, run.seed, 0, run.dt, steps)
     return (steps * run.dt, path) if record else path[-1]
+
+
+def _one_replica(dyn: Dynamics, start: np.ndarray, seed: int, index: int,
+                 dt: float, steps) -> np.ndarray:
+    """The kept values of replica index of dyn from start after each of
+    steps, run to the largest of them (a negative one is refused); shape
+    (len(steps),) + kept shape."""
+    return _first_passage(dyn, start, seed, index, 1, dt,
+                          int(np.max(steps)) if len(steps) else 0,
+                          record=steps)[1][:, 0]
 
 
 def ou_density(x: float, y: float, t: float, eps: float) -> float:
@@ -285,30 +293,43 @@ def _first_hits(hit, kept: np.ndarray) -> np.ndarray:
     return first
 
 
-def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
-                   max_steps: int, shape, step, hit=None, record=(), check=None,
-                   scale=None, aux0=None, keep=None):
-    """The one time loop: n replicas from x0 for up to max_steps steps.
+@dataclass(frozen=True)
+class Dynamics:
+    """What _first_passage steps, and what it keeps of each step.  A replica
+    draws `shape` normals a step (times scale) from its stream; shape None
+    draws nothing.  step(states, noise, aux) returns (new states, new aux)
+    and is passed the live rows' noise row (or None) and the aux of the step
+    before, starting from a copy of aux0 per replica.  Of the start (step 0)
+    and of each step the engine keeps keep(states, aux), in the buffer after
+    the noise (its width counts in the block rule); keep None keeps the
+    states, which step must then write into its noise row, as the SDE's
+    does.  check(states), if given, sees each block's finite survivors."""
 
-    Replica i draws `shape` normals a step (times scale) from
-    replica_rng(seed, offset + i), _block_steps at a time, as one step-major
-    _draw_noise block in one _noise_buffer that grows only if a block needs
-    more; shape None draws nothing.  step(states, noise, aux) returns (new
-    states, new aux) and is passed the live rows' noise row (or None) and the
-    aux of the step before, starting from a copy of aux0 per replica.  Of the
-    start (step 0) and of each step the engine keeps keep(states, aux), in
-    the buffer after the noise (its width counts in the block rule); keep
-    None keeps the states, which step must then write into its noise row.
-    hit(kept) returns the hit mask of a slice of kept rows of the live
-    replicas (columns) and must not write into them; a replica stops at its
-    first hit, at step 0 with time 0.0 and no noise drawn.  A replica that
-    hits mid-block steps on to the block's end on noise already drawn; times
-    are set, and states, aux and replica ids compacted, once per block, after
-    which NonFinite is raised if a survivor's state is not finite, and else
-    check(states) sees the survivors.  Returns (hitting times, nan if
-    censored; recorded): the kept values at the steps in record (any order,
-    repeats allowed, each in [0, max_steps]), shape (len(record), n) + kept
-    shape, nan where a replica had stopped.
+    step: Callable
+    shape: Optional[tuple] = None
+    scale: Optional[float] = None
+    keep: Optional[Callable] = None
+    aux0: Optional[np.ndarray] = None
+    check: Optional[Callable] = None
+
+
+def _first_passage(dyn: Dynamics, start: np.ndarray, seed: int, offset: int,
+                   n: int, dt: float, max_steps: int, hit=None, record=()):
+    """The one time loop: n replicas of dyn from start, up to max_steps steps.
+
+    Replica i draws its noise from replica_rng(seed, offset + i),
+    _block_steps at a time, as one step-major _draw_noise block in one
+    _noise_buffer that grows only if a block needs more.  hit(kept) returns
+    the hit mask of a slice of kept rows of the live replicas (columns) and
+    must not write into them; a replica stops at its first hit, at step 0
+    with time 0.0 and no noise drawn.  A replica that hits mid-block steps on
+    to the block's end on noise already drawn; times are set, and states, aux
+    and replica ids compacted, once per block, after which NonFinite is
+    raised if a survivor's state is not finite, and else dyn.check sees the
+    survivors.  Returns (hitting times, nan if censored; recorded): the kept
+    values at the steps in record (any order, repeats allowed, each in [0,
+    max_steps]), shape (len(record), n) + kept shape, nan where a replica had
+    stopped.
     """
     if max_steps < 0:
         raise ValueError(f"a run of {max_steps} steps: the duration must be nonnegative")
@@ -317,11 +338,12 @@ def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
         raise ValueError(f"recorded steps must lie in [0, {max_steps}]")
     order = np.argsort(record, kind="stable")
     wanted = record[order]
+    shape, keep = dyn.shape, dyn.keep
     rngs = [replica_rng(seed, offset + i) for i in range(n)]
     width = 0 if shape is None else int(np.prod(shape))
     stops = np.full(n, max_steps + 1)  # each replica's hit step, past the horizon if none
-    x = np.repeat(x0[None], n, axis=0)
-    aux = None if aux0 is None else np.repeat(aux0[None], n, axis=0)
+    x = np.repeat(start[None], n, axis=0)
+    aux = None if dyn.aux0 is None else np.repeat(dyn.aux0[None], n, axis=0)
     ids = np.arange(n)
 
     def stop(k, kept):
@@ -351,27 +373,27 @@ def _first_passage(x0: np.ndarray, seed: int, offset: int, n: int, dt: float,
             buf = None  # release the old buffer before mapping a larger one
             buf = _noise_buffer(live * steps * (width + kwidth))
         if shape is not None:
-            noise = _draw_noise([rngs[i] for i in ids], steps, shape, scale, buf)
+            noise = _draw_noise([rngs[i] for i in ids], steps, shape, dyn.scale, buf)
         if kwidth:
             kept = buf[live * steps * width:live * steps * (width + kwidth)]
             kept = kept.view(kdtype).reshape((steps, live) + kshape)
         for j in range(steps):
-            x, aux = step(x, None if noise is None else noise[j], aux)
+            x, aux = dyn.step(x, None if noise is None else noise[j], aux)
             if kwidth:
                 kept[j] = keep(x, aux)
         stop(done + 1, noise if keep is None else kept)
         if not np.all(np.isfinite(x)):
             raise NonFinite("a state overflowed; reduce dt")
-        if check is not None:
-            check(x)
+        if dyn.check is not None:
+            dyn.check(x)
         done += steps
     recorded[record[:, None] > stops] = np.nan  # steps run past a hit
     return np.where(stops <= max_steps, stops * dt, np.nan), recorded
 
 
-def _sde_callbacks(run: SdeRun) -> dict:
-    """The Euler-Maruyama ensemble's shape, scale, step and check keywords
-    for _first_passage; check warns once if dt exceeds the inverse Hessian
+def _sde_dynamics(run: SdeRun) -> Dynamics:
+    """The Euler-Maruyama dynamics of run's replicas, which keep their states
+    in their noise rows; check warns once if dt exceeds the inverse Hessian
     scale along the trajectory."""
     gradient = run.potential.gradient_batch
 
@@ -391,8 +413,8 @@ def _sde_callbacks(run: SdeRun) -> dict:
                 warned = True
                 break
 
-    return dict(shape=(run.x0.size,), scale=np.sqrt(2 * run.epsilon * run.dt),
-                step=step, check=check)
+    return Dynamics(step, (run.x0.size,), np.sqrt(2 * run.epsilon * run.dt),
+                    check=check)
 
 
 def _usable_cpus() -> int:
@@ -506,33 +528,33 @@ def sample_endpoints(run: SdeRun, t: float, n: int,
     blocks stay within the engine's budget at any n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    n_steps, callbacks = steps_in(t, "t", run.dt), _sde_callbacks(run)
+    n_steps, dyn = steps_in(t, "t", run.dt), _sde_dynamics(run)
     size = _BLOCK_NORMALS // _MIN_DRAW
 
     def endpoints(offset, count):
         return np.concatenate([
-            _first_passage(run.x0, run.seed, replica_offset + offset + a,
+            _first_passage(dyn, run.x0, run.seed, replica_offset + offset + a,
                            min(size, count - a), run.dt, n_steps,
-                           record=[n_steps], **callbacks)[1][0]
+                           record=[n_steps])[1][0]
             for a in range(0, max(count, 1), size)])  # count = 0: one empty call
 
     return run_ranges(endpoints, n)
 
 
-def _hitting_times(run, start: np.ndarray, horizon: float, distance,
-                   delta: float, n: int, replica_offset: int,
-                   **engine) -> np.ndarray:
-    """The first times distance(kept) < delta of n replicas of run from
-    start, nan if censored at the horizon, on the usable CPUs by run_ranges;
-    engine holds _first_passage's keywords that say what kept is."""
+def _hitting_times(run, dyn: Dynamics, start: np.ndarray, horizon: float,
+                   distance, delta: float, n: int,
+                   replica_offset: int) -> np.ndarray:
+    """The first times distance(kept) < delta of n replicas of dyn from
+    start, at run's seed and dt, nan if censored at the horizon, on the
+    usable CPUs by run_ranges."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
     max_steps = steps_in(horizon, "t_max", run.dt)
     return run_ranges(lambda offset, count: _first_passage(
-        start, run.seed, replica_offset + offset, count, run.dt, max_steps,
-        hit=lambda kept: distance(kept) < delta, **engine)[0], n)
+        dyn, start, run.seed, replica_offset + offset, count, run.dt, max_steps,
+        hit=lambda kept: distance(kept) < delta)[0], n)
 
 
 def hitting_times_raw(run: SdeRun, target_center: np.ndarray, delta: float,
@@ -551,8 +573,8 @@ def hitting_times_raw(run: SdeRun, target_center: np.ndarray, delta: float,
         diff = x - center
         return np.sqrt(np.add.reduce(diff * diff, axis=-1))  # as np.linalg.norm
 
-    return _hitting_times(run, run.x0, run.horizon, distance, delta, n,
-                          replica_offset, **_sde_callbacks(run))
+    return _hitting_times(run, _sde_dynamics(run), run.x0, run.horizon,
+                          distance, delta, n, replica_offset)
 
 
 def sample_hitting_times(run: SdeRun, target_center, delta: float, n: int,

@@ -19,15 +19,16 @@ each real Fourier degree of freedom receives an independent Brownian motion.
 Each step runs one inverse and one forward real FFT; full_band() mirrors the
 state only where a full band is handed out.
 
-Every time loop runs on sde._first_passage, which draws each block's normals
-step-major and carries each state's grid as the aux step() takes and returns;
-the engine, not step() or its callers here, raises NonFinite once a block
-leaves a surviving state overflowed.  Trajectories, snapshots and the
-noiseless flow are one replica that records what its caller reads at the
-steps it names.  The noise check reads the white-noise isometry off
-mode_noise as an exact identity; its Monte Carlo is an ensemble whose states
-are the running sums of their normals, recorded at each horizon, and like
-hitting it runs as sde.run_ranges ranges.  Hitting runs on sde's one
+Every time loop runs on sde._first_passage.  _Stepper.dynamics is the
+field's sde.Dynamics: it draws each block's normals step-major and carries
+each state's grid as the aux step() takes and returns; the engine, not
+step() or its callers here, raises NonFinite once a block leaves a surviving
+state overflowed.  Trajectories, snapshots and the noiseless flow are one
+replica (sde._one_replica) that records what its caller keeps at the steps
+it names.  The noise check reads the white-noise isometry off mode_noise as
+an exact identity; its Monte Carlo runs its own summing dynamics, whose
+states are the running sums of their normals, recorded at each horizon, and
+like hitting it runs as sde.run_ranges ranges.  Hitting runs on sde's one
 hitting entry, keeping each step's fields.distance_to_constant as the
 distance it compares with delta.  A run is built under sde.check_run, reads
 (d, L, N) off its initial field, a band that passed fields.check_band when
@@ -48,8 +49,8 @@ from . import fields
 from .determinants import counterterm_trace
 from .errors import DomainError
 from .fields import SpectralField
-from .sde import (HittingTimeBatch, _draw_noise, _first_passage, _hitting_times,
-                  check_run, run_ranges, steps_in)
+from .sde import (Dynamics, HittingTimeBatch, _draw_noise, _first_passage,
+                  _hitting_times, _one_replica, check_run, run_ranges, steps_in)
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,7 @@ class _Stepper:
         f0 = run.field0
         self.run = run
         self.d, self.L, self.N = f0.d, f0.L, f0.N
+        self.c0 = f0.coeffs[..., :self.N + 1]  # the start's half band
         self.M = fields.dealiased_grid_size(self.N)
         self.n_modes = 2 * self.N + 1
         self.noise_shape = (self.n_modes,) * self.d  # normals per step
@@ -113,6 +115,12 @@ class _Stepper:
         grid = np.zeros(eta.shape[:-self.d] + (self.M,) * self.d)
         grid[self.sublattice] = self.noise_scale * eta
         return self.colloc.project(grid)
+
+    def dynamics(self, keep, noisy: bool = True) -> Dynamics:
+        """The run's dynamics from c0, keeping keep(half bands, grids) of
+        each step, noiseless unless noisy."""
+        return Dynamics(self.step, self.noise_shape if noisy else None,
+                        keep=keep, aux0=self.colloc.grid(self.c0))
 
     def step(self, coeffs: np.ndarray, eta: Optional[np.ndarray], u: np.ndarray):
         """One semi-implicit update of half bands that may carry leading batch
@@ -147,19 +155,6 @@ def draw_mode_noise(run: SpdeRun, rng: np.random.Generator) -> np.ndarray:
     return fields.full_band(st.mode_noise(eta), st.d)
 
 
-def _one_replica(st: _Stepper, steps, replica_index: int, keep,
-                 noisy: bool = True) -> np.ndarray:
-    """keep(half bands) of one replica of st.run after each of steps, run to
-    the largest of them, noiseless unless noisy; shape (len(steps),) + kept
-    shape."""
-    c0 = st.run.field0.coeffs[..., :st.N + 1]
-    return _first_passage(c0, st.run.seed, replica_index, 1, st.run.dt,
-                          int(np.max(steps)) if len(steps) else 0,
-                          st.noise_shape if noisy else None, st.step,
-                          record=steps, aux0=st.colloc.grid(c0),
-                          keep=lambda c, _u: keep(c))[1][:, 0]
-
-
 def integrate_deterministic(run: SpdeRun, t_final: float,
                             record_every: int = 1):
     """Zero-noise integration; returns (times, coeff snapshots) arrays.
@@ -172,7 +167,8 @@ def integrate_deterministic(run: SpdeRun, t_final: float,
     st = _Stepper(run)
     n_steps = steps_in(t_final, "t_final", run.dt)
     steps = np.union1d(np.arange(0, n_steps + 1, record_every), n_steps)
-    snaps = _one_replica(st, steps, 0, lambda c: c, noisy=False)
+    snaps = _one_replica(st.dynamics(lambda c, _u: c, noisy=False), st.c0,
+                         run.seed, 0, run.dt, steps)
     return steps * run.dt, fields.full_band(snaps, st.d)
 
 
@@ -181,7 +177,8 @@ def spatial_mean_trajectory(run: SpdeRun, t_final: float) -> tuple[np.ndarray, n
     st = _Stepper(run)
     n_steps = steps_in(t_final, "t_final", run.dt)
     steps = np.append(np.arange(n_steps), n_steps)  # 0 .. n_steps, or a negative n_steps
-    means = _one_replica(st, steps, 0, lambda c: c[(Ellipsis,) + (0,) * st.d].real)
+    mean = st.dynamics(lambda c, _u: c[(Ellipsis,) + (0,) * st.d].real)
+    means = _one_replica(mean, st.c0, run.seed, 0, run.dt, steps)
     return steps * run.dt, means * st.L ** (-st.d / 2.0)
 
 
@@ -259,13 +256,14 @@ def noise_coefficient_check(run: SpdeRun, T_values: Sequence[float] = (0.5, 1.0)
         flat = st.mode_noise(unit).reshape(len(unit), -1)
         g[:, a:a + len(unit)] = np.real((flat * pair_rows).sum(-1))
     T_values = tuple(k * run.dt for k in n_steps_per_T)  # the simulated horizons
+    # a replica's state: the sum of its normals, kept in its noise row
+    summing = Dynamics(lambda x, noise, _aux: (np.add(x, noise, out=noise), None),
+                       st.noise_shape)
 
     def pairings(offset, count):  # replicas offset, ..: (count, T, sets)
-        sums = _first_passage(  # a replica's state: the sum of its normals
-            np.zeros(st.noise_shape), run.seed, offset, count, run.dt,
-            max(n_steps_per_T), st.noise_shape,
-            lambda x, noise, _aux: (np.add(x, noise, out=noise), None),
-            record=n_steps_per_T)[1]
+        sums = _first_passage(
+            summing, np.zeros(st.noise_shape), run.seed, offset, count, run.dt,
+            max(n_steps_per_T), record=n_steps_per_T)[1]
         sums = sums.reshape(sums.shape[:2] + (-1,))
         return np.sqrt(run.dt) * np.stack([(sums * row).sum(-1) for row in g],
                                           axis=-1).swapaxes(0, 1)
@@ -310,12 +308,9 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
     if norm == "hs" and s >= 0:
         raise DomainError("the Sobolev hitting norm requires s < 0")
     st = _Stepper(run)
-    c0 = run.field0.coeffs[..., :st.N + 1]
-    return _hitting_times(run, c0, run.t_max, lambda dist: dist, delta, n,
-                          replica_offset, shape=st.noise_shape, step=st.step,
-                          aux0=st.colloc.grid(c0),
-                          keep=fields.distance_to_constant(st.d, st.L, st.N,
-                                                           target, norm, s))
+    dyn = st.dynamics(fields.distance_to_constant(st.d, st.L, st.N, target, norm, s))
+    return _hitting_times(run, dyn, st.c0, run.t_max, lambda dist: dist, delta,
+                          n, replica_offset)
 
 
 def sample_spde_hitting_times(run: SpdeRun, target: float, delta: float,
@@ -354,7 +349,8 @@ def record_snapshots(run: SpdeRun, snapshot_times, out_dir,
         raise ValueError(f"snapshot time {times[0]} is negative")
     steps = [steps_in(t, "snapshot time", run.dt) for t in times]
     st = _Stepper(run)
-    snaps = _one_replica(st, steps, replica_index, lambda c: c)
+    snaps = _one_replica(st.dynamics(lambda c, _u: c), st.c0, run.seed,
+                         replica_index, run.dt, steps)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     jsonl = os.path.join(out_dir, "trajectory.jsonl")

@@ -596,6 +596,28 @@ class TestCliRuns:
         assert json.loads(err[0]) == {"error": "DomainError",
                                       "message": "torus side length must be positive"}
 
+    @pytest.mark.parametrize("row, error, message", [
+        ({"t": 0.0, "d": 1, "N": 1, "re": [0.0] * 3, "im": [0.0] * 3},
+         "ValueError", "row 1 has no 'L'"),
+        ([1, 2], "ValueError", "row 1 is not a JSON object"),
+        ({"t": 0.0, "d": 1, "L": 2.0, "N": 1, "re": [0.0], "im": [0.0] * 3},
+         "ShapeMismatch", "row 1 has 1 re values, not (2N+1)^d = 3"),
+    ])
+    def test_rate_functional_refuses_a_bad_field_path_row(self, tmp_path, capsys,
+                                                          row, error, message):
+        # a row the loader cannot read is a validation error: exit 2, one
+        # JSON line, where a missing key or a non-object row exited 1
+        f = tmp_path / "path.jsonl"
+        f.write_text("".join(json.dumps({**row, "t": t} if isinstance(row, dict)
+                                        else row) + "\n" for t in (0.0, 0.1)))
+        out = tmp_path / "out"
+        assert main(["rate-functional", "--field_jsonl", str(f),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": error, "message": message}
+
     def test_randomwalk_experiment(self, tmp_path):
         code = main(["randomwalk", "--n_walks", "3000", "--n_steps", "2000",
                      "--seed", "5", "--out", str(tmp_path)])

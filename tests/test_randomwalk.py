@@ -1,33 +1,42 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from metastab import diffusive_rescale, ensemble_rescaled, walk
+from metastab import ensemble_rescaled
 from metastab.errors import OutOfRange
+from metastab.sde import replica_rng
+
+
+def _walk_zero(n, seed):
+    """S_0, .., S_n of walk 0 at seed, written out from its stream: the
+    cumulative sum of its n +-1 steps, each 2 b - 1 for a drawn int8 bit b."""
+    steps = 2 * replica_rng(seed, 0).integers(0, 2, n, np.int8) - 1
+    return np.concatenate(([0], np.cumsum(steps, dtype=np.int64)))
 
 
 class TestWalk:
+    # ensemble_rescaled(1, 1, 0..n, seed) reads walk 0's positions S_0..S_n
+    # themselves: scale 1 at integer times, with no time rounding
     def test_unit_steps_and_zero_start(self):
-        p = walk(500, seed=1)
-        assert set(np.unique(p.steps)) <= {-1, 1}
-        assert p.positions[0] == 0
-        assert np.all(np.abs(np.diff(p.positions)) == 1)
-
-    def test_positions_are_prefix_sums(self):
-        p = walk(100, seed=2)
-        assert np.array_equal(p.positions[1:], np.cumsum(p.steps))
+        positions = ensemble_rescaled(1, 1, np.arange(501), seed=1)[0]
+        assert positions[0] == 0
+        assert np.all(np.abs(np.diff(positions)) == 1)
 
     def test_seeded_reproducibility(self):
-        assert np.array_equal(walk(64, seed=9).steps, walk(64, seed=9).steps)
-        assert not np.array_equal(walk(64, seed=9).steps, walk(64, seed=10).steps)
+        def positions(seed):
+            return ensemble_rescaled(1, 1, np.arange(65), seed=seed)[0]
+
+        assert np.array_equal(positions(9), positions(9))
+        assert not np.array_equal(positions(9), positions(10))
 
     @pytest.mark.parametrize("n", (20, 100))
     def test_is_walk_zero_of_the_ensemble(self, n):
-        # scale 1 at integer times reads S_k itself, with no time rounding
-        assert np.array_equal(walk(n, seed=7).positions,
-                              ensemble_rescaled(1, 1, np.arange(n + 1), seed=7)[0])
+        # the bitwise pin of the walk's stream
+        assert np.array_equal(ensemble_rescaled(1, 1, np.arange(n + 1), seed=7)[0],
+                              _walk_zero(n, seed=7))
 
     def test_mean_near_zero(self):
         # empirical mean of S_n over 1e5 walks within 3 sigma of 0
@@ -54,29 +63,18 @@ class TestWalk:
 
 class TestDiffusiveRescale:
     def test_zero_at_time_zero(self):
-        p = walk(100, seed=7)
-        assert diffusive_rescale(p, 100, np.array([0.0]))[0] == 0.0
+        assert ensemble_rescaled(1, 100, [0.0], seed=7)[0, 0] == 0.0
 
     def test_scaling_factor(self):
-        p = walk(100, seed=8)
-        w = diffusive_rescale(p, 100, np.array([1.0]))
-        assert w[0] == pytest.approx(p.positions[100] / 10.0)
+        w = ensemble_rescaled(1, 100, [1.0], seed=8)[0, 0]
+        assert w == pytest.approx(_walk_zero(100, seed=8)[100] / 10.0)
 
     @pytest.mark.parametrize("n", (49, 100))
     def test_grid_times_read_their_own_step(self, n):
         # n * (k / n) falls just below k for some k (n = 100: k = 29, 57, 58)
-        path = walk(n, seed=3)
         t = np.arange(n + 1) / n
-        want = path.positions / np.sqrt(n)
-        assert np.array_equal(diffusive_rescale(path, n, t), want)
+        want = _walk_zero(n, seed=3) / np.sqrt(n)
         assert np.array_equal(ensemble_rescaled(1, n, t, seed=3)[0], want)
-
-    def test_out_of_range(self):
-        p = walk(100, seed=9)
-        with pytest.raises(OutOfRange):
-            diffusive_rescale(p, 100, np.array([1.5]))
-        with pytest.raises(OutOfRange):
-            diffusive_rescale(p, 100, np.array([-0.1]))
 
 
 class TestBrownianLimit:
@@ -127,10 +125,8 @@ class TestWalkByWalk:
 
 
 def test_empty_time_grid_gives_no_columns():
-    # as diffusive_rescale returns an empty array for an empty grid
     out = ensemble_rescaled(3, 10, [], seed=1)
     assert out.shape == (3, 0) and out.dtype == float
-    assert diffusive_rescale(walk(10, seed=1), 10, []).shape == (0,)
 
 
 def test_no_walks_give_no_rows():
@@ -139,19 +135,26 @@ def test_no_walks_give_no_rows():
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: walk(0, seed=1), ValueError, "n must be >= 1"),
-    (lambda: walk(-3, seed=1), ValueError, "n must be >= 1"),
     (lambda: ensemble_rescaled(3, 10, [-0.1, 0.5], seed=1), OutOfRange,
      "negative times requested"),
     (lambda: ensemble_rescaled(3, 10, [-0.5, -0.1], seed=1), OutOfRange,
      "negative times requested"),
+    # a time that is not finite is refused before a walk is drawn: nan and
+    # inf once passed the negative-time test and died in an IndexError
+    (lambda: ensemble_rescaled(3, 10, [np.nan], seed=1), OutOfRange,
+     "time nan is not finite"),
+    (lambda: ensemble_rescaled(3, 10, [0.5, np.inf], seed=1), OutOfRange,
+     "time inf is not finite"),
+    (lambda: ensemble_rescaled(3, 10, [-np.inf, 0.5], seed=1), OutOfRange,
+     "time -inf is not finite"),
     (lambda: ensemble_rescaled(3, 0, [0.5], seed=1), ValueError, "n must be >= 1"),
     (lambda: ensemble_rescaled(3, -4, [0.5], seed=1), ValueError, "n must be >= 1"),
     (lambda: ensemble_rescaled(-2, 10, [0.5], seed=1), ValueError,
      "n_walks must be >= 0"),
 ])
 def test_bad_inputs_raise(call, error, message):
-    with pytest.raises(error) as info:
+    with warnings.catch_warnings(), pytest.raises(error) as info:
+        warnings.simplefilter("error")  # nothing is computed before the refusal
         call()
     assert type(info.value) is error
     assert str(info.value) == message

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,36 @@ class TestPathIO:
         assert loaded.d == 1 and loaded.L == L and loaded.N == N
         assert np.allclose(loaded.coeffs, snaps)
         assert np.allclose(loaded.times, path.times)
+
+
+def _row(time, **change):
+    """A d=1, N=1 row of a field-path file, with keys changed (None drops one)."""
+    row = {"t": time, "d": 1, "L": 2.0, "N": 1, "re": [0.0] * 3, "im": [0.0] * 3}
+    row.update(change)
+    return {k: v for k, v in row.items() if v is not None}
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    # every row is read under one rule; these once died in a KeyError, a
+    # TypeError or numpy's reshape message
+    ([_row(0.0, L=None), _row(0.1, L=None)], ValueError, "row 1 has no 'L'"),
+    ([_row(0.0), _row(0.1, t=None)], ValueError, "row 2 has no 't'"),
+    ([[1, 2], _row(0.1)], ValueError, "row 1 is not a JSON object"),
+    ([_row(0.0), 3.5], ValueError, "row 2 is not a JSON object"),
+    ([_row(0.0), _row(0.1, re=[0.0, 0.0])], ShapeMismatch,
+     "row 2 has 2 re values, not (2N+1)^d = 3"),
+    ([_row(0.0, im=[0.0] * 4), _row(0.1)], ShapeMismatch,
+     "row 1 has 4 im values, not (2N+1)^d = 3"),
+    ([_row(0.0, d=2), _row(0.1, d=2)], ShapeMismatch,
+     "row 1 has 3 re values, not (2N+1)^d = 9"),
+])
+def test_field_path_rows_are_checked(tmp_path, rows, error, message):
+    f = tmp_path / "path.jsonl"
+    f.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(error) as info:
+        load_field_path_jsonl(str(f))
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def _field_path(times, n_coeffs, d=1, L=2.0, band=(5,)):

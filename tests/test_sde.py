@@ -21,9 +21,10 @@ from metastab.errors import AllCensored, NonFinite, ShapeMismatch
 from metastab.fields import constant_field
 from metastab.spde import SpdeRun, noise_coefficient_check, spde_hitting_times_raw
 from metastab.sde import (
+    Dynamics,
     _block_steps,
     _first_passage,
-    _sde_callbacks,
+    _sde_dynamics,
     hitting_times_raw,
     integrate_path,
     ou_mean_var,
@@ -160,6 +161,20 @@ class TestEndpointMoments:
         assert np.array_equal(a[32:], c)
 
 
+@pytest.mark.parametrize("pot, x0", [(quadratic_well(), [1.0]),
+                                     (potentials.double_well_2d(), [-1.0, 0.2])])
+def test_recorded_path_is_replica_zero_of_the_endpoints(pot, x0):
+    # integrate_path runs sde._one_replica and sample_endpoints the ensemble
+    # engine calls: step k of the one is replica 0 at k dt of the other, bit
+    # for bit, on both sides of the first 1024-step noise block
+    run = SdeRun(pot, epsilon=0.2, dt=1e-3, x0=x0, seed=13)
+    times, path = integrate_path(run, 1.5, record=True)
+    assert len(path) == 1501
+    for k in (0, 1, 17, 1024, 1025, 1500):
+        assert times[k] == k * run.dt
+        assert np.array_equal(path[k], sample_endpoints(run, k * run.dt, 1)[0])
+
+
 class TestHittingTimes:
     def test_start_inside_ball_gives_zero(self, quartic, no_noise):
         # the engine sees the start state and stops before drawing noise
@@ -209,7 +224,7 @@ class TestHittingTimes:
     def test_stability_check_samples_across_the_live_replicas(self, quartic):
         # only row 6 sits where V'' = 3 x^2 - 1 = 26 exceeds 1/dt
         run = SdeRun(quartic, epsilon=0.01, dt=0.1, x0=[0.0], seed=4)
-        check = _sde_callbacks(run)["check"]
+        check = _sde_dynamics(run).check
         x = np.zeros((8, 1))
         x[6] = 3.0
         with pytest.warns(RuntimeWarning):
@@ -324,9 +339,9 @@ class TestFirstPassageEngine:
                 return (((who == 0) & (ks == 0)) | ((who == 1) & (ks == 4))
                         | ((who == 2) & ((ks == 5) | (ks == 7))))
 
-            times, recorded = _first_passage(np.zeros(1), 0, 0, 4, 0.5, 9, (1,),
-                                             step, hit, range(10), checked.append,
-                                             scale=0.0, keep=keep)
+            dyn = Dynamics(step, (1,), 0.0, keep, check=checked.append)
+            times, recorded = _first_passage(dyn, np.zeros(1), 0, 0, 4, 0.5, 9,
+                                             hit, range(10))
             assert [k for k, _ in seen] == list(range(10))
             assert [live for _, live in seen] == \
                 [[0, 1, 2, 3]] + [[1, 2, 3]] * 4 + [[2, 3]] * 4 + [[3]]
@@ -350,8 +365,8 @@ class TestFirstPassageEngine:
             return x * 1e200, aux
 
         def run(hit):
-            return _first_passage(np.ones(1), 0, 0, 2, 0.5, 10, None, step, hit,
-                                  keep=lambda x, _aux: x)[0]
+            return _first_passage(Dynamics(step, keep=lambda x, _aux: x),
+                                  np.ones(1), 0, 0, 2, 0.5, 10, hit)[0]
 
         with np.errstate(over="ignore"):
             assert np.array_equal(run(lambda kept: kept[..., 0] > 1), [0.5, 0.5])
@@ -360,29 +375,31 @@ class TestFirstPassageEngine:
 
     def test_record_takes_steps_in_any_order_and_repeated(self, quartic):
         run = SdeRun(quartic, epsilon=0.3, dt=1e-3, x0=[-1.0], seed=5)
-        callbacks = _sde_callbacks(run)
-        _, every = _first_passage(run.x0, run.seed, 0, 3, run.dt, 2000,
-                                  record=range(2001), **callbacks)
-        times, some = _first_passage(run.x0, run.seed, 0, 3, run.dt, 2000,
-                                     record=[2000, 0, 1024, 1024, 7], **callbacks)
+        dyn = _sde_dynamics(run)
+        _, every = _first_passage(dyn, run.x0, run.seed, 0, 3, run.dt, 2000,
+                                  record=range(2001))
+        times, some = _first_passage(dyn, run.x0, run.seed, 0, 3, run.dt, 2000,
+                                     record=[2000, 0, 1024, 1024, 7])
         assert np.array_equal(some, every[[2000, 0, 1024, 1024, 7]])
         assert np.all(np.isnan(times))
-        times, none = _first_passage(run.x0, run.seed, 0, 3, run.dt, 20, **callbacks)
+        times, none = _first_passage(dyn, run.x0, run.seed, 0, 3, run.dt, 20)
         assert none.shape == (0, 3, 1)
 
     @pytest.mark.parametrize("record", ([6], [0, -1]))
     def test_recorded_steps_outside_the_run_rejected(self, quartic, record):
         run = SdeRun(quartic, epsilon=0.3, dt=1e-3, x0=[-1.0], seed=5)
         with pytest.raises(ValueError, match=r"recorded steps must lie in \[0, 5\]"):
-            _first_passage(run.x0, run.seed, 0, 3, run.dt, 5, record=record,
-                           **_sde_callbacks(run))
+            _first_passage(_sde_dynamics(run), run.x0, run.seed, 0, 3, run.dt, 5,
+                           record=record)
 
     def test_sde_states_are_kept_in_their_noise_rows(self, quartic):
         # keep None: the SDE step writes each new state over the noise row it
         # used, and the recorded steps read those rows
         run = SdeRun(quartic, epsilon=0.3, dt=1e-3, x0=[-1.0], seed=5)
-        _, recorded = _first_passage(run.x0, run.seed, 0, 3, run.dt, 6,
-                                     record=range(7), **_sde_callbacks(run))
+        dyn = _sde_dynamics(run)
+        assert dyn.keep is None
+        _, recorded = _first_passage(dyn, run.x0, run.seed, 0, 3, run.dt, 6,
+                                     record=range(7))
         amp = np.sqrt(2 * run.epsilon * run.dt)
         noise = amp * np.stack([replica_rng(5, i).standard_normal((6, 1))
                                 for i in range(3)], axis=1)

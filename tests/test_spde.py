@@ -32,7 +32,7 @@ from metastab.fields import (
     squared_wavenumber_grid,
 )
 from metastab import sde
-from metastab.sde import _draw_noise, replica_rng
+from metastab.sde import _draw_noise, _one_replica, replica_rng
 from metastab.spde import (
     _Stepper,
     draw_mode_noise,
@@ -327,8 +327,9 @@ class TestLinearizedModes:
         nu = squared_wavenumber_grid(d, L, N) - 1.0
         nu_1 = (2 * np.pi / L) ** 2 - 1.0
         gap = int(np.ceil(5.0 / (nu_1 * dt)))  # states e^-10 correlated
-        cs = spde._one_replica(_Stepper(run), np.arange(gap, 100 * gap + 1, gap),
-                               0, lambda c: c)
+        st = _Stepper(run)
+        cs = _one_replica(st.dynamics(lambda c, _u: c), st.c0, run.seed, 0, run.dt,
+                          np.arange(gap, 100 * gap + 1, gap))
         full = full_band(cs, d)
         full[:, 0, 0] = 0.0  # the mean mode, unstable without the cubic
         var = np.sum(np.abs(full) ** 2, axis=(1, 2)) / L**d
@@ -772,6 +773,27 @@ def test_record_snapshots_match_a_stepper_loop(tmp_path, monkeypatch):
         assert row["t"] == pytest.approx(k * run.dt, abs=1e-12)
         assert (row["mean"], row["min"], row["max"]) == \
             (want.mean(), want.min(), want.max())
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_snapshots_and_the_mean_trajectory_run_one_replica(tmp_path, monkeypatch, d):
+    # both run replica 0 through sde._one_replica: the mean mode of each
+    # snapshot is the trajectory's spatial mean at its step, bit for bit
+    shown = []
+    export = spde.export_snapshot_csv
+
+    def showing(field, t, filename):
+        shown.append(field)
+        return export(field, t, filename)
+
+    monkeypatch.setattr(spde, "export_snapshot_csv", showing)
+    run = make_run(d=d, L=1.5, N=4, eps=0.3, dt=2e-3, seed=31)
+    record_snapshots(run, [0.05, 0.0, 0.014], str(tmp_path))
+    _, means = spatial_mean_trajectory(run, 0.05)
+    assert len(shown) == 3
+    for k, field in zip((0, 7, 25), shown):
+        mean_mode = field.coeffs[(0,) * d].real * field.L ** (-d / 2.0)
+        assert mean_mode == means[k]
 
 
 def test_record_snapshots_write_nothing_when_the_run_raises(tmp_path):
