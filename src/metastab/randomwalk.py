@@ -28,6 +28,10 @@ def _walk_ranges(n: int, t_grid, seed: int):
         raise OutOfRange(f"time {t[~np.isfinite(t)][0]} is not finite")
     if np.any(t < 0):
         raise OutOfRange("negative times requested")
+    big = n * t >= 2.0**63  # floor(n t) past int64
+    if np.any(big):
+        raise OutOfRange(f"time {t[big][0]} is {n * t[big][0]:.3g} steps, "
+                         "more than an int64 holds")
     nt = n * t  # floor(n t), where n t within 4 ulps of an integer k reads k
     k = np.rint(nt)
     idx = np.where(np.abs(nt - k) <= 4 * np.spacing(np.abs(k)), k, np.floor(nt)).astype(int)

@@ -151,14 +151,21 @@ def save_field_path_jsonl(path: FieldPath, filename: str) -> None:
 
 def _field_row(line: str, i: int) -> dict:
     """The row rule: row i is a JSON object (else ValueError) holding t, d, L,
-    N, re and im (ValueError naming the first it lacks), with (2N+1)^d values
-    in re and in im (ShapeMismatch naming the one that has not)."""
+    N, re and im (ValueError naming the first it lacks), with integers d and
+    N and real numbers t and L, none a bool (else ValueError naming the key),
+    and (2N+1)^d values in re and in im (ShapeMismatch naming the one that
+    has not)."""
     row = json.loads(line)
     if not isinstance(row, dict):
         raise ValueError(f"row {i} is not a JSON object")
     for key in ("t", "d", "L", "N", "re", "im"):
         if key not in row:
             raise ValueError(f"row {i} has no {key!r}")
+    for key, kinds, name in (("d", int, "an integer"), ("N", int, "an integer"),
+                             ("t", (int, float), "a real number"),
+                             ("L", (int, float), "a real number")):
+        if not isinstance(row[key], kinds) or isinstance(row[key], bool):
+            raise ValueError(f"row {i}'s {key!r} is {row[key]!r}, not {name}")
     size = (2 * row["N"] + 1) ** row["d"]
     for key in ("re", "im"):
         if np.size(row[key]) != size:

@@ -38,14 +38,14 @@ from .errors import AllCensored, NonFinite, ShapeMismatch
 from .potentials import Potential
 
 # The block rule, in values of 8 bytes (normals, and kept values beside them):
-# a replica takes at least 4 KiB a block and at most 256 KiB; a block of at
-# most 1024 steps holds at most 8 MiB unless that floor needs more.  The floor
-# is the RNG's knee: with 2000 generators (best of 7), a standard_normal call
-# costs 19.3, 18.6, 19.7, 23.7 and 28.8 ns per normal at 2048, 1024, 512, 256
-# and 128 normals, so a shorter draw lets the call outweigh a cheap SDE step.
-# The hit test reads a block in slices of at most _OBSERVE_VALUES kept values,
-# which bounds its temporaries.
-_MAX_STEPS, _MIN_DRAW, _MAX_DRAW, _BLOCK_NORMALS = 1024, 1 << 9, 1 << 15, 1 << 20
+# a replica takes at least 4 KiB a block and at most 256 KiB, and a block of
+# at most 1024 steps at most the floor's draw for 1024 replicas (4 MiB) unless
+# the floor needs more.  The floor is the RNG's knee: with 2000 generators
+# (best of 7), standard_normal costs 19.3, 18.6, 19.7, 23.7 and 28.8 ns per
+# normal at 2048, 1024, 512, 256 and 128 normals; a longer draw is no cheaper.
+# The hit test reads a block in at most _OBSERVE_VALUES kept values a slice.
+_MAX_STEPS, _MIN_DRAW, _MAX_DRAW = 1024, 1 << 9, 1 << 15
+_BLOCK_NORMALS = _MIN_DRAW * _MAX_STEPS
 _OBSERVE_VALUES = 1 << 14
 # By default run_ranges forks no range of fewer than _MIN_RANGE replicas.  A
 # fork, its pickled result and its reaping cost about 3 ms (2 cores, from a
@@ -524,8 +524,8 @@ def sample_endpoints(run: SdeRun, t: float, n: int,
     """States of n independent replicas after round(t / dt) steps, at time
     round(t / dt) dt, shape (n, dim), run on the usable CPUs by run_ranges.
     A range runs its replicas in engine calls of at most
-    _BLOCK_NORMALS // _MIN_DRAW (2048), one after another, so its noise
-    blocks stay within the engine's budget at any n."""
+    _BLOCK_NORMALS // _MIN_DRAW (1024), one after another, so its noise
+    blocks stay within the engine's 4 MiB budget at any n."""
     if n < 0:
         raise ValueError("n must be >= 0")
     n_steps, dyn = steps_in(t, "t", run.dt), _sde_dynamics(run)

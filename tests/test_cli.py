@@ -602,6 +602,10 @@ class TestCliRuns:
         ([1, 2], "ValueError", "row 1 is not a JSON object"),
         ({"t": 0.0, "d": 1, "L": 2.0, "N": 1, "re": [0.0], "im": [0.0] * 3},
          "ShapeMismatch", "row 1 has 1 re values, not (2N+1)^d = 3"),
+        # a non-integer N whose (2N+1)^d matched the values exited 1 with a
+        # TypeError from the reshape
+        ({"t": 0.0, "d": 1, "L": 2.0, "N": 1.5, "re": [0.0] * 4, "im": [0.0] * 4},
+         "ValueError", "row 1's 'N' is 1.5, not an integer"),
     ])
     def test_rate_functional_refuses_a_bad_field_path_row(self, tmp_path, capsys,
                                                           row, error, message):

@@ -147,6 +147,12 @@ def test_no_walks_give_no_rows():
      "time inf is not finite"),
     (lambda: ensemble_rescaled(3, 10, [-np.inf, 0.5], seed=1), OutOfRange,
      "time -inf is not finite"),
+    # a step count past int64 is refused before the cast: floor(n t) wrapped
+    # to -2^63 and died in an IndexError
+    (lambda: ensemble_rescaled(2, 10, [0.5, 1e30], seed=1), OutOfRange,
+     "time 1e+30 is 1e+31 steps, more than an int64 holds"),
+    (lambda: ensemble_rescaled(2, 2**40, [2.0**23], seed=1), OutOfRange,
+     "time 8388608.0 is 9.22e+18 steps, more than an int64 holds"),
     (lambda: ensemble_rescaled(3, 0, [0.5], seed=1), ValueError, "n must be >= 1"),
     (lambda: ensemble_rescaled(3, -4, [0.5], seed=1), ValueError, "n must be >= 1"),
     (lambda: ensemble_rescaled(-2, 10, [0.5], seed=1), ValueError,

@@ -201,6 +201,15 @@ def _row(time, **change):
      "row 1 has 4 im values, not (2N+1)^d = 3"),
     ([_row(0.0, d=2), _row(0.1, d=2)], ShapeMismatch,
      "row 1 has 3 re values, not (2N+1)^d = 9"),
+    # d and N are integers and t and L real numbers, none a bool: N 1.5 died
+    # in the reshape or read as a size mismatch, and L "2" died in the band
+    # rule's comparison
+    ([_row(0.0, N=1.5, re=[0.0] * 4, im=[0.0] * 4), _row(0.1, N=1.5)], ValueError,
+     "row 1's 'N' is 1.5, not an integer"),
+    ([_row(0.0), _row(0.1, L="2")], ValueError,
+     "row 2's 'L' is '2', not a real number"),
+    ([_row(0.0, d=True), _row(0.1)], ValueError, "row 1's 'd' is True, not an integer"),
+    ([_row(0.0), _row(False)], ValueError, "row 2's 't' is False, not a real number"),
 ])
 def test_field_path_rows_are_checked(tmp_path, rows, error, message):
     f = tmp_path / "path.jsonl"

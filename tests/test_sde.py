@@ -416,25 +416,27 @@ class TestBlockRule:
     # states in its noise rows; field hitting keeps one distance and the
     # spatial mean trajectories one mean per step
     @pytest.mark.parametrize("width, live, steps", [
-        (1, 2000, 524),  # sde_kramers, criteria 4 and 5: 8 MiB
-        (1, 1024, 1024),  # the SDE's tail: 1024 steps up to 1024 live
-        (1, 60_000, 512),  # the SDE at any n: the 4 KiB floor
+        (1, 1000, 524),  # sde_kramers' ranges on 2 CPUs: 4 MiB
+        (1, 512, 1024),  # the SDE's tail: 1024 steps up to 512 live
+        (1, 2000, 512),  # one range of 2000: the 4 KiB floor from 1024 live
+        (1, 1024, 512),
+        (1, 60_000, 512),  # the SDE at any n
         (2, 1, 1024),
-        (65**2 + 1, 64, 3),  # d=2, N=32, n=64 field hitting
-        (33 + 1, 400, 77),  # criterion 11: d=1, N=16, n=400
+        (65**2 + 1, 64, 1),  # d=2, N=32, n=64 field hitting
+        (33 + 1, 400, 38),  # criterion 11: d=1, N=16, n=400
         (17**2 + 1, 1, 112),  # field_2d trajectories at N=8, 16, 32
         (33**2 + 1, 1, 30),
         (65**2 + 1, 1, 7),
-        (33 + 1, 100, 308),  # field_1d: d=1, N=16, n=100
+        (33 + 1, 100, 154),  # field_1d: d=1, N=16, n=100
         (9 + 1, 16, 1024),  # d=1, N=4, n=16: one block
         (129**2, 4096, 1),  # at least one step
         # the same normals with nothing kept beside them
-        (65**2, 64, 3),
-        (33, 400, 79),
+        (65**2, 64, 1),
+        (33, 400, 39),
         (17**2, 1, 113),
         (33**2, 1, 30),
         (65**2, 1, 7),
-        (33, 100, 317),
+        (33, 100, 158),
         (9, 16, 1024),
     ])
     def test_block_lengths(self, width, live, steps):
@@ -484,9 +486,10 @@ class TestBlockRule:
         assert buffers[0].size == 24 and isinstance(buffers[0].base.obj, mmap.mmap)
         assert np.array_equal(whole, budgeted, equal_nan=True)
 
-    def test_sde_kramers_block_fits_in_8_mib(self, quartic, monkeypatch, one_worker):
-        # 2000 live replicas take 524-step blocks: 8.0 MiB of normals, where
-        # 1000-step blocks would map 15.3 MiB
+    def test_sde_kramers_block_fits_in_4_mib(self, quartic, monkeypatch, one_worker):
+        # sde_kramers runs its 2000 replicas as two ranges of 1000 on 2 CPUs:
+        # one range maps one buffer of 524-step blocks, 4.0 MiB of normals,
+        # where 1024-step blocks would map 7.8 MiB
         run = SdeRun(quartic, epsilon=0.25, dt=1e-3, x0=[-1.0], seed=5,
                      t_max=1.0)
         sizes = []
@@ -497,12 +500,12 @@ class TestBlockRule:
             return mapped(size)
 
         monkeypatch.setattr(sde, "_noise_buffer", recording)
-        hitting_times_raw(run, [1.0], 0.2, 2000)
-        assert sizes and max(sizes) <= 8 << 20
+        hitting_times_raw(run, [1.0], 0.2, 1000)
+        assert sizes == [524 * 1000 * 8] and max(sizes) <= 4 << 20
 
-    def test_endpoint_ranges_fit_in_8_mib(self, quartic, monkeypatch, one_worker):
-        # 5000 replicas in one range run as three engine calls of at most
-        # 2048, each in 600-step blocks of 7.6 MiB, where one call would map
+    def test_endpoint_ranges_fit_in_4_mib(self, quartic, monkeypatch, one_worker):
+        # 5000 replicas in one range run as five engine calls of at most
+        # 1024, each in blocks of at most 4 MiB, where one call would map
         # 512-step blocks of 19.5 MiB; a replica's endpoint does not depend
         # on its call
         run = SdeRun(quartic, epsilon=0.25, dt=1e-3, x0=[-1.0], seed=5)
@@ -515,7 +518,7 @@ class TestBlockRule:
 
         monkeypatch.setattr(sde, "_noise_buffer", recording)
         whole = sample_endpoints(run, 0.6, 5000)
-        assert len(sizes) == 3 and max(sizes) <= 8 << 20
+        assert len(sizes) == 5 and max(sizes) <= 4 << 20
         parts = [sample_endpoints(run, 0.6, count, replica_offset=offset)
                  for offset, count in ((0, 1000), (1000, 3000), (4000, 1000))]
         assert np.array_equal(whole, np.concatenate(parts))
