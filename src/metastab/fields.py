@@ -37,7 +37,7 @@ def check_truncation(d: int, L: float, N: int) -> None:
         raise DomainError("only d=1 and d=2 are supported")
     if N < 0:
         raise DomainError("cutoff N must be nonnegative")
-    if L <= 0:
+    if not L > 0:
         raise DomainError("torus side length must be positive")
 
 

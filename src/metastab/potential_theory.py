@@ -40,7 +40,7 @@ class Grid1D:
     def __post_init__(self):
         if self.m < 3:
             raise ValueError("need at least 3 interior nodes")
-        if self.b <= self.a:
+        if not self.b > self.a:
             raise ValueError("empty interval")
 
     @property

@@ -71,7 +71,7 @@ def _check_times(times, shape: tuple, name: str) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     if t.size < 2:
         raise DegeneratePath("a path needs at least 2 nodes")
-    if np.any(np.diff(t) <= 0):
+    if not np.all(np.diff(t) > 0):
         raise DegeneratePath("times must be strictly increasing")
     if shape[:1] != t.shape:
         raise ShapeMismatch(f"times and {name} disagree in length")

@@ -15,9 +15,9 @@ start, a hit test hit(kept), which stops each replica at its first hit, step
 noise step-major in blocks set by one rule (_block_steps) into one buffer
 per call, compacts replicas once per block and then raises NonFinite if a
 survivor has overflowed, the one overflow check of every run here and in
-spde.  _one_replica is the one single-trajectory run, here and in spde, and
-_hitting_times the one hitting entry, of SDE and field ensembles alike: its
-hit test is distance(kept) < delta, and a HittingTimeBatch is its raw times.
+spde.  Its two entries serve SDE and field runs alike: _hitting_times, whose
+hit test is distance(kept) < delta and whose raw times a HittingTimeBatch
+holds, and _recorded, which runs recording-only runs in budget-sized batches.
 check_run is the one rule SdeRun and spde.SpdeRun are built under, and
 steps_in the one conversion of a duration into a number of steps.
 """
@@ -167,18 +167,9 @@ def integrate_path(run: SdeRun, t_final: float, record: bool = False):
     """
     n_steps = steps_in(t_final, "t_final", run.dt)
     steps = np.append(np.arange(n_steps), n_steps) if record else [n_steps]
-    path = _one_replica(_sde_dynamics(run), run.x0, run.seed, 0, run.dt, steps)
+    path = next(_recorded(_sde_dynamics(run), run.x0, run.seed, 0, 1, run.dt,
+                          steps))[:, 0]
     return (steps * run.dt, path) if record else path[-1]
-
-
-def _one_replica(dyn: Dynamics, start: np.ndarray, seed: int, index: int,
-                 dt: float, steps) -> np.ndarray:
-    """The kept values of replica index of dyn from start after each of
-    steps, run to the largest of them (a negative one is refused); shape
-    (len(steps),) + kept shape."""
-    return _first_passage(dyn, start, seed, index, 1, dt,
-                          int(np.max(steps)) if len(steps) else 0,
-                          record=steps)[1][:, 0]
 
 
 def ou_density(x: float, y: float, t: float, eps: float) -> float:
@@ -522,23 +513,30 @@ def _receive(pipe):
 def sample_endpoints(run: SdeRun, t: float, n: int,
                      replica_offset: int = 0) -> np.ndarray:
     """States of n independent replicas after round(t / dt) steps, at time
-    round(t / dt) dt, shape (n, dim), run on the usable CPUs by run_ranges.
-    A range runs its replicas in engine calls of at most
-    _BLOCK_NORMALS // _MIN_DRAW (1024), one after another, so its noise
-    blocks stay within the engine's 4 MiB budget at any n."""
+    round(t / dt) dt, shape (n, dim), run on the usable CPUs by run_ranges,
+    each range in _recorded's batches."""
     if n < 0:
         raise ValueError("n must be >= 0")
     n_steps, dyn = steps_in(t, "t", run.dt), _sde_dynamics(run)
-    size = _BLOCK_NORMALS // _MIN_DRAW
+    return run_ranges(lambda offset, count: np.concatenate([
+        ends[0] for ends in _recorded(dyn, run.x0, run.seed, replica_offset + offset,
+                                      count, run.dt, [n_steps])]), n)
 
-    def endpoints(offset, count):
-        return np.concatenate([
-            _first_passage(dyn, run.x0, run.seed, replica_offset + offset + a,
-                           min(size, count - a), run.dt, n_steps,
-                           record=[n_steps])[1][0]
-            for a in range(0, max(count, 1), size)])  # count = 0: one empty call
 
-    return run_ranges(endpoints, n)
+def _recorded(dyn: Dynamics, start: np.ndarray, seed: int, offset: int, n: int,
+              dt: float, steps):
+    """Yields the kept values of replicas offset, .., offset + n - 1 of dyn
+    from start after each of steps, run to the largest (a negative one is
+    refused): one (len(steps), batch) + kept shape array per engine call, in
+    replica order, one empty one if n = 0.  A batch holds at most
+    _BLOCK_NORMALS // max(_MIN_DRAW, the normals a replica draws a step)
+    replicas, so a caller that reduces each batch holds memory set by the
+    budget, not by n.  Hitting is not batched: each batch would pay its tail."""
+    size = max(1, _BLOCK_NORMALS // max(_MIN_DRAW, int(np.prod(dyn.shape or ()))))
+    max_steps = int(np.max(steps)) if len(steps) else 0
+    for a in range(0, max(n, 1), size):
+        yield _first_passage(dyn, start, seed, offset + a, min(size, n - a), dt,
+                             max_steps, record=steps)[1]
 
 
 def _hitting_times(run, dyn: Dynamics, start: np.ndarray, horizon: float,

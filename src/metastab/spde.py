@@ -24,11 +24,11 @@ field's sde.Dynamics: it draws each block's normals step-major and carries
 each state's grid as the aux step() takes and returns; the engine, not
 step() or its callers here, raises NonFinite once a block leaves a surviving
 state overflowed.  Trajectories, snapshots and the noiseless flow are one
-replica (sde._one_replica) that records what its caller keeps at the steps
-it names.  The noise check reads the white-noise isometry off mode_noise as
-an exact identity; its Monte Carlo runs its own summing dynamics, whose
-states are the running sums of their normals, recorded at each horizon, and
-like hitting it runs as sde.run_ranges ranges.  Hitting runs on sde's one
+batch of one replica of sde._recorded, recording what the caller keeps at
+the steps it names.  The noise check reads the white-noise isometry off
+mode_noise as an exact identity; its Monte Carlo runs its own summing
+dynamics, whose states sum their normals, through sde._recorded too and
+reduces each batch to its pairings as it arrives.  Hitting runs on sde's one
 hitting entry, keeping each step's fields.distance_to_constant as the
 distance it compares with delta.  A run is built under sde.check_run, reads
 (d, L, N) off its initial field, a band that passed fields.check_band when
@@ -49,8 +49,8 @@ from . import fields
 from .determinants import counterterm_trace
 from .errors import DomainError
 from .fields import SpectralField
-from .sde import (Dynamics, HittingTimeBatch, _draw_noise, _first_passage,
-                  _hitting_times, _one_replica, check_run, run_ranges, steps_in)
+from .sde import (Dynamics, HittingTimeBatch, _draw_noise, _hitting_times,
+                  _recorded, check_run, run_ranges, steps_in)
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,8 @@ def integrate_deterministic(run: SpdeRun, t_final: float,
     st = _Stepper(run)
     n_steps = steps_in(t_final, "t_final", run.dt)
     steps = np.union1d(np.arange(0, n_steps + 1, record_every), n_steps)
-    snaps = _one_replica(st.dynamics(lambda c, _u: c, noisy=False), st.c0,
-                         run.seed, 0, run.dt, steps)
+    snaps = next(_recorded(st.dynamics(lambda c, _u: c, noisy=False), st.c0,
+                           run.seed, 0, 1, run.dt, steps))[:, 0]
     return steps * run.dt, fields.full_band(snaps, st.d)
 
 
@@ -178,7 +178,7 @@ def spatial_mean_trajectory(run: SpdeRun, t_final: float) -> tuple[np.ndarray, n
     n_steps = steps_in(t_final, "t_final", run.dt)
     steps = np.append(np.arange(n_steps), n_steps)  # 0 .. n_steps, or a negative n_steps
     mean = st.dynamics(lambda c, _u: c[(Ellipsis,) + (0,) * st.d].real)
-    means = _one_replica(mean, st.c0, run.seed, 0, run.dt, steps)
+    means = next(_recorded(mean, st.c0, run.seed, 0, 1, run.dt, steps))[:, 0]
     return steps * run.dt, means * st.L ** (-st.d / 2.0)
 
 
@@ -260,15 +260,15 @@ def noise_coefficient_check(run: SpdeRun, T_values: Sequence[float] = (0.5, 1.0)
     summing = Dynamics(lambda x, noise, _aux: (np.add(x, noise, out=noise), None),
                        st.noise_shape)
 
-    def pairings(offset, count):  # replicas offset, ..: (count, T, sets)
-        sums = _first_passage(
-            summing, np.zeros(st.noise_shape), run.seed, offset, count, run.dt,
-            max(n_steps_per_T), record=n_steps_per_T)[1]
+    def pairings(sums):  # one batch's (T, count) + noise_shape: (count, T, sets)
         sums = sums.reshape(sums.shape[:2] + (-1,))
         return np.sqrt(run.dt) * np.stack([(sums * row).sum(-1) for row in g],
                                           axis=-1).swapaxes(0, 1)
 
-    pair_sums = run_ranges(pairings, n)  # (n, T, sets)
+    pair_sums = run_ranges(lambda offset, count: np.concatenate([
+        pairings(sums) for sums in _recorded(summing, np.zeros(st.noise_shape),
+                                             run.seed, offset, count, run.dt,
+                                             n_steps_per_T)]), n)  # (n, T, sets)
     pair_sums = np.ascontiguousarray(pair_sums.transpose(2, 1, 0))  # (sets, T, n)
 
     emp = pair_sums.var(axis=2, ddof=1)
@@ -305,7 +305,7 @@ def spde_hitting_times_raw(run: SpdeRun, target: float, delta: float,
     """
     if not np.isfinite(target):
         raise ValueError("target must be finite")
-    if norm == "hs" and s >= 0:
+    if norm == "hs" and not s < 0:
         raise DomainError("the Sobolev hitting norm requires s < 0")
     st = _Stepper(run)
     dyn = st.dynamics(fields.distance_to_constant(st.d, st.L, st.N, target, norm, s))
@@ -349,8 +349,8 @@ def record_snapshots(run: SpdeRun, snapshot_times, out_dir,
         raise ValueError(f"snapshot time {times[0]} is negative")
     steps = [steps_in(t, "snapshot time", run.dt) for t in times]
     st = _Stepper(run)
-    snaps = _one_replica(st.dynamics(lambda c, _u: c), st.c0, run.seed,
-                         replica_index, run.dt, steps)
+    snaps = next(_recorded(st.dynamics(lambda c, _u: c), st.c0, run.seed,
+                           replica_index, 1, run.dt, steps))[:, 0]
     os.makedirs(out_dir, exist_ok=True)
     written = []
     jsonl = os.path.join(out_dir, "trajectory.jsonl")

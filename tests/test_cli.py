@@ -596,6 +596,27 @@ class TestCliRuns:
         assert json.loads(err[0]) == {"error": "DomainError",
                                       "message": "torus side length must be positive"}
 
+    @pytest.mark.parametrize("flag, text, error, message", [
+        # a NaN time passed the times rule, written as a test for decrease,
+        # and the run exited 0 with cost nan
+        ("--path_csv", "t,x0\n0.0,-1.0\nnan,0.0\n1.0,1.0\n", "DegeneratePath",
+         "times must be strictly increasing"),
+        ("--field_jsonl", "".join(
+            json.dumps({"t": t, "d": 1, "L": 2.0, "N": 1, "re": [0.0] * 3,
+                        "im": [0.0] * 3}) + "\n" for t in (0.0, float("nan"))),
+         "DegeneratePath", "times must be strictly increasing"),
+    ], ids=("csv", "jsonl"))
+    def test_rate_functional_refuses_a_nan_time(self, tmp_path, capsys, flag, text,
+                                                error, message):
+        f = tmp_path / "path"
+        f.write_text(text)
+        out = tmp_path / "out"
+        assert main(["rate-functional", flag, str(f), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": error, "message": message}
+
     @pytest.mark.parametrize("row, error, message", [
         ({"t": 0.0, "d": 1, "N": 1, "re": [0.0] * 3, "im": [0.0] * 3},
          "ValueError", "row 1 has no 'L'"),
@@ -606,6 +627,10 @@ class TestCliRuns:
         # TypeError from the reshape
         ({"t": 0.0, "d": 1, "L": 2.0, "N": 1.5, "re": [0.0] * 4, "im": [0.0] * 4},
          "ValueError", "row 1's 'N' is 1.5, not an integer"),
+        # a NaN torus side passed the band rule, written as a test for L <= 0,
+        # and the run exited 0 with cost nan
+        ({"t": 0.0, "d": 1, "L": float("nan"), "N": 1, "re": [0.0] * 3,
+          "im": [0.0] * 3}, "DomainError", "torus side length must be positive"),
     ])
     def test_rate_functional_refuses_a_bad_field_path_row(self, tmp_path, capsys,
                                                           row, error, message):

@@ -201,6 +201,7 @@ def _raised(func, *args):
     (3, 2.0, 4, "only d=1 and d=2 are supported"),
     (1, 2.0, -1, "cutoff N must be nonnegative"),
     (1, 0.0, 4, "torus side length must be positive"),
+    (2, float("nan"), 4, "torus side length must be positive"),
 ))
 def test_one_truncation_check(d, L, N, message):
     # the field and the determinants reject a truncation alike

@@ -294,6 +294,9 @@ class TestGridConvergence:
     (lambda: Grid1D(0.0, 1.0, 2), "need at least 3 interior nodes"),
     (lambda: Grid1D(1.0, 1.0, 9), "empty interval"),
     (lambda: Grid1D(1.0, 0.0, 9), "empty interval"),
+    # a NaN end built a grid that the solvers then refused for another reason
+    (lambda: Grid1D(float("nan"), 2.5, 99), "empty interval"),
+    (lambda: Grid1D(-2.5, float("nan"), 99), "empty interval"),
     (lambda: solve_committor(Grid1D(0.0, 1.0, 99), free_potential(), 0.1,
                              (2.0, 3.0), (0.8, 1.0)),
      "A_set and B_set must each contain grid nodes"),

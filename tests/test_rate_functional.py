@@ -232,17 +232,24 @@ def _field_path(times, n_coeffs, d=1, L=2.0, band=(5,)):
      DegeneratePath, "times must be strictly increasing"),
     (lambda: DiscretePath(times=np.array([0.0, 1.0]), points=np.zeros((3, 1))),
      ShapeMismatch, "times and points disagree in length"),
+    # a NaN time is not strictly increasing: it passed a test for decrease
+    (lambda: DiscretePath(times=np.array([0.0, np.nan, 1.0]), points=np.zeros((3, 1))),
+     DegeneratePath, "times must be strictly increasing"),
     (lambda: _field_path([0.0], 1), DegeneratePath, "a path needs at least 2 nodes"),
     (lambda: _field_path([0.0, 0.5, 0.4], 3), DegeneratePath,
      "times must be strictly increasing"),
     (lambda: _field_path([0.0, 0.5], 3), ShapeMismatch,
      "times and snapshots disagree in length"),
+    (lambda: _field_path([0.0, np.nan, 1.0], 3), DegeneratePath,
+     "times must be strictly increasing"),
     (lambda: rate_functional_ac_1d(_field_path([0.0, 0.5], 2, d=2)), ShapeMismatch,
      "this functional is defined for d=1 field paths"),
     # the band rule, run when the path is built
     (lambda: _field_path([0.0, 0.5], 2, L=-2.0), DomainError,
      "torus side length must be positive"),
     (lambda: _field_path([0.0, 0.5], 2, L=0.0), DomainError,
+     "torus side length must be positive"),
+    (lambda: _field_path([0.0, 0.5], 2, L=np.nan), DomainError,
      "torus side length must be positive"),
     (lambda: _field_path([0.0, 0.5], 2, d=3), DomainError,
      "only d=1 and d=2 are supported"),

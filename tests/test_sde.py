@@ -164,9 +164,9 @@ class TestEndpointMoments:
 @pytest.mark.parametrize("pot, x0", [(quadratic_well(), [1.0]),
                                      (potentials.double_well_2d(), [-1.0, 0.2])])
 def test_recorded_path_is_replica_zero_of_the_endpoints(pot, x0):
-    # integrate_path runs sde._one_replica and sample_endpoints the ensemble
-    # engine calls: step k of the one is replica 0 at k dt of the other, bit
-    # for bit, on both sides of the first 1024-step noise block
+    # integrate_path runs one batch of one replica through sde._recorded and
+    # sample_endpoints the ensemble: step k of the one is replica 0 at k dt of
+    # the other, bit for bit, on both sides of the first 1024-step noise block
     run = SdeRun(pot, epsilon=0.2, dt=1e-3, x0=x0, seed=13)
     times, path = integrate_path(run, 1.5, record=True)
     assert len(path) == 1501

@@ -32,8 +32,9 @@ from metastab.fields import (
     squared_wavenumber_grid,
 )
 from metastab import sde
-from metastab.sde import _draw_noise, _one_replica, replica_rng
+from metastab.sde import _draw_noise, _recorded, replica_rng
 from metastab.spde import (
+    NoiseCheckReport,
     _Stepper,
     draw_mode_noise,
     export_snapshot_csv,
@@ -328,8 +329,8 @@ class TestLinearizedModes:
         nu_1 = (2 * np.pi / L) ** 2 - 1.0
         gap = int(np.ceil(5.0 / (nu_1 * dt)))  # states e^-10 correlated
         st = _Stepper(run)
-        cs = _one_replica(st.dynamics(lambda c, _u: c), st.c0, run.seed, 0, run.dt,
-                          np.arange(gap, 100 * gap + 1, gap))
+        cs = next(_recorded(st.dynamics(lambda c, _u: c), st.c0, run.seed, 0, 1,
+                            run.dt, np.arange(gap, 100 * gap + 1, gap)))[:, 0]
         full = full_band(cs, d)
         full[:, 0, 0] = 0.0  # the mean mode, unstable without the cubic
         var = np.sum(np.abs(full) ** 2, axis=(1, 2)) / L**d
@@ -406,6 +407,30 @@ class TestNoiseCovariance:
         run = make_run(N=4, eps=0.2, dt=0.01, start=0.0, seed=5)
         with pytest.raises(ValueError, match=message):
             noise_coefficient_check(run, T_values=T_values, n=2)
+
+    def test_monte_carlo_runs_in_budget_sized_batches(self, monkeypatch, one_worker):
+        # d=2, N=16: a replica draws 33^2 = 1089 normals a step, so 1000
+        # replicas run as engine calls of 481, 481 and 38, each reduced to
+        # its pairings before the next, where one call held all 1000 sums;
+        # the report is that of one call, bit for bit
+        calls = []
+        engine = sde._first_passage
+
+        def recording(dyn, start, seed, offset, n, *rest, **kw):
+            calls.append(n)
+            return engine(dyn, start, seed, offset, n, *rest, **kw)
+
+        monkeypatch.setattr(sde, "_first_passage", recording)
+        run = make_run(d=2, L=1.5, N=16, eps=0.2, dt=0.01, start=0.0, seed=4)
+        batched = noise_coefficient_check(run, T_values=(0.05,), n=1000)
+        assert calls == [481, 481, 38]
+        assert max(calls) <= sde._BLOCK_NORMALS // 33**2
+        monkeypatch.setattr(sde, "_BLOCK_NORMALS", 1000 * 33**2)
+        calls.clear()
+        whole = noise_coefficient_check(run, T_values=(0.05,), n=1000)
+        assert calls == [1000]
+        for name in NoiseCheckReport.__dataclass_fields__:
+            assert np.array_equal(getattr(batched, name), getattr(whole, name))
 
     def test_needs_two_replicas(self):
         with pytest.raises(ValueError):
@@ -777,7 +802,7 @@ def test_record_snapshots_match_a_stepper_loop(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("d", (1, 2))
 def test_snapshots_and_the_mean_trajectory_run_one_replica(tmp_path, monkeypatch, d):
-    # both run replica 0 through sde._one_replica: the mean mode of each
+    # both run replica 0 as sde._recorded's one batch: the mean mode of each
     # snapshot is the trajectory's spatial mean at its step, bit for bit
     shown = []
     export = spde.export_snapshot_csv
@@ -869,6 +894,9 @@ def test_record_snapshots_reject_a_negative_time(tmp_path):
      "delta must be positive"),
     (lambda: spde_hitting_times_raw(make_run(), 1.0, NAN, n=2), ValueError,
      "delta must be positive"),
+    # a NaN Sobolev index censored every replica silently
+    (lambda: spde_hitting_times_raw(make_run(), 1.0, 0.3, norm="hs", s=NAN, n=2),
+     DomainError, "the Sobolev hitting norm requires s < 0"),
     # a horizon that is not a positive finite number is refused when the run
     # is built
     (lambda: spde_hitting_times_raw(make_run(t_max=NAN), 1.0, 0.3), ValueError,
