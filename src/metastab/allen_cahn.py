@@ -113,19 +113,12 @@ def galerkin_critical_points_1d(L: float, N: int) -> tuple[CriticalPoint, Critic
     """(minimum at phi = -1, saddle at phi = 0) of the truncated functional.
 
     Eigenvalues are the diagonal Hessian entries in the real coordinates, the
-    band's nu_k at the saddle and nu_k + 3 at the minimum.
+    band's nu_k at the saddle and nu_k + 3 at the minimum; DegenerateHessian
+    from L = 2 pi on (N >= 1), where the constant saddle is no rank-one saddle.
     """
     fields.check_truncation(1, L, N)
-    saddle_eigs = np.sort(fields.squared_wavenumber_grid(1, L, N) - 1.0)
-
-    min_loc = np.zeros(2 * N + 1)
-    min_loc[0] = -np.sqrt(L)
-    saddle_loc = np.zeros(2 * N + 1)
-
-    minimum = CriticalPoint(location=min_loc, kind="minimum",
-                            hessian_eigenvalues=saddle_eigs + 3.0,
-                            lambda_minus=None)
-    saddle = CriticalPoint(location=saddle_loc, kind="saddle",
-                           hessian_eigenvalues=saddle_eigs,
-                           lambda_minus=-1.0)
-    return minimum, saddle
+    nu = fields.squared_wavenumber_grid(1, L, N) - 1.0
+    well = np.zeros(2 * N + 1)
+    well[0] = -np.sqrt(L)
+    return (CriticalPoint(location=well, hessian_eigenvalues=nu + 3.0),
+            CriticalPoint(location=np.zeros(2 * N + 1), hessian_eigenvalues=nu))

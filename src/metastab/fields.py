@@ -211,7 +211,10 @@ def random_field(d: int, L: float, N: int, rng: np.random.Generator,
 
 
 def translated(field: SpectralField, shift: float, axis: int = 0) -> SpectralField:
-    """Field x -> phi(x + a e_axis); a phase twist per mode."""
+    """Field x -> phi(x + a e_axis); a phase twist per mode.  ValueError
+    unless axis is in range(field.d)."""
+    if axis not in range(field.d):
+        raise ValueError(f"axis {axis} is not an axis of a d={field.d} field")
     k = mode_wavenumbers(field.N)
     phase = np.exp(2j * np.pi * k * shift / field.L)
     if field.d == 1:

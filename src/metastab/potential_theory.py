@@ -67,6 +67,15 @@ def set_mask(grid: Grid1D, sets) -> np.ndarray:
     return mask
 
 
+def _check_eps(eps: float) -> None:
+    """The noise rule of the solvers and the Gibbs weights: ValueError unless
+    0 < eps < inf, written so that a NaN fails."""
+    if not eps > 0:
+        raise ValueError("epsilon must be positive")
+    if not eps < np.inf:
+        raise ValueError("epsilon must be finite")
+
+
 def _assemble(grid: Grid1D, V: Potential, eps: float, dirichlet: np.ndarray,
               rhs_interior: float) -> tuple[np.ndarray, ...]:
     """Sub-, main and superdiagonal and right-hand side of the discrete
@@ -76,6 +85,7 @@ def _assemble(grid: Grid1D, V: Potential, eps: float, dirichlet: np.ndarray,
     Outer boundary nodes not in a Dirichlet set get the ghost-node reflecting
     row 2 eps (w_inner - w_0)/h^2 (the drift term cancels under reflection).
     """
+    _check_eps(eps)
     x = grid.nodes
     h = grid.h
     vprime = V.gradient_batch(x[:, None])[:, 0]
@@ -173,6 +183,7 @@ def capacity_dirichlet(grid: Grid1D, V: Potential, eps: float,
     v_ref shifts the Gibbs weight; callers comparing against the hitting-time
     identity must absorb the same shift in the companion integral.
     """
+    _check_eps(eps)
     h = grid.h
     e = np.exp(-(V.value(grid.nodes[:, None]) - v_ref) / eps)
     w_cell = 0.5 * (e[:-1] + e[1:])
@@ -190,6 +201,7 @@ def committor_weighted_integral(grid: Grid1D, V: Potential, eps: float,
     of B; for small eps it concentrates at the starting minimum and matches
     the Gaussian (Laplace) approximation of the Gibbs weight there.
     """
+    _check_eps(eps)
     x = grid.nodes
     vals = np.exp(-(V.value(x[:, None]) - v_ref) / eps)
     return float(np.trapezoid(vals * committor, x))

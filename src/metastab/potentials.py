@@ -1,4 +1,5 @@
-"""Finite-dimensional confining potentials and their critical points."""
+"""Finite-dimensional confining potentials and their critical points, each
+built under CriticalPoint's one signature rule."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from .errors import DegenerateHessian, NoConvergence
 
 _FD_STEP = 1e-5  # the finite-difference step of numerical_gradient / _hessian
 _GRADIENT_TOL = 1e-10  # the gradient norm at which Newton's iteration stops
+_DEGENERATE_TOL = 1e-12  # every critical point's floor on |Hessian eigenvalue|
 
 
 @dataclass(frozen=True)
@@ -29,12 +31,37 @@ class Potential:
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """A nondegenerate stationary point, classified by Hessian signature."""
+    """A minimum or a rank-one saddle, the two ends of an Eyring-Kramers law:
+    read-only float copies, the eigenvalues sorted ascending, refused with
+    DegenerateHessian unless those are finite, at least _DEGENERATE_TOL in
+    modulus and at most one negative.  kind and lambda_minus are read off them."""
 
     location: np.ndarray
-    kind: str  # "minimum" or "saddle"
-    hessian_eigenvalues: np.ndarray  # sorted ascending
-    lambda_minus: Optional[float]  # the unique negative eigenvalue iff saddle
+    hessian_eigenvalues: np.ndarray
+
+    def __post_init__(self):
+        eigs = np.sort(np.asarray(self.hessian_eigenvalues, dtype=float))
+        n_neg = int(np.sum(eigs < 0))
+        faults = ((not np.all(np.isfinite(eigs)), "non-finite Hessian eigenvalue"),
+                  (np.any(np.abs(eigs) < _DEGENERATE_TOL),
+                   f"Hessian eigenvalue below degeneracy threshold {_DEGENERATE_TOL}"),
+                  (n_neg > 1, f"{n_neg} negative Hessian eigenvalues: "
+                   "not a minimum or rank-one saddle"))
+        for fault, message in faults:  # the first fault, in this order
+            if fault:
+                raise DegenerateHessian(message)
+        location = np.array(self.location, dtype=float)
+        location.flags.writeable = eigs.flags.writeable = False
+        object.__setattr__(self, "location", location)
+        object.__setattr__(self, "hessian_eigenvalues", eigs)
+
+    @property
+    def kind(self) -> str:  # by the sign of the lowest eigenvalue
+        return "saddle" if self.hessian_eigenvalues[0] < 0 else "minimum"
+
+    @property
+    def lambda_minus(self) -> Optional[float]:  # the saddle's negative eigenvalue
+        return float(self.hessian_eigenvalues[0]) if self.kind == "saddle" else None
 
 
 def _quartic_value(x):
@@ -93,37 +120,16 @@ def numerical_hessian(p: Potential, x: np.ndarray) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def classify_hessian(eigenvalues: np.ndarray, degenerate_tol: float = 1e-8):
-    """Return ("minimum" | "saddle", lambda_minus) from sorted eigenvalues.
-
-    Raises DegenerateHessian for near-zero eigenvalues and for signatures
-    with more than one negative direction (not a transition saddle).
-    """
-    eigs = np.sort(np.asarray(eigenvalues, dtype=float))
-    if np.any(np.abs(eigs) < degenerate_tol):
-        raise DegenerateHessian(
-            f"Hessian eigenvalue below degeneracy threshold {degenerate_tol}"
-        )
-    n_neg = int(np.sum(eigs < 0))
-    if n_neg == 0:
-        return "minimum", None
-    if n_neg == 1:
-        return "saddle", float(eigs[0])
-    raise DegenerateHessian(
-        f"{n_neg} negative Hessian eigenvalues: not a minimum or rank-one saddle"
-    )
-
-
 def find_critical_point(p: Potential, guess, max_iter: int = 100,
                         degenerate_tol: float = 1e-8) -> CriticalPoint:
     """Newton refinement of a stationary point until the gradient norm falls
-    below _GRADIENT_TOL, classified by Hessian signs.
+    below _GRADIENT_TOL, returned as a CriticalPoint.
 
-    Fails loudly (NoConvergence / DegenerateHessian) instead of returning a
-    degenerate or unconverged point: on an exactly singular Newton step, or on
-    a converged point that classify_hessian's eigenvalue floor rejects.
+    Fails loudly (NoConvergence / DegenerateHessian) on an exactly singular
+    Newton step, on a non-finite Hessian at the converged point, or on an
+    eigenvalue there below degenerate_tol (Newton's floor, above the record's).
     """
-    x = np.atleast_1d(np.asarray(guess, dtype=float)).copy()
+    x = np.atleast_1d(np.asarray(guess, dtype=float))
     for _ in range(max_iter):
         g = p.gradient_batch(x)
         if np.linalg.norm(g) < _GRADIENT_TOL:
@@ -139,7 +145,10 @@ def find_critical_point(p: Potential, guess, max_iter: int = 100,
             f"gradient norm {np.linalg.norm(p.gradient_batch(x)):.3e} "
             f"> {_GRADIENT_TOL} after {max_iter} Newton steps"
         )
-    eigs = np.linalg.eigvalsh(p.hessian(x))
-    kind, lam = classify_hessian(eigs, degenerate_tol)
-    return CriticalPoint(location=x, kind=kind,
-                         hessian_eigenvalues=np.sort(eigs), lambda_minus=lam)
+    hessian = p.hessian(x)
+    if not np.all(np.isfinite(hessian)):  # eigvalsh maps a NaN to finite values
+        raise DegenerateHessian(f"non-finite Hessian at {x}")
+    eigs = np.linalg.eigvalsh(hessian)
+    if np.any(np.abs(eigs) < degenerate_tol):
+        raise DegenerateHessian(f"Hessian eigenvalue below degeneracy threshold {degenerate_tol}")
+    return CriticalPoint(location=x, hessian_eigenvalues=eigs)

@@ -176,15 +176,18 @@ def ou_density(x: float, y: float, t: float, eps: float) -> float:
     """Transition density of dx = -x dt + sqrt(2 eps) dW from x to y in time t.
 
     A normal law with mean x e^{-t} and variance eps (1 - e^{-2t}); the
-    t -> infinity limit is the centered normal of variance eps.
+    t -> infinity limit is the centered normal of variance eps.  ou_mean_var
+    holds the (t, eps) rule.
     """
-    if t <= 0 or eps <= 0:
-        raise ValueError("t and eps must be positive")
     mean, var = ou_mean_var(x, t, eps)
     return np.exp(-((y - mean) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var)
 
 
 def ou_mean_var(x0: float, t: float, eps: float) -> tuple[float, float]:
+    """Mean and variance of the OU law ou_density reads; ValueError unless
+    t > 0 and eps > 0 (t = inf is the stationary law, and a NaN fails)."""
+    if not (t > 0 and eps > 0):
+        raise ValueError("t and eps must be positive")
     return x0 * np.exp(-t), eps * (1.0 - np.exp(-2.0 * t))
 
 

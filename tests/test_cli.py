@@ -394,7 +394,7 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("system", ("ac1d", "ac2d", "ac1d-galerkin"))
     def test_kramers_predict_rejects_bad_L(self, system, tmp_path):
-        # the library's DomainError (Galerkin route: WrongKind) exits 2
+        # the library's DomainError (Galerkin route: DegenerateHessian) exits 2
         code = main(["kramers-predict", "--system", system, "--L", "7",
                      "--N", "16", "--out", str(tmp_path)])
         assert code == 2

@@ -265,3 +265,13 @@ def test_d2_translation_rolls_the_grid_along_its_axis(axis, rng):
     g = translated(f, 3 * L / M, axis=axis)
     rolled = np.roll(grid_values(f, M), -3, axis=axis)
     assert np.allclose(grid_values(g, M), rolled, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, axis", ((1, 5), (1, 1), (1, -1), (2, 2), (2, -1)))
+def test_translation_refuses_an_axis_the_field_lacks(d, axis, rng):
+    # a d=1 field ignored axis=5, and a d=2 field died with an IndexError at 2
+    f = random_field(d, 2.0, 4, rng)
+    with pytest.raises(ValueError) as info:
+        translated(f, 0.1, axis=axis)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"axis {axis} is not an axis of a d={d} field"

@@ -22,11 +22,8 @@ def _flat_potential(dim):
                      hessian=lambda x: np.eye(dim))
 
 
-def _cp(location, kind, eigs):
-    eigs = np.sort(np.asarray(eigs, dtype=float))
-    lam = float(eigs[0]) if kind == "saddle" else None
-    return CriticalPoint(location=np.asarray(location, float), kind=kind,
-                         hessian_eigenvalues=eigs, lambda_minus=lam)
+def _cp(location, eigs):
+    return CriticalPoint(location=location, hessian_eigenvalues=eigs)
 
 
 class TestEkFinite:
@@ -39,15 +36,15 @@ class TestEkFinite:
         assert pred.lambda_minus == pytest.approx(-1.0)
 
     def test_symmetric_determinants_give_2pi(self):
-        mn = _cp([0.0, 0.0], "minimum", [1.0, 1.0])
-        sd = _cp([1.0, 0.0], "saddle", [-1.0, 1.0])
+        mn = _cp([0.0, 0.0], [1.0, 1.0])
+        sd = _cp([1.0, 0.0], [-1.0, 1.0])
         pred = ek_finite(mn, sd, _flat_potential(2))
         assert pred.prefactor == pytest.approx(2 * np.pi)
         assert pred.determinant_factor == pytest.approx(1.0)
 
     def test_2d_quadratic_toy(self):
-        mn = _cp([0.0, 0.0], "minimum", [1.0, 1.0])
-        sd = _cp([1.0, 0.0], "saddle", [1.0, -1.0])
+        mn = _cp([0.0, 0.0], [1.0, 1.0])
+        sd = _cp([1.0, 0.0], [1.0, -1.0])
         pred = ek_finite(mn, sd, _flat_potential(2))
         assert pred.prefactor == pytest.approx(2 * np.pi)
 
@@ -73,26 +70,31 @@ class TestEkFinite:
         assert pred.log_predict(0.2) == pytest.approx(np.log(pred.predict(0.2)))
 
     def test_wrong_kind_rejected(self):
-        mn = _cp([0.0], "minimum", [2.0])
-        sd = _cp([1.0], "saddle", [-1.0])
+        mn = _cp([0.0], [2.0])
+        sd = _cp([1.0], [-1.0])
         with pytest.raises(WrongKind):
             ek_finite(sd, sd, _flat_potential(1))
         with pytest.raises(WrongKind):
             ek_finite(mn, mn, _flat_potential(1))
 
     def test_degenerate_rejected(self):
-        mn = _cp([0.0], "minimum", [1e-15])
-        sd = _cp([1.0], "saddle", [-1.0])
+        # the record refuses the near-zero eigenvalue before ek_finite sees it
         with pytest.raises(DegenerateHessian):
-            ek_finite(mn, sd, _flat_potential(1))
+            ek_finite(_cp([0.0], [1e-15]), _cp([1.0], [-1.0]), _flat_potential(1))
+
+    def test_every_eigenvalue_at_the_floor_is_accepted(self):
+        # the record's floor is the one ek_finite held: |lambda| >= 1e-12 passes
+        pred = ek_finite(_cp([0.0], [1e-12]), _cp([1.0], [-1e-12]), _flat_potential(1))
+        assert pred.lambda_minus == -1e-12
+        assert pred.prefactor == pytest.approx(2 * np.pi / 1e-12)
 
     def test_huge_dimension_no_overflow(self):
         # determinant ratio must be assembled in log space
         n = 4000
-        mn = _cp(np.zeros(n), "minimum", np.full(n, 50.0))
+        mn = _cp(np.zeros(n), np.full(n, 50.0))
         eigs = np.full(n, 50.0)
         eigs[0] = -1.0
-        sd = _cp(np.ones(n), "saddle", eigs)
+        sd = _cp(np.ones(n), eigs)
         pred = ek_finite(mn, sd, _flat_potential(n))
         assert np.isfinite(pred.prefactor)
         assert pred.prefactor == pytest.approx(2 * np.pi / np.sqrt(50.0))
@@ -188,12 +190,21 @@ _QUARTIC_LAW = RatePrediction(barrier=0.25, prefactor=np.pi * np.sqrt(2),
     (lambda: _QUARTIC_LAW.predict(-0.1), ValueError, "eps must be positive"),
     (lambda: _QUARTIC_LAW.log_predict(0.0), ValueError, "eps must be positive"),
     (lambda: _QUARTIC_LAW.log_predict(-0.1), ValueError, "eps must be positive"),
-    (lambda: ek_finite(_cp([0.0], "minimum", [1.0]),
-                       _cp([1.0, 0.0], "saddle", [-1.0, 1.0]), _flat_potential(2)),
+    # a NaN returned nan, and inf the bare prefactor
+    (lambda: _QUARTIC_LAW.predict(float("nan")), ValueError, "eps must be positive"),
+    (lambda: _QUARTIC_LAW.predict(float("inf")), ValueError, "eps must be finite"),
+    (lambda: _QUARTIC_LAW.log_predict(float("nan")), ValueError, "eps must be positive"),
+    (lambda: _QUARTIC_LAW.log_predict(float("inf")), ValueError, "eps must be finite"),
+    (lambda: ek_finite(_cp([0.0], [1.0]),
+                       _cp([1.0, 0.0], [-1.0, 1.0]), _flat_potential(2)),
      ShapeMismatch, "critical points live in different dimensions"),
-    (lambda: ek_finite(_cp([0.0, 0.0], "minimum", [-1.0, 1.0]),
-                       _cp([1.0, 0.0], "saddle", [-1.0, 1.0]), _flat_potential(2)),
-     WrongKind, "minimum has nonpositive Hessian eigenvalues"),
+    # a point with a negative eigenvalue is a saddle, whatever it is passed as
+    (lambda: ek_finite(_cp([0.0, 0.0], [-1.0, 1.0]),
+                       _cp([1.0, 0.0], [-1.0, 1.0]), _flat_potential(2)),
+     WrongKind, "expected a minimum, got saddle"),
+    (lambda: ek_finite(_cp([0.0, 0.0], [1.0, 1.0]),
+                       _cp([1.0, 0.0], [2.0, 1.0]), _flat_potential(2)),
+     WrongKind, "expected a saddle, got minimum"),
 ])
 def test_bad_inputs_raise(call, error, message):
     with pytest.raises(error) as info:

@@ -59,10 +59,11 @@ class TestPoisson:
         with pytest.raises(ValueError):
             solve_poisson(unit_grid, free_potential(), 0.1, (2.0, 3.0))
 
-    def test_singular_system_raised(self, quartic):
-        # at eps = 0 the reflecting rows at both outer ends are zero
+    def test_singular_system_raised(self):
+        # a zero row, as the reflecting rows at both outer ends are at eps = 0
+        # (which the noise rule now refuses before assembly: test_bad_inputs_raise)
         with pytest.raises(SingularSystem, match="singular matrix"):
-            solve_poisson(Grid1D(-2.5, 2.5, 99), quartic, 0.0, (0.8, 1.2))
+            _solve(np.zeros(3), np.array([0.0, 1.0, 1.0, 0.0]), np.zeros(3), np.ones(4))
 
     @pytest.mark.parametrize("B_set", [[0.8, 1.2], np.array([0.8, 1.2]),
                                        [(0.8, 1.2)], np.array([[0.8, 1.2]])])
@@ -307,6 +308,34 @@ class TestGridConvergence:
      "A_set selects no grid nodes"),
     (lambda: solve_poisson(Grid1D(0.0, 1.0, 99), free_potential(), 0.1, (2.0, 3.0)),
      "B_set selects no grid nodes"),
+    # one noise rule: a negative eps gave -7.79e10 at x = -1, zero a singular
+    # matrix, and a NaN or infinite eps the tridiagonal solve's own message
+    (lambda: solve_poisson(Grid1D(-2.5, 2.5, 1999), quartic_double_well(), -0.25,
+                           (0.8, 1.2)), "epsilon must be positive"),
+    (lambda: solve_poisson(Grid1D(-2.5, 2.5, 1999), quartic_double_well(), 0.0,
+                           (0.8, 1.2)), "epsilon must be positive"),
+    (lambda: solve_poisson(Grid1D(-2.5, 2.5, 99), quartic_double_well(), float("nan"),
+                           (0.8, 1.2)), "epsilon must be positive"),
+    (lambda: solve_poisson(Grid1D(-2.5, 2.5, 99), quartic_double_well(), float("inf"),
+                           (0.8, 1.2)), "epsilon must be finite"),
+    (lambda: solve_committor(Grid1D(-2.5, 2.5, 99), quartic_double_well(), -0.25,
+                             (-1.2, -0.8), (0.8, 1.2)), "epsilon must be positive"),
+    # the Gibbs weights read eps too: a negative one gave a capacity of -0.106
+    (lambda: capacity_dirichlet(Grid1D(-2.5, 2.5, 1999), quartic_double_well(), -0.25,
+                                np.linspace(1.0, 0.0, 2001)), "epsilon must be positive"),
+    (lambda: capacity_dirichlet(Grid1D(0.0, 1.0, 99), free_potential(), float("nan"),
+                                np.linspace(1.0, 0.0, 101)), "epsilon must be positive"),
+    (lambda: capacity_dirichlet(Grid1D(0.0, 1.0, 99), free_potential(), float("inf"),
+                                np.linspace(1.0, 0.0, 101)), "epsilon must be finite"),
+    (lambda: committor_weighted_integral(Grid1D(0.0, 1.0, 99), free_potential(), 0.0,
+                                         np.linspace(1.0, 0.0, 101)),
+     "epsilon must be positive"),
+    (lambda: committor_weighted_integral(Grid1D(0.0, 1.0, 99), free_potential(),
+                                         float("nan"), np.linspace(1.0, 0.0, 101)),
+     "epsilon must be positive"),
+    (lambda: committor_weighted_integral(Grid1D(0.0, 1.0, 99), free_potential(),
+                                         float("inf"), np.linspace(1.0, 0.0, 101)),
+     "epsilon must be finite"),
 ])
 def test_bad_inputs_raise(call, message):
     with pytest.raises(ValueError) as info:

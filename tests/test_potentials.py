@@ -14,8 +14,8 @@ from metastab import (
 )
 from metastab.errors import DegenerateHessian, NoConvergence
 from metastab.potentials import (
+    CriticalPoint,
     Potential,
-    classify_hessian,
     numerical_gradient,
     numerical_hessian,
 )
@@ -155,11 +155,69 @@ class TestFindCriticalPoint:
             find_critical_point(tilted, [0.0], max_iter=20)
 
 
-def test_classify_rejects_double_negative():
-    with pytest.raises(DegenerateHessian):
-        classify_hessian(np.array([-2.0, -1.0, 3.0]))
+    def test_non_finite_hessian_raises(self):
+        # V = |x|^2/2 with a Hessian formula that has a 0/0 at the origin:
+        # eigvalsh read [[nan, 0], [0.5, 1]] as a saddle with lambda_- = -0.7071
+        bowl = Potential(
+            value=lambda x: 0.5 * np.sum(np.square(x), axis=-1),
+            gradient_batch=lambda x: np.array(x, dtype=float),
+            hessian=lambda x: (np.eye(2) if np.any(x)
+                               else np.array([[np.nan, 0.0], [0.5, 1.0]])),
+        )
+        with pytest.raises(DegenerateHessian, match="non-finite Hessian"):
+            find_critical_point(bowl, [0.3, 0.2])
+
+    def test_rejects_near_zero(self):
+        # V = 1e-12 x^2/2 + y^2/2: Newton lands on the origin, whose 1e-12
+        # eigenvalue the record's floor would take but Newton's 1e-8 refuses
+        shallow = Potential(
+            value=lambda p: 0.5 * np.sum(np.square(p) * [1e-12, 1.0], axis=-1),
+            gradient_batch=lambda p: np.asarray(p, dtype=float) * [1e-12, 1.0],
+            hessian=lambda p: np.diag([1e-12, 1.0]),
+        )
+        with pytest.raises(DegenerateHessian, match="threshold 1e-08"):
+            find_critical_point(shallow, [0.3, 0.2])
 
 
-def test_classify_rejects_near_zero():
-    with pytest.raises(DegenerateHessian):
-        classify_hessian(np.array([1e-12, 1.0]))
+class TestCriticalPoint:
+    def test_two_fields(self):
+        assert [f.name for f in dataclasses.fields(CriticalPoint)] == [
+            "location", "hessian_eigenvalues"]
+
+    @pytest.mark.parametrize("eigs, kind, lam", [
+        ([3.0, -1.0], "saddle", -1.0),
+        ([-0.5, 2.0, 1.0], "saddle", -0.5),
+        ([2.0, 1.0], "minimum", None),
+        ([1e-12], "minimum", None),
+        ([-1e-12], "saddle", -1e-12),
+    ])
+    def test_kind_and_lambda_minus_read_off_sorted_eigenvalues(self, eigs, kind, lam):
+        cp = CriticalPoint(location=np.zeros(len(eigs)), hessian_eigenvalues=eigs)
+        assert np.array_equal(cp.hessian_eigenvalues, np.sort(eigs))
+        assert cp.kind == kind
+        assert cp.lambda_minus == lam
+
+    def test_stores_read_only_copies(self):
+        loc, eigs = np.array([1, 2]), np.array([2.0, -1.0])
+        cp = CriticalPoint(location=loc, hessian_eigenvalues=eigs)
+        loc[0], eigs[0] = 7, 7.0
+        assert cp.location.dtype == float
+        assert np.array_equal(cp.location, [1.0, 2.0])
+        assert np.array_equal(cp.hessian_eigenvalues, [-1.0, 2.0])
+        for array in (cp.location, cp.hessian_eigenvalues):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("eigs, message", [
+        ([np.nan, 1.0], "non-finite Hessian eigenvalue"),
+        ([-np.inf, 1.0], "non-finite Hessian eigenvalue"),
+        ([np.inf, -1.0, -2.0], "non-finite Hessian eigenvalue"),
+        ([1e-13, 1.0], "Hessian eigenvalue below degeneracy threshold 1e-12"),
+        ([-1.0, -0.0], "Hessian eigenvalue below degeneracy threshold 1e-12"),
+        ([-2.0, -1.0, 3.0],
+         "2 negative Hessian eigenvalues: not a minimum or rank-one saddle"),
+    ])
+    def test_refuses_what_no_rate_law_can_use(self, eigs, message):
+        with pytest.raises(DegenerateHessian) as info:
+            CriticalPoint(location=np.zeros(len(eigs)), hessian_eigenvalues=eigs)
+        assert str(info.value) == message

@@ -823,6 +823,17 @@ def _run(quartic, **kw):
      "t_final = 10000000000.0 is not a finite number of steps of dt = 1e-300"),
     (lambda q: ou_density(0.0, 0.5, 0.0, 0.3), ValueError, "t and eps must be positive"),
     (lambda q: ou_density(0.0, 0.5, -1.0, 0.3), ValueError, "t and eps must be positive"),
+    # one (t, eps) rule in ou_mean_var: a NaN read as positive and gave nan
+    (lambda q: ou_density(0.0, 0.1, 1.0, NAN), ValueError, "t and eps must be positive"),
+    (lambda q: ou_density(0.0, 0.1, NAN, 0.3), ValueError, "t and eps must be positive"),
+    (lambda q: ou_density(0.0, 0.1, INF, NAN), ValueError, "t and eps must be positive"),
+    (lambda q: ou_mean_var(0.0, NAN, 0.3), ValueError, "t and eps must be positive"),
+    (lambda q: ou_mean_var(0.0, 1.0, NAN), ValueError, "t and eps must be positive"),
+    (lambda q: ou_mean_var(0.0, 1.0, 0.0), ValueError, "t and eps must be positive"),
+    (lambda q: detailed_balance_residual(0.7, NAN, np.linspace(-2, 2, 5)), ValueError,
+     "t and eps must be positive"),
+    (lambda q: ou_fokker_planck_residual(0.5, NAN, 1.0, np.linspace(-2, 2, 5), 1e-3),
+     ValueError, "t and eps must be positive"),
     # one answer to a negative duration, from the engine
     (lambda q: sample_endpoints(_run(q), -1.0, 3), ValueError,
      "a run of -1000 steps: the duration must be nonnegative"),
