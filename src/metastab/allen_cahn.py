@@ -106,7 +106,8 @@ def galerkin_potential_1d(L: float, N: int) -> Potential:
         basis = colloc.grid(_coords_to_half(np.eye(2 * N + 1), N))
         return np.diag(quad_diag) + (basis * (3.0 * u**2 * cell)) @ basis.T
 
-    return Potential(value=value, gradient_batch=gradient_batch, hessian=hessian)
+    return Potential(value=value, gradient_batch=gradient_batch, hessian=hessian,
+                     dim=2 * N + 1)
 
 
 def galerkin_critical_points_1d(L: float, N: int) -> tuple[CriticalPoint, CriticalPoint]:

@@ -69,7 +69,8 @@ def ek_finite(minimum: CriticalPoint, saddle: CriticalPoint,
     barrier = V(saddle) - V(minimum); the determinant ratio is accumulated in
     log space from the Hessian eigenvalues, so arbitrarily large truncations
     do not overflow.  Each CriticalPoint checked its own signature, so only
-    the pairing is checked here (WrongKind, then ShapeMismatch).
+    the pairing is checked here (WrongKind, then ShapeMismatch: the points'
+    dimensions against each other and against p.dim).
     """
     if minimum.kind != "minimum":
         raise WrongKind(f"expected a minimum, got {minimum.kind}")
@@ -78,6 +79,9 @@ def ek_finite(minimum: CriticalPoint, saddle: CriticalPoint,
     eig_min, eig_sad = minimum.hessian_eigenvalues, saddle.hessian_eigenvalues
     if eig_min.size != eig_sad.size:
         raise ShapeMismatch("critical points live in different dimensions")
+    if minimum.location.size != p.dim or saddle.location.size != p.dim:
+        raise ShapeMismatch(f"critical points of shapes {minimum.location.shape} and "
+                            f"{saddle.location.shape} for a potential on R^{p.dim}")
 
     barrier = p.value(saddle.location) - p.value(minimum.location)
     log_det_factor = 0.5 * (np.sum(np.log(np.abs(eig_sad))) - np.sum(np.log(eig_min)))

@@ -1,6 +1,6 @@
-"""Finite-difference solvers for the generator eps * d_xx - V' * d_x on an
-interval, with reflecting (zero-flux) behavior at the artificial outer
-boundaries and Dirichlet rows on the target sets.
+"""The generator eps * d_xx - V' * d_x on an interval as a reversible Markov
+chain on the grid nodes, with reflecting (zero-flux) behavior at the
+artificial outer boundaries and Dirichlet rows on the target sets.
 
 Provides the mean hitting time (source problem), the committor (harmonic
 interpolation between the sets), the capacity via the Dirichlet form of the
@@ -11,13 +11,17 @@ capacity, the weighted integral and the identity's residual take those
 arrays and solve nothing themselves.  ``start_node`` is the one rule for
 where the mean hitting time is read: the lowest node of V inside A.
 
-The tridiagonal solve is LAPACK dgtsv's elimination with partial pivoting,
-written out over the sub-, main and superdiagonal: the same operations in the
-same order, so its solutions are bit-identical to
-scipy.linalg.solve_banded((1, 1), ...), which calls dgtsv. It replaced that
-call because importing scipy.linalg cost each run about 0.3 s and 18 MB of
-memory, while written out in Python a 2001-row solve takes about 1.5 ms,
-against 0.2 ms in LAPACK.
+The chain is the square-root approximation (SqRA) of the generator (Lie,
+Fackeldey and Weber, SIAM J. Matrix Anal. Appl. 34, 2013; Heida, Math.
+Models Methods Appl. Sci. 28, 2018, proves its O(h^2) convergence): it
+jumps between neighbours i and j at rate (eps/h^2) exp(-(V_j - V_i)/(2 eps)),
+reversible with respect to e^{-V/eps} by construction and positive at any
+cell Peclet number h|V'|/(2 eps).  Its rows are diagonally dominant, so the
+tridiagonal solve is plain elimination without row interchanges, on numpy
+alone: a 2001-row solve_poisson takes about 1.2 ms on 2 cores, where
+importing scipy.linalg would cost each run about 0.3 s and 18 MB.  The
+capacity is the chain's own Dirichlet form, so it equals the flux of the
+solved committor out of A.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import OverlappingSets, SingularSystem
+from .errors import OverlappingSets, ShapeMismatch, SingularSystem
 from .potentials import Potential
 
 
@@ -76,27 +80,43 @@ def _check_eps(eps: float) -> None:
         raise ValueError("epsilon must be finite")
 
 
+def _node_values(grid: Grid1D, V: Potential) -> np.ndarray:
+    """V at the grid's nodes, the one reading of V by the 1D oracles:
+    ShapeMismatch unless V is a potential on the line."""
+    if V.dim != 1:
+        raise ShapeMismatch(f"a potential on R^{V.dim} has no values on a 1D grid")
+    return V.value(grid.nodes[:, None])
+
+
+def _check_nodes(grid: Grid1D, values: np.ndarray, name: str) -> None:
+    """ShapeMismatch unless values holds one entry per node of the grid."""
+    n = grid.m + 2
+    if np.shape(values) != (n,):
+        raise ShapeMismatch(f"{name} has shape {np.shape(values)}, not one "
+                            f"value for each of the grid's {n} nodes")
+
+
 def _assemble(grid: Grid1D, V: Potential, eps: float, dirichlet: np.ndarray,
               rhs_interior: float) -> tuple[np.ndarray, ...]:
-    """Sub-, main and superdiagonal and right-hand side of the discrete
+    """Sub-, main and superdiagonal and right-hand side of the SqRA
     generator with Dirichlet overrides.
 
-    Interior: eps (w_{i+1} - 2 w_i + w_{i-1})/h^2 - V'_i (w_{i+1} - w_{i-1})/(2h).
-    Outer boundary nodes not in a Dirichlet set get the ghost-node reflecting
-    row 2 eps (w_inner - w_0)/h^2 (the drift term cancels under reflection).
+    The rate from node i to a neighbour j is (eps/h^2) exp(-(V_j - V_i)/(2 eps)),
+    taken per cell from exp(+-dV/(2 eps)), never from a ratio of Gibbs
+    weights; the diagonal is minus the row's rates.  An outer node not in a
+    Dirichlet set counts its one neighbour's rate twice (the half cell of a
+    zero-flux boundary).
     """
     _check_eps(eps)
-    x = grid.nodes
-    h = grid.h
-    vprime = V.gradient_batch(x[:, None])[:, 0]
-    dl = eps / h**2 + vprime[1:] / (2 * h)
-    d = np.full(x.size, -2 * eps / h**2)
-    du = eps / h**2 - vprime[:-1] / (2 * h)
-    rhs = np.full(x.size, rhs_interior, dtype=float)
+    half = np.diff(_node_values(grid, V)) / (2 * eps)
+    du = eps / grid.h**2 * np.exp(-half)  # from node i to node i+1
+    dl = eps / grid.h**2 * np.exp(half)  # from node i+1 to node i
     if not dirichlet[0]:
-        du[0] = 2 * eps / h**2
+        du[0] *= 2
     if not dirichlet[-1]:
-        dl[-1] = 2 * eps / h**2
+        dl[-1] *= 2
+    d = -np.append(du, 0.0) - np.append(0.0, dl)
+    rhs = np.full(d.size, rhs_interior, dtype=float)
     dl[dirichlet[1:]] = 0.0
     d[dirichlet] = 1.0
     du[dirichlet[:-1]] = 0.0
@@ -108,39 +128,26 @@ def _solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
            rhs: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system with sub-, main and superdiagonal dl, d, du.
 
-    dgtsv's one-right-hand-side path: Gaussian elimination that swaps rows i
-    and i+1 when the subdiagonal entry is larger than the pivot, which fills
-    in a second superdiagonal, then back substitution.
+    Gaussian elimination without row interchanges, then back substitution:
+    backward stable on the assembled systems, whose rows are all diagonally
+    dominant.
     """
-    # an infinite subdiagonal entry would give a zero multiplier and a
-    # finite, wrong solution
+    # an infinite pivot would give a zero multiplier and a finite, wrong
+    # solution
     if not all(np.isfinite(a).all() for a in (dl, d, du, rhs)):
         raise ValueError("array must not contain infs or NaNs")
     dl, d, du, x = dl.tolist(), d.tolist(), du.tolist(), rhs.tolist()
-    n = len(d)
-    du2 = [0.0] * n  # the second superdiagonal
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0.0:
-                raise SingularSystem("singular matrix")
-            fact = dl[i] / d[i]
-            d[i + 1] -= fact * du[i]
-            x[i + 1] -= fact * x[i]
-        else:  # interchange rows i and i+1
-            fact = d[i] / dl[i]
-            temp = d[i + 1]
-            d[i], d[i + 1] = dl[i], du[i] - fact * temp
-            if i + 2 < n:
-                du2[i] = du[i + 1]
-                du[i + 1] = -fact * du2[i]
-            du[i] = temp
-            x[i], x[i + 1] = x[i + 1], x[i] - fact * x[i + 1]
+    for i in range(len(d) - 1):
+        if d[i] == 0.0:
+            raise SingularSystem("singular matrix")
+        fact = dl[i] / d[i]
+        d[i + 1] -= fact * du[i]
+        x[i + 1] -= fact * x[i]
     if d[-1] == 0.0:
         raise SingularSystem("singular matrix")
     x[-1] /= d[-1]
-    x[-2] = (x[-2] - du[-1] * x[-1]) / d[-2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+    for i in range(len(d) - 2, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1]) / d[i]
     sol = np.array(x)
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("banded solve produced non-finite values")
@@ -177,18 +184,18 @@ def solve_committor(grid: Grid1D, V: Potential, eps: float,
 
 def capacity_dirichlet(grid: Grid1D, V: Potential, eps: float,
                        committor: np.ndarray, v_ref: float = 0.0) -> float:
-    """Dirichlet-form energy of the committor's node values:
-    eps * sum_cells exp(-(V - v_ref)/eps) (dh/dx)^2 dx, trapezoidal weights.
+    """Dirichlet form of the SqRA chain at the committor's node values:
+    sum_cells (eps/h) exp(-((V_i + V_{i+1})/2 - v_ref)/eps) (h_{i+1} - h_i)^2,
+    each cell's conductance the geometric mean of its ends' Gibbs weights.
 
     v_ref shifts the Gibbs weight; callers comparing against the hitting-time
     identity must absorb the same shift in the companion integral.
     """
     _check_eps(eps)
-    h = grid.h
-    e = np.exp(-(V.value(grid.nodes[:, None]) - v_ref) / eps)
-    w_cell = 0.5 * (e[:-1] + e[1:])
-    slope = np.diff(committor) / h
-    return float(eps * np.sum(w_cell * slope**2) * h)
+    _check_nodes(grid, committor, "committor")
+    v = _node_values(grid, V)
+    conductance = eps / grid.h * np.exp(-(0.5 * (v[:-1] + v[1:]) - v_ref) / eps)
+    return float(np.sum(conductance * np.diff(committor) ** 2))
 
 
 def committor_weighted_integral(grid: Grid1D, V: Potential, eps: float,
@@ -202,9 +209,9 @@ def committor_weighted_integral(grid: Grid1D, V: Potential, eps: float,
     the Gaussian (Laplace) approximation of the Gibbs weight there.
     """
     _check_eps(eps)
-    x = grid.nodes
-    vals = np.exp(-(V.value(x[:, None]) - v_ref) / eps)
-    return float(np.trapezoid(vals * committor, x))
+    _check_nodes(grid, committor, "committor")
+    vals = np.exp(-(_node_values(grid, V) - v_ref) / eps)
+    return float(np.trapezoid(vals * committor, grid.nodes))
 
 
 def start_node(grid: Grid1D, V: Potential, A_set) -> int:
@@ -213,7 +220,7 @@ def start_node(grid: Grid1D, V: Potential, A_set) -> int:
     a_idx = np.flatnonzero(set_mask(grid, A_set))
     if not a_idx.size:
         raise ValueError("A_set selects no grid nodes")
-    return int(a_idx[np.argmin(V.value(grid.nodes[:, None])[a_idx])])
+    return int(a_idx[np.argmin(_node_values(grid, V)[a_idx])])
 
 
 def magic_identity_residual(grid: Grid1D, V: Potential, eps: float, A_set,
@@ -225,8 +232,9 @@ def magic_identity_residual(grid: Grid1D, V: Potential, eps: float, A_set,
     integral divided by the capacity.  Both sides share one Gibbs-weight
     normalization so the result is shift-invariant.
     """
+    _check_nodes(grid, w, "w")
     lhs = w[start_node(grid, V, A_set)]
-    v_ref = float(np.min(V.value(grid.nodes[:, None])))
+    v_ref = float(np.min(_node_values(grid, V)))
     cap = capacity_dirichlet(grid, V, eps, committor, v_ref=v_ref)
     rhs = committor_weighted_integral(grid, V, eps, committor, v_ref=v_ref) / cap
     if abs(lhs) < 1e-300 and abs(rhs) < 1e-300:

@@ -22,11 +22,13 @@ class Potential:
     value(x) -> (...) and gradient_batch(x) -> (..., dim) take array-likes x
     of shape (..., dim): one point or any batch of points, lists included.
     hessian(x) -> (dim, dim) symmetric array, for one point x of shape (dim,).
+    dim is what the checks of a point against the potential read.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient_batch: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
+    dim: int
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def quartic_double_well() -> Potential:
     barrier height is 1/4; curvatures are V''(+-1) = 2 and V''(0) = -1.
     """
     return Potential(value=_quartic_value, gradient_batch=_quartic_gradient,
-                     hessian=lambda x: np.array([[3 * x[0] ** 2 - 1]]))
+                     hessian=lambda x: np.array([[3 * x[0] ** 2 - 1]]), dim=1)
 
 
 def quadratic_well(dim: int = 1) -> Potential:
@@ -90,7 +92,7 @@ def quadratic_well(dim: int = 1) -> Potential:
     return Potential(
         value=lambda x: 0.5 * np.sum(np.square(x), axis=-1),
         gradient_batch=lambda x: np.array(x, dtype=float),
-        hessian=lambda x: np.eye(dim))
+        hessian=lambda x: np.eye(dim), dim=dim)
 
 
 def double_well_2d() -> Potential:
@@ -102,7 +104,8 @@ def double_well_2d() -> Potential:
     return Potential(
         value=lambda p: _quartic_value(p) + np.square(np.asarray(p, float)[..., 1]) / 2,
         gradient_batch=gradient_batch,
-        hessian=lambda p: np.array([[3 * p[0] ** 2 - 1, 0.0], [0.0, 1.0]]))
+        hessian=lambda p: np.array([[3 * p[0] ** 2 - 1, 0.0], [0.0, 1.0]]),
+        dim=2)
 
 
 def numerical_gradient(p: Potential, x: np.ndarray) -> np.ndarray:

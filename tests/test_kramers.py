@@ -12,6 +12,7 @@ from metastab import (
     find_critical_point,
     galerkin_critical_points_1d,
     galerkin_potential_1d,
+    quartic_double_well,
 )
 from metastab.errors import DegenerateHessian, DomainError, ShapeMismatch, WrongKind
 
@@ -19,7 +20,7 @@ from metastab.errors import DegenerateHessian, DomainError, ShapeMismatch, Wrong
 def _flat_potential(dim):
     return Potential(value=lambda x: np.zeros(np.shape(x)[:-1]),
                      gradient_batch=lambda x: np.zeros(np.shape(x)),
-                     hessian=lambda x: np.eye(dim))
+                     hessian=lambda x: np.eye(dim), dim=dim)
 
 
 def _cp(location, eigs):
@@ -198,6 +199,10 @@ _QUARTIC_LAW = RatePrediction(barrier=0.25, prefactor=np.pi * np.sqrt(2),
     (lambda: ek_finite(_cp([0.0], [1.0]),
                        _cp([1.0, 0.0], [-1.0, 1.0]), _flat_potential(2)),
      ShapeMismatch, "critical points live in different dimensions"),
+    # points of another potential: the quartic read the first of 9
+    # coordinates and gave barrier -2.2e-16, prefactor 2.922
+    (lambda: ek_finite(*galerkin_critical_points_1d(2.0, 4), quartic_double_well()),
+     ShapeMismatch, "critical points of shapes (9,) and (9,) for a potential on R^1"),
     # a point with a negative eigenvalue is a saddle, whatever it is passed as
     (lambda: ek_finite(_cp([0.0, 0.0], [-1.0, 1.0]),
                        _cp([1.0, 0.0], [-1.0, 1.0]), _flat_potential(2)),

@@ -9,15 +9,16 @@ from metastab import (
     solve_committor,
     solve_poisson,
 )
-from metastab.errors import OverlappingSets, SingularSystem
+from metastab.errors import OverlappingSets, ShapeMismatch, SingularSystem
 from metastab.potential_theory import _assemble, _solve, set_mask, start_node
-from metastab.potentials import Potential, quadratic_well, quartic_double_well
+from metastab.potentials import (Potential, double_well_2d, quadratic_well,
+                                  quartic_double_well)
 
 
 def free_potential():
     return Potential(value=lambda x: np.zeros(np.shape(x)[:-1]),
                      gradient_batch=lambda x: np.zeros(np.shape(x)),
-                     hessian=lambda x: np.zeros((1, 1)))
+                     hessian=lambda x: np.zeros((1, 1)), dim=1)
 
 
 @pytest.fixture
@@ -86,8 +87,9 @@ def _band_layout(dl, d, du):
 
 
 class TestSolver:
-    """The tridiagonal solve is LAPACK dgtsv's elimination, so it matches
-    scipy.linalg.solve_banded((1, 1), ...), which calls dgtsv, bit for bit."""
+    """The tridiagonal solve is elimination without row interchanges; on the
+    assembled systems, whose rows are diagonally dominant, it agrees with
+    scipy.linalg.solve_banded((1, 1), ...), LAPACK's pivoted dgtsv."""
 
     @pytest.mark.parametrize("eps", [0.03, 0.25, 1.0])
     @pytest.mark.parametrize("m", [99, 1999, 3999])
@@ -103,28 +105,121 @@ class TestSolver:
                               rhs_interior=0.0)
         committor[3][a_mask] = 1.0
         for dl, d, du, rhs in (poisson, committor):
-            assert np.array_equal(_solve(dl, d, du, rhs),
-                                  solve_banded((1, 1), _band_layout(dl, d, du), rhs))
-
-    @pytest.mark.parametrize("n", [5, 6, 64, 501])
-    def test_row_interchanges_match_solve_banded(self, n):
-        from scipy.linalg import solve_banded
-
-        # a doubled subdiagonal makes most eliminations interchange rows,
-        # which fills in the second superdiagonal
-        rng = np.random.default_rng(n)
-        for _ in range(10):
-            ab, rhs = rng.standard_normal((3, n)), rng.standard_normal(n)
-            ab[2] *= 2.0
-            assert np.array_equal(_solve(ab[2, :-1], ab[1], ab[0, 1:], rhs),
-                                  solve_banded((1, 1), ab, rhs))
+            want = solve_banded((1, 1), _band_layout(dl, d, du), rhs)
+            gap = np.max(np.abs(_solve(dl, d, du, rhs) - want))
+            assert gap <= 1e-8 * np.max(np.abs(want))
 
     def test_non_finite_bands_rejected(self):
-        # an infinite subdiagonal entry would otherwise zero a multiplier
+        # refused before elimination, which would spread NaNs or, from an
+        # infinite pivot, a zero multiplier
         dl = np.ones(4)
         dl[1] = np.inf
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
             _solve(dl, np.full(5, 4.0), np.ones(4), np.ones(5))
+
+
+A_SET, B_SET = (-1.2, -0.8), (0.8, 1.2)
+
+
+def central_difference_system(grid, V, eps, dirichlet, rhs_interior):
+    """The O(h^2) central-difference generator that the SqRA chain replaced,
+    eps (w_{i+1} - 2 w_i + w_{i-1})/h^2 - V'_i (w_{i+1} - w_{i-1})/(2h) with
+    ghost-node reflecting rows 2 eps (w_inner - w_0)/h^2 and Dirichlet rows,
+    in solve_banded's layout."""
+    h = grid.h
+    vprime = V.gradient_batch(grid.nodes[:, None])[:, 0]
+    dl = eps / h**2 + vprime[1:] / (2 * h)
+    d = np.full(grid.m + 2, -2 * eps / h**2)
+    du = eps / h**2 - vprime[:-1] / (2 * h)
+    rhs = np.full(grid.m + 2, rhs_interior)
+    if not dirichlet[0]:
+        du[0] = 2 * eps / h**2
+    if not dirichlet[-1]:
+        dl[-1] = 2 * eps / h**2
+    dl[dirichlet[1:]] = 0.0
+    d[dirichlet] = 1.0
+    du[dirichlet[:-1]] = 0.0
+    rhs[dirichlet] = 0.0
+    return _band_layout(dl, d, du), rhs
+
+
+class TestGenerator:
+    """The assembled chain: SqRA rates, reversible with respect to the Gibbs
+    weights, and the capacity its own Dirichlet form."""
+
+    @pytest.mark.parametrize("eps", [0.01, 0.25, 1.0])
+    @pytest.mark.parametrize("m", [99, 1999])
+    def test_rows_are_a_reversible_generator(self, quartic, m, eps):
+        grid = Grid1D(-2.5, 2.5, m)
+        v = quartic.value(grid.nodes[:, None])
+        # the zero-flux ends hold half a cell of Gibbs weight
+        cell_weight = np.ones(grid.m + 2)
+        cell_weight[[0, -1]] = 0.5
+        a_mask, b_mask = set_mask(grid, A_SET), set_mask(grid, B_SET)
+        for dirichlet in (b_mask, a_mask | b_mask):
+            dl, d, du, _ = _assemble(grid, quartic, eps, dirichlet, 0.0)
+            free = ~dirichlet
+            assert np.all(du[free[:-1]] > 0) and np.all(dl[free[1:]] > 0)
+            row_sum = d.copy()
+            row_sum[:-1] += du
+            row_sum[1:] += dl
+            assert np.all(np.abs(row_sum[free])
+                          <= 4 * np.finfo(float).eps * np.abs(d[free]))
+            # Q_{i,i+1} / Q_{i+1,i} = pi_{i+1} / pi_i, with pi_i = e^{-V_i/eps}
+            # taken as a ratio, since e^{-V/eps} underflows at eps = 0.01
+            cells = free[:-1] & free[1:]
+            want = np.exp(-np.diff(v) / eps) * cell_weight[1:] / cell_weight[:-1]
+            np.testing.assert_allclose(du[cells] / dl[cells], want[cells],
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.02])
+    def test_coarse_grid_at_high_peclet(self, quartic, eps):
+        # cell Peclet number h|V'|/(2 eps) up to 33 at the ends: the
+        # central-difference generator read w = -6.94e15 at x = -1 (eps = 0.01)
+        grid = Grid1D(-2.5, 2.5, 99)
+        w = solve_poisson(grid, quartic, eps, B_SET)
+        committor = solve_committor(grid, quartic, eps, A_SET, B_SET)
+        assert np.all(w >= 0.0)
+        assert np.all((committor >= 0.0) & (committor <= 1.0))
+        assert magic_identity_residual(grid, quartic, eps, A_SET, w,
+                                       committor) < 1e-3
+
+    @pytest.mark.parametrize("eps", [0.25, 0.1, 0.03])
+    @pytest.mark.parametrize("m", [99, 1999])
+    def test_capacity_is_the_flux_out_of_A(self, quartic, m, eps):
+        grid = Grid1D(-2.5, 2.5, m)
+        committor = solve_committor(grid, quartic, eps, A_SET, B_SET)
+        v = quartic.value(grid.nodes[:, None])
+        gibbs = grid.h * np.exp(-(v - v.min()) / eps)
+        dl, _, du, _ = _assemble(grid, quartic, eps, np.zeros(grid.m + 2, bool), 0.0)
+        inside = set_mask(grid, A_SET)
+        rightward = inside[:-1] & ~inside[1:]
+        leftward = ~inside[:-1] & inside[1:]
+        step = np.diff(committor)
+        flux = (np.sum((gibbs[:-1] * du * -step)[rightward])
+                + np.sum((gibbs[1:] * dl * step)[leftward]))
+        cap = capacity_dirichlet(grid, quartic, eps, committor, v_ref=v.min())
+        assert cap == pytest.approx(flux, rel=1e-9)
+
+    @pytest.mark.parametrize("eps", [0.25, 0.1])
+    def test_shares_the_central_difference_richardson_limit(self, quartic, eps):
+        from scipy.linalg import solve_banded
+
+        def sqra(grid):
+            return solve_poisson(grid, quartic, eps, B_SET)
+
+        def central(grid):
+            b_mask = set_mask(grid, B_SET)
+            return solve_banded((1, 1), *central_difference_system(
+                grid, quartic, eps, b_mask, -1.0))
+
+        def limit(solve):
+            at_start = []
+            for grid in (Grid1D(-2.5, 2.5, 1999), Grid1D(-2.5, 2.5, 3999)):
+                at_start.append(solve(grid)[start_node(grid, quartic, A_SET)])
+            return (4 * at_start[1] - at_start[0]) / 3
+
+        assert limit(sqra) == pytest.approx(limit(central), rel=1e-9)
 
 
 class TestCommittor:
@@ -202,6 +297,7 @@ class TestCapacity:
             value=lambda x: quartic.value(x) + 5.0,
             gradient_batch=quartic.gradient_batch,
             hessian=quartic.hessian,
+            dim=1,
         )
         shifted = capacity_dirichlet(well_grid, shifted_pot, eps, sol, v_ref=5.0)
         assert shifted == pytest.approx(base, rel=1e-12)
@@ -341,4 +437,45 @@ def test_bad_inputs_raise(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    # a potential not on the line: the 2D well died in numpy with an
+    # IndexError, and quadratic_well(2) returned a value
+    (lambda: solve_poisson(Grid1D(-2.5, 2.5, 99), double_well_2d(), 0.25, B_SET),
+     "a potential on R^2 has no values on a 1D grid"),
+    (lambda: solve_poisson(Grid1D(-2.5, 2.5, 99), quadratic_well(2), 0.25, B_SET),
+     "a potential on R^2 has no values on a 1D grid"),
+    (lambda: solve_committor(Grid1D(-2.5, 2.5, 99), double_well_2d(), 0.25,
+                             A_SET, B_SET),
+     "a potential on R^2 has no values on a 1D grid"),
+    (lambda: capacity_dirichlet(Grid1D(-2.5, 2.5, 99), quadratic_well(2), 0.25,
+                                np.linspace(1.0, 0.0, 101)),
+     "a potential on R^2 has no values on a 1D grid"),
+    (lambda: committor_weighted_integral(Grid1D(-2.5, 2.5, 99), quadratic_well(3),
+                                         0.25, np.linspace(1.0, 0.0, 101)),
+     "a potential on R^3 has no values on a 1D grid"),
+    (lambda: start_node(Grid1D(-2.5, 2.5, 99), double_well_2d(), A_SET),
+     "a potential on R^2 has no values on a 1D grid"),
+    # node arrays of another length died in numpy's broadcasting, or, for
+    # magic_identity_residual's w, were read at one index
+    (lambda: capacity_dirichlet(Grid1D(0.0, 1.0, 99), free_potential(), 0.1,
+                                np.linspace(1.0, 0.0, 50)),
+     "committor has shape (50,), not one value for each of the grid's 101 nodes"),
+    (lambda: committor_weighted_integral(Grid1D(0.0, 1.0, 99), free_potential(), 0.1,
+                                         np.linspace(1.0, 0.0, 50)),
+     "committor has shape (50,), not one value for each of the grid's 101 nodes"),
+    (lambda: magic_identity_residual(Grid1D(0.0, 1.0, 99), free_potential(), 0.1,
+                                     (0.0, 0.0), np.zeros(50),
+                                     np.linspace(1.0, 0.0, 101)),
+     "w has shape (50,), not one value for each of the grid's 101 nodes"),
+    (lambda: magic_identity_residual(Grid1D(0.0, 1.0, 99), free_potential(), 0.1,
+                                     (0.0, 0.0), np.zeros(101),
+                                     np.linspace(1.0, 0.0, 50)),
+     "committor has shape (50,), not one value for each of the grid's 101 nodes"),
+])
+def test_shape_mismatch_raises(call, message):
+    with pytest.raises(ShapeMismatch) as info:
+        call()
     assert str(info.value) == message

@@ -65,7 +65,7 @@ def test_2d_well_derivatives_match_finite_differences(x, y):
 
 def test_potential_contract_has_no_optional_field():
     fields = dataclasses.fields(Potential)
-    assert [f.name for f in fields] == ["value", "gradient_batch", "hessian"]
+    assert [f.name for f in fields] == ["value", "gradient_batch", "hessian", "dim"]
     assert all(f.default is not None for f in fields)
 
 
@@ -74,6 +74,7 @@ def test_batch_gradient_agrees_with_rowwise(rng):
     for p, dim in ((quartic_double_well(), 1), (quadratic_well(dim=2), 2),
                    (double_well_2d(), 2), (galerkin_potential_1d(2.0, 2), 5),
                    (galerkin_potential_1d(2.0, 16), 33)):
+        assert p.dim == dim
         xs = rng.standard_normal((64, dim))
         assert np.array_equal(p.gradient_batch(xs),
                               np.array([p.gradient_batch(x) for x in xs]))
@@ -115,6 +116,7 @@ class TestFindCriticalPoint:
             value=lambda x: np.asarray(x)[..., 0] ** 4,
             gradient_batch=lambda x: 4 * np.asarray(x) ** 3,
             hessian=lambda x: np.array([[12 * x[0] ** 2]]),
+            dim=1,
         )
         with pytest.raises(DegenerateHessian):
             find_critical_point(flat, [0.5], degenerate_tol=1e-4)
@@ -126,6 +128,7 @@ class TestFindCriticalPoint:
             value=lambda x: 0.25 * np.sum(np.square(x), axis=-1),
             gradient_batch=lambda x: 0.5 * np.asarray(x, dtype=float),
             hessian=lambda x: 0.5 * np.eye(40),
+            dim=40,
         )
         cp = find_critical_point(well, np.full(40, 0.3))
         assert cp.kind == "minimum"
@@ -140,6 +143,7 @@ class TestFindCriticalPoint:
             gradient_batch=lambda p: np.stack(
                 [np.ones_like(np.asarray(p)[..., 0]), np.asarray(p)[..., 1]], axis=-1),
             hessian=lambda p: np.diag([0.0, 1.0]),
+            dim=2,
         )
         with pytest.raises(DegenerateHessian, match="singular Hessian"):
             find_critical_point(ramp, [0.0, 1.0])
@@ -150,6 +154,7 @@ class TestFindCriticalPoint:
             value=lambda x: np.asarray(x)[..., 0],
             gradient_batch=lambda x: np.ones_like(x, dtype=float),
             hessian=lambda x: np.array([[1.0]]),
+            dim=1,
         )
         with pytest.raises(NoConvergence):
             find_critical_point(tilted, [0.0], max_iter=20)
@@ -163,6 +168,7 @@ class TestFindCriticalPoint:
             gradient_batch=lambda x: np.array(x, dtype=float),
             hessian=lambda x: (np.eye(2) if np.any(x)
                                else np.array([[np.nan, 0.0], [0.5, 1.0]])),
+            dim=2,
         )
         with pytest.raises(DegenerateHessian, match="non-finite Hessian"):
             find_critical_point(bowl, [0.3, 0.2])
@@ -174,6 +180,7 @@ class TestFindCriticalPoint:
             value=lambda p: 0.5 * np.sum(np.square(p) * [1e-12, 1.0], axis=-1),
             gradient_batch=lambda p: np.asarray(p, dtype=float) * [1e-12, 1.0],
             hessian=lambda p: np.diag([1e-12, 1.0]),
+            dim=2,
         )
         with pytest.raises(DegenerateHessian, match="threshold 1e-08"):
             find_critical_point(shallow, [0.3, 0.2])

@@ -788,6 +788,11 @@ def _run(quartic, **kw):
      "x0 of shape (3,) is not a point the potential's gradient takes"),
     (lambda q: _run(galerkin_potential_1d(2.0, 2), x0=[-1.0, 0.0]), ShapeMismatch,
      "x0 of shape (2,) is not a point the potential's gradient takes"),
+    # the gradient probe took both, since these gradients broadcast
+    (lambda q: SdeRun(potentials.quadratic_well(2), 0.1, 1e-3, [0.0], 1), ShapeMismatch,
+     "x0 of shape (1,) is not a point the potential's gradient takes"),
+    (lambda q: SdeRun(potentials.quartic_double_well(), 0.1, 1e-3, [0.0, 1.0], 1),
+     ShapeMismatch, "x0 of shape (2,) is not a point the potential's gradient takes"),
     # the target too, refused by name before any replica runs
     (lambda q: hitting_times_raw(_run(q), [NAN], 0.2, 4), ValueError,
      "target_center must be finite"),

@@ -197,7 +197,7 @@ RECORDED = {
     "spde-hitting-d2-hs":
         "b80169d21eeacbee11de17a1ee9f756daea4badad74088eee629d0bc99139ff6",
     "potential-theory":
-        "b53dbede9c5ec333b6cd5485ef716390135c3c835a231b734f58600f7e19e444",
+        "4bdbd55e6c1743323bf3d70767601362d8494242cd5186c0ca40d3f529b24a44",
     "determinant-d2":
         "fe0207b8dbdbfd4adbbfd47a1fc2b06017203de23d6c633b5f94b30218daa196",
     "kramers-quartic":

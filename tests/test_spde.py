@@ -623,7 +623,7 @@ def _mean_field_potential(a):
     """V(x) = x^4/4 - a x^2/2, for the poisson solver."""
     return Potential(value=lambda x: x[..., 0] ** 4 / 4 - a * x[..., 0] ** 2 / 2,
                      gradient_batch=lambda x: x * x * x - a * x,
-                     hessian=lambda x: np.array([[3 * x[0] ** 2 - a]]))
+                     hessian=lambda x: np.array([[3 * x[0] ** 2 - a]]), dim=1)
 
 
 @pytest.mark.parametrize("d", (1, 2))
